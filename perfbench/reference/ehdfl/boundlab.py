@@ -1,0 +1,130 @@
+"""Empirical contraction studies for the round-based policy synthesis."""
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .localized import ExtensionDefaults, synthesize
+from .mdp import GlobalMdp, backward_induction, evaluate_policy
+
+
+@dataclass(frozen=True)
+class GapCurve:
+    gaps: np.ndarray      # (rounds+1,) J(pi^r) - J*, r = 0 is the pre-improvement policy
+    j_star: float
+    j_rounds: np.ndarray  # (rounds+1,)
+    gamma: float
+    hops: int
+
+
+def gap_curve(mdp: GlobalMdp, *, hops: int, gamma: float, rounds: int,
+              s1=None, defaults: ExtensionDefaults | None = None,
+              budget: int | None = None) -> GapCurve:
+    """Exact optimality gap after each improvement round.
+
+    Round 0 is the initialization (softmax response assuming default neighbor
+    behavior); rounds 1..R are simultaneous-update improvements. Gaps are
+    computed with the exact product-form evaluator against the optimal cost
+    from full backward induction, so the curve carries no sampling noise.
+    """
+    kw = {} if budget is None else {"budget": budget}
+    sol = backward_induction(mdp, **kw)
+    j_star = sol.expected_cost(s1)
+    snaps = synthesize(mdp, hops=hops, gamma=gamma, rounds=rounds,
+                       defaults=defaults, snapshot_rounds=range(rounds + 1))
+    j_rounds = np.zeros(rounds + 1)
+    for r in range(rounds + 1):
+        j_rounds[r] = evaluate_policy(mdp, snaps[r], s1, mode="exact")
+    return GapCurve(gaps=j_rounds - j_star, j_star=j_star, j_rounds=j_rounds,
+                    gamma=gamma, hops=hops)
+
+
+class InsufficientData(ValueError):
+    """Too few positive gap points to fit a geometric rate."""
+
+
+@dataclass(frozen=True)
+class RateFit:
+    c: float       # gap(R) ~ c * d_hat**R
+    d_hat: float
+    r_squared: float
+    points: int    # how many leading entries entered the fit
+
+
+def fit_rate(gaps, *, tol: float = 1e-14) -> RateFit:
+    """Least-squares geometric rate gap(R) ~ C * D^R from a gap sequence.
+
+    Fits log g_r = log C + r log D over the longest positive prefix of the
+    series (entries at or below tol end the prefix; exact policies can reach
+    numerical zero after few rounds). Raises InsufficientData when the prefix
+    has fewer than four points. A constant series has zero explainable
+    variance and reports R^2 = 1 (the flat fit is exact) with D = 1.
+    """
+    g = np.asarray(gaps, dtype=float)
+    n = 0
+    while n < g.size and g[n] > tol:
+        n += 1
+    if n < 4:
+        raise InsufficientData(
+            f"need >= 4 positive gap points to fit a rate, got {n}")
+    y = np.log(g[:n])
+    x = np.arange(n, dtype=float)
+    slope, intercept = np.polyfit(x, y, 1)
+    pred = intercept + slope * x
+    ss_res = float(np.sum((y - pred) ** 2))
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    r2 = 1.0 if ss_tot < 1e-24 else 1.0 - ss_res / ss_tot
+    return RateFit(c=float(np.exp(intercept)), d_hat=float(np.exp(slope)),
+                   r_squared=float(r2), points=n)
+
+
+def decay_slope_pvalue(gaps, r_lo: int = 1, r_hi: int = 10):
+    """One-sided p-value that the log-gap slope over R in [r_lo, r_hi] is < 0."""
+    from scipy import stats
+
+    g = np.asarray(gaps, dtype=float)[r_lo:r_hi + 1]
+    if (g <= 0).any():
+        g = np.maximum(g, 1e-300)
+    res = stats.linregress(np.arange(r_lo, r_hi + 1, dtype=float), np.log(g))
+    p_one_sided = res.pvalue / 2.0 if res.slope < 0 else 1.0 - res.pvalue / 2.0
+    return float(res.slope), float(p_one_sided)
+
+
+def contraction_coefficient(gamma: float, m: int, lipschitz: float,
+                            grad_bound: float, n_joint_actions: int) -> float:
+    """D = 32 gamma m (L + 1) G^2 |P|^2 for the round-update contraction."""
+    return 32.0 * gamma * m * (lipschitz + 1.0) * grad_bound ** 2 * n_joint_actions ** 2
+
+
+def temperature_cap(m: int, lipschitz: float, grad_bound: float,
+                    n_joint_actions: int) -> float:
+    """Largest gamma with a certified contraction, i.e. where D reaches 1."""
+    return 1.0 / (32.0 * m * (lipschitz + 1.0) * grad_bound ** 2 * n_joint_actions ** 2)
+
+
+@dataclass(frozen=True)
+class ContractionReport:
+    gamma: float
+    cap: float
+    d_bound: float
+    curve: GapCurve
+    fit: RateFit
+
+    @property
+    def certified(self) -> bool:
+        return self.gamma <= self.cap and self.d_bound <= 1.0
+
+
+def contraction_study(mdp: GlobalMdp, *, hops: int, gamma: float, rounds: int,
+                      lipschitz: float, grad_bound: float, s1=None,
+                      budget: int | None = None) -> ContractionReport:
+    """Pair the analytical contraction coefficient with the measured curve."""
+    curve = gap_curve(mdp, hops=hops, gamma=gamma, rounds=rounds, s1=s1,
+                      budget=budget)
+    fit = fit_rate(curve.gaps)
+    cap = temperature_cap(mdp.m, lipschitz, grad_bound, mdp.n_actions)
+    d_bound = contraction_coefficient(gamma, mdp.m, lipschitz, grad_bound,
+                                      mdp.n_actions)
+    return ContractionReport(gamma=gamma, cap=cap, d_bound=d_bound,
+                             curve=curve, fit=fit)

@@ -1,0 +1,383 @@
+"""Experiment configuration: JSON loading, validation, canonical hashing.
+
+A config file is one JSON object. ``load_config`` validates it and reports
+every problem at once (``ConfigError.items``), so a bad file needs one
+round-trip to fix, not ten. Builders turn a validated config into the model,
+task, and policy objects the harness runs.
+
+The slot length ``tau`` appears once, under ``channel``, and feeds both the
+radio and the energy accounting; the two subsystems can never disagree on it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from dataclasses import dataclass, field
+from pathlib import Path
+
+import numpy as np
+
+from .channel import ChannelChain, RadioParams
+from .energy import EnergyParams, HarvestModel, point_harvest
+from .errors import ConfigError
+from .mdp import GlobalMdp, GlobalState, build_mdp
+from .topology import build_topology
+
+TOPOLOGY_KINDS = ("line", "ring", "complete", "random_geometric")
+POLICY_NAMES = ("centralized_pi", "decentralized_pi", "myopic_central", "greedy")
+TASK_KINDS = ("quadratic", "logistic")
+SWEEP_AXES = ("rounds", "capacity", "hops")
+
+DEFAULT_BUDGET = 10_000_000
+
+
+def canonical_hash(raw: dict) -> str:
+    """Order-independent 12-hex digest of a config dictionary.
+
+    out_dir is excluded: the hash identifies the experiment, and the same
+    experiment written to two directories must produce identical files.
+    """
+    scrubbed = {k: v for k, v in raw.items() if k != "out_dir"}
+    blob = json.dumps(scrubbed, sort_keys=True, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()[:12]
+
+
+@dataclass
+class ExperimentConfig:
+    """Validated experiment description plus the hash of its source dict."""
+
+    raw: dict
+    hash: str
+    name: str
+    topology_kind: str
+    m: int
+    topology_seed: int | None
+    phi: float
+    sigma2: list[float] | float
+    tau: float
+    chain_specs: list[dict]
+    energy_raw: dict
+    harvest_raw: dict | list[dict]
+    power_levels: list[float]
+    horizon: int
+    policy_name: str
+    gamma: float
+    rounds: int
+    hops: int
+    defaults_raw: dict
+    task_raw: dict
+    seeds: list[int]
+    out_dir: str
+    budget: int
+    s1_raw: dict | None
+    sweep_raw: dict | None
+    declared_raw: dict | None
+    warnings: list[str] = field(default_factory=list)
+
+    # ------------------------------------------------------------------
+    # builders
+    # ------------------------------------------------------------------
+
+    def build_model(self) -> GlobalMdp:
+        topo = build_topology(self.topology_kind, self.m, seed=self.topology_seed)
+        radio = RadioParams(self.phi, _sigma_tuple(self.sigma2), self.tau)
+        energy = self._energy_params()
+        chains = [_chain_from(spec) for spec in self.chain_specs]
+        if len(chains) == 1:
+            chains = chains * len(topo.edges)
+        harvest = self._harvests()
+        return build_mdp(topo, radio, energy, chains, harvest,
+                         power_levels=list(self.power_levels), horizon=self.horizon)
+
+    def _energy_params(self) -> EnergyParams:
+        e = self.energy_raw
+        return EnergyParams(k_steps=int(e.get("k_steps", 1)),
+                            cpu_freq=float(e.get("cpu_freq", 1.0)),
+                            cycles_per_sample=float(e.get("cycles_per_sample", 0.0)),
+                            batch_size=int(e.get("batch_size", 1)),
+                            tau=self.tau,
+                            b_max=float(e["b_max"]),
+                            n_levels=int(e["n_levels"]))
+
+    def _harvests(self):
+        specs = self.harvest_raw
+        if isinstance(specs, dict):
+            return _harvest_from(specs)
+        return [_harvest_from(h) for h in specs]
+
+    def start_state(self, mdp: GlobalMdp) -> GlobalState:
+        if self.s1_raw is None:
+            gains = tuple(int(np.argmax(c.steady)) for c in mdp.chains)
+            bats = tuple(mdp.energy.n_levels - 1 for _ in range(mdp.m))
+            return GlobalState(gains=gains, batteries=bats)
+        return GlobalState(gains=tuple(int(g) for g in self.s1_raw["gains"]),
+                           batteries=tuple(int(b) for b in self.s1_raw["batteries"]))
+
+    def build_task(self):
+        from .learning import make_logistic_task, make_quadratic_task
+        t = self.task_raw
+        kind = t.get("kind", "quadratic")
+        if kind == "quadratic":
+            return make_quadratic_task(self.m, int(t.get("dim", 16)),
+                                       int(t.get("samples", 32)),
+                                       heterogeneity=float(t.get("heterogeneity", 1.0)),
+                                       seed=int(t.get("seed", 0)),
+                                       scale=float(t.get("scale", 1.0)))
+        return make_logistic_task(self.m, int(t.get("dim", 16)),
+                                  int(t.get("samples", 32)),
+                                  heterogeneity=float(t.get("heterogeneity", 1.0)),
+                                  seed=int(t.get("seed", 0)))
+
+    def step_size(self, task) -> float:
+        eta = self.task_raw.get("eta")
+        if eta is not None:
+            return float(eta)
+        return 0.3 / task.lipschitz()
+
+    def extension_defaults(self):
+        from .localized import ExtensionDefaults
+        d = self.defaults_raw
+        return ExtensionDefaults(gain=int(d.get("gain", 0)),
+                                 battery=int(d.get("battery", 0)),
+                                 level=int(d.get("level", 0)))
+
+    def build_policy(self, mdp: GlobalMdp, name: str | None = None,
+                     hops: int | None = None):
+        from .baselines import GreedyPolicy, MyopicCentralPolicy
+        from .localized import synthesize
+        from .mdp import backward_induction
+        name = self.policy_name if name is None else name
+        if name == "centralized_pi":
+            return backward_induction(mdp, budget=self.budget).as_policy()
+        if name == "decentralized_pi":
+            return synthesize(mdp, hops=self.hops if hops is None else hops,
+                              gamma=self.gamma, rounds=self.rounds,
+                              defaults=self.extension_defaults(),
+                              table_budget=self.budget * 10)
+        if name == "myopic_central":
+            return MyopicCentralPolicy(mdp)
+        if name == "greedy":
+            return GreedyPolicy(mdp)
+        raise ConfigError([f"policy: unknown name {name!r}"])
+
+
+def _sigma_tuple(sig):
+    if isinstance(sig, (int, float)):
+        return float(sig)
+    return tuple(float(x) for x in sig)
+
+
+def _chain_from(spec: dict) -> ChannelChain:
+    levels = np.asarray(spec["levels"], dtype=float)
+    psi = np.asarray(spec["psi"], dtype=float)
+    steady = spec.get("steady")
+    if steady is None:
+        steady = _stationary(psi)
+    return ChannelChain(levels=levels, steady=np.asarray(steady, dtype=float), psi=psi)
+
+
+def _stationary(psi: np.ndarray) -> np.ndarray:
+    vals, vecs = np.linalg.eig(psi.T)
+    k = int(np.argmin(np.abs(vals - 1.0)))
+    v = np.real(vecs[:, k])
+    v = np.abs(v)
+    return v / v.sum()
+
+
+def _harvest_from(spec: dict) -> HarvestModel:
+    if "point" in spec:
+        return point_harvest(float(spec["point"]))
+    return HarvestModel(support=np.asarray(spec["support"], dtype=float),
+                        probs=np.asarray(spec["probs"], dtype=float))
+
+
+# ---------------------------------------------------------------------------
+# validation
+# ---------------------------------------------------------------------------
+
+def load_config(path) -> ExperimentConfig:
+    text = Path(path).read_text()
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError([f"file: not valid JSON ({exc})"]) from exc
+    return parse_config(raw)
+
+
+def parse_config(raw: dict) -> ExperimentConfig:
+    issues: list[str] = []
+    warnings: list[str] = []
+
+    def need(section: dict, key: str, where: str, default=None):
+        if key not in section:
+            if default is None:
+                issues.append(f"{where}.{key}: missing")
+            return default
+        return section[key]
+
+    if not isinstance(raw, dict):
+        raise ConfigError(["file: top level must be a JSON object"])
+
+    topo = raw.get("topology", {})
+    kind = topo.get("kind", "ring")
+    if kind not in TOPOLOGY_KINDS:
+        issues.append(f"topology.kind: {kind!r} not one of {TOPOLOGY_KINDS}")
+    m = topo.get("m", 0)
+    if not isinstance(m, int) or m < 2:
+        issues.append(f"topology.m: need an integer >= 2, got {m!r}")
+
+    chan = raw.get("channel", {})
+    phi = need(chan, "phi", "channel", 0.0)
+    if not phi > 0:
+        issues.append(f"channel.phi: must be positive, got {phi!r}")
+    tau = chan.get("tau", 1.0)
+    if not tau > 0:
+        issues.append(f"channel.tau: must be positive, got {tau!r}")
+    sigma2 = chan.get("sigma2", 1.0)
+    sig_arr = np.atleast_1d(np.asarray(sigma2, dtype=float))
+    if (sig_arr <= 0).any():
+        issues.append("channel.sigma2: all entries must be positive")
+    elif sig_arr.size not in (1, m) and m >= 2:
+        issues.append(f"channel.sigma2: length {sig_arr.size} is neither 1 nor m={m}")
+
+    chain_specs = chan.get("chains", [])
+    if isinstance(chain_specs, dict):
+        chain_specs = [chain_specs]
+    if not chain_specs:
+        issues.append("channel.chains: at least one chain spec required")
+    for k, spec in enumerate(chain_specs):
+        try:
+            _chain_from(spec)
+        except (KeyError, ValueError, TypeError) as exc:
+            issues.append(f"channel.chains[{k}]: {exc}")
+
+    en = raw.get("energy", {})
+    b_max = need(en, "b_max", "energy", 0.0)
+    n_levels = need(en, "n_levels", "energy", 0)
+    energy = None
+    if b_max and n_levels:
+        try:
+            energy = EnergyParams(k_steps=int(en.get("k_steps", 1)),
+                                  cpu_freq=float(en.get("cpu_freq", 1.0)),
+                                  cycles_per_sample=float(en.get("cycles_per_sample", 0.0)),
+                                  batch_size=int(en.get("batch_size", 1)),
+                                  tau=float(tau), b_max=float(b_max),
+                                  n_levels=int(n_levels))
+        except (ValueError, TypeError) as exc:
+            issues.append(f"energy: {exc}")
+
+    harvest_raw = en.get("harvest", {"point": 0.0})
+    hs = [harvest_raw] if isinstance(harvest_raw, dict) else harvest_raw
+    if not isinstance(harvest_raw, dict) and len(hs) != m:
+        issues.append(f"energy.harvest: list length {len(hs)} != m={m}")
+    for k, spec in enumerate(hs):
+        try:
+            model = _harvest_from(spec)
+            if energy is not None:
+                model.quanta(energy)  # harvest amounts must sit on the battery grid
+        except (KeyError, ValueError, TypeError) as exc:
+            issues.append(f"energy.harvest[{k}]: {exc}")
+
+    power_levels = raw.get("power_levels", [])
+    if not power_levels:
+        issues.append("power_levels: required, e.g. [0.0, 1.0]")
+    elif sorted(power_levels) != list(power_levels):
+        issues.append("power_levels: must be ascending")
+    elif any(p < 0 for p in power_levels):
+        issues.append("power_levels: must be nonnegative")
+    if energy is not None and power_levels:
+        draws = [(energy.compute_energy() if p > 0 else 0.0) + p * energy.tau
+                 for p in power_levels]
+        costs = [energy.to_quanta(d) for d in draws]
+        if min(costs) > 0:
+            issues.append("power_levels: no level with zero quantum cost; "
+                          "devices at an empty battery would have no feasible action")
+        for p, d, c in zip(power_levels, draws, costs):
+            if abs(d - c * energy.quantum) > 1e-12:
+                warnings.append(f"power level {p}: consumption {d:.6g} J snaps to "
+                                f"{c} quanta of {energy.quantum:.6g} J")
+
+    horizon = raw.get("horizon", -1)
+    if not isinstance(horizon, int) or horizon < 0:
+        issues.append(f"horizon: need an integer >= 0, got {horizon!r}")
+
+    pol = raw.get("policy", {})
+    pol_name = pol.get("name", "decentralized_pi")
+    if pol_name not in POLICY_NAMES:
+        issues.append(f"policy.name: {pol_name!r} not one of {POLICY_NAMES}")
+    gamma = pol.get("gamma", 1.0)
+    if not gamma > 0:
+        issues.append(f"policy.gamma: must be positive, got {gamma!r}")
+    rounds = pol.get("rounds", 10)
+    if not isinstance(rounds, int) or rounds < 1:
+        issues.append(f"policy.rounds: need an integer >= 1, got {rounds!r}")
+    hops = pol.get("hops", 2)
+    if not isinstance(hops, int) or hops < 0:
+        issues.append(f"policy.hops: need an integer >= 0, got {hops!r}")
+
+    task = raw.get("task", {})
+    task_kind = task.get("kind", "quadratic")
+    if task_kind not in TASK_KINDS:
+        issues.append(f"task.kind: {task_kind!r} not one of {TASK_KINDS}")
+
+    seeds = raw.get("seeds", [])
+    if (not isinstance(seeds, list) or not seeds
+            or not all(isinstance(s, int) for s in seeds)):
+        issues.append("seeds: need a non-empty list of integers")
+
+    budget = raw.get("budget", DEFAULT_BUDGET)
+    if not isinstance(budget, int) or budget <= 0:
+        issues.append(f"budget: need a positive integer, got {budget!r}")
+
+    s1_raw = raw.get("s1")
+    if s1_raw is not None:
+        if "gains" not in s1_raw or "batteries" not in s1_raw:
+            issues.append("s1: needs both 'gains' and 'batteries'")
+        elif isinstance(m, int) and m >= 2 and len(s1_raw["batteries"]) != m:
+            issues.append(f"s1.batteries: length {len(s1_raw['batteries'])} != m={m}")
+
+    sweep_raw = raw.get("sweep")
+    if sweep_raw is not None:
+        axis = sweep_raw.get("axis")
+        if axis not in SWEEP_AXES:
+            issues.append(f"sweep.axis: {axis!r} not one of {SWEEP_AXES}")
+        values = sweep_raw.get("values", [])
+        if not isinstance(values, list) or not values:
+            issues.append("sweep.values: need a non-empty list")
+        elif axis == "capacity" and any(not isinstance(v, int) or v < 2 for v in values):
+            issues.append("sweep.values: capacity sweep takes level counts >= 2")
+        elif axis == "hops" and any(not isinstance(v, int) or v < 0 for v in values):
+            issues.append("sweep.values: hop counts must be integers >= 0")
+        elif axis == "rounds" and any(not isinstance(v, int) or v < 0 for v in values):
+            issues.append("sweep.values: round counts must be integers >= 0")
+
+    declared = raw.get("declared")
+    if declared is not None and pol_name == "decentralized_pi":
+        try:
+            from .boundlab import temperature_cap
+            lip = float(declared["lipschitz"])
+            g = float(declared["grad_bound"])
+            n_joint = int(np.prod([len(power_levels)] * m)) if power_levels else 0
+            if n_joint:
+                cap = temperature_cap(m, lip, g, n_joint)
+                if gamma > cap * (1 + 1e-9):
+                    warnings.append(f"policy.gamma {gamma:.6g} exceeds the certified "
+                                    f"temperature ceiling {cap:.6g} for the declared "
+                                    f"constants; the contraction guarantee does not apply")
+        except (KeyError, ValueError, TypeError) as exc:
+            issues.append(f"declared: {exc}")
+
+    if issues:
+        raise ConfigError(issues)
+
+    return ExperimentConfig(
+        raw=raw, hash=canonical_hash(raw), name=raw.get("name", "experiment"),
+        topology_kind=kind, m=m, topology_seed=topo.get("seed"),
+        phi=float(phi), sigma2=sigma2, tau=float(tau), chain_specs=chain_specs,
+        energy_raw=en, harvest_raw=harvest_raw,
+        power_levels=[float(p) for p in power_levels], horizon=horizon,
+        policy_name=pol_name, gamma=float(gamma), rounds=rounds, hops=hops,
+        defaults_raw=pol.get("defaults", {}), task_raw=task, seeds=list(seeds),
+        out_dir=raw.get("out_dir", "results"), budget=budget, s1_raw=s1_raw,
+        sweep_raw=sweep_raw, declared_raw=declared, warnings=warnings)

@@ -1,0 +1,520 @@
+"""Localized Q tables and decentralized policy synthesis.
+
+Each device keeps tables over its kappa-hop cover: the gains of links incident
+to cover members plus the cover members' batteries, and one power level per
+cover member. Synthesis alternates a localized backward recursion (min outside
+the expectation) with rounds of neighborhood Q-fusion and softmax response,
+using extension defaults whenever a neighbor's table refers to a coordinate
+outside the local cover.
+"""
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .topology import k_hop_set
+from .errors import BudgetExceeded
+
+
+@dataclass(frozen=True)
+class ExtensionDefaults:
+    """Digits used for out-of-cover coordinates: gain, battery, power level."""
+
+    gain: int = 0
+    battery: int = 0
+    level: int = 0
+
+
+def _strides(dims):
+    if not dims:
+        return np.zeros(0, dtype=np.int64)
+    return np.cumprod([1] + list(dims[::-1]))[::-1][1:].astype(np.int64)
+
+
+@dataclass(eq=False)
+class Cover:
+    """One device's kappa-hop view: member devices, incident link entities."""
+
+    owner: int
+    hops: int
+    devs: tuple[int, ...]
+    links: tuple[int, ...]
+    link_dims: tuple[int, ...]
+    bat_dims: tuple[int, ...]
+    act_dims: tuple[int, ...]
+
+    def __post_init__(self):
+        self.state_dims = tuple(self.link_dims) + tuple(self.bat_dims)
+        self.state_strides = _strides(self.state_dims)
+        self.act_strides = _strides(self.act_dims)
+        self.dev_pos = {d: k for k, d in enumerate(self.devs)}
+        self.link_pos = {e: k for k, e in enumerate(self.links)}
+
+    @property
+    def n_gain_cfgs(self) -> int:
+        return int(np.prod(self.link_dims)) if self.link_dims else 1
+
+    @property
+    def n_states(self) -> int:
+        return int(np.prod(self.state_dims))
+
+    @property
+    def n_actions(self) -> int:
+        return int(np.prod(self.act_dims))
+
+    def state_digit(self, idx, pos: int):
+        return (idx // self.state_strides[pos]) % self.state_dims[pos]
+
+    def battery_digit(self, idx, device: int):
+        return self.state_digit(idx, len(self.links) + self.dev_pos[device])
+
+    def action_digit(self, idx, device: int):
+        return (idx // self.act_strides[self.dev_pos[device]]) % self.act_dims[self.dev_pos[device]]
+
+
+def build_cover(mdp, owner: int, hops: int) -> Cover:
+    devs = k_hop_set(mdp.topo.neighbors, owner, hops)
+    dev_set = set(devs)
+    links = []
+    for e, pair in enumerate(mdp.entities):
+        if mdp.reciprocal:
+            if pair[0] in dev_set or pair[1] in dev_set:
+                links.append(e)
+        else:
+            if pair[0] in dev_set:  # receiver holds the incoming gain
+                links.append(e)
+    links = tuple(links)
+    return Cover(owner=owner, hops=hops, devs=tuple(devs), links=links,
+                 link_dims=tuple(mdp.chains[e].n for e in links),
+                 bat_dims=tuple(mdp.energy.n_levels for _ in devs),
+                 act_dims=tuple(len(mdp.power_levels[d]) for d in devs))
+
+
+# ---------------------------------------------------------------------------
+# localized cost
+# ---------------------------------------------------------------------------
+
+def localized_cost(mdp, cover: Cover, gain_digits, levels,
+                   defaults: ExtensionDefaults = ExtensionDefaults()) -> float:
+    """One-slot cost chargeable to the cover owner, from local information only.
+
+    gain_digits: one gain index per cover link. levels: one power level index
+    per cover member. Out-of-cover powers default to the silent level and
+    out-of-cover gains to the default gain digit.
+    """
+    own = cover.owner
+
+    def gain(i, k):
+        e = mdp.entity_of(i, k)
+        if e in cover.link_pos:
+            return mdp.chains[e].levels[gain_digits[cover.link_pos[e]]]
+        return mdp.chains[e].levels[defaults.gain]
+
+    def power(d):
+        if d in cover.dev_pos:
+            return mdp.power_levels[d][levels[cover.dev_pos[d]]]
+        return mdp.power_levels[d][defaults.level]
+
+    total = 0.0
+    pj = power(own)
+    for r in mdp.topo.neighbors[own]:
+        w = float(mdp.topo.mixing[r, own])
+        if pj <= 0.0:
+            total += w
+            continue
+        interf = sum(power(k) * gain(r, k) for k in mdp.topo.neighbors[r] if k != own)
+        x = mdp.radio.phi * (interf + mdp.radio.noise(r)) / (pj * gain(r, own))
+        total += w * (1.0 - np.exp(-x))
+    return total * mdp.cost_scale
+
+
+def localized_cost_table(mdp, cover: Cover,
+                         defaults: ExtensionDefaults = ExtensionDefaults()) -> np.ndarray:
+    """Vectorized localized cost, shape (n_gain_cfgs, n_actions)."""
+    ng, na = cover.n_gain_cfgs, cover.n_actions
+    g_idx = np.arange(ng)
+    a_idx = np.arange(na)
+    g_strides = _strides(cover.link_dims)
+
+    def gain_vec(i, k):
+        e = mdp.entity_of(i, k)
+        if e in cover.link_pos:
+            pos = cover.link_pos[e]
+            digit = (g_idx // g_strides[pos]) % cover.link_dims[pos]
+            return mdp.chains[e].levels[digit]
+        return np.full(ng, mdp.chains[e].levels[defaults.gain])
+
+    def power_vec(d):
+        if d in cover.dev_pos:
+            return mdp.power_levels[d][cover.action_digit(a_idx, d)]
+        return np.full(na, mdp.power_levels[d][defaults.level])
+
+    own = cover.owner
+    pj = power_vec(own)
+    out = np.zeros((ng, na))
+    for r in mdp.topo.neighbors[own]:
+        w = float(mdp.topo.mixing[r, own])
+        acc = np.full((ng, na), mdp.radio.noise(r))
+        for k in mdp.topo.neighbors[r]:
+            if k != own:
+                acc = acc + power_vec(k)[None, :] * gain_vec(r, k)[:, None]
+        denom = pj[None, :] * gain_vec(r, own)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = 1.0 - np.exp(-mdp.radio.phi * acc / denom)
+        q[:, pj == 0.0] = 1.0
+        out += w * q
+    return out * mdp.cost_scale
+
+
+# ---------------------------------------------------------------------------
+# localized backward recursion
+# ---------------------------------------------------------------------------
+
+def localized_backward_layer(mdp, cover: Cover, q_next: np.ndarray,
+                             cost_tbl: np.ndarray) -> np.ndarray:
+    """One step of the localized recursion: c + min_p' E[q_next(s', p') | s, p].
+
+    The expectation uses the cover-restricted kernel (link chains of cover
+    links, battery kernels of cover members); the min runs over all joint
+    next actions of the cover, unrestricted.
+    """
+    nl = len(cover.links)
+    nd = len(cover.devs)
+    shape = cover.state_dims + (cover.n_actions,)
+    x = q_next.reshape(shape)
+    for pos in range(nl):
+        psi = mdp.chains[cover.links[pos]].psi
+        x = np.moveaxis(np.tensordot(psi, x, axes=([1], [pos])), 0, pos)
+    out = np.empty((cover.n_states, cover.n_actions))
+    strides = cover.act_strides
+
+    def descend(d, part, prefix):
+        if d == nd:
+            flat = part.reshape(cover.n_states, cover.n_actions)
+            out[:, prefix] = flat.min(axis=1)
+            return
+        dev = cover.devs[d]
+        ax = nl + d
+        for l in range(cover.act_dims[d]):
+            kern = mdp.battery_kernels[dev][l]
+            xd = np.moveaxis(np.tensordot(kern, part, axes=([1], [ax])), 0, ax)
+            descend(d + 1, xd, prefix + l * int(strides[d]))
+
+    descend(0, x, 0)
+    # cost broadcast over battery digits
+    nb = cover.n_states // cover.n_gain_cfgs
+    out = out.reshape(cover.n_gain_cfgs, nb, cover.n_actions)
+    out += cost_tbl[:, None, :]
+    return out.reshape(cover.n_states, cover.n_actions)
+
+
+# ---------------------------------------------------------------------------
+# synthesis context: extension maps, feasibility rows
+# ---------------------------------------------------------------------------
+
+class _SynthContext:
+    def __init__(self, mdp, hops, gamma, defaults):
+        self.mdp = mdp
+        self.gamma = float(gamma)
+        self.defaults = defaults
+        self.covers = [build_cover(mdp, i, hops) for i in range(mdp.m)]
+        self.cost_tables = [localized_cost_table(mdp, c, defaults) for c in self.covers]
+        self.ext_s = [dict() for _ in range(mdp.m)]
+        self.ext_p = [dict() for _ in range(mdp.m)]
+        for i in range(mdp.m):
+            for j in self.covers[i].devs:
+                self.ext_s[i][j] = extension_state_map(self.covers[i], self.covers[j], defaults)
+                self.ext_p[i][j] = extension_action_map(self.covers[i], self.covers[j], defaults)
+        self.feas_rows = [self._feasible_rows(c) for c in self.covers]
+
+    def _feasible_rows(self, cover):
+        idx = np.arange(cover.n_states)
+        b = cover.battery_digit(idx, cover.owner)
+        return self.mdp.feasible_level_masks[cover.owner][:, b].T  # (n_states, nl_owner)
+
+
+def extension_state_map(ci: Cover, cj: Cover, defaults: ExtensionDefaults) -> np.ndarray:
+    """Local state index of cover j as seen from each local state of cover i.
+
+    Coordinates j knows about but i does not take the extension defaults.
+    """
+    idx = np.arange(ci.n_states, dtype=np.int64)
+    out = np.zeros_like(idx)
+    for pos, e in enumerate(cj.links):
+        if e in ci.link_pos:
+            digit = ci.state_digit(idx, ci.link_pos[e])
+        else:
+            digit = defaults.gain
+        out += digit * cj.state_strides[pos]
+    for pos, d in enumerate(cj.devs):
+        if d in ci.dev_pos:
+            digit = ci.state_digit(idx, len(ci.links) + ci.dev_pos[d])
+        else:
+            digit = defaults.battery
+        out += digit * cj.state_strides[len(cj.links) + pos]
+    return out
+
+
+def extension_action_map(ci: Cover, cj: Cover, defaults: ExtensionDefaults) -> np.ndarray:
+    idx = np.arange(ci.n_actions, dtype=np.int64)
+    out = np.zeros_like(idx)
+    for pos, d in enumerate(cj.devs):
+        if d in ci.dev_pos:
+            digit = ci.action_digit(idx, d)
+        else:
+            digit = defaults.level
+        out += digit * cj.act_strides[pos]
+    return out
+
+
+def masked_softmax(rows: np.ndarray, gamma: float, feas: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of -gamma * rows restricted to feasible columns."""
+    rmin = np.min(np.where(feas, rows, np.inf), axis=1, keepdims=True)
+    # Infeasible entries may lie below the feasible minimum; zero their
+    # exponent instead of letting exp() overflow before the mask zeroes them.
+    z = np.where(feas, rows - rmin, 0.0)
+    w = np.exp(-gamma * z) * feas
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def _init_policy(ctx: _SynthContext, i: int, q1: np.ndarray) -> np.ndarray:
+    """pi^1: softmax of the own-action slice of Q^1 with others at the default level."""
+    cov = ctx.covers[i]
+    own_pos = cov.dev_pos[i]
+    cols = []
+    for l in range(cov.act_dims[own_pos]):
+        a = 0
+        for pos in range(len(cov.devs)):
+            digit = l if pos == own_pos else ctx.defaults.level
+            a += digit * int(cov.act_strides[pos])
+        cols.append(a)
+    rows = q1[:, cols]
+    return masked_softmax(rows, ctx.gamma, ctx.feas_rows[i])
+
+
+def _expected_own_rows(ctx: _SynthContext, i: int, q_i: np.ndarray, policies) -> np.ndarray:
+    """E over cover neighbors' policies of Q_i, leaving own action free."""
+    cov = ctx.covers[i]
+    x = q_i.reshape((cov.n_states,) + tuple(cov.act_dims))
+    for pos in range(len(cov.devs) - 1, -1, -1):
+        d = cov.devs[pos]
+        if d == i:
+            continue
+        rows = policies[d][ctx.ext_s[i][d]]  # (n_states_i, nl_d)
+        shape = [cov.n_states] + [1] * (x.ndim - 1)
+        shape[1 + pos] = cov.act_dims[pos]
+        x = (x * rows.reshape(shape)).sum(axis=1 + pos)
+    return x.reshape(cov.n_states, cov.act_dims[cov.dev_pos[i]])
+
+
+def _improve_round(ctx: _SynthContext, q_list, pi_list):
+    """One fusion + softmax-response round; simultaneous policy update."""
+    m = ctx.mdp.m
+    q_new = []
+    for i in range(m):
+        cov = ctx.covers[i]
+        acc = np.zeros((cov.n_states, cov.n_actions))
+        for j in cov.devs:
+            acc += q_list[j][np.ix_(ctx.ext_s[i][j], ctx.ext_p[i][j])]
+        q_new.append(acc / len(cov.devs))
+    pi_new = []
+    for i in range(m):
+        rows = _expected_own_rows(ctx, i, q_new[i], pi_list)
+        pi_new.append(masked_softmax(rows, ctx.gamma, ctx.feas_rows[i]))
+    return q_new, pi_new
+
+
+def improve(ctx_or_mdp, q_list, pi_list, *, hops=None, gamma=None,
+            defaults: ExtensionDefaults = ExtensionDefaults()):
+    """Public single-round improvement; accepts a prebuilt context or raw pieces."""
+    if isinstance(ctx_or_mdp, _SynthContext):
+        return _improve_round(ctx_or_mdp, q_list, pi_list)
+    ctx = _SynthContext(ctx_or_mdp, hops, gamma, defaults)
+    return _improve_round(ctx, q_list, pi_list)
+
+
+# ---------------------------------------------------------------------------
+# full synthesis
+# ---------------------------------------------------------------------------
+
+@dataclass(eq=False)
+class LocalizedPolicy:
+    """Per-device stochastic power policies over kappa-hop local states."""
+
+    hops: int
+    gamma: float
+    rounds: int
+    covers: list
+    tables: list  # tables[i][t-1]: (n_states_i, n_levels_i)
+    mdp_signature: str
+    defaults: ExtensionDefaults = field(default_factory=ExtensionDefaults)
+    _proj: list = field(default_factory=list, repr=False)
+
+    def projections(self, mdp):
+        """Per device: local state index for every global state index (cached)."""
+        if not self._proj:
+            for cov in self.covers:
+                idx = np.zeros(mdp.n_states, dtype=np.int64)
+                for pos, e in enumerate(cov.links):
+                    idx += mdp.state_channel_digits(e) * cov.state_strides[pos]
+                for pos, d in enumerate(cov.devs):
+                    idx += mdp.state_battery_digits(d) * cov.state_strides[len(cov.links) + pos]
+                self._proj.append(idx)
+        return self._proj
+
+    def local_state(self, mdp, s_idx: int, device: int) -> int:
+        return int(self.projections(mdp)[device][s_idx])
+
+    def conditionals(self, mdp, t: int):
+        proj = self.projections(mdp)
+        return [self.tables[i][t - 1][proj[i]] for i in range(mdp.m)]
+
+    def act(self, mdp, s_idx: int, t: int, rng: np.random.Generator):
+        proj = self.projections(mdp)
+        levels = []
+        for i in range(mdp.m):
+            row = self.tables[i][t - 1][proj[i][s_idx]]
+            u = rng.random()
+            levels.append(int(np.searchsorted(np.cumsum(row), u, side="right").clip(0, len(row) - 1)))
+        return tuple(levels)
+
+    def save(self, path) -> None:
+        save_localized(self, path)
+
+
+def synthesize(mdp, *, hops: int = 2, gamma: float = 1.0, rounds: int = 20,
+               defaults: ExtensionDefaults | None = None,
+               snapshot_rounds=None, table_budget: int = 50_000_000):
+    """Run the decentralized synthesis.
+
+    Returns a LocalizedPolicy, or {R: LocalizedPolicy} when snapshot_rounds is
+    given (R = number of improvement rounds applied; R = 0 is the softmax
+    initialization). rounds = 0 returns the initialization.
+
+    Raises BudgetExceeded when any cover's table exceeds table_budget entries.
+    """
+    if rounds < 0 or hops < 0:
+        raise ValueError("rounds and hops must be >= 0")
+    if defaults is None:
+        defaults = ExtensionDefaults()
+    ctx = _SynthContext(mdp, hops, gamma, defaults)
+    for cov in ctx.covers:
+        if cov.n_states * cov.n_actions > table_budget:
+            raise BudgetExceeded(
+                f"cover of device {cov.owner} needs {cov.n_states}x{cov.n_actions} table entries")
+    T = mdp.horizon
+    m = mdp.m
+    snaps = sorted(set(snapshot_rounds)) if snapshot_rounds is not None else [rounds]
+    if snapshot_rounds is not None and (min(snaps) < 0 or max(snaps) > rounds):
+        raise ValueError("snapshot_rounds must lie within [0, rounds]")
+    store = {R: [[None] * T for _ in range(m)] for R in snaps}
+
+    q_next = None
+    for t in range(T, 0, -1):
+        if q_next is None:
+            q1 = []
+            for i in range(m):
+                cov = ctx.covers[i]
+                nb = cov.n_states // cov.n_gain_cfgs
+                tbl = np.broadcast_to(ctx.cost_tables[i][:, None, :],
+                                      (cov.n_gain_cfgs, nb, cov.n_actions))
+                q1.append(tbl.reshape(cov.n_states, cov.n_actions).copy())
+        else:
+            q1 = [localized_backward_layer(mdp, ctx.covers[i], q_next[i], ctx.cost_tables[i])
+                  for i in range(m)]
+        pi = [_init_policy(ctx, i, q1[i]) for i in range(m)]
+        if 0 in store:
+            for i in range(m):
+                store[0][i][t - 1] = pi[i].copy()
+        q_r = q1
+        for r in range(1, rounds + 1):
+            q_r, pi = _improve_round(ctx, q_r, pi)
+            if r in store:
+                for i in range(m):
+                    store[r][i][t - 1] = pi[i].copy()
+        q_next = q1
+
+    sig = mdp.signature()
+
+    def make(R):
+        return LocalizedPolicy(hops=hops, gamma=gamma, rounds=R, covers=ctx.covers,
+                               tables=store[R], mdp_signature=sig, defaults=defaults)
+
+    if snapshot_rounds is None:
+        return make(rounds)
+    return {R: make(R) for R in snaps}
+
+
+def policy_distance(pa: LocalizedPolicy, pb: LocalizedPolicy) -> np.ndarray:
+    """Sup (over local states) total variation per (device, slot); shape (m, T)."""
+    if len(pa.tables) != len(pb.tables):
+        raise ValueError("policies cover different device counts")
+    m = len(pa.tables)
+    T = len(pa.tables[0])
+    out = np.zeros((m, T))
+    for i in range(m):
+        if len(pa.tables[i]) != len(pb.tables[i]):
+            raise ValueError("policies have different horizons")
+        for t in range(T):
+            a, b = pa.tables[i][t], pb.tables[i][t]
+            if a.shape != b.shape:
+                raise ValueError("policy tables have mismatched shapes; same hops required")
+            out[i, t] = 0.5 * np.abs(a - b).sum(axis=1).max()
+    return out
+
+
+# ---------------------------------------------------------------------------
+# serialization
+# ---------------------------------------------------------------------------
+
+LOCALIZED_FORMAT_VERSION = 1
+
+
+def save_localized(pol: LocalizedPolicy, path) -> None:
+    path = str(path)
+    meta = {
+        "format_version": LOCALIZED_FORMAT_VERSION,
+        "kind": "localized_policy",
+        "hops": pol.hops,
+        "gamma": pol.gamma,
+        "rounds": pol.rounds,
+        "defaults": [pol.defaults.gain, pol.defaults.battery, pol.defaults.level],
+        "mdp_signature": pol.mdp_signature,
+        "m": len(pol.tables),
+        "horizon": len(pol.tables[0]),
+        "covers": [{"owner": c.owner, "hops": c.hops, "devs": list(c.devs),
+                    "links": list(c.links), "link_dims": list(c.link_dims),
+                    "bat_dims": list(c.bat_dims), "act_dims": list(c.act_dims)}
+                   for c in pol.covers],
+    }
+    arrays = {f"pi_{i}_{t}": pol.tables[i][t]
+              for i in range(len(pol.tables)) for t in range(len(pol.tables[i]))}
+    np.savez_compressed(path if path.endswith(".npz") else path + ".npz",
+                        meta=json.dumps(meta, sort_keys=True), **arrays)
+    mpath = (path[:-4] if path.endswith(".npz") else path) + ".manifest.txt"
+    with open(mpath, "w") as fh:
+        for k in ("kind", "format_version", "m", "horizon", "hops", "gamma", "rounds",
+                  "mdp_signature"):
+            fh.write(f"{k}: {meta[k]}\n")
+
+
+def load_localized(path, mdp=None) -> LocalizedPolicy:
+    path = str(path)
+    with np.load(path if path.endswith(".npz") else path + ".npz") as z:
+        meta = json.loads(str(z["meta"]))
+        if meta["format_version"] != LOCALIZED_FORMAT_VERSION:
+            raise ValueError(f"unsupported policy format {meta['format_version']}")
+        if mdp is not None and meta["mdp_signature"] != mdp.signature():
+            raise ValueError("policy was produced for a different model")
+        covers = [Cover(owner=c["owner"], hops=c["hops"], devs=tuple(c["devs"]),
+                        links=tuple(c["links"]), link_dims=tuple(c["link_dims"]),
+                        bat_dims=tuple(c["bat_dims"]), act_dims=tuple(c["act_dims"]))
+                  for c in meta["covers"]]
+        tables = [[z[f"pi_{i}_{t}"] for t in range(meta["horizon"])]
+                  for i in range(meta["m"])]
+    d = meta["defaults"]
+    return LocalizedPolicy(hops=meta["hops"], gamma=meta["gamma"], rounds=meta["rounds"],
+                           covers=covers, tables=tables, mdp_signature=meta["mdp_signature"],
+                           defaults=ExtensionDefaults(gain=d[0], battery=d[1], level=d[2]))

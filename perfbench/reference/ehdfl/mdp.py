@@ -1,0 +1,747 @@
+"""Finite-horizon multi-device MDP over link gains and battery levels.
+
+State = (gain index per link entity, battery index per device); joint action =
+one power level index per device. The transition kernel factorizes into
+independent link chains (action-free) and per-device battery kernels
+(own-action only), which the exact solver exploits: channel axes are
+contracted once per layer, battery axes are contracted along a tree over
+devices so partial contractions are shared between joint actions.
+
+Indexing convention: a global state index is the C-order ravel of
+(gain digits..., battery digits...), link entities in canonical order
+(sorted undirected edges when reciprocal, sorted (receiver, transmitter)
+pairs otherwise), devices ascending. Joint action indices ravel per-device
+level digits in device order, so index 0 is all-silent and ties in the
+solver break toward the lexicographically smallest action.
+"""
+from __future__ import annotations
+
+import hashlib
+import itertools
+import json
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .channel import ChannelChain, RadioParams, step_links
+from .energy import EnergyParams, HarvestModel, energy_consumed
+from .errors import BudgetExceeded, CausalityViolation
+
+DEFAULT_BUDGET = 10_000_000
+
+
+@dataclass(frozen=True)
+class GlobalState:
+    """Decoded state: gain index per link entity, battery index per device."""
+
+    gains: tuple[int, ...]
+    batteries: tuple[int, ...]
+
+
+def _digits(idx, dims):
+    out = []
+    rem = np.asarray(idx)
+    for base in reversed(dims):
+        out.append(rem % base)
+        rem = rem // base
+    return list(reversed(out))
+
+
+@dataclass(eq=False)
+class GlobalMdp:
+    """Bundle of topology, channel chains, energy model, actions, horizon."""
+
+    topo: object
+    radio: RadioParams
+    energy: EnergyParams
+    chains: list
+    harvests: list
+    power_levels: list
+    horizon: int
+    reciprocal: bool = True
+    cost_scale: float = 1.0
+    entities: list = field(default_factory=list)
+
+    # ------------------------------------------------------------------
+    # construction
+    # ------------------------------------------------------------------
+
+    def __post_init__(self):
+        m = self.topo.m
+        if self.horizon < 1:
+            raise ValueError("horizon must be >= 1")
+        if self.reciprocal:
+            self.entities = [tuple(e) for e in self.topo.edges]
+        else:
+            self.entities = sorted((i, j) for i in range(m) for j in self.topo.neighbors[i])
+        if len(self.chains) != len(self.entities):
+            raise ValueError("need one channel chain per link entity")
+        if len(self.harvests) != m or len(self.power_levels) != m:
+            raise ValueError("need one harvest model and one power ladder per device")
+        for chain in self.chains:
+            chain.validate()
+        self._entity_index = {e: k for k, e in enumerate(self.entities)}
+        for d, lv in enumerate(self.power_levels):
+            lv = np.asarray(lv, dtype=float)
+            if lv[0] != 0.0 or (np.diff(lv) <= 0).any():
+                raise ValueError(f"power levels of device {d} must be ascending with first level 0")
+            self.power_levels[d] = lv
+        for hv in self.harvests:
+            hv.quanta(self.energy)  # validates grid alignment
+        self._cache = {}
+
+    @property
+    def m(self) -> int:
+        return self.topo.m
+
+    @property
+    def n_links(self) -> int:
+        return len(self.entities)
+
+    @property
+    def link_dims(self) -> list[int]:
+        return [c.n for c in self.chains]
+
+    @property
+    def bat_dims(self) -> list[int]:
+        return [self.energy.n_levels] * self.m
+
+    @property
+    def act_dims(self) -> list[int]:
+        return [len(lv) for lv in self.power_levels]
+
+    @property
+    def n_channel_cfgs(self) -> int:
+        return int(np.prod(self.link_dims))
+
+    @property
+    def n_battery_cfgs(self) -> int:
+        return int(np.prod(self.bat_dims))
+
+    @property
+    def n_states(self) -> int:
+        return self.n_channel_cfgs * self.n_battery_cfgs
+
+    @property
+    def n_actions(self) -> int:
+        return int(np.prod(self.act_dims))
+
+    def entity_of(self, receiver: int, transmitter: int) -> int:
+        """Link entity index carrying the gain seen by `receiver` from `transmitter`."""
+        if self.reciprocal:
+            key = (min(receiver, transmitter), max(receiver, transmitter))
+        else:
+            key = (receiver, transmitter)
+        return self._entity_index[key]
+
+    # ------------------------------------------------------------------
+    # state and action indexing
+    # ------------------------------------------------------------------
+
+    def state_index(self, state: GlobalState) -> int:
+        dims = self.link_dims + self.bat_dims
+        coords = list(state.gains) + list(state.batteries)
+        return int(np.ravel_multi_index(coords, dims))
+
+    def state_decode(self, idx: int) -> GlobalState:
+        dims = self.link_dims + self.bat_dims
+        coords = np.unravel_index(idx, dims)
+        L = self.n_links
+        return GlobalState(gains=tuple(int(c) for c in coords[:L]),
+                           batteries=tuple(int(c) for c in coords[L:]))
+
+    def action_index(self, levels: tuple[int, ...]) -> int:
+        return int(np.ravel_multi_index(levels, self.act_dims))
+
+    def action_decode(self, a: int) -> tuple[int, ...]:
+        return tuple(int(x) for x in np.unravel_index(a, self.act_dims))
+
+    def powers_of(self, levels) -> np.ndarray:
+        return np.array([self.power_levels[d][l] for d, l in enumerate(levels)])
+
+    # vectorized digit helpers over flat indices -------------------------------
+
+    def channel_digit(self, ch_idx, entity: int):
+        return _digits(ch_idx, self.link_dims)[entity]
+
+    def battery_digit_of_state(self, s_idx, device: int):
+        dims = self.link_dims + self.bat_dims
+        return _digits(s_idx, dims)[self.n_links + device]
+
+    def action_digit(self, a_idx, device: int):
+        return _digits(a_idx, self.act_dims)[device]
+
+    # ------------------------------------------------------------------
+    # cached factored model pieces
+    # ------------------------------------------------------------------
+
+    def _cached(self, key, builder):
+        if key not in self._cache:
+            self._cache[key] = builder()
+        return self._cache[key]
+
+    @property
+    def battery_kernels(self):
+        """Per device: array (n_levels_d, nb, nb); infeasible rows are identity filler."""
+
+        def build():
+            nb = self.energy.n_levels
+            out = []
+            for d in range(self.m):
+                uq, pr = self.harvests[d].quanta(self.energy)
+                ks = np.zeros((len(self.power_levels[d]), nb, nb))
+                for l, p in enumerate(self.power_levels[d]):
+                    eq = self.energy.to_quanta(energy_consumed(p, p > 0, self.energy))
+                    for b in range(nb):
+                        if eq > b:
+                            ks[l, b, b] = 1.0  # never selectable, placeholder row
+                            continue
+                        for amount, prob in zip(uq, pr):
+                            ks[l, b, min(b - eq + int(amount), nb - 1)] += prob
+                out.append(ks)
+            return out
+
+        return self._cached("battery_kernels", build)
+
+    @property
+    def feasible_level_masks(self):
+        """Per device: bool (n_levels_d, nb), True where the level fits the battery."""
+
+        def build():
+            nb = self.energy.n_levels
+            out = []
+            for d in range(self.m):
+                mask = np.zeros((len(self.power_levels[d]), nb), dtype=bool)
+                for l, p in enumerate(self.power_levels[d]):
+                    eq = self.energy.to_quanta(energy_consumed(p, p > 0, self.energy))
+                    mask[l, :] = np.arange(nb) >= eq
+                out.append(mask)
+            return out
+
+        return self._cached("feas_masks", build)
+
+    @property
+    def action_feasibility(self):
+        """Bool (n_actions, n_battery_cfgs): joint action feasible at battery config."""
+
+        def build():
+            na, nbc = self.n_actions, self.n_battery_cfgs
+            if na * nbc > 200_000_000:
+                raise BudgetExceeded(f"action feasibility table too large ({na}x{nbc})")
+            feas = np.ones((na, nbc), dtype=bool)
+            a_idx = np.arange(na)
+            b_idx = np.arange(nbc)
+            for d in range(self.m):
+                ad = self.action_digit(a_idx, d)
+                bd = _digits(b_idx, self.bat_dims)[d]
+                feas &= self.feasible_level_masks[d][np.ix_(ad, bd)]
+            return feas
+
+        return self._cached("action_feas", build)
+
+    @property
+    def ordered_pairs(self):
+        """All (receiver, transmitter, weight, own entity, [(interferer, entity), ...])."""
+
+        def build():
+            out = []
+            for j in range(self.m):
+                for i in self.topo.neighbors[j]:
+                    interf = [(k, self.entity_of(i, k)) for k in self.topo.neighbors[i] if k != j]
+                    out.append((i, j, float(self.topo.mixing[i, j]), self.entity_of(i, j), interf))
+            return out
+
+        return self._cached("pairs", build)
+
+    def state_gain_values(self, entity: int) -> np.ndarray:
+        """Gain value of one entity for every flat state index (cached, (n_states,))."""
+
+        def build():
+            ch = np.arange(self.n_channel_cfgs)
+            per_cfg = self.chains[entity].levels[self.channel_digit(ch, entity)]
+            return np.repeat(per_cfg, self.n_battery_cfgs)
+
+        return self._cached(("gain_values", entity), build)
+
+    def state_battery_digits(self, device: int) -> np.ndarray:
+        def build():
+            b = np.arange(self.n_battery_cfgs)
+            per_cfg = _digits(b, self.bat_dims)[device].astype(np.int64)
+            return np.tile(per_cfg, self.n_channel_cfgs)
+
+        return self._cached(("bat_digits", device), build)
+
+    def state_channel_digits(self, entity: int) -> np.ndarray:
+        def build():
+            ch = np.arange(self.n_channel_cfgs)
+            per_cfg = np.asarray(self.channel_digit(ch, entity), dtype=np.int64)
+            return np.repeat(per_cfg, self.n_battery_cfgs)
+
+        return self._cached(("ch_digits", entity), build)
+
+    def cost_table(self) -> np.ndarray:
+        """Expected one-slot cost, shape (n_channel_cfgs, n_actions)."""
+
+        def build():
+            nc, na = self.n_channel_cfgs, self.n_actions
+            if nc * na > 200_000_000:
+                raise BudgetExceeded(f"cost table too large ({nc}x{na})")
+            ch = np.arange(nc)
+            gv = [self.chains[e].levels[self.channel_digit(ch, e)]
+                  for e in range(self.n_links)]
+            a_idx = np.arange(na)
+            pv = [self.power_levels[d][self.action_digit(a_idx, d)] for d in range(self.m)]
+            cost = np.zeros((nc, na))
+            for i, j, w, e_own, interf in self.ordered_pairs:
+                denom = pv[j][None, :] * gv[e_own][:, None]  # (nc, na)
+                acc = self.radio.noise(i) * np.ones((nc, na))
+                for k, e_k in interf:
+                    acc = acc + pv[k][None, :] * gv[e_k][:, None]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    q = 1.0 - np.exp(-self.radio.phi * acc / denom)
+                q[:, pv[j] == 0.0] = 1.0
+                cost += w * q
+            return cost * self.cost_scale
+
+        return self._cached("cost_table", build)
+
+    # ------------------------------------------------------------------
+    # scalar model queries
+    # ------------------------------------------------------------------
+
+    def gain_lookup(self, state: GlobalState):
+        def g(i, k):
+            e = self.entity_of(i, k)
+            return self.chains[e].levels[state.gains[e]]
+
+        return g
+
+    def one_step_cost(self, state, levels) -> float:
+        """Mixing-weighted sum of packet error rates for one (state, action)."""
+        if isinstance(state, (int, np.integer)):
+            state = self.state_decode(int(state))
+        if isinstance(levels, (int, np.integer)):
+            levels = self.action_decode(int(levels))
+        g = self.gain_lookup(state)
+        p = self.powers_of(levels)
+        total = 0.0
+        from .channel import packet_error_rate
+
+        for i, j, w, _, _ in self.ordered_pairs:
+            total += w * packet_error_rate(p, g, self.topo, self.radio, i, j)
+        return total * self.cost_scale
+
+    def device_cost(self, state, levels, device: int) -> float:
+        """Share of the one-slot cost charged to `device`'s own transmissions.
+
+        Shares sum to the global cost exactly; each device is billed for the
+        expected loss on its outgoing links, the quantity its own power level
+        controls most directly.
+        """
+        if isinstance(state, (int, np.integer)):
+            state = self.state_decode(int(state))
+        if isinstance(levels, (int, np.integer)):
+            levels = self.action_decode(int(levels))
+        g = self.gain_lookup(state)
+        p = self.powers_of(levels)
+        total = 0.0
+        from .channel import packet_error_rate
+
+        for i, j, w, _, _ in self.ordered_pairs:
+            if j == device:
+                total += w * packet_error_rate(p, g, self.topo, self.radio, i, j)
+        return total * self.cost_scale
+
+    def transition(self, state, levels, max_support: int = 1_000_000) -> dict:
+        """Explicit next-state distribution {flat index: prob} (small instances)."""
+        if isinstance(state, (int, np.integer)):
+            state = self.state_decode(int(state))
+        if isinstance(levels, (int, np.integer)):
+            levels = self.action_decode(int(levels))
+        branches = []
+        for e, chain in enumerate(self.chains):
+            row = chain.psi[state.gains[e]]
+            branches.append([(g, row[g]) for g in np.nonzero(row)[0]])
+        for d in range(self.m):
+            row = battery_row(self, d, state.batteries[d], levels[d])
+            branches.append([(b, row[b]) for b in np.nonzero(row)[0]])
+        size = int(np.prod([len(b) for b in branches]))
+        if size > max_support:
+            raise BudgetExceeded(f"transition support {size} exceeds {max_support}")
+        dims = self.link_dims + self.bat_dims
+        out = {}
+        for combo in itertools.product(*branches):
+            coords = [c for c, _ in combo]
+            prob = float(np.prod([p for _, p in combo]))
+            idx = int(np.ravel_multi_index(coords, dims))
+            out[idx] = out.get(idx, 0.0) + prob
+        return out
+
+    # ------------------------------------------------------------------
+    # identity
+    # ------------------------------------------------------------------
+
+    def signature(self) -> str:
+        desc = {
+            "m": self.m,
+            "edges": [list(e) for e in self.topo.edges],
+            "mixing": np.round(self.topo.mixing, 12).tolist(),
+            "entities": [list(e) for e in self.entities],
+            "reciprocal": self.reciprocal,
+            "chains": [[np.round(c.levels, 12).tolist(), np.round(c.psi, 12).tolist()]
+                       for c in self.chains],
+            "radio": [self.radio.phi, np.atleast_1d(self.radio.sigma2).tolist(), self.radio.tau],
+            "energy": [self.energy.k_steps, self.energy.cpu_freq, self.energy.cycles_per_sample,
+                       self.energy.batch_size, self.energy.tau, self.energy.b_max,
+                       self.energy.n_levels],
+            "harvests": [[h.support.tolist(), h.probs.tolist()] for h in self.harvests],
+            "powers": [lv.tolist() for lv in self.power_levels],
+            "horizon": self.horizon,
+            "cost_scale": self.cost_scale,
+        }
+        blob = json.dumps(desc, sort_keys=True).encode()
+        return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def battery_row(mdp: GlobalMdp, device: int, b_idx: int, level: int) -> np.ndarray:
+    """Next-battery distribution row; raises CausalityViolation when infeasible."""
+    if not mdp.feasible_level_masks[device][level, b_idx]:
+        p = mdp.power_levels[device][level]
+        raise CausalityViolation(
+            f"device {device}: level {level} (p={p}) infeasible at battery index {b_idx}")
+    return mdp.battery_kernels[device][level, b_idx]
+
+
+def build_mdp(topo, radio, energy, chains, harvests, power_levels, horizon, *,
+              reciprocal=True, cost_scale=1.0) -> GlobalMdp:
+    """Assemble a GlobalMdp, broadcasting single chains/harvests/ladders."""
+    m = topo.m
+    n_entities = len(topo.edges) if reciprocal else sum(len(n) for n in topo.neighbors)
+    if isinstance(chains, ChannelChain):
+        chains = [chains] * n_entities
+    if isinstance(harvests, HarvestModel):
+        harvests = [harvests] * m
+    power_levels = list(power_levels)
+    if np.ndim(power_levels[0]) == 0:
+        power_levels = [np.asarray(power_levels, dtype=float)] * m
+    else:
+        power_levels = [np.asarray(lv, dtype=float) for lv in power_levels]
+    return GlobalMdp(topo=topo, radio=radio, energy=energy, chains=list(chains),
+                     harvests=list(harvests), power_levels=power_levels,
+                     horizon=horizon, reciprocal=reciprocal, cost_scale=cost_scale)
+
+
+# ---------------------------------------------------------------------------
+# exact finite-horizon solver
+# ---------------------------------------------------------------------------
+
+@dataclass(eq=False)
+class Solution:
+    """Backward-induction output: per-slot values and argmin action tables."""
+
+    mdp: GlobalMdp
+    values: list  # values[t-1]: (n_states,) optimal cost-to-go at slot t
+    tables: list  # tables[t-1]: (n_states,) int32 joint action index
+
+    @property
+    def horizon(self) -> int:
+        return len(self.tables)
+
+    def value(self, t: int, s_idx: int) -> float:
+        return float(self.values[t - 1][s_idx])
+
+    def expected_cost(self, s1) -> float:
+        if isinstance(s1, GlobalState):
+            s1 = self.mdp.state_index(s1)
+        return float(self.values[0][s1])
+
+    def q_row(self, t: int, s_idx: int) -> np.ndarray:
+        """Q_t(s, .) recomputed from V_{t+1}; infeasible joint actions are +inf."""
+        mdp = self.mdp
+        state = mdp.state_decode(s_idx)
+        ch_idx = s_idx // mdp.n_battery_cfgs
+        b_idx = s_idx % mdp.n_battery_cfgs
+        row = np.full(mdp.n_actions, np.inf)
+        vnext = self.values[t] if t < self.horizon else None
+        for a in range(mdp.n_actions):
+            if not mdp.action_feasibility[a, b_idx]:
+                continue
+            c = mdp.cost_table()[ch_idx, a]
+            if vnext is None:
+                row[a] = c
+            else:
+                dist = mdp.transition(state, a)
+                row[a] = c + sum(prob * vnext[s2] for s2, prob in dist.items())
+        return row
+
+    def as_policy(self):
+        return CentralizedPolicy(self.tables)
+
+    def save(self, path) -> None:
+        save_solution(self, path)
+
+
+def backward_induction(mdp: GlobalMdp, *, budget: int = DEFAULT_BUDGET) -> Solution:
+    """Exact dynamic program over the factored model.
+
+    Joint actions are scanned in ascending index order and strict improvement
+    is required to replace the incumbent, so ties resolve to the lowest index.
+
+    Raises:
+        BudgetExceeded: when n_states * n_actions > budget.
+    """
+    n_s, n_a = mdp.n_states, mdp.n_actions
+    if n_s * n_a > budget:
+        raise BudgetExceeded(
+            f"state-action product {n_s * n_a} exceeds budget {budget}; "
+            "raise the budget explicitly if this size is intended")
+    link_dims, bat_dims, m = mdp.link_dims, mdp.bat_dims, mdp.m
+    L = len(link_dims)
+    shape = tuple(link_dims + bat_dims)
+    cost = mdp.cost_table()  # (nc, na)
+    kbs = mdp.battery_kernels
+    feas = mdp.action_feasibility  # (na, nbc)
+    psis = [c.psi for c in mdp.chains]
+    strides = np.cumprod([1] + mdp.act_dims[::-1])[::-1][1:]  # C-order action strides
+
+    cost_nd = cost.reshape(tuple(link_dims) + (1,) * m + (mdp.n_actions,))
+    feas_nd = feas.T.reshape((1,) * L + tuple(bat_dims) + (mdp.n_actions,))
+
+    values, tables = [None] * mdp.horizon, [None] * mdp.horizon
+    v_next = np.zeros(shape)
+    for t in range(mdp.horizon, 0, -1):
+        w = v_next
+        for k in range(L):
+            w = np.moveaxis(np.tensordot(psis[k], w, axes=([1], [k])), 0, k)
+        best = np.full(shape, np.inf)
+        arg = np.zeros(shape, dtype=np.int32)
+
+        def descend(d, x, a_prefix):
+            if d == m:
+                q = x + cost_nd[..., a_prefix]
+                ok = feas_nd[..., a_prefix] & (q < best)
+                np.copyto(best, q, where=ok)
+                np.copyto(arg, a_prefix, where=ok)
+                return
+            for l in range(mdp.act_dims[d]):
+                ax = L + d
+                xd = np.moveaxis(np.tensordot(kbs[d][l], x, axes=([1], [ax])), 0, ax)
+                descend(d + 1, xd, a_prefix + l * int(strides[d]))
+
+        descend(0, w, 0)
+        if not np.isfinite(best).all():
+            raise CausalityViolation("no feasible action at some state (should not happen)")
+        values[t - 1] = best.reshape(-1)
+        tables[t - 1] = arg.reshape(-1)
+        v_next = best
+    return Solution(mdp=mdp, values=values, tables=tables)
+
+
+# ---------------------------------------------------------------------------
+# policies
+# ---------------------------------------------------------------------------
+
+class CentralizedPolicy:
+    """Deterministic time-varying joint policy as per-slot argmin tables."""
+
+    def __init__(self, tables):
+        self.tables = [np.asarray(tbl) for tbl in tables]
+
+    def joint_index(self, mdp, s_idx: int, t: int) -> int:
+        return int(self.tables[t - 1][s_idx])
+
+    def act(self, mdp, s_idx: int, t: int, rng=None) -> tuple[int, ...]:
+        return mdp.action_decode(self.joint_index(mdp, s_idx, t))
+
+    def conditionals(self, mdp, t: int):
+        tbl = self.tables[t - 1]
+        out = []
+        for d in range(mdp.m):
+            digit = mdp.action_digit(tbl, d)
+            out.append(np.eye(mdp.act_dims[d])[digit])
+        return out
+
+
+class FixedLevelsPolicy:
+    """Every device holds one level index each slot (diagnostics, tests)."""
+
+    def __init__(self, levels):
+        self.levels = tuple(levels)
+
+    def act(self, mdp, s_idx, t, rng=None):
+        return self.levels
+
+    def conditionals(self, mdp, t):
+        out = []
+        for d in range(mdp.m):
+            row = np.zeros((mdp.n_states, mdp.act_dims[d]))
+            row[:, self.levels[d]] = 1.0
+            out.append(row)
+        return out
+
+
+# ---------------------------------------------------------------------------
+# exact policy evaluation (product-form conditionals) and Monte Carlo
+# ---------------------------------------------------------------------------
+
+def expected_cost_rows(mdp: GlobalMdp, conds) -> np.ndarray:
+    """E[one-slot cost | s] for every state under per-device conditionals.
+
+    conds[d] is (n_states, n_levels_d), rows summing to 1. The pairwise PER
+    expectation factorizes across devices because, given the state, devices
+    draw their levels independently.
+    """
+    n_s = mdp.n_states
+    phi = mdp.radio.phi
+    out = np.zeros(n_s)
+    for i, j, w, e_own, interf in mdp.ordered_pairs:
+        h_own = mdp.state_gain_values(e_own)
+        cond_j = conds[j]
+        acc = cond_j[:, 0].copy()  # silent level: guaranteed loss
+        for l in range(1, mdp.act_dims[j]):
+            pj = mdp.power_levels[j][l]
+            denom = pj * h_own
+            surv = np.exp(-phi * mdp.radio.noise(i) / denom)
+            for k, e_k in interf:
+                hk = mdp.state_gain_values(e_k)
+                f = np.zeros(n_s)
+                for lk in range(mdp.act_dims[k]):
+                    pk = mdp.power_levels[k][lk]
+                    if pk == 0.0:
+                        f += conds[k][:, lk]
+                    else:
+                        f += conds[k][:, lk] * np.exp(-phi * pk * hk / denom)
+                surv = surv * f
+            acc += cond_j[:, l] * (1.0 - surv)
+        out += w * acc
+    return out * mdp.cost_scale
+
+
+def propagate(mdp: GlobalMdp, rho: np.ndarray, conds) -> np.ndarray:
+    """One-slot pushforward of a state distribution under product conditionals."""
+    nc, nbc, nb = mdp.n_channel_cfgs, mdp.n_battery_cfgs, mdp.energy.n_levels
+    n_s = mdp.n_states
+    mixes = []
+    for d in range(mdp.m):
+        bd = mdp.state_battery_digits(d)
+        rows = mdp.battery_kernels[d][:, bd, :]  # (nl_d, n_s, nb)
+        mixes.append(np.einsum("sl,lsb->sb", conds[d], rows))
+    # W[s, joint next battery cfg] built device by device, then battery digits
+    # of the current state are summed out and the channel chains applied.
+    out_b = np.zeros((nc, nbc))
+    block = max(1, int(4_000_000 // max(nbc * nbc, 1)))
+    for c0 in range(0, nc, block):
+        c1 = min(c0 + block, nc)
+        rows = slice(c0 * nbc, c1 * nbc)
+        w = rho[rows, None]
+        for d in range(mdp.m):
+            w = (w[:, :, None] * mixes[d][rows, None, :]).reshape((c1 - c0) * nbc, -1)
+        out_b[c0:c1] = w.reshape(c1 - c0, nbc, nbc).sum(axis=1)
+    r = out_b.reshape(tuple(mdp.link_dims) + (nbc,))
+    for k in range(mdp.n_links):
+        r = np.moveaxis(np.tensordot(mdp.chains[k].psi, r, axes=([0], [k])), 0, k)
+    return r.reshape(n_s)
+
+
+def _initial_distribution(mdp, s1) -> np.ndarray:
+    rho = np.zeros(mdp.n_states)
+    if isinstance(s1, GlobalState):
+        s1 = mdp.state_index(s1)
+    rho[int(s1)] = 1.0
+    return rho
+
+
+def evaluate_policy(mdp: GlobalMdp, policy, s1, *, mode: str = "exact",
+                    n_samples: int = 1000, seed: int = 0, horizon: int | None = None):
+    """Expected cumulative cost J(policy) from initial state s1.
+
+    mode="exact" propagates the state distribution in closed form (requires a
+    policy exposing per-device conditionals given the global state, which all
+    policies in this package do). mode="mc" simulates trajectories and returns
+    (mean, stderr).
+    """
+    T = horizon if horizon is not None else mdp.horizon
+    if mode == "exact":
+        rho = _initial_distribution(mdp, s1)
+        total = 0.0
+        for t in range(1, T + 1):
+            conds = policy.conditionals(mdp, t)
+            total += float(rho @ expected_cost_rows(mdp, conds))
+            if t < T:
+                rho = propagate(mdp, rho, conds)
+        return total
+    if mode == "mc":
+        costs = simulate_costs(mdp, policy, s1, n_samples=n_samples, seed=seed, horizon=T)
+        return float(costs.mean()), float(costs.std(ddof=1) / np.sqrt(len(costs)))
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def simulate_costs(mdp: GlobalMdp, policy, s1, *, n_samples: int, seed: int,
+                   horizon: int | None = None) -> np.ndarray:
+    """Monte Carlo rollouts of the cumulative cost; one RNG stream per rollout."""
+    T = horizon if horizon is not None else mdp.horizon
+    if isinstance(s1, (int, np.integer)):
+        s1 = mdp.state_decode(int(s1))
+    cost_tbl = mdp.cost_table() if mdp.n_channel_cfgs * mdp.n_actions <= 50_000_000 else None
+    totals = np.empty(n_samples)
+    for rep in range(n_samples):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep,)))
+        gains = np.array(s1.gains)
+        bats = np.array(s1.batteries)
+        total = 0.0
+        for t in range(1, T + 1):
+            s_idx = int(np.ravel_multi_index(list(gains) + list(bats),
+                                             mdp.link_dims + mdp.bat_dims))
+            levels = policy.act(mdp, s_idx, t, rng)
+            a_idx = mdp.action_index(levels)
+            if cost_tbl is not None:
+                total += cost_tbl[s_idx // mdp.n_battery_cfgs, a_idx]
+            else:
+                total += mdp.one_step_cost(GlobalState(tuple(gains), tuple(bats)), levels)
+            gains = step_links(gains, mdp.chains, rng)
+            for d in range(mdp.m):
+                row = battery_row(mdp, d, bats[d], levels[d])
+                bats[d] = int(np.searchsorted(np.cumsum(row), rng.random(), side="right"))
+                bats[d] = min(bats[d], mdp.energy.n_levels - 1)
+        totals[rep] = total
+    return totals
+
+
+# ---------------------------------------------------------------------------
+# solution serialization: versioned npz plus a text manifest
+# ---------------------------------------------------------------------------
+
+FORMAT_VERSION = 1
+
+
+def save_solution(sol: Solution, path) -> None:
+    path = str(path)
+    meta = {
+        "format_version": FORMAT_VERSION,
+        "kind": "centralized_solution",
+        "mdp_signature": sol.mdp.signature(),
+        "horizon": sol.horizon,
+        "n_states": sol.mdp.n_states,
+        "n_actions": sol.mdp.n_actions,
+    }
+    np.savez_compressed(path if path.endswith(".npz") else path + ".npz",
+                        meta=json.dumps(meta, sort_keys=True),
+                        values=np.stack(sol.values),
+                        tables=np.stack(sol.tables))
+    mpath = (path[:-4] if path.endswith(".npz") else path) + ".manifest.txt"
+    with open(mpath, "w") as fh:
+        for k in sorted(meta):
+            fh.write(f"{k}: {meta[k]}\n")
+
+
+def load_solution(path, mdp: GlobalMdp) -> Solution:
+    path = str(path)
+    with np.load(path if path.endswith(".npz") else path + ".npz") as z:
+        meta = json.loads(str(z["meta"]))
+        if meta["format_version"] != FORMAT_VERSION:
+            raise ValueError(f"unsupported solution format {meta['format_version']}")
+        if meta["mdp_signature"] != mdp.signature():
+            raise ValueError("solution was produced for a different model")
+        values = [row for row in z["values"]]
+        tables = [row.astype(np.int32) for row in z["tables"]]
+    return Solution(mdp=mdp, values=values, tables=tables)
