@@ -13,7 +13,6 @@ class MyopicCentralPolicy:
 
     def __init__(self, mdp):
         self._table = None
-        self._mdp_sig = mdp.signature()
 
     def table(self, mdp) -> np.ndarray:
         if self._table is None:

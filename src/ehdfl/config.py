@@ -358,7 +358,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             from .boundlab import temperature_cap
             lip = float(declared["lipschitz"])
             g = float(declared["grad_bound"])
-            n_joint = int(np.prod([len(power_levels)] * m)) if power_levels else 0
+            n_joint = len(power_levels) ** m if power_levels else 0
             if n_joint:
                 cap = temperature_cap(m, lip, g, n_joint)
                 if gamma > cap * (1 + 1e-9):

@@ -10,6 +10,7 @@ parallel work is collected by task index, never by completion order, so the
 from __future__ import annotations
 
 import itertools
+import math
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -531,7 +532,7 @@ def exhaustive_minimum(mdp, s1) -> float:
         reach.append(nxt)
     slots = [(t, s) for t, states in enumerate(reach) for s in sorted(states)]
     choices = [acts(s) for _, s in slots]
-    n_assign = int(np.prod([len(c) for c in choices]))
+    n_assign = math.prod(len(c) for c in choices)
     if n_assign > 400_000:
         raise ValueError(f"instance too large for exhaustive enumeration "
                          f"({n_assign} assignments)")

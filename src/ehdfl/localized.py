@@ -10,12 +10,14 @@ outside the local cover.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .topology import k_hop_set
 from .errors import BudgetExceeded
+from .mdp import contract_leading
+from .topology import k_hop_set
 
 
 @dataclass(frozen=True)
@@ -54,15 +56,15 @@ class Cover:
 
     @property
     def n_gain_cfgs(self) -> int:
-        return int(np.prod(self.link_dims)) if self.link_dims else 1
+        return math.prod(self.link_dims)
 
     @property
     def n_states(self) -> int:
-        return int(np.prod(self.state_dims))
+        return math.prod(self.state_dims)
 
     @property
     def n_actions(self) -> int:
-        return int(np.prod(self.act_dims))
+        return math.prod(self.act_dims)
 
     def state_digit(self, idx, pos: int):
         return (idx // self.state_strides[pos]) % self.state_dims[pos]
@@ -180,34 +182,24 @@ def localized_backward_layer(mdp, cover: Cover, q_next: np.ndarray,
     links, battery kernels of cover members); the min runs over all joint
     next actions of the cover, unrestricted.
     """
-    nl = len(cover.links)
-    nd = len(cover.devs)
-    shape = cover.state_dims + (cover.n_actions,)
-    x = q_next.reshape(shape)
-    for pos in range(nl):
-        psi = mdp.chains[cover.links[pos]].psi
-        x = np.moveaxis(np.tensordot(psi, x, axes=([1], [pos])), 0, pos)
+    x = q_next.reshape(cover.state_dims + (cover.n_actions,))
+    for e in cover.links:  # link axes rotate to the back: (batteries..., actions, links...)
+        x = contract_leading(x, mdp.chains[e].psi)
     out = np.empty((cover.n_states, cover.n_actions))
-    strides = cover.act_strides
 
     def descend(d, part, prefix):
-        if d == nd:
-            flat = part.reshape(cover.n_states, cover.n_actions)
-            out[:, prefix] = flat.min(axis=1)
+        if d == len(cover.devs):  # part is (actions, states) in canonical state layout
+            out[:, prefix] = part.reshape(cover.n_actions, cover.n_states).min(axis=0)
             return
-        dev = cover.devs[d]
-        ax = nl + d
+        kerns, stride = mdp.battery_kernels[cover.devs[d]], int(cover.act_strides[d])
         for l in range(cover.act_dims[d]):
-            kern = mdp.battery_kernels[dev][l]
-            xd = np.moveaxis(np.tensordot(kern, part, axes=([1], [ax])), 0, ax)
-            descend(d + 1, xd, prefix + l * int(strides[d]))
+            descend(d + 1, contract_leading(part, kerns[l]), prefix + l * stride)
 
     descend(0, x, 0)
-    # cost broadcast over battery digits
-    nb = cover.n_states // cover.n_gain_cfgs
-    out = out.reshape(cover.n_gain_cfgs, nb, cover.n_actions)
-    out += cost_tbl[:, None, :]
-    return out.reshape(cover.n_states, cover.n_actions)
+    del descend  # break the closure's self-reference so `out` is freed by refcount, not gc
+    by_gain = out.reshape(cover.n_gain_cfgs, -1, cover.n_actions)  # a view of out
+    by_gain += cost_tbl[:, None, :]  # cost broadcast over battery digits
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,12 @@ State = (gain index per link entity, battery index per device); joint action =
 one power level index per device. The transition kernel factorizes into
 independent link chains (action-free) and per-device battery kernels
 (own-action only), which the exact solver exploits: channel axes are
-contracted once per layer, battery axes are contracted along a tree over
-devices so partial contractions are shared between joint actions.
+contracted once per layer, battery axes along a tree over devices so partial
+contractions are shared between joint actions. Each contraction is one gemm,
+`contract_leading`, that consumes the leading axis and appends the new one
+last, so contracting the link axes and then the battery axes rotates an array
+back to canonical layout with no transpose copy. Exact policy evaluation runs
+backward with the same primitive: V_t = c_t + E[V_{t+1}].
 
 Indexing convention: a global state index is the C-order ravel of
 (gain digits..., battery digits...), link entities in canonical order
@@ -19,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,11 +117,11 @@ class GlobalMdp:
 
     @property
     def n_channel_cfgs(self) -> int:
-        return int(np.prod(self.link_dims))
+        return math.prod(self.link_dims)
 
     @property
     def n_battery_cfgs(self) -> int:
-        return int(np.prod(self.bat_dims))
+        return math.prod(self.bat_dims)
 
     @property
     def n_states(self) -> int:
@@ -124,7 +129,7 @@ class GlobalMdp:
 
     @property
     def n_actions(self) -> int:
-        return int(np.prod(self.act_dims))
+        return math.prod(self.act_dims)
 
     def entity_of(self, receiver: int, transmitter: int) -> int:
         """Link entity index carrying the gain seen by `receiver` from `transmitter`."""
@@ -365,7 +370,7 @@ class GlobalMdp:
         for d in range(self.m):
             row = battery_row(self, d, state.batteries[d], levels[d])
             branches.append([(b, row[b]) for b in np.nonzero(row)[0]])
-        size = int(np.prod([len(b) for b in branches]))
+        size = math.prod(len(b) for b in branches)
         if size > max_support:
             raise BudgetExceeded(f"transition support {size} exceeds {max_support}")
         dims = self.link_dims + self.bat_dims
@@ -481,6 +486,15 @@ class Solution:
         save_solution(self, path)
 
 
+def contract_leading(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Apply `mat` along the leading axis of `x` and put the new axis last.
+
+    Bit for bit moveaxis(tensordot(mat, x, ([1], [0])), 0, -1), as one gemm on
+    transposed views that never copies a contiguous `x`.
+    """
+    return np.dot(x.reshape(x.shape[0], -1).T, mat.T).reshape(x.shape[1:] + (mat.shape[0],))
+
+
 def backward_induction(mdp: GlobalMdp, *, budget: int = DEFAULT_BUDGET) -> Solution:
     """Exact dynamic program over the factored model.
 
@@ -496,39 +510,36 @@ def backward_induction(mdp: GlobalMdp, *, budget: int = DEFAULT_BUDGET) -> Solut
             f"state-action product {n_s * n_a} exceeds budget {budget}; "
             "raise the budget explicitly if this size is intended")
     link_dims, bat_dims, m = mdp.link_dims, mdp.bat_dims, mdp.m
-    L = len(link_dims)
     shape = tuple(link_dims + bat_dims)
-    cost = mdp.cost_table()  # (nc, na)
     kbs = mdp.battery_kernels
-    feas = mdp.action_feasibility  # (na, nbc)
-    psis = [c.psi for c in mdp.chains]
     strides = np.cumprod([1] + mdp.act_dims[::-1])[::-1][1:]  # C-order action strides
-
-    cost_nd = cost.reshape(tuple(link_dims) + (1,) * m + (mdp.n_actions,))
-    feas_nd = feas.T.reshape((1,) * L + tuple(bat_dims) + (mdp.n_actions,))
+    # per joint action: cost over the link axes, feasibility over the battery axes
+    cost_a = np.ascontiguousarray(mdp.cost_table().T).reshape((n_a,) + tuple(link_dims) + (1,) * m)
+    feas_a = mdp.action_feasibility.reshape((n_a,) + (1,) * len(link_dims) + tuple(bat_dims))
+    q, ok = np.empty(shape), np.empty(shape, dtype=bool)
 
     values, tables = [None] * mdp.horizon, [None] * mdp.horizon
     v_next = np.zeros(shape)
     for t in range(mdp.horizon, 0, -1):
         w = v_next
-        for k in range(L):
-            w = np.moveaxis(np.tensordot(psis[k], w, axes=([1], [k])), 0, k)
+        for chain in mdp.chains:  # link axes rotate to the back: (batteries..., links...)
+            w = contract_leading(w, chain.psi)
         best = np.full(shape, np.inf)
         arg = np.zeros(shape, dtype=np.int32)
 
-        def descend(d, x, a_prefix):
-            if d == m:
-                q = x + cost_nd[..., a_prefix]
-                ok = feas_nd[..., a_prefix] & (q < best)
+        def descend(d, x, a):
+            if d == m:  # x is back in canonical layout
+                np.add(x, cost_a[a], out=q)
+                np.less(q, best, out=ok)
+                np.logical_and(ok, feas_a[a], out=ok)
                 np.copyto(best, q, where=ok)
-                np.copyto(arg, a_prefix, where=ok)
+                np.copyto(arg, a, where=ok)
                 return
             for l in range(mdp.act_dims[d]):
-                ax = L + d
-                xd = np.moveaxis(np.tensordot(kbs[d][l], x, axes=([1], [ax])), 0, ax)
-                descend(d + 1, xd, a_prefix + l * int(strides[d]))
+                descend(d + 1, contract_leading(x, kbs[d][l]), a + l * int(strides[d]))
 
         descend(0, w, 0)
+        del descend  # break the closure's self-reference so it is freed by refcount, not gc
         if not np.isfinite(best).all():
             raise CausalityViolation("no feasible action at some state (should not happen)")
         values[t - 1] = best.reshape(-1)
@@ -617,59 +628,54 @@ def expected_cost_rows(mdp: GlobalMdp, conds) -> np.ndarray:
     return out * mdp.cost_scale
 
 
-def propagate(mdp: GlobalMdp, rho: np.ndarray, conds) -> np.ndarray:
-    """One-slot pushforward of a state distribution under product conditionals."""
-    nc, nbc, nb = mdp.n_channel_cfgs, mdp.n_battery_cfgs, mdp.energy.n_levels
-    n_s = mdp.n_states
-    mixes = []
-    for d in range(mdp.m):
-        bd = mdp.state_battery_digits(d)
-        rows = mdp.battery_kernels[d][:, bd, :]  # (nl_d, n_s, nb)
-        mixes.append(np.einsum("sl,lsb->sb", conds[d], rows))
-    # W[s, joint next battery cfg] built device by device, then battery digits
-    # of the current state are summed out and the channel chains applied.
-    out_b = np.zeros((nc, nbc))
-    block = max(1, int(4_000_000 // max(nbc * nbc, 1)))
-    for c0 in range(0, nc, block):
-        c1 = min(c0 + block, nc)
+def backward_expectation(mdp: GlobalMdp, v_next: np.ndarray, conds) -> np.ndarray:
+    """E[v_next(s') | s] for every state under product conditionals.
+
+    Contracts the link axes, then folds in each device's policy-mixed battery
+    row, over blocks of channel configurations of at most 2M floats.
+    """
+    nc, nbc, nb, m = mdp.n_channel_cfgs, mdp.n_battery_cfgs, mdp.energy.n_levels, mdp.m
+    w = v_next.reshape(tuple(mdp.link_dims) + (nbc,))
+    for chain in mdp.chains:
+        w = contract_leading(w, chain.psi)
+    w = w.reshape(nbc, nc)  # w[b', c] = E[v_next(c', b') | c]
+    mixes = []  # mixes[d][s] = sum_l conds[d][s, l] * kernel_l[b_d(s)], one gemm per b_d
+    for d, kb in enumerate(mdp.battery_kernels):
+        cond = conds[d].reshape(-1, nb, nb ** (m - 1 - d), len(kb))
+        mix = np.empty(cond.shape[:3] + (nb,))
+        for b in range(nb):
+            np.matmul(cond[:, b], kb[:, b, :], out=mix[:, b])
+        mixes.append(mix.reshape(-1, nb))
+    out = np.empty(mdp.n_states)
+    cb = max(1, 2_000_000 // nbc // (nbc // nb))
+    for c0 in range(0, nc, cb):
+        c1 = min(c0 + cb, nc)
         rows = slice(c0 * nbc, c1 * nbc)
-        w = rho[rows, None]
-        for d in range(mdp.m):
-            w = (w[:, :, None] * mixes[d][rows, None, :]).reshape((c1 - c0) * nbc, -1)
-        out_b[c0:c1] = w.reshape(c1 - c0, nbc, nbc).sum(axis=1)
-    r = out_b.reshape(tuple(mdp.link_dims) + (nbc,))
-    for k in range(mdp.n_links):
-        r = np.moveaxis(np.tensordot(mdp.chains[k].psi, r, axes=([0], [k])), 0, k)
-    return r.reshape(n_s)
-
-
-def _initial_distribution(mdp, s1) -> np.ndarray:
-    rho = np.zeros(mdp.n_states)
-    if isinstance(s1, GlobalState):
-        s1 = mdp.state_index(s1)
-    rho[int(s1)] = 1.0
-    return rho
+        y = np.matmul(mixes[0][rows].reshape(c1 - c0, nbc, nb),
+                      w[:, c0:c1].T.reshape(c1 - c0, nb, -1)).reshape((c1 - c0) * nbc, -1)
+        for d in range(1, m):
+            y = np.einsum("sk,skr->sr", mixes[d][rows], y.reshape(len(y), nb, -1))
+        out[rows] = y[:, 0]
+    return out
 
 
 def evaluate_policy(mdp: GlobalMdp, policy, s1, *, mode: str = "exact",
                     n_samples: int = 1000, seed: int = 0, horizon: int | None = None):
     """Expected cumulative cost J(policy) from initial state s1.
 
-    mode="exact" propagates the state distribution in closed form (requires a
-    policy exposing per-device conditionals given the global state, which all
-    policies in this package do). mode="mc" simulates trajectories and returns
-    (mean, stderr).
+    mode="exact" runs the policy's value backward, V_t = c_t + E[V_{t+1}]
+    (requires a policy exposing per-device conditionals given the global
+    state, which all policies in this package do). mode="mc" simulates
+    trajectories and returns (mean, stderr).
     """
     T = horizon if horizon is not None else mdp.horizon
     if mode == "exact":
-        rho = _initial_distribution(mdp, s1)
-        total = 0.0
-        for t in range(1, T + 1):
+        v = np.zeros(mdp.n_states)
+        for t in range(T, 0, -1):
             conds = policy.conditionals(mdp, t)
-            total += float(rho @ expected_cost_rows(mdp, conds))
-            if t < T:
-                rho = propagate(mdp, rho, conds)
-        return total
+            c = expected_cost_rows(mdp, conds)
+            v = c + backward_expectation(mdp, v, conds) if t < T else c
+        return float(v[mdp.state_index(s1) if isinstance(s1, GlobalState) else int(s1)])
     if mode == "mc":
         costs = simulate_costs(mdp, policy, s1, n_samples=n_samples, seed=seed, horizon=T)
         return float(costs.mean()), float(costs.std(ddof=1) / np.sqrt(len(costs)))

@@ -96,6 +96,16 @@ def test_gamma_above_the_certified_ceiling_warns():
     assert any("temperature ceiling" in w for w in cfg.warnings)
 
 
+def test_ceiling_check_counts_joint_actions_past_int64():
+    # 2 ** 64 joint actions: a wrapped int64 product reads 0 and skips the check.
+    raw = base_raw(topology={"kind": "ring", "m": 64})
+    raw["policy"] = {"name": "decentralized_pi", "gamma": 1e9, "rounds": 2,
+                     "hops": 1}
+    raw["declared"] = {"lipschitz": 1.0, "grad_bound": 0.5}
+    cfg = parse_config(raw)
+    assert any("temperature ceiling" in w for w in cfg.warnings)
+
+
 def test_sweep_section_is_validated():
     for sweep, frag in (
         ({"axis": "volume", "values": [1]}, "sweep.axis"),

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from ehdfl.errors import BudgetExceeded
-from ehdfl.instances import fullinfo_instance, oracle_instance, tiny_instances
+from ehdfl.instances import (capacity_family, capacity_pair, fullinfo_instance,
+                             oracle_instance, tiny_instances)
 from ehdfl.localized import (ExtensionDefaults, build_cover, load_localized,
-                             localized_cost, masked_softmax, policy_distance,
-                             synthesize)
+                             localized_backward_layer, localized_cost, masked_softmax,
+                             policy_distance, synthesize)
 from ehdfl.topology import build_topology, k_hop_set
 
 
@@ -138,6 +139,47 @@ def test_truncated_cover_defaults_control_outsiders():
     loud = localized_cost(mdp, cov, gd, (top,),
                           ExtensionDefaults(level=len(mdp.power_levels[2]) - 1))
     assert loud > quiet
+
+
+# ---------------------------------------------------------------------------
+# localized backward recursion
+# ---------------------------------------------------------------------------
+
+def tensordot_backward_layer(mdp, cover, q_next, cost_tbl):
+    """Reference layer contracting with tensordot and moving each axis back in place."""
+    nl = len(cover.links)
+    x = q_next.reshape(cover.state_dims + (cover.n_actions,))
+    for pos, e in enumerate(cover.links):
+        x = np.moveaxis(np.tensordot(mdp.chains[e].psi, x, axes=([1], [pos])), 0, pos)
+    out = np.empty((cover.n_states, cover.n_actions))
+
+    def descend(d, part, prefix):
+        if d == len(cover.devs):
+            out[:, prefix] = part.reshape(cover.n_states, cover.n_actions).min(axis=1)
+            return
+        for l in range(cover.act_dims[d]):
+            kern = mdp.battery_kernels[cover.devs[d]][l]
+            xd = np.moveaxis(np.tensordot(kern, part, axes=([1], [nl + d])), 0, nl + d)
+            descend(d + 1, xd, prefix + l * int(cover.act_strides[d]))
+
+    descend(0, x, 0)
+    out = out.reshape(cover.n_gain_cfgs, -1, cover.n_actions) + cost_tbl[:, None, :]
+    return out.reshape(cover.n_states, cover.n_actions)
+
+
+@pytest.mark.parametrize("name,hops", [("pair", 1), ("capacity-3", 1), ("capacity-3", 2),
+                                       ("ring6-3", 1)])
+def test_backward_layer_is_bit_identical_to_the_tensordot_reference(name, hops):
+    mdp = {"pair": lambda: oracle_instance()[0],
+           "capacity-3": lambda: capacity_family(3)[0],
+           "ring6-3": lambda: capacity_pair(3, horizon=2)[0]}[name]()
+    rng = np.random.default_rng(hops)
+    for owner in range(mdp.m):
+        cover = build_cover(mdp, owner, hops)
+        q_next = rng.random((cover.n_states, cover.n_actions))
+        cost_tbl = rng.random((cover.n_gain_cfgs, cover.n_actions))
+        assert np.array_equal(localized_backward_layer(mdp, cover, q_next, cost_tbl),
+                              tensordot_backward_layer(mdp, cover, q_next, cost_tbl))
 
 
 # ---------------------------------------------------------------------------

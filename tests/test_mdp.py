@@ -1,15 +1,103 @@
 import numpy as np
 import pytest
 
+from ehdfl.baselines import GreedyPolicy, MyopicCentralPolicy
 from ehdfl.channel import RadioParams
 from ehdfl.energy import EnergyParams, HarvestModel
 from ehdfl.errors import BudgetExceeded
 from ehdfl.harness import exhaustive_minimum
-from ehdfl.instances import capacity_family, oracle_instance, tiny_instances
+from ehdfl.instances import capacity_family, desk_scenario, oracle_instance, tiny_instances
+from ehdfl.localized import synthesize
 from ehdfl.mdp import (FixedLevelsPolicy, GlobalState, backward_induction,
-                       build_mdp, evaluate_policy, expected_cost_rows,
-                       load_solution, propagate, simulate_costs)
+                       build_mdp, contract_leading, evaluate_policy,
+                       expected_cost_rows, load_solution, simulate_costs)
 from ehdfl.topology import build_topology
+
+
+def propagate(mdp, rho, conds):
+    """Forward oracle: one-slot pushforward of a state distribution.
+
+    Builds the row-wise outer product of every device's policy-mixed battery
+    row, sums out the current battery digits, then applies the link chains.
+    """
+    nc, nbc = mdp.n_channel_cfgs, mdp.n_battery_cfgs
+    mixes = []
+    for d in range(mdp.m):
+        rows = mdp.battery_kernels[d][:, mdp.state_battery_digits(d), :]
+        mixes.append(np.einsum("sl,lsb->sb", conds[d], rows))
+    w = rho[:, None]
+    for d in range(mdp.m):
+        w = (w[:, :, None] * mixes[d][:, None, :]).reshape(mdp.n_states, -1)
+    r = w.reshape(nc, nbc, nbc).sum(axis=1).reshape(tuple(mdp.link_dims) + (nbc,))
+    for k in range(mdp.n_links):
+        r = np.moveaxis(np.tensordot(mdp.chains[k].psi, r, axes=([0], [k])), 0, k)
+    return r.reshape(mdp.n_states)
+
+
+def forward_cost(mdp, policy, s1):
+    """Forward oracle for J: sum over slots of E_rho_t[one-slot cost]."""
+    rho = np.zeros(mdp.n_states)
+    rho[mdp.state_index(s1)] = 1.0
+    total = 0.0
+    for t in range(1, mdp.horizon + 1):
+        conds = policy.conditionals(mdp, t)
+        total += float(rho @ expected_cost_rows(mdp, conds))
+        rho = propagate(mdp, rho, conds)
+    return total
+
+
+def tensordot_backward_induction(mdp):
+    """Reference DP contracting with tensordot and moving each axis back in place."""
+    link_dims, bat_dims, m = mdp.link_dims, mdp.bat_dims, mdp.m
+    L = len(link_dims)
+    shape = tuple(link_dims + bat_dims)
+    kbs = mdp.battery_kernels
+    strides = np.cumprod([1] + mdp.act_dims[::-1])[::-1][1:]
+    cost_nd = mdp.cost_table().reshape(tuple(link_dims) + (1,) * m + (mdp.n_actions,))
+    feas_nd = mdp.action_feasibility.T.reshape((1,) * L + tuple(bat_dims) + (mdp.n_actions,))
+    values, tables = [None] * mdp.horizon, [None] * mdp.horizon
+    v_next = np.zeros(shape)
+    for t in range(mdp.horizon, 0, -1):
+        w = v_next
+        for k in range(L):
+            w = np.moveaxis(np.tensordot(mdp.chains[k].psi, w, axes=([1], [k])), 0, k)
+        best = np.full(shape, np.inf)
+        arg = np.zeros(shape, dtype=np.int32)
+
+        def descend(d, x, a_prefix):
+            if d == m:
+                q = x + cost_nd[..., a_prefix]
+                ok = feas_nd[..., a_prefix] & (q < best)
+                np.copyto(best, q, where=ok)
+                np.copyto(arg, a_prefix, where=ok)
+                return
+            for l in range(mdp.act_dims[d]):
+                ax = L + d
+                xd = np.moveaxis(np.tensordot(kbs[d][l], x, axes=([1], [ax])), 0, ax)
+                descend(d + 1, xd, a_prefix + l * int(strides[d]))
+
+        descend(0, w, 0)
+        values[t - 1] = best.reshape(-1)
+        tables[t - 1] = arg.reshape(-1)
+        v_next = best
+    return values, tables
+
+
+def with_horizon(mdp, horizon):
+    return build_mdp(mdp.topo, mdp.radio, mdp.energy, mdp.chains, mdp.harvests,
+                     mdp.power_levels, horizon, reciprocal=mdp.reciprocal,
+                     cost_scale=mdp.cost_scale)
+
+
+def pinned_instances():
+    out = {name: (inst.mdp, inst.s1) for name, inst in tiny_instances().items()}
+    out["pair"] = oracle_instance()
+    for n_levels in (2, 3):
+        out[f"capacity-{n_levels}"] = capacity_family(n_levels)
+    return out
+
+
+PINNED = sorted(pinned_instances())
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +316,61 @@ def test_propagate_matches_transition_pushforward(pair):
     assert np.allclose(pushed, ref, atol=1e-12)
 
 
+@pytest.mark.parametrize("name", PINNED)
+def test_backward_evaluation_matches_forward_oracle(name):
+    mdp, s1 = pinned_instances()[name]
+    mdp = with_horizon(mdp, 4)
+    sol = backward_induction(mdp)
+    policies = {
+        "centralized": sol.as_policy(),
+        "greedy": GreedyPolicy(mdp),
+        "myopic": MyopicCentralPolicy(mdp),
+        "fixed": FixedLevelsPolicy((0,) * (mdp.m - 1) + (1,)),
+        "localized": synthesize(mdp, hops=1, gamma=1.0, rounds=2),
+    }
+    rows = policies["localized"].conditionals(mdp, 1)
+    assert any(((r > 0.01) & (r < 0.99)).any() for r in rows)  # really stochastic
+    for pname, pol in policies.items():
+        j = evaluate_policy(mdp, pol, s1)
+        ref = forward_cost(mdp, pol, s1)
+        assert abs(j - ref) <= 1e-12 * abs(ref), pname
+    assert abs(evaluate_policy(mdp, sol.as_policy(), s1) - sol.expected_cost(s1)) \
+        <= 1e-12 * sol.expected_cost(s1)
+
+
+def test_blocked_backward_evaluation_matches_forward_oracle_on_desk():
+    # Desk's 256 x 256 (channel, battery) grid is folded in five blocks.
+    desk = desk_scenario(horizon=2)
+    for pol in (GreedyPolicy(desk.mdp), synthesize(desk.mdp, hops=1, gamma=desk.gamma, rounds=1)):
+        ref = forward_cost(desk.mdp, pol, desk.s1)
+        assert abs(evaluate_policy(desk.mdp, pol, desk.s1) - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("name", PINNED + ["capacity-4", "desk"])
+def test_dp_is_bit_identical_to_the_tensordot_reference(name):
+    if name == "desk":
+        mdp = desk_scenario(horizon=2).mdp
+    else:
+        mdp = capacity_family(4)[0] if name == "capacity-4" else pinned_instances()[name][0]
+    sol = backward_induction(mdp, budget=mdp.n_states * mdp.n_actions)
+    values, tables = tensordot_backward_induction(mdp)
+    for t in range(mdp.horizon):
+        assert np.array_equal(sol.values[t], values[t])
+        assert np.array_equal(sol.tables[t], tables[t])
+
+
+@pytest.mark.parametrize("dims", [(2,), (3, 2), (2, 3, 2), (3, 3, 2, 3)])
+def test_contract_leading_is_tensordot_bit_for_bit(dims):
+    rng = np.random.default_rng(sum(dims))
+    x = rng.random(dims)
+    for n_out in (2, 3):
+        mat = rng.random((n_out, dims[0]))
+        ref = np.moveaxis(np.tensordot(mat, x, ([1], [0])), 0, -1)
+        out = contract_leading(x, mat)
+        assert out.shape == ref.shape
+        assert np.array_equal(out, ref)
+
+
 def test_exact_vs_monte_carlo_evaluation(pair):
     mdp, s1 = pair
     from ehdfl.baselines import GreedyPolicy
@@ -268,3 +411,16 @@ def test_budget_guard_names_the_product(pair):
     mdp, _ = pair
     with pytest.raises(BudgetExceeded, match=str(mdp.n_states * mdp.n_actions)):
         backward_induction(mdp, budget=4)
+
+
+def test_sizes_do_not_wrap_on_a_64_device_ring():
+    small, _ = capacity_family(2)
+    m = 64
+    mdp = build_mdp(build_topology("ring", m),
+                    RadioParams(small.radio.phi, (0.4,) * m, small.radio.tau),
+                    small.energy, small.chains[0], small.harvests[0],
+                    power_levels=[0.0, 1.0], horizon=small.horizon)
+    assert mdp.n_states == 2 ** 128
+    assert mdp.n_actions == 2 ** 64
+    with pytest.raises(BudgetExceeded):
+        backward_induction(mdp)
