@@ -203,28 +203,61 @@ def localized_backward_layer(mdp, cover: Cover, q_next: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# synthesis context: extension maps, feasibility rows
+# synthesis context: neighbour table views, feasibility rows
 # ---------------------------------------------------------------------------
 
 class _SynthContext:
-    def __init__(self, mdp, hops, gamma, defaults):
+    """Covers, cost tables, feasibility rows and neighbour views of one synthesis.
+
+    views[i][j] maps a Q table of cover j, (n_states_j, n_actions_j), to a strided
+    view on cover i's digit axes (state digits, then action digits): the table
+    extension_state_map and extension_action_map would gather, without the copy.
+    pi_views[i][j] does the same for a policy table of device j, keeping its
+    trailing level axis. Digits of cover i that cover j lacks are length-1 axes.
+    The budget is checked on the covers alone, before any table is built.
+    """
+
+    def __init__(self, mdp, hops, gamma, defaults, table_budget):
         self.mdp = mdp
         self.gamma = float(gamma)
         self.defaults = defaults
         self.covers = [build_cover(mdp, i, hops) for i in range(mdp.m)]
+        for cov in self.covers:
+            if cov.n_states * cov.n_actions > table_budget:
+                raise BudgetExceeded(
+                    f"cover of device {cov.owner} needs {cov.n_states}x{cov.n_actions} table entries")
         self.cost_tables = [localized_cost_table(mdp, c, defaults) for c in self.covers]
-        self.ext_s = [dict() for _ in range(mdp.m)]
-        self.ext_p = [dict() for _ in range(mdp.m)]
-        for i in range(mdp.m):
-            for j in self.covers[i].devs:
-                self.ext_s[i][j] = extension_state_map(self.covers[i], self.covers[j], defaults)
-                self.ext_p[i][j] = extension_action_map(self.covers[i], self.covers[j], defaults)
+        self.views = [{j: _digit_view(ci, self.covers[j], defaults, True) for j in ci.devs}
+                      for ci in self.covers]
+        self.pi_views = [{j: _digit_view(ci, self.covers[j], defaults, False) for j in ci.devs}
+                         for ci in self.covers]
         self.feas_rows = [self._feasible_rows(c) for c in self.covers]
 
     def _feasible_rows(self, cover):
         idx = np.arange(cover.n_states)
         b = cover.battery_digit(idx, cover.owner)
         return self.mdp.feasible_level_masks[cover.owner][:, b].T  # (n_states, nl_owner)
+
+
+def _digit_view(ci: Cover, cj: Cover, defaults: ExtensionDefaults, actions: bool):
+    """View recipe of a cover-j table on cover i's digit axes (see _SynthContext).
+
+    Digits i lacks are fixed at the extension default by basic indexing, the rest
+    transposed into i's order, and i's digits j lacks inserted as new axes. With
+    actions=False the trailing axis (device j's levels) stays last.
+    """
+    def keys(c):
+        tail = [("a", d) for d in c.devs] if actions else [("levels", None)]
+        return [("l", e) for e in c.links] + [("b", d) for d in c.devs] + tail
+
+    ki, kj = keys(ci), keys(cj)
+    fill = {"l": defaults.gain, "b": defaults.battery, "a": defaults.level}
+    shape = cj.state_dims + (cj.act_dims if actions else (-1,))
+    index = tuple(slice(None) if k in ki else fill[k[0]] for k in kj)
+    kept = [k for k in kj if k in ki]
+    perm = [kept.index(k) for k in ki if k in kept]
+    expand = tuple(slice(None) if k in kept else None for k in ki)
+    return lambda tbl: tbl.reshape(shape)[index].transpose(perm)[expand]
 
 
 def extension_state_map(ci: Cover, cj: Cover, defaults: ExtensionDefaults) -> np.ndarray:
@@ -289,15 +322,18 @@ def _init_policy(ctx: _SynthContext, i: int, q1: np.ndarray) -> np.ndarray:
 def _expected_own_rows(ctx: _SynthContext, i: int, q_i: np.ndarray, policies) -> np.ndarray:
     """E over cover neighbors' policies of Q_i, leaving own action free."""
     cov = ctx.covers[i]
-    x = q_i.reshape((cov.n_states,) + tuple(cov.act_dims))
+    ns = len(cov.state_dims)
+    x = q_i.reshape(cov.state_dims + tuple(cov.act_dims))
     for pos in range(len(cov.devs) - 1, -1, -1):
         d = cov.devs[pos]
         if d == i:
             continue
-        rows = policies[d][ctx.ext_s[i][d]]  # (n_states_i, nl_d)
-        shape = [cov.n_states] + [1] * (x.ndim - 1)
-        shape[1 + pos] = cov.act_dims[pos]
-        x = (x * rows.reshape(shape)).sum(axis=1 + pos)
+        rows = ctx.pi_views[i][d](policies[d])  # i's state axes, then d's levels
+        lead, tail = (slice(None),) * (ns + pos), (None,) * (x.ndim - ns - 1)
+        acc = x[lead + (0,)] * rows[(..., 0) + tail]
+        for l in range(1, cov.act_dims[pos]):  # level order keeps the sums bit-identical
+            acc += x[lead + (l,)] * rows[(..., l) + tail]
+        x = acc
     return x.reshape(cov.n_states, cov.act_dims[cov.dev_pos[i]])
 
 
@@ -307,24 +343,15 @@ def _improve_round(ctx: _SynthContext, q_list, pi_list):
     q_new = []
     for i in range(m):
         cov = ctx.covers[i]
-        acc = np.zeros((cov.n_states, cov.n_actions))
+        acc = np.zeros(cov.state_dims + tuple(cov.act_dims))
         for j in cov.devs:
-            acc += q_list[j][np.ix_(ctx.ext_s[i][j], ctx.ext_p[i][j])]
-        q_new.append(acc / len(cov.devs))
+            acc += ctx.views[i][j](q_list[j])
+        q_new.append((acc / len(cov.devs)).reshape(cov.n_states, cov.n_actions))
     pi_new = []
     for i in range(m):
         rows = _expected_own_rows(ctx, i, q_new[i], pi_list)
         pi_new.append(masked_softmax(rows, ctx.gamma, ctx.feas_rows[i]))
     return q_new, pi_new
-
-
-def improve(ctx_or_mdp, q_list, pi_list, *, hops=None, gamma=None,
-            defaults: ExtensionDefaults = ExtensionDefaults()):
-    """Public single-round improvement; accepts a prebuilt context or raw pieces."""
-    if isinstance(ctx_or_mdp, _SynthContext):
-        return _improve_round(ctx_or_mdp, q_list, pi_list)
-    ctx = _SynthContext(ctx_or_mdp, hops, gamma, defaults)
-    return _improve_round(ctx, q_list, pi_list)
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +382,6 @@ class LocalizedPolicy:
                     idx += mdp.state_battery_digits(d) * cov.state_strides[len(cov.links) + pos]
                 self._proj.append(idx)
         return self._proj
-
-    def local_state(self, mdp, s_idx: int, device: int) -> int:
-        return int(self.projections(mdp)[device][s_idx])
 
     def conditionals(self, mdp, t: int):
         proj = self.projections(mdp)
@@ -391,11 +415,7 @@ def synthesize(mdp, *, hops: int = 2, gamma: float = 1.0, rounds: int = 20,
         raise ValueError("rounds and hops must be >= 0")
     if defaults is None:
         defaults = ExtensionDefaults()
-    ctx = _SynthContext(mdp, hops, gamma, defaults)
-    for cov in ctx.covers:
-        if cov.n_states * cov.n_actions > table_budget:
-            raise BudgetExceeded(
-                f"cover of device {cov.owner} needs {cov.n_states}x{cov.n_actions} table entries")
+    ctx = _SynthContext(mdp, hops, gamma, defaults, table_budget)
     T = mdp.horizon
     m = mdp.m
     snaps = sorted(set(snapshot_rounds)) if snapshot_rounds is not None else [rounds]

@@ -1,12 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from ehdfl import localized
+from ehdfl.channel import RadioParams
 from ehdfl.errors import BudgetExceeded
-from ehdfl.instances import (capacity_family, capacity_pair, fullinfo_instance,
-                             oracle_instance, tiny_instances)
-from ehdfl.localized import (ExtensionDefaults, build_cover, load_localized,
-                             localized_backward_layer, localized_cost, masked_softmax,
-                             policy_distance, synthesize)
+from ehdfl.instances import (capacity_family, capacity_pair, desk_scenario,
+                             fullinfo_instance, oracle_instance, tiny_instances)
+from ehdfl.localized import (ExtensionDefaults, build_cover, extension_action_map,
+                             extension_state_map, load_localized, localized_backward_layer,
+                             localized_cost, masked_softmax, policy_distance, synthesize)
+from ehdfl.mdp import build_mdp
 from ehdfl.topology import build_topology, k_hop_set
 
 
@@ -183,6 +188,127 @@ def test_backward_layer_is_bit_identical_to_the_tensordot_reference(name, hops):
 
 
 # ---------------------------------------------------------------------------
+# improve rounds: neighbour views against the extension-map gathers
+# ---------------------------------------------------------------------------
+
+def _one_way(mdp):
+    """The same model with one gain per directed link (reciprocal=False)."""
+    chains = [mdp.chains[mdp.entity_of(r, k)] for r, k in
+              sorted((r, k) for r in range(mdp.m) for k in mdp.topo.neighbors[r])]
+    return build_mdp(mdp.topo, mdp.radio, mdp.energy, chains, mdp.harvests,
+                     mdp.power_levels, mdp.horizon, reciprocal=False)
+
+
+def _four_levels(mdp):
+    return build_mdp(mdp.topo, mdp.radio, mdp.energy, mdp.chains, mdp.harvests,
+                     [0.0, 0.5, 1.0, 1.5], mdp.horizon)
+
+
+SYNTH_MODELS = {
+    "pair": lambda: oracle_instance()[0],
+    "capacity-3": lambda: capacity_family(3)[0],
+    "capacity-3-one-way": lambda: _one_way(capacity_family(3)[0]),
+    "capacity-3-four-levels": lambda: _four_levels(capacity_family(3)[0]),
+    "desk": lambda: desk_scenario(horizon=2).mdp,
+    "ring6-3": lambda: capacity_pair(3, horizon=2)[0],
+}
+DEFAULTS = [ExtensionDefaults(0, 0, 0), ExtensionDefaults(1, 1, 1)]
+ROUND_CASES = [("pair", 1), ("capacity-3", 1), ("capacity-3", 2), ("capacity-3", 3),
+               ("capacity-3-one-way", 1), ("capacity-3-one-way", 2),
+               ("capacity-3-four-levels", 2), ("desk", 2), ("ring6-3", 1), ("ring6-3", 2)]
+
+
+def gather_expected_own_rows(ctx, i, q_i, policies, ext_s):
+    """Reference expectation: neighbor policy rows gathered through the state map."""
+    cov = ctx.covers[i]
+    x = q_i.reshape((cov.n_states,) + tuple(cov.act_dims))
+    for pos in range(len(cov.devs) - 1, -1, -1):
+        d = cov.devs[pos]
+        if d == i:
+            continue
+        rows = policies[d][ext_s[i][d]]  # (n_states_i, nl_d)
+        shape = [cov.n_states] + [1] * (x.ndim - 1)
+        shape[1 + pos] = cov.act_dims[pos]
+        x = (x * rows.reshape(shape)).sum(axis=1 + pos)
+    return x.reshape(cov.n_states, cov.act_dims[cov.dev_pos[i]])
+
+
+def gather_improve_round(ctx, q_list, pi_list):
+    """Reference round: np.ix_ gathers through the public extension maps."""
+    covers, dflt = ctx.covers, ctx.defaults
+    ext_s = [{j: extension_state_map(ci, covers[j], dflt) for j in ci.devs} for ci in covers]
+    q_new = []
+    for i, cov in enumerate(covers):
+        acc = np.zeros((cov.n_states, cov.n_actions))
+        for j in cov.devs:
+            acc += q_list[j][np.ix_(ext_s[i][j], extension_action_map(cov, covers[j], dflt))]
+        q_new.append(acc / len(cov.devs))
+    pi_new = [masked_softmax(gather_expected_own_rows(ctx, i, q_new[i], pi_list, ext_s),
+                             ctx.gamma, ctx.feas_rows[i]) for i in range(len(covers))]
+    return q_new, pi_new
+
+
+def random_round_inputs(name, hops, defaults, seed):
+    """A context and random Q tables with stochastic (Dirichlet) policy rows."""
+    ctx = localized._SynthContext(SYNTH_MODELS[name](), hops, 0.5, defaults, 50_000_000)
+    rng = np.random.default_rng(seed)
+    q = [rng.random((c.n_states, c.n_actions)) for c in ctx.covers]
+    pi = [rng.dirichlet(np.ones(c.act_dims[c.dev_pos[c.owner]]), size=c.n_states)
+          for c in ctx.covers]
+    return ctx, q, pi
+
+
+@pytest.mark.parametrize("defaults", DEFAULTS, ids=["dflt0", "dflt1"])
+@pytest.mark.parametrize("name,hops", ROUND_CASES)
+def test_neighbour_views_match_the_extension_maps(name, hops, defaults):
+    ctx, q, pi = random_round_inputs(name, hops, defaults, seed=hops)
+    for i, ci in enumerate(ctx.covers):
+        for j in ci.devs:
+            cj = ctx.covers[j]
+            ext_s = extension_state_map(ci, cj, defaults)
+            ext_p = extension_action_map(ci, cj, defaults)
+            view = ctx.views[i][j](q[j])
+            assert np.may_share_memory(view, q[j])
+            full = np.broadcast_to(view, ci.state_dims + tuple(ci.act_dims))
+            assert np.array_equal(full.reshape(ci.n_states, ci.n_actions),
+                                  q[j][np.ix_(ext_s, ext_p)])
+            rows = np.broadcast_to(ctx.pi_views[i][j](pi[j]), ci.state_dims + pi[j].shape[1:])
+            assert np.array_equal(rows.reshape(ci.n_states, -1), pi[j][ext_s])
+
+
+@pytest.mark.parametrize("defaults", DEFAULTS, ids=["dflt0", "dflt1"])
+@pytest.mark.parametrize("name,hops", ROUND_CASES)
+def test_improve_round_is_bit_identical_to_the_gather_reference(name, hops, defaults):
+    ctx, q, pi = random_round_inputs(name, hops, defaults, seed=10 + hops)
+    ext_s = [{j: extension_state_map(ci, ctx.covers[j], defaults) for j in ci.devs}
+             for ci in ctx.covers]
+    for i in range(len(ctx.covers)):
+        assert np.array_equal(localized._expected_own_rows(ctx, i, q[i], pi),
+                              gather_expected_own_rows(ctx, i, q[i], pi, ext_s))
+    got, want = localized._improve_round(ctx, q, pi), gather_improve_round(ctx, q, pi)
+    for new, ref in zip(got, want):
+        for a, b in zip(new, ref):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name,hops", [(name, h) for name, top in
+                                       [("capacity-3", 3), ("capacity-3-one-way", 3),
+                                        ("desk", 2), ("ring6-3", 2)]
+                                       for h in range(top + 1)])
+def test_synthesis_is_bit_identical_with_the_gather_rounds(name, hops, monkeypatch):
+    mdp = SYNTH_MODELS[name]()
+    runs = []
+    for improve_round in (localized._improve_round, gather_improve_round):
+        monkeypatch.setattr(localized, "_improve_round", improve_round)
+        runs.append([synthesize(mdp, hops=hops, gamma=gamma, rounds=2, defaults=dflt)
+                     for gamma in (0.5, 512.0) for dflt in DEFAULTS])
+    for new, ref in zip(*runs):
+        for tn, tr in zip(new.tables, ref.tables):
+            for a, b in zip(tn, tr):
+                assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
 # synthesis output invariants
 # ---------------------------------------------------------------------------
 
@@ -244,6 +370,22 @@ def test_table_budget_guard():
     mdp = tiny_instances()["tiny-a"].mdp
     with pytest.raises(BudgetExceeded):
         synthesize(mdp, hops=2, gamma=8.0, rounds=1, table_budget=2)
+
+
+def test_table_budget_is_checked_before_any_table_is_built():
+    # A 14-device desk ring at hops 4 needs 2**19 x 2**9 entries per cover; the
+    # check must fire on the cover sizes, not after the tables are allocated.
+    desk = desk_scenario(horizon=2).mdp
+    mdp = build_mdp(build_topology("ring", 14), RadioParams(0.5, (0.3,) * 14, 1.0),
+                    desk.energy, desk.chains[0], desk.harvests[0], [0.0, 1.0], horizon=2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            synthesize(mdp, hops=4, gamma=512.0, rounds=1, table_budget=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
 
 
 def test_localized_round_trip(tmp_path, pair_policy):
