@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .mdp import one_hot_rows, policy_conditionals, sample_act
+
 
 class MyopicCentralPolicy:
     """Minimizes the current slot's expected cost over feasible joint actions.
@@ -27,12 +29,11 @@ class MyopicCentralPolicy:
             self._table = table
         return self._table
 
-    def act(self, mdp, s_idx, t, rng=None):
-        return mdp.action_decode(int(self.table(mdp)[s_idx]))
+    def rows(self, mdp, t, s_idx):
+        return one_hot_rows(mdp, self.table(mdp)[s_idx])
 
-    def conditionals(self, mdp, t):
-        tbl = self.table(mdp)
-        return [np.eye(mdp.act_dims[d])[mdp.action_digit(tbl, d)] for d in range(mdp.m)]
+    act = sample_act
+    conditionals = policy_conditionals
 
 
 class GreedyPolicy:
@@ -46,29 +47,23 @@ class GreedyPolicy:
         self._per_device = None
 
     def _tables(self, mdp):
+        """Per device: (nb, n_levels), the one-hot highest feasible level per battery index."""
         if self._per_device is None:
             out = []
             for d in range(mdp.m):
                 feas = mdp.feasible_level_masks[d]  # (nl, nb)
-                nl = feas.shape[0]
-                # highest feasible level per battery index
-                lvl = np.array([max(np.nonzero(feas[:, b])[0]) for b in range(feas.shape[1])],
-                               dtype=np.int32)
-                out.append(lvl)
+                lvl = [max(np.nonzero(feas[:, b])[0]) for b in range(feas.shape[1])]
+                out.append(np.eye(feas.shape[0])[lvl])
             self._per_device = out
         return self._per_device
 
-    def act(self, mdp, s_idx, t, rng=None):
-        tbl = self._tables(mdp)
-        return tuple(int(tbl[d][mdp.battery_digit_of_state(s_idx, d)]) for d in range(mdp.m))
+    def rows(self, mdp, t, s_idx):
+        tbl, nb = self._tables(mdp), mdp.energy.n_levels
+        bats = np.asarray(s_idx)[:, None] // nb ** np.arange(mdp.m - 1, -1, -1) % nb
+        return [tbl[d][bats[:, d]] for d in range(mdp.m)]
 
-    def conditionals(self, mdp, t):
-        tbl = self._tables(mdp)
-        out = []
-        for d in range(mdp.m):
-            lv = tbl[d][mdp.state_battery_digits(d)]
-            out.append(np.eye(mdp.act_dims[d])[lv])
-        return out
+    act = sample_act
+    conditionals = policy_conditionals
 
 
 def myopic_central_action(mdp, s_idx: int) -> tuple[int, ...]:

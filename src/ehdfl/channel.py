@@ -213,20 +213,3 @@ def packet_error_rate(p, gains, topo, radio: RadioParams, i: int, j: int) -> flo
     x = radio.phi * (interf + radio.noise(i)) / (pj * h)
     return 1.0 - math.exp(-x)
 
-
-def sample_success(q, rng: np.random.Generator):
-    """Bernoulli(1 - q) link success indicator(s); one draw per entry of q."""
-    q = np.asarray(q, dtype=float)
-    if ((q < 0) | (q > 1)).any():
-        raise ValueError("q must be within [0, 1]")
-    return rng.random(q.shape) >= q
-
-
-def stationary_of(psi: np.ndarray) -> np.ndarray:
-    """Left stationary distribution of a row-stochastic matrix (for checks)."""
-    n = psi.shape[0]
-    a = np.vstack([psi.T - np.eye(n), np.ones(n)])
-    b = np.zeros(n + 1)
-    b[-1] = 1.0
-    sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-    return sol

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceeded
-from .mdp import contract_leading
+from .mdp import contract_leading, policy_conditionals, sample_act
 from .topology import k_hop_set
 
 
@@ -383,18 +383,12 @@ class LocalizedPolicy:
                 self._proj.append(idx)
         return self._proj
 
-    def conditionals(self, mdp, t: int):
+    def rows(self, mdp, t: int, s_idx):
         proj = self.projections(mdp)
-        return [self.tables[i][t - 1][proj[i]] for i in range(mdp.m)]
+        return [self.tables[i][t - 1][proj[i][s_idx]] for i in range(mdp.m)]
 
-    def act(self, mdp, s_idx: int, t: int, rng: np.random.Generator):
-        proj = self.projections(mdp)
-        levels = []
-        for i in range(mdp.m):
-            row = self.tables[i][t - 1][proj[i][s_idx]]
-            u = rng.random()
-            levels.append(int(np.searchsorted(np.cumsum(row), u, side="right").clip(0, len(row) - 1)))
-        return tuple(levels)
+    act = sample_act
+    conditionals = policy_conditionals
 
     def save(self, path) -> None:
         save_localized(self, path)

@@ -11,6 +11,11 @@ last, so contracting the link axes and then the battery axes rotates an array
 back to canonical layout with no transpose copy. Exact policy evaluation runs
 backward with the same primitive: V_t = c_t + E[V_{t+1}].
 
+A policy is its per-slot, per-device conditional level rows given the global
+state: `rows(mdp, t, s_idx)` at an array of states. `act` (one draw) and
+`conditionals` (rows at every state) are defined once from it, and Monte Carlo
+advances all rollouts of a seed together by sampling those rows.
+
 Indexing convention: a global state index is the C-order ravel of
 (gain digits..., battery digits...), link entities in canonical order
 (sorted undirected edges when reciprocal, sorted (receiver, transmitter)
@@ -28,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelChain, RadioParams, step_links
+from .channel import ChannelChain, RadioParams
 from .energy import EnergyParams, HarvestModel, energy_consumed
 from .errors import BudgetExceeded, CausalityViolation
 
@@ -258,13 +263,12 @@ class GlobalMdp:
 
         return self._cached("pairs", build)
 
-    def state_gain_values(self, entity: int) -> np.ndarray:
-        """Gain value of one entity for every flat state index (cached, (n_states,))."""
+    def channel_gain_values(self, entity: int) -> np.ndarray:
+        """Gain value of one entity for every channel configuration (cached, (nc,))."""
 
         def build():
             ch = np.arange(self.n_channel_cfgs)
-            per_cfg = self.chains[entity].levels[self.channel_digit(ch, entity)]
-            return np.repeat(per_cfg, self.n_battery_cfgs)
+            return self.chains[entity].levels[self.channel_digit(ch, entity)]
 
         return self._cached(("gain_values", entity), build)
 
@@ -291,9 +295,7 @@ class GlobalMdp:
             nc, na = self.n_channel_cfgs, self.n_actions
             if nc * na > 200_000_000:
                 raise BudgetExceeded(f"cost table too large ({nc}x{na})")
-            ch = np.arange(nc)
-            gv = [self.chains[e].levels[self.channel_digit(ch, e)]
-                  for e in range(self.n_links)]
+            gv = [self.channel_gain_values(e) for e in range(self.n_links)]
             a_idx = np.arange(na)
             pv = [self.power_levels[d][self.action_digit(a_idx, d)] for d in range(self.m)]
             cost = np.zeros((nc, na))
@@ -549,8 +551,45 @@ def backward_induction(mdp: GlobalMdp, *, budget: int = DEFAULT_BUDGET) -> Solut
 
 
 # ---------------------------------------------------------------------------
-# policies
+# policies: per-device conditional rows, one draw rule
 # ---------------------------------------------------------------------------
+
+def _draw(rows, u: np.ndarray) -> np.ndarray:
+    """(n, k) indices by inverse CDF: rows[j] is (n, width_j) probabilities, u is (n, k).
+
+    Per row the count of cumsum(row) <= u, clipped to the last index, which is
+    searchsorted(cumsum(row), u, side="right"). Rows are zero-padded to one
+    width so all k are drawn in one pass; a padded entry can only count when u
+    reaches the row's total, and then the clip discards it.
+    """
+    padded = np.zeros(u.shape + (max(r.shape[1] for r in rows),))
+    for j, r in enumerate(rows):
+        padded[:, j, :r.shape[1]] = r
+    counts = (np.cumsum(padded, axis=2) <= u[:, :, None]).sum(axis=2)
+    return np.minimum(counts, [r.shape[1] - 1 for r in rows])
+
+
+def sample_act(self, mdp, s_idx: int, t: int, rng=None) -> tuple[int, ...]:
+    """Levels at one state, drawn from the policy's rows with rng.random(m).
+
+    One uniform per device, in device order. Without `rng` every device takes
+    its lowest level of positive probability, which for a deterministic
+    policy is its level.
+    """
+    u = rng.random((1, mdp.m)) if rng is not None else np.zeros((1, mdp.m))
+    return tuple(int(x) for x in _draw(self.rows(mdp, t, np.array([s_idx])), u)[0])
+
+
+def policy_conditionals(self, mdp, t: int):
+    """Per device: (n_states, n_levels_d) level rows at every state of slot t."""
+    return self.rows(mdp, t, np.arange(mdp.n_states))
+
+
+def one_hot_rows(mdp, joint) -> list:
+    """Per-device one-hot level rows of an array of joint action indices."""
+    digits = np.unravel_index(joint, mdp.act_dims)
+    return [np.eye(n)[digit] for n, digit in zip(mdp.act_dims, digits)]
+
 
 class CentralizedPolicy:
     """Deterministic time-varying joint policy as per-slot argmin tables."""
@@ -558,19 +597,11 @@ class CentralizedPolicy:
     def __init__(self, tables):
         self.tables = [np.asarray(tbl) for tbl in tables]
 
-    def joint_index(self, mdp, s_idx: int, t: int) -> int:
-        return int(self.tables[t - 1][s_idx])
+    def rows(self, mdp, t: int, s_idx):
+        return one_hot_rows(mdp, self.tables[t - 1][s_idx])
 
-    def act(self, mdp, s_idx: int, t: int, rng=None) -> tuple[int, ...]:
-        return mdp.action_decode(self.joint_index(mdp, s_idx, t))
-
-    def conditionals(self, mdp, t: int):
-        tbl = self.tables[t - 1]
-        out = []
-        for d in range(mdp.m):
-            digit = mdp.action_digit(tbl, d)
-            out.append(np.eye(mdp.act_dims[d])[digit])
-        return out
+    act = sample_act
+    conditionals = policy_conditionals
 
 
 class FixedLevelsPolicy:
@@ -579,16 +610,11 @@ class FixedLevelsPolicy:
     def __init__(self, levels):
         self.levels = tuple(levels)
 
-    def act(self, mdp, s_idx, t, rng=None):
-        return self.levels
+    def rows(self, mdp, t, s_idx):
+        return [np.eye(n)[np.full(len(s_idx), lv)] for n, lv in zip(mdp.act_dims, self.levels)]
 
-    def conditionals(self, mdp, t):
-        out = []
-        for d in range(mdp.m):
-            row = np.zeros((mdp.n_states, mdp.act_dims[d]))
-            row[:, self.levels[d]] = 1.0
-            out.append(row)
-        return out
+    act = sample_act
+    conditionals = policy_conditionals
 
 
 # ---------------------------------------------------------------------------
@@ -600,32 +626,35 @@ def expected_cost_rows(mdp: GlobalMdp, conds) -> np.ndarray:
 
     conds[d] is (n_states, n_levels_d), rows summing to 1. The pairwise PER
     expectation factorizes across devices because, given the state, devices
-    draw their levels independently.
+    draw their levels independently. The survival factors exp(-phi·noise/denom)
+    and exp(-phi·p_k·h_k/denom) depend only on the channel configuration, so
+    they are computed per configuration and broadcast over the batteries.
     """
-    n_s = mdp.n_states
+    nc, nbc = mdp.n_channel_cfgs, mdp.n_battery_cfgs
     phi = mdp.radio.phi
-    out = np.zeros(n_s)
+    conds = [c.reshape(nc, nbc, -1) for c in conds]
+    out = np.zeros((nc, nbc))
     for i, j, w, e_own, interf in mdp.ordered_pairs:
-        h_own = mdp.state_gain_values(e_own)
+        h_own = mdp.channel_gain_values(e_own)
         cond_j = conds[j]
-        acc = cond_j[:, 0].copy()  # silent level: guaranteed loss
+        acc = cond_j[:, :, 0].copy()  # silent level: guaranteed loss
         for l in range(1, mdp.act_dims[j]):
             pj = mdp.power_levels[j][l]
             denom = pj * h_own
-            surv = np.exp(-phi * mdp.radio.noise(i) / denom)
+            surv = np.exp(-phi * mdp.radio.noise(i) / denom)[:, None]
             for k, e_k in interf:
-                hk = mdp.state_gain_values(e_k)
-                f = np.zeros(n_s)
+                hk = mdp.channel_gain_values(e_k)
+                f = np.zeros((nc, nbc))
                 for lk in range(mdp.act_dims[k]):
                     pk = mdp.power_levels[k][lk]
                     if pk == 0.0:
-                        f += conds[k][:, lk]
+                        f += conds[k][:, :, lk]
                     else:
-                        f += conds[k][:, lk] * np.exp(-phi * pk * hk / denom)
+                        f += conds[k][:, :, lk] * np.exp(-phi * pk * hk / denom)[:, None]
                 surv = surv * f
-            acc += cond_j[:, l] * (1.0 - surv)
+            acc += cond_j[:, :, l] * (1.0 - surv)
         out += w * acc
-    return out * mdp.cost_scale
+    return out.reshape(-1) * mdp.cost_scale
 
 
 def backward_expectation(mdp: GlobalMdp, v_next: np.ndarray, conds) -> np.ndarray:
@@ -684,32 +713,43 @@ def evaluate_policy(mdp: GlobalMdp, policy, s1, *, mode: str = "exact",
 
 def simulate_costs(mdp: GlobalMdp, policy, s1, *, n_samples: int, seed: int,
                    horizon: int | None = None) -> np.ndarray:
-    """Monte Carlo rollouts of the cumulative cost; one RNG stream per rollout."""
+    """Monte Carlo rollouts of the cumulative cost, all advanced in lockstep.
+
+    The n_samples rollouts move together as (n_samples, ·) digit arrays driven
+    by one RNG stream, default_rng(seed). Each slot draws, in this order, one
+    uniform per rollout and device for the levels (inverse CDF on the policy's
+    rows at the batch's states), one per rollout and link for the gains (on
+    the rows of psi) and one per rollout and device for the batteries (on the
+    battery kernel rows).
+
+    Raises:
+        CausalityViolation: when the policy picks a level the battery cannot fund.
+    """
     T = horizon if horizon is not None else mdp.horizon
-    if isinstance(s1, (int, np.integer)):
-        s1 = mdp.state_decode(int(s1))
+    if isinstance(s1, GlobalState):
+        s1 = mdp.state_index(s1)
+    dims, L, nbc = mdp.link_dims + mdp.bat_dims, mdp.n_links, mdp.n_battery_cfgs
+    digits = np.tile(np.array(np.unravel_index(int(s1), dims), dtype=np.int64), (n_samples, 1))
+    gains, bats = digits[:, :L], digits[:, L:]
     cost_tbl = mdp.cost_table() if mdp.n_channel_cfgs * mdp.n_actions <= 50_000_000 else None
-    totals = np.empty(n_samples)
-    for rep in range(n_samples):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep,)))
-        gains = np.array(s1.gains)
-        bats = np.array(s1.batteries)
-        total = 0.0
-        for t in range(1, T + 1):
-            s_idx = int(np.ravel_multi_index(list(gains) + list(bats),
-                                             mdp.link_dims + mdp.bat_dims))
-            levels = policy.act(mdp, s_idx, t, rng)
-            a_idx = mdp.action_index(levels)
-            if cost_tbl is not None:
-                total += cost_tbl[s_idx // mdp.n_battery_cfgs, a_idx]
-            else:
-                total += mdp.one_step_cost(GlobalState(tuple(gains), tuple(bats)), levels)
-            gains = step_links(gains, mdp.chains, rng)
-            for d in range(mdp.m):
-                row = battery_row(mdp, d, bats[d], levels[d])
-                bats[d] = int(np.searchsorted(np.cumsum(row), rng.random(), side="right"))
-                bats[d] = min(bats[d], mdp.energy.n_levels - 1)
-        totals[rep] = total
+    rng = np.random.default_rng(seed)
+    totals = np.zeros(n_samples)
+    for t in range(1, T + 1):
+        s_idx = np.ravel_multi_index(digits.T, dims)
+        levels = _draw(policy.rows(mdp, t, s_idx), rng.random((n_samples, mdp.m)))
+        for d, mask in enumerate(mdp.feasible_level_masks):
+            bad = ~mask[levels[:, d], bats[:, d]]
+            if bad.any():  # battery_row raises with the first offender's details
+                k = int(bad.argmax())
+                battery_row(mdp, d, int(bats[k, d]), int(levels[k, d]))
+        if cost_tbl is not None:
+            totals += cost_tbl[s_idx // nbc, np.ravel_multi_index(levels.T, mdp.act_dims)]
+        else:
+            totals += [mdp.one_step_cost(int(s), tuple(lv)) for s, lv in zip(s_idx, levels)]
+        gains[:] = _draw([c.psi[gains[:, e]] for e, c in enumerate(mdp.chains)],
+                         rng.random((n_samples, L)))
+        bats[:] = _draw([kb[levels[:, d], bats[:, d]] for d, kb in enumerate(mdp.battery_kernels)],
+                        rng.random((n_samples, mdp.m)))
     return totals
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from ehdfl.config import canonical_hash, load_config, parse_config
 from ehdfl.errors import ConfigError
+from ehdfl.harness import run_experiment
 
 
 def base_raw(out_dir="results", **over):
@@ -251,3 +252,16 @@ def test_cli_runs_are_byte_identical_across_jobs(tmp_path):
                           "metric_vs_slots.csv"}
     assert _csv_bytes(dirs[1]) == first  # same invocation repeated
     assert _csv_bytes(dirs[2]) == first  # parallel workers
+
+
+@pytest.mark.parametrize("policy", ["greedy", "decentralized_pi"])
+def test_evaluate_csv_is_byte_identical_across_jobs(tmp_path, policy):
+    csvs = []
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        cfg = parse_config(base_raw(out_dir=str(out), seeds=[1, 2, 3], mc_samples=200,
+                                    policy={"name": policy, "gamma": 1.0, "rounds": 2,
+                                            "hops": 1}))
+        run_experiment(cfg, "evaluate", jobs=jobs)
+        csvs.append((out / "evaluate.csv").read_bytes())
+    assert csvs[0] == csvs[1]

@@ -4,7 +4,7 @@ import pytest
 from ehdfl.baselines import GreedyPolicy, MyopicCentralPolicy
 from ehdfl.channel import RadioParams
 from ehdfl.energy import EnergyParams, HarvestModel
-from ehdfl.errors import BudgetExceeded
+from ehdfl.errors import BudgetExceeded, CausalityViolation
 from ehdfl.harness import exhaustive_minimum
 from ehdfl.instances import capacity_family, desk_scenario, oracle_instance, tiny_instances
 from ehdfl.localized import synthesize
@@ -32,6 +32,34 @@ def propagate(mdp, rho, conds):
     for k in range(mdp.n_links):
         r = np.moveaxis(np.tensordot(mdp.chains[k].psi, r, axes=([0], [k])), 0, k)
     return r.reshape(mdp.n_states)
+
+
+def per_state_expected_cost_rows(mdp, conds):
+    """Reference body: survival factors recomputed over every state."""
+    n_s = mdp.n_states
+    phi = mdp.radio.phi
+    out = np.zeros(n_s)
+    for i, j, w, e_own, interf in mdp.ordered_pairs:
+        h_own = np.repeat(mdp.channel_gain_values(e_own), mdp.n_battery_cfgs)
+        cond_j = conds[j]
+        acc = cond_j[:, 0].copy()  # silent level: guaranteed loss
+        for l in range(1, mdp.act_dims[j]):
+            pj = mdp.power_levels[j][l]
+            denom = pj * h_own
+            surv = np.exp(-phi * mdp.radio.noise(i) / denom)
+            for k, e_k in interf:
+                hk = np.repeat(mdp.channel_gain_values(e_k), mdp.n_battery_cfgs)
+                f = np.zeros(n_s)
+                for lk in range(mdp.act_dims[k]):
+                    pk = mdp.power_levels[k][lk]
+                    if pk == 0.0:
+                        f += conds[k][:, lk]
+                    else:
+                        f += conds[k][:, lk] * np.exp(-phi * pk * hk / denom)
+                surv = surv * f
+            acc += cond_j[:, l] * (1.0 - surv)
+        out += w * acc
+    return out * mdp.cost_scale
 
 
 def forward_cost(mdp, policy, s1):
@@ -346,6 +374,18 @@ def test_blocked_backward_evaluation_matches_forward_oracle_on_desk():
         assert abs(evaluate_policy(desk.mdp, pol, desk.s1) - ref) <= 1e-12 * ref
 
 
+@pytest.mark.parametrize("name", [n for n in PINNED if n != "capacity-2"] + ["desk"])
+def test_expected_cost_rows_is_bit_identical_to_the_per_state_reference(name):
+    mdp = desk_scenario(horizon=2).mdp if name == "desk" else pinned_instances()[name][0]
+    localized = synthesize(mdp, hops=1, gamma=1.0, rounds=1)
+    assert any(((r > 0.01) & (r < 0.99)).any() for r in localized.conditionals(mdp, 1))
+    for pol in (GreedyPolicy(mdp), MyopicCentralPolicy(mdp), localized):
+        for t in (1, mdp.horizon):
+            conds = pol.conditionals(mdp, t)
+            assert np.array_equal(expected_cost_rows(mdp, conds),
+                                  per_state_expected_cost_rows(mdp, conds))
+
+
 @pytest.mark.parametrize("name", PINNED + ["capacity-4", "desk"])
 def test_dp_is_bit_identical_to_the_tensordot_reference(name):
     if name == "desk":
@@ -378,6 +418,33 @@ def test_exact_vs_monte_carlo_evaluation(pair):
     exact = evaluate_policy(mdp, pol, s1)
     mean, se = evaluate_policy(mdp, pol, s1, mode="mc", n_samples=4000, seed=9)
     assert abs(exact - mean) < 4 * se + 1e-6
+
+
+def test_lockstep_monte_carlo_agrees_with_exact_for_every_policy_type():
+    mdp, s1 = capacity_family(3)
+    policies = {
+        "centralized": backward_induction(mdp).as_policy(),
+        "greedy": GreedyPolicy(mdp),
+        "myopic": MyopicCentralPolicy(mdp),
+        "fixed": FixedLevelsPolicy((0, 1, 0)),
+        "localized": synthesize(mdp, hops=1, gamma=1.0, rounds=2),
+    }
+    for name, pol in policies.items():
+        horizon = 2 if name == "fixed" else None  # device 1 can fund two transmissions
+        exact = evaluate_policy(mdp, pol, s1, horizon=horizon)
+        mean, se = evaluate_policy(mdp, pol, s1, mode="mc", n_samples=4000, seed=3,
+                                   horizon=horizon)
+        assert se > 0, name
+        assert abs(exact - mean) < 5 * se, name
+
+
+def test_simulate_costs_raises_on_an_infeasible_level(pair):
+    mdp, _ = pair
+    top = tuple(n - 1 for n in mdp.act_dims)
+    empty = GlobalState(gains=(1,), batteries=(0, 0))
+    assert not mdp.feasible_level_masks[0][top[0], 0]
+    with pytest.raises(CausalityViolation, match="infeasible at battery index 0"):
+        simulate_costs(mdp, FixedLevelsPolicy(top), empty, n_samples=20, seed=0)
 
 
 def test_simulate_costs_deterministic_given_seed(pair):
