@@ -18,11 +18,10 @@ from .channel import (ChannelChain, RadioParams, build_chain_from_crossing,
 from .config import ExperimentConfig, canonical_hash, load_config, parse_config
 from .dflsim import (DflRun, Theorem1Bound, apply_gossip, convergence_bound,
                      local_sgd, run_training)
-from .energy import (EnergyParams, HarvestModel, battery_kernel, battery_step,
-                     energy_consumed, feasible_actions, point_harvest,
+from .energy import (EnergyParams, HarvestModel, battery_step, point_harvest,
                      solar_harvest_support)
 from .errors import BudgetExceeded, CausalityViolation, ConfigError
-from .harness import compare_policies, run_experiment, verify_suite
+from .harness import run_experiment, verify_suite
 from .learning import (LearnConsts, certify_consts, hetero_const,
                        make_logistic_task, make_quadratic_task, prescribed_eta)
 from .localized import (ExtensionDefaults, LocalizedPolicy, load_localized,
@@ -41,11 +40,10 @@ __all__ = [
     "GreedyPolicy", "HarvestModel", "InsufficientData", "LearnConsts",
     "LocalizedPolicy", "MyopicCentralPolicy", "RadioParams", "RateFit",
     "Solution", "Theorem1Bound", "Topology", "apply_gossip",
-    "backward_induction", "battery_kernel", "battery_step", "build_chain_from_crossing",
+    "backward_induction", "battery_step", "build_chain_from_crossing",
     "build_mdp", "build_topology", "canonical_hash", "certify_consts",
-    "compare_policies", "contraction_coefficient", "contraction_study",
-    "convergence_bound", "decay_slope_pvalue", "energy_consumed",
-    "evaluate_policy", "feasible_actions", "fit_rate", "gap_curve",
+    "contraction_coefficient", "contraction_study", "convergence_bound",
+    "decay_slope_pvalue", "evaluate_policy", "fit_rate", "gap_curve",
     "hetero_const", "identity_chain", "load_config", "load_localized",
     "load_solution", "local_sgd", "make_logistic_task", "make_quadratic_task",
     "packet_error_rate", "parse_config", "point_harvest", "prescribed_eta",

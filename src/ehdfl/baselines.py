@@ -65,21 +65,3 @@ class GreedyPolicy:
     act = sample_act
     conditionals = policy_conditionals
 
-
-def myopic_central_action(mdp, s_idx: int) -> tuple[int, ...]:
-    """Functional form of the myopic argmin for a single state."""
-    ch = s_idx // mdp.n_battery_cfgs
-    b = s_idx % mdp.n_battery_cfgs
-    cost = mdp.cost_table()[ch]
-    feas = mdp.action_feasibility[:, b]
-    masked = np.where(feas, cost, np.inf)
-    return mdp.action_decode(int(masked.argmin()))
-
-
-def greedy_action(mdp, s_idx: int) -> tuple[int, ...]:
-    out = []
-    for d in range(mdp.m):
-        b = int(mdp.battery_digit_of_state(s_idx, d))
-        feas = mdp.feasible_level_masks[d][:, b]
-        out.append(int(np.nonzero(feas)[0].max()))
-    return tuple(out)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,15 +22,17 @@ import numpy as np
 from .channel import ChannelChain, RadioParams
 from .energy import EnergyParams, HarvestModel, point_harvest
 from .errors import ConfigError
-from .mdp import GlobalMdp, GlobalState, build_mdp
+from .mdp import DEFAULT_BUDGET, GlobalMdp, GlobalState, build_mdp
 from .topology import build_topology
 
 TOPOLOGY_KINDS = ("line", "ring", "complete", "random_geometric")
 POLICY_NAMES = ("centralized_pi", "decentralized_pi", "myopic_central", "greedy")
 TASK_KINDS = ("quadratic", "logistic")
 SWEEP_AXES = ("rounds", "capacity", "hops")
-
-DEFAULT_BUDGET = 10_000_000
+# energy section key -> (default, integer); a None default marks a required key
+ENERGY_KEYS = {"b_max": (None, False), "n_levels": (None, True), "k_steps": (1, True),
+               "cpu_freq": (1.0, False), "cycles_per_sample": (0.0, False),
+               "batch_size": (1, True)}
 
 
 def canonical_hash(raw: dict) -> str:
@@ -82,23 +85,13 @@ class ExperimentConfig:
     def build_model(self) -> GlobalMdp:
         topo = build_topology(self.topology_kind, self.m, seed=self.topology_seed)
         radio = RadioParams(self.phi, _sigma_tuple(self.sigma2), self.tau)
-        energy = self._energy_params()
+        energy = _energy_params(self.energy_raw, self.tau)
         chains = [_chain_from(spec) for spec in self.chain_specs]
         if len(chains) == 1:
             chains = chains * len(topo.edges)
         harvest = self._harvests()
         return build_mdp(topo, radio, energy, chains, harvest,
                          power_levels=list(self.power_levels), horizon=self.horizon)
-
-    def _energy_params(self) -> EnergyParams:
-        e = self.energy_raw
-        return EnergyParams(k_steps=int(e.get("k_steps", 1)),
-                            cpu_freq=float(e.get("cpu_freq", 1.0)),
-                            cycles_per_sample=float(e.get("cycles_per_sample", 0.0)),
-                            batch_size=int(e.get("batch_size", 1)),
-                            tau=self.tau,
-                            b_max=float(e["b_max"]),
-                            n_levels=int(e["n_levels"]))
 
     def _harvests(self):
         specs = self.harvest_raw
@@ -162,6 +155,19 @@ class ExperimentConfig:
         raise ConfigError([f"policy: unknown name {name!r}"])
 
 
+def _energy_params(e: dict, tau: float) -> EnergyParams:
+    """EnergyParams of an energy section, with the ENERGY_KEYS defaults."""
+    return EnergyParams(tau=float(tau), **{key: (int if integer else float)(e.get(key, default))
+                                           for key, (default, integer) in ENERGY_KEYS.items()})
+
+
+def _is_number(val, integer=False) -> bool:
+    """A JSON number that is finite, and an int when integer; a bool is neither."""
+    if isinstance(val, bool):
+        return False
+    return isinstance(val, int) or (not integer and isinstance(val, float) and math.isfinite(val))
+
+
 def _sigma_tuple(sig):
     if isinstance(sig, (int, float)):
         return float(sig)
@@ -209,86 +215,95 @@ def parse_config(raw: dict) -> ExperimentConfig:
     issues: list[str] = []
     warnings: list[str] = []
 
-    def need(section: dict, key: str, where: str, default=None):
-        if key not in section:
-            if default is None:
-                issues.append(f"{where}.{key}: missing")
-            return default
-        return section[key]
-
     if not isinstance(raw, dict):
         raise ConfigError(["file: top level must be a JSON object"])
 
-    topo = raw.get("topology", {})
+    def section(key: str, default):
+        val = raw.get(key, default)
+        if val is None or isinstance(val, dict):
+            return val
+        issues.append(f"{key}: need an object, got {val!r}")
+        return default
+
+    def number(sec: dict, name: str, default=None, integer=False, ok=None, what=None):
+        """sec[key] (default when absent) if it is a finite number, an int when
+        integer, for which ok holds; otherwise report it and return None."""
+        val = sec.get(name.rsplit(".", 1)[-1], default)
+        if _is_number(val, integer) and (ok is None or ok(val)):
+            return val
+        what = what or ("an integer" if integer else "a number")
+        issues.append(f"{name}: missing" if val is None else f"{name}: need {what}, got {val!r}")
+        return None
+
+    topo = section("topology", {})
     kind = topo.get("kind", "ring")
     if kind not in TOPOLOGY_KINDS:
         issues.append(f"topology.kind: {kind!r} not one of {TOPOLOGY_KINDS}")
-    m = topo.get("m", 0)
-    if not isinstance(m, int) or m < 2:
-        issues.append(f"topology.m: need an integer >= 2, got {m!r}")
+    m = number(topo, "topology.m", None, True, lambda v: v >= 2, "an integer >= 2") or 0
 
-    chan = raw.get("channel", {})
-    phi = need(chan, "phi", "channel", 0.0)
-    if not phi > 0:
-        issues.append(f"channel.phi: must be positive, got {phi!r}")
-    tau = chan.get("tau", 1.0)
-    if not tau > 0:
-        issues.append(f"channel.tau: must be positive, got {tau!r}")
+    chan = section("channel", {})
+    positive = {"ok": lambda v: v > 0, "what": "a positive number"}
+    phi = number(chan, "channel.phi", **positive)
+    tau = number(chan, "channel.tau", 1.0, **positive)
     sigma2 = chan.get("sigma2", 1.0)
-    sig_arr = np.atleast_1d(np.asarray(sigma2, dtype=float))
-    if (sig_arr <= 0).any():
-        issues.append("channel.sigma2: all entries must be positive")
-    elif sig_arr.size not in (1, m) and m >= 2:
-        issues.append(f"channel.sigma2: length {sig_arr.size} is neither 1 nor m={m}")
+    sig = sigma2 if isinstance(sigma2, list) else [sigma2]
+    if not sig or not all(_is_number(x) and x > 0 for x in sig):
+        issues.append(f"channel.sigma2: need a positive number or a list of them, got {sigma2!r}")
+    elif len(sig) not in (1, m) and m >= 2:
+        issues.append(f"channel.sigma2: length {len(sig)} is neither 1 nor m={m}")
 
     chain_specs = chan.get("chains", [])
     if isinstance(chain_specs, dict):
         chain_specs = [chain_specs]
-    if not chain_specs:
+    if not isinstance(chain_specs, list) or not chain_specs:
         issues.append("channel.chains: at least one chain spec required")
+        chain_specs = []
     for k, spec in enumerate(chain_specs):
         try:
-            _chain_from(spec)
+            _chain_from(spec).validate()
         except (KeyError, ValueError, TypeError) as exc:
             issues.append(f"channel.chains[{k}]: {exc}")
 
-    en = raw.get("energy", {})
-    b_max = need(en, "b_max", "energy", 0.0)
-    n_levels = need(en, "n_levels", "energy", 0)
+    en = section("energy", {})
+    typed = [number(en, f"energy.{key}", default, integer) is not None
+             for key, (default, integer) in ENERGY_KEYS.items()]
     energy = None
-    if b_max and n_levels:
+    if all(typed) and tau is not None:
         try:
-            energy = EnergyParams(k_steps=int(en.get("k_steps", 1)),
-                                  cpu_freq=float(en.get("cpu_freq", 1.0)),
-                                  cycles_per_sample=float(en.get("cycles_per_sample", 0.0)),
-                                  batch_size=int(en.get("batch_size", 1)),
-                                  tau=float(tau), b_max=float(b_max),
-                                  n_levels=int(n_levels))
-        except (ValueError, TypeError) as exc:
+            energy = _energy_params(en, tau)
+        except ValueError as exc:
             issues.append(f"energy: {exc}")
 
     harvest_raw = en.get("harvest", {"point": 0.0})
     hs = [harvest_raw] if isinstance(harvest_raw, dict) else harvest_raw
-    if not isinstance(harvest_raw, dict) and len(hs) != m:
+    if not isinstance(hs, list):
+        issues.append(f"energy.harvest: need an object or a list, got {harvest_raw!r}")
+        hs = []
+    elif not isinstance(harvest_raw, dict) and len(hs) != m:
         issues.append(f"energy.harvest: list length {len(hs)} != m={m}")
     for k, spec in enumerate(hs):
         try:
             model = _harvest_from(spec)
             if energy is not None:
                 model.quanta(energy)  # harvest amounts must sit on the battery grid
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             issues.append(f"energy.harvest[{k}]: {exc}")
 
     power_levels = raw.get("power_levels", [])
-    if not power_levels:
-        issues.append("power_levels: required, e.g. [0.0, 1.0]")
-    elif sorted(power_levels) != list(power_levels):
-        issues.append("power_levels: must be ascending")
-    elif any(p < 0 for p in power_levels):
-        issues.append("power_levels: must be nonnegative")
+    problem = None
+    if not isinstance(power_levels, list) or not power_levels:
+        problem = "required, e.g. [0.0, 1.0]"
+    elif not all(_is_number(p) for p in power_levels):
+        problem = f"need finite numbers, got {power_levels!r}"
+    elif sorted(power_levels) != power_levels:
+        problem = "must be ascending"
+    elif power_levels[0] < 0:
+        problem = "must be nonnegative"
+    if problem:
+        issues.append(f"power_levels: {problem}")
+        power_levels = []
     if energy is not None and power_levels:
-        draws = [(energy.compute_energy() if p > 0 else 0.0) + p * energy.tau
-                 for p in power_levels]
+        draws = [energy.slot_energy(p) for p in power_levels]
         costs = [energy.to_quanta(d) for d in draws]
         if min(costs) > 0:
             issues.append("power_levels: no level with zero quantum cost; "
@@ -298,46 +313,36 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 warnings.append(f"power level {p}: consumption {d:.6g} J snaps to "
                                 f"{c} quanta of {energy.quantum:.6g} J")
 
-    horizon = raw.get("horizon", -1)
-    if not isinstance(horizon, int) or horizon < 0:
-        issues.append(f"horizon: need an integer >= 0, got {horizon!r}")
+    horizon = number(raw, "horizon", -1, True, lambda v: v >= 0, "an integer >= 0")
 
-    pol = raw.get("policy", {})
+    pol = section("policy", {})
     pol_name = pol.get("name", "decentralized_pi")
     if pol_name not in POLICY_NAMES:
         issues.append(f"policy.name: {pol_name!r} not one of {POLICY_NAMES}")
-    gamma = pol.get("gamma", 1.0)
-    if not gamma > 0:
-        issues.append(f"policy.gamma: must be positive, got {gamma!r}")
-    rounds = pol.get("rounds", 10)
-    if not isinstance(rounds, int) or rounds < 1:
-        issues.append(f"policy.rounds: need an integer >= 1, got {rounds!r}")
-    hops = pol.get("hops", 2)
-    if not isinstance(hops, int) or hops < 0:
-        issues.append(f"policy.hops: need an integer >= 0, got {hops!r}")
+    gamma = number(pol, "policy.gamma", 1.0, **positive)
+    rounds = number(pol, "policy.rounds", 10, True, lambda v: v >= 1, "an integer >= 1")
+    hops = number(pol, "policy.hops", 2, True, lambda v: v >= 0, "an integer >= 0")
 
-    task = raw.get("task", {})
+    task = section("task", {})
     task_kind = task.get("kind", "quadratic")
     if task_kind not in TASK_KINDS:
         issues.append(f"task.kind: {task_kind!r} not one of {TASK_KINDS}")
 
     seeds = raw.get("seeds", [])
     if (not isinstance(seeds, list) or not seeds
-            or not all(isinstance(s, int) for s in seeds)):
+            or not all(_is_number(s, True) for s in seeds)):
         issues.append("seeds: need a non-empty list of integers")
 
-    budget = raw.get("budget", DEFAULT_BUDGET)
-    if not isinstance(budget, int) or budget <= 0:
-        issues.append(f"budget: need a positive integer, got {budget!r}")
+    budget = number(raw, "budget", DEFAULT_BUDGET, True, lambda v: v > 0, "a positive integer")
 
-    s1_raw = raw.get("s1")
+    s1_raw = section("s1", None)
     if s1_raw is not None:
         if "gains" not in s1_raw or "batteries" not in s1_raw:
             issues.append("s1: needs both 'gains' and 'batteries'")
-        elif isinstance(m, int) and m >= 2 and len(s1_raw["batteries"]) != m:
+        elif m >= 2 and len(s1_raw["batteries"]) != m:
             issues.append(f"s1.batteries: length {len(s1_raw['batteries'])} != m={m}")
 
-    sweep_raw = raw.get("sweep")
+    sweep_raw = section("sweep", None)
     if sweep_raw is not None:
         axis = sweep_raw.get("axis")
         if axis not in SWEEP_AXES:
@@ -352,20 +357,20 @@ def parse_config(raw: dict) -> ExperimentConfig:
         elif axis == "rounds" and any(not isinstance(v, int) or v < 0 for v in values):
             issues.append("sweep.values: round counts must be integers >= 0")
 
-    declared = raw.get("declared")
+    declared = section("declared", None)
     if declared is not None and pol_name == "decentralized_pi":
         try:
             from .boundlab import temperature_cap
             lip = float(declared["lipschitz"])
             g = float(declared["grad_bound"])
-            n_joint = len(power_levels) ** m if power_levels else 0
-            if n_joint:
+            n_joint = len(power_levels) ** m if power_levels and m else 0
+            if n_joint and gamma is not None:
                 cap = temperature_cap(m, lip, g, n_joint)
                 if gamma > cap * (1 + 1e-9):
                     warnings.append(f"policy.gamma {gamma:.6g} exceeds the certified "
                                     f"temperature ceiling {cap:.6g} for the declared "
                                     f"constants; the contraction guarantee does not apply")
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, ArithmeticError) as exc:
             issues.append(f"declared: {exc}")
 
     if issues:

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import packet_error_rate, step_links
-from .energy import battery_step, energy_consumed
+from .energy import battery_step
 from .mdp import GlobalMdp, GlobalState
 
 # Sub-stream roles under the run seed; per-device streams spawn as (role, device).
@@ -121,7 +121,7 @@ def run_training(mdp: GlobalMdp, task, policy, *, seed: int, eta: float,
     with a constant (0.0 forces lossless delivery); the channel process still
     advances so trajectories stay comparable across override settings.
     """
-    topo, radio, energy = mdp.topo, mdp.radio, mdp.energy
+    topo, radio, energy, draw_quanta = mdp.topo, mdp.radio, mdp.energy, mdp.draw_quanta
     m = topo.m
     horizon = mdp.horizon if horizon is None else horizon
     if s1 is None:
@@ -223,7 +223,7 @@ def run_training(mdp: GlobalMdp, task, policy, *, seed: int, eta: float,
 
         # Energy bookkeeping and exogenous processes.
         for i in range(m):
-            e_i = energy_consumed(powers[i], bool(beta[i]), energy)
+            e_i = int(draw_quanta[i][levels[i]]) * energy.quantum
             rec.energy_spent[t] += e_i
             u = mdp.harvests[i].sample(rng_harv[i])
             bats_j[i] = battery_step(bats_j[i], e_i, u, energy)

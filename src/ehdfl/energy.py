@@ -1,8 +1,9 @@
-"""Battery accounting: consumption, harvesting, quantized battery dynamics.
+"""Battery accounting: the slot-energy rule, harvesting, quantized battery steps.
 
 All energies live on a uniform grid of battery quanta (spacing = capacity
-divided by level count minus one). Quantization is round-half-up, and the
-arithmetic below is done on integer quanta so kernel rows are exact.
+divided by level count minus one). Quantization is round-half-up, and battery
+arithmetic is done on integer quanta, so the model's battery kernel rows
+(`GlobalMdp.battery_kernels`) are exact.
 """
 from __future__ import annotations
 
@@ -54,6 +55,14 @@ class EnergyParams:
         """Raw (unquantized) energy of one scheduled slot's local training."""
         return self.k_steps * self.cpu_freq ** 2 * self.cycles_per_sample * self.batch_size
 
+    def slot_energy(self, p: float) -> float:
+        """Raw (unquantized) energy one slot at transmit power p draws.
+
+        The energy-causality rule: a device that transmits (p > 0) also runs
+        its local training; p = 0 means silent, costing nothing.
+        """
+        return (self.compute_energy() if p > 0 else 0.0) + p * self.tau
+
     def to_quanta(self, x: float) -> int:
         """Round-half-up quantization of an energy amount to integer quanta."""
         if x < 0:
@@ -65,33 +74,6 @@ class EnergyParams:
         if not 0 <= k < self.n_levels:
             raise ValueError(f"battery value {b} outside [0, {self.b_max}]")
         return k
-
-
-def energy_consumed(p: float, scheduled: bool, params: EnergyParams) -> float:
-    """Energy drawn in one slot, snapped to the battery grid.
-
-    Compute cost applies only when the slot is scheduled; transmission cost is
-    p * tau regardless (p = 0 means silent, costing nothing).
-    """
-    if p < 0:
-        raise ValueError("power must be nonnegative")
-    raw = (params.compute_energy() if scheduled else 0.0) + p * params.tau
-    return params.to_quanta(raw) * params.quantum
-
-
-def feasible_actions(b: float, power_levels, params: EnergyParams) -> np.ndarray:
-    """Indices of power levels whose slot energy fits in battery b.
-
-    The schedule flag follows the power: level 0 (silent) skips compute.
-    Level 0 is always feasible, so the result is never empty.
-    """
-    bq = params.level_index(b)
-    out = []
-    for idx, p in enumerate(np.asarray(power_levels, dtype=float)):
-        eq = params.to_quanta((params.compute_energy() if p > 0 else 0.0) + p * params.tau)
-        if eq <= bq:
-            out.append(idx)
-    return np.asarray(out, dtype=int)
 
 
 def battery_step(b: float, e: float, u: float, params: EnergyParams) -> float:
@@ -143,26 +125,6 @@ class HarvestModel:
 
 def point_harvest(amount: float) -> HarvestModel:
     return HarvestModel(support=np.asarray([amount], dtype=float), probs=np.asarray([1.0]))
-
-
-def battery_kernel(b: float, p: float, harvest: HarvestModel,
-                   params: EnergyParams) -> np.ndarray:
-    """Distribution of the next battery level given current b and power p.
-
-    Interior levels take P(U = b' - b + e); the top level absorbs the whole
-    upper tail P(U >= b_max - b + e). Row sums to 1 exactly.
-    """
-    e = energy_consumed(p, p > 0, params)
-    bq, eq = params.to_quanta(b), params.to_quanta(e)
-    if eq > bq:
-        raise CausalityViolation(f"power {p} infeasible at battery {b}")
-    uq, pr = harvest.quanta(params)
-    row = np.zeros(params.n_levels)
-    top = params.n_levels - 1
-    for amount, prob in zip(uq, pr):
-        nq = min(bq - eq + int(amount), top)
-        row[nq] += prob
-    return row
 
 
 def solar_harvest_support(irradiance_w_m2, probs, params: EnergyParams, *,

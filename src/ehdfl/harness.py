@@ -9,6 +9,7 @@ parallel work is collected by task index, never by completion order, so the
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -19,14 +20,31 @@ import numpy as np
 from .baselines import GreedyPolicy
 from .boundlab import contraction_coefficient, fit_rate, gap_curve, InsufficientData
 from .config import ExperimentConfig
-from .dflsim import convergence_bound, run_training
-from .energy import EnergyParams
+from .dflsim import METRICS_HEADER, convergence_bound, run_training
 from .errors import ConfigError
 from .localized import save_localized, synthesize
 from .mdp import (GlobalState, backward_induction, evaluate_policy, save_solution,
                   simulate_costs)
 
-POLICY_ORDER = ("centralized_pi", "decentralized_pi", "myopic_central", "greedy")
+# Header line of every CSV the harness writes; metrics_seed<s>.csv takes dflsim.METRICS_HEADER.
+HEADERS = {
+    "solve_summary.csv": ("policy", "n_states", "n_actions", "horizon", "expected_cost"),
+    "evaluate.csv": ("policy", "expected_cost", "mc_mean", "mc_stderr", "mc_samples",
+                     "mc_seeds"),
+    "summary.csv": ("metric", "mean", "stderr", "seeds"),
+    "metric_vs_slots.csv": ("slot", "global_loss", "device_loss", "consensus",
+                            "grad_norm_sq_avg_model"),
+    "final_vs_rounds.csv": ("gamma", "kappa", "R", "gap", "D_analytic", "D_fit", "r2"),
+    "final_vs_battery.csv": ("n_levels", "b_max", "optimal_cost", "final_device_loss_mean",
+                             "final_device_loss_stderr"),
+    "hops_table.csv": ("hops", "expected_cost", "final_device_loss_mean",
+                       "final_device_loss_stderr", "seeds"),
+    "verify.csv": ("check", "value", "threshold", "pass"),
+}
+# The HEADERS files each kind writes (a sweep: per axis), besides metrics_seed<s>.csv.
+OUTPUTS = {"solve": ("solve_summary.csv",), "evaluate": ("evaluate.csv",),
+           "train": ("summary.csv", "metric_vs_slots.csv"), "rounds": ("final_vs_rounds.csv",),
+           "capacity": ("final_vs_battery.csv",), "hops": ("hops_table.csv",)}
 
 
 def _fmt(x) -> str:
@@ -44,6 +62,11 @@ def write_csv(path: Path, header, rows, config_hash: str) -> None:
     for row in rows:
         lines.append(",".join(_fmt(x) for x in row))
     path.write_text("\n".join(lines) + "\n")
+
+
+def _emit(out: Path, name: str, rows, config_hash: str) -> None:
+    """Write out/name under its HEADERS line."""
+    write_csv(out / name, HEADERS[name], rows, config_hash)
 
 
 def _pool_map(fn, tasks, jobs: int):
@@ -82,6 +105,11 @@ def _mc_worker(args):
 
 
 def _mean_stderr(vals) -> tuple[float, float]:
+    """Mean and population standard error, std(ddof=0) / sqrt(n); (mean, 0) for n <= 1.
+
+    The `stderr` columns of summary.csv, evaluate.csv (mc_stderr over seed
+    means), final_vs_battery.csv and hops_table.csv all use this estimator.
+    """
     arr = np.asarray(vals, dtype=float)
     if arr.size <= 1:
         return float(arr.mean()) if arr.size else 0.0, 0.0
@@ -97,6 +125,8 @@ def run_experiment(config: ExperimentConfig, kind: str, *, jobs: int = 1,
     """Run one experiment kind and return the artifact directory."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    if kind == "sweep" and config.sweep_raw is None:
+        raise ConfigError(["sweep: config has no 'sweep' section"])
     if config.horizon == 0 and kind in ("solve", "evaluate", "train", "sweep"):
         _write_empty(config, out, kind)
         return out
@@ -119,37 +149,11 @@ def run_experiment(config: ExperimentConfig, kind: str, *, jobs: int = 1,
 
 def _write_empty(config: ExperimentConfig, out: Path, kind: str) -> None:
     """Zero-slot run: every file the kind would produce, headers only."""
-    from .dflsim import METRICS_HEADER
-    h = config.hash
-    if kind == "solve":
-        write_csv(out / "solve_summary.csv",
-                  ["policy", "n_states", "n_actions", "horizon", "expected_cost"],
-                  [], h)
-    elif kind == "evaluate":
-        write_csv(out / "evaluate.csv",
-                  ["policy", "expected_cost", "mc_mean", "mc_stderr", "mc_samples",
-                   "mc_seeds"], [], h)
-    elif kind == "train":
+    if kind == "train":
         for s in config.seeds:
-            write_csv(out / f"metrics_seed{s}.csv", list(METRICS_HEADER), [], h)
-        write_csv(out / "summary.csv", ["metric", "mean", "stderr", "seeds"], [], h)
-        write_csv(out / "metric_vs_slots.csv",
-                  ["slot", "global_loss", "device_loss", "consensus",
-                   "grad_norm_sq_avg_model"], [], h)
-    else:
-        axis = (config.sweep_raw or {}).get("axis")
-        if axis == "rounds":
-            write_csv(out / "final_vs_rounds.csv",
-                      ["gamma", "kappa", "R", "gap", "D_analytic", "D_fit", "r2"],
-                      [], h)
-        elif axis == "capacity":
-            write_csv(out / "final_vs_battery.csv",
-                      ["n_levels", "b_max", "optimal_cost",
-                       "final_device_loss_mean", "final_device_loss_stderr"], [], h)
-        else:
-            write_csv(out / "hops_table.csv",
-                      ["hops", "expected_cost", "final_device_loss_mean",
-                       "final_device_loss_stderr", "seeds"], [], h)
+            write_csv(out / f"metrics_seed{s}.csv", METRICS_HEADER, [], config.hash)
+    for name in OUTPUTS[config.sweep_raw["axis"] if kind == "sweep" else kind]:
+        _emit(out, name, [], config.hash)
 
 
 def _run_solve(config: ExperimentConfig, out: Path, policy_name: str | None) -> None:
@@ -169,10 +173,8 @@ def _run_solve(config: ExperimentConfig, out: Path, policy_name: str | None) -> 
     else:
         pol = config.build_policy(mdp, name)
         j = evaluate_policy(mdp, pol, s1)
-    rows = [[name, mdp.n_states, mdp.n_actions, mdp.horizon, j]]
-    write_csv(out / "solve_summary.csv",
-              ["policy", "n_states", "n_actions", "horizon", "expected_cost"],
-              rows, config.hash)
+    _emit(out, "solve_summary.csv", [[name, mdp.n_states, mdp.n_actions, mdp.horizon, j]],
+          config.hash)
 
 
 def _run_evaluate(config: ExperimentConfig, out: Path, jobs: int,
@@ -187,10 +189,8 @@ def _run_evaluate(config: ExperimentConfig, out: Path, jobs: int,
                                    for s in config.seeds], jobs)
     means = [float(np.mean(d)) for d in draws]
     mc_mean, mc_se = _mean_stderr(means)
-    write_csv(out / "evaluate.csv",
-              ["policy", "expected_cost", "mc_mean", "mc_stderr", "mc_samples", "mc_seeds"],
-              [[name, j_exact, mc_mean, mc_se, n_samples, len(config.seeds)]],
-              config.hash)
+    _emit(out, "evaluate.csv", [[name, j_exact, mc_mean, mc_se, n_samples, len(config.seeds)]],
+          config.hash)
 
 
 def _run_train(config: ExperimentConfig, out: Path, jobs: int,
@@ -211,8 +211,7 @@ def _run_train(config: ExperimentConfig, out: Path, jobs: int,
                 "energy", "sent", "dropped", "time_avg_grad"):
         mean, se = _mean_stderr([r[key] for r in results])
         final_rows.append([key, mean, se, len(results)])
-    write_csv(out / "summary.csv", ["metric", "mean", "stderr", "seeds"],
-              final_rows, config.hash)
+    _emit(out, "summary.csv", final_rows, config.hash)
     _write_slot_means(config, out, results)
 
 
@@ -229,9 +228,7 @@ def _write_slot_means(config: ExperimentConfig, out: Path, results) -> None:
                            "grad_norm_sq_avg_model"):
                 row.append(float(np.mean([r["rows"][t][cols[metric]] for r in results])))
             rows.append(row)
-    write_csv(out / "metric_vs_slots.csv",
-              ["slot", "global_loss", "device_loss", "consensus",
-               "grad_norm_sq_avg_model"], rows, config.hash)
+    _emit(out, "metric_vs_slots.csv", rows, config.hash)
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +236,6 @@ def _write_slot_means(config: ExperimentConfig, out: Path, results) -> None:
 # ---------------------------------------------------------------------------
 
 def _run_sweep(config: ExperimentConfig, out: Path, jobs: int) -> None:
-    if config.sweep_raw is None:
-        raise ConfigError(["sweep: config has no 'sweep' section"])
     axis = config.sweep_raw["axis"]
     values = config.sweep_raw["values"]
     if axis == "rounds":
@@ -270,20 +265,14 @@ def _sweep_rounds(config: ExperimentConfig, out: Path, values) -> None:
         d_fit, r2 = "", ""
     rows = [[config.gamma, config.hops, r, curve.gaps[r], d_analytic, d_fit, r2]
             for r in values]
-    write_csv(out / "final_vs_rounds.csv",
-              ["gamma", "kappa", "R", "gap", "D_analytic", "D_fit", "r2"],
-              rows, config.hash)
+    _emit(out, "final_vs_rounds.csv", rows, config.hash)
 
 
 def _capacity_model(config: ExperimentConfig, n_levels: int):
     """Same instance with the battery grown by whole quanta (quantum fixed)."""
-    base = config._energy_params()
-    energy = EnergyParams(k_steps=base.k_steps, cpu_freq=base.cpu_freq,
-                          cycles_per_sample=base.cycles_per_sample,
-                          batch_size=base.batch_size, tau=base.tau,
-                          b_max=base.quantum * (n_levels - 1), n_levels=n_levels)
-    import dataclasses
     mdp = config.build_model()
+    energy = dataclasses.replace(mdp.energy, b_max=mdp.energy.quantum * (n_levels - 1),
+                                 n_levels=n_levels)
     mdp = dataclasses.replace(mdp, energy=energy)
     s1_base = config.start_state(mdp)
     s1 = GlobalState(gains=s1_base.gains,
@@ -308,9 +297,7 @@ def _sweep_capacity(config: ExperimentConfig, out: Path, values, jobs: int) -> N
                                  for s in config.seeds], jobs)
             loss_mean, loss_se = _mean_stderr([r["final_device"] for r in results])
         rows.append([n_levels, mdp.energy.b_max, j_star, loss_mean, loss_se])
-    write_csv(out / "final_vs_battery.csv",
-              ["n_levels", "b_max", "optimal_cost", "final_device_loss_mean",
-               "final_device_loss_stderr"], rows, config.hash)
+    _emit(out, "final_vs_battery.csv", rows, config.hash)
 
 
 def _sweep_hops(config: ExperimentConfig, out: Path, values, jobs: int) -> None:
@@ -329,44 +316,7 @@ def _sweep_hops(config: ExperimentConfig, out: Path, values, jobs: int) -> None:
                             jobs)
         loss_mean, loss_se = _mean_stderr([r["final_device"] for r in results])
         rows.append([hops, j, loss_mean, loss_se, len(results)])
-    write_csv(out / "hops_table.csv",
-              ["hops", "expected_cost", "final_device_loss_mean",
-               "final_device_loss_stderr", "seeds"], rows, config.hash)
-
-
-# ---------------------------------------------------------------------------
-# policy comparison
-# ---------------------------------------------------------------------------
-
-def compare_policies(config: ExperimentConfig, names=POLICY_ORDER, *,
-                     jobs: int = 1) -> list[dict]:
-    """Paired-seed comparison; returns rows and writes compare.csv."""
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    mdp = config.build_model()
-    s1 = config.start_state(mdp)
-    task = config.build_task()
-    eta = config.step_size(task)
-    table = []
-    for name in names:
-        policy = config.build_policy(mdp, name)
-        j_exact = evaluate_policy(mdp, policy, s1)
-        results = _pool_map(_train_worker,
-                            [(mdp, task, policy, s, eta, s1) for s in config.seeds],
-                            jobs)
-        loss_mean, loss_se = _mean_stderr([r["final_device"] for r in results])
-        glob_mean, glob_se = _mean_stderr([r["final_global"] for r in results])
-        cons_mean, _ = _mean_stderr([r["final_consensus"] for r in results])
-        table.append({"policy": name, "expected_cost": j_exact,
-                      "final_device_loss_mean": loss_mean,
-                      "final_device_loss_stderr": loss_se,
-                      "final_global_loss_mean": glob_mean,
-                      "final_global_loss_stderr": glob_se,
-                      "final_consensus_mean": cons_mean})
-    header = list(table[0].keys())
-    write_csv(out / "compare.csv", header,
-              [[row[h] for h in header] for row in table], config.hash)
-    return table
+    _emit(out, "hops_table.csv", rows, config.hash)
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +451,7 @@ def verify_suite(out: Path | None = None, *, config_hash: str = "builtin") -> bo
     ok = all(c[-1] for c in checks)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        write_csv(out / "verify.csv", ["check", "value", "threshold", "pass"],
-                  [list(c) for c in checks], config_hash)
+        _emit(out, "verify.csv", [list(c) for c in checks], config_hash)
     for name, value, threshold, passed in checks:
         print(f"{'PASS' if passed else 'FAIL'} {name}: {value:.3e} (tol {threshold:g})")
     return ok

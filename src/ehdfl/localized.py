@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceeded
-from .mdp import contract_leading, policy_conditionals, sample_act
+from .mdp import contract_leading, link_loss_table, policy_conditionals, sample_act
 from .topology import k_hop_set
 
 
@@ -98,50 +98,20 @@ def build_cover(mdp, owner: int, hops: int) -> Cover:
 # localized cost
 # ---------------------------------------------------------------------------
 
-def localized_cost(mdp, cover: Cover, gain_digits, levels,
-                   defaults: ExtensionDefaults = ExtensionDefaults()) -> float:
-    """One-slot cost chargeable to the cover owner, from local information only.
-
-    gain_digits: one gain index per cover link. levels: one power level index
-    per cover member. Out-of-cover powers default to the silent level and
-    out-of-cover gains to the default gain digit.
-    """
-    own = cover.owner
-
-    def gain(i, k):
-        e = mdp.entity_of(i, k)
-        if e in cover.link_pos:
-            return mdp.chains[e].levels[gain_digits[cover.link_pos[e]]]
-        return mdp.chains[e].levels[defaults.gain]
-
-    def power(d):
-        if d in cover.dev_pos:
-            return mdp.power_levels[d][levels[cover.dev_pos[d]]]
-        return mdp.power_levels[d][defaults.level]
-
-    total = 0.0
-    pj = power(own)
-    for r in mdp.topo.neighbors[own]:
-        w = float(mdp.topo.mixing[r, own])
-        if pj <= 0.0:
-            total += w
-            continue
-        interf = sum(power(k) * gain(r, k) for k in mdp.topo.neighbors[r] if k != own)
-        x = mdp.radio.phi * (interf + mdp.radio.noise(r)) / (pj * gain(r, own))
-        total += w * (1.0 - np.exp(-x))
-    return total * mdp.cost_scale
-
-
 def localized_cost_table(mdp, cover: Cover,
                          defaults: ExtensionDefaults = ExtensionDefaults()) -> np.ndarray:
-    """Vectorized localized cost, shape (n_gain_cfgs, n_actions)."""
+    """One-slot cost chargeable to the cover owner, shape (n_gain_cfgs, n_actions).
+
+    The owner's share of the global cost (its outgoing links) from local
+    information only: out-of-cover powers take the default level and
+    out-of-cover gains the default gain digit.
+    """
     ng, na = cover.n_gain_cfgs, cover.n_actions
     g_idx = np.arange(ng)
     a_idx = np.arange(na)
     g_strides = _strides(cover.link_dims)
 
-    def gain_vec(i, k):
-        e = mdp.entity_of(i, k)
+    def gain_vec(e):
         if e in cover.link_pos:
             pos = cover.link_pos[e]
             digit = (g_idx // g_strides[pos]) % cover.link_dims[pos]
@@ -153,20 +123,11 @@ def localized_cost_table(mdp, cover: Cover,
             return mdp.power_levels[d][cover.action_digit(a_idx, d)]
         return np.full(na, mdp.power_levels[d][defaults.level])
 
-    own = cover.owner
-    pj = power_vec(own)
     out = np.zeros((ng, na))
-    for r in mdp.topo.neighbors[own]:
-        w = float(mdp.topo.mixing[r, own])
-        acc = np.full((ng, na), mdp.radio.noise(r))
-        for k in mdp.topo.neighbors[r]:
-            if k != own:
-                acc = acc + power_vec(k)[None, :] * gain_vec(r, k)[:, None]
-        denom = pj[None, :] * gain_vec(r, own)[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = 1.0 - np.exp(-mdp.radio.phi * acc / denom)
-        q[:, pj == 0.0] = 1.0
-        out += w * q
+    for i, j, w, e_own, interf in mdp.ordered_pairs:
+        if j == cover.owner:
+            out += link_loss_table(mdp.radio, i, w, power_vec(j), gain_vec(e_own),
+                                   [(power_vec(k), gain_vec(e_k)) for k, e_k in interf])
     return out * mdp.cost_scale
 
 

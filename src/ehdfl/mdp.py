@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelChain, RadioParams
-from .energy import EnergyParams, HarvestModel, energy_consumed
+from .energy import EnergyParams, HarvestModel
 from .errors import BudgetExceeded, CausalityViolation
 
 DEFAULT_BUDGET = 10_000_000
@@ -191,23 +191,32 @@ class GlobalMdp:
         return self._cache[key]
 
     @property
+    def draw_quanta(self):
+        """Per device: int (n_levels_d,), the battery quanta one slot at each level draws."""
+
+        def build():
+            e = self.energy
+            return [np.array([e.to_quanta(e.slot_energy(p)) for p in lv]) for lv in self.power_levels]
+
+        return self._cached("draw_quanta", build)
+
+    @property
     def battery_kernels(self):
         """Per device: array (n_levels_d, nb, nb); infeasible rows are identity filler."""
 
         def build():
             nb = self.energy.n_levels
             out = []
-            for d in range(self.m):
+            for d, draws in enumerate(self.draw_quanta):
                 uq, pr = self.harvests[d].quanta(self.energy)
-                ks = np.zeros((len(self.power_levels[d]), nb, nb))
-                for l, p in enumerate(self.power_levels[d]):
-                    eq = self.energy.to_quanta(energy_consumed(p, p > 0, self.energy))
+                ks = np.zeros((len(draws), nb, nb))
+                for l, eq in enumerate(draws):
                     for b in range(nb):
                         if eq > b:
                             ks[l, b, b] = 1.0  # never selectable, placeholder row
                             continue
                         for amount, prob in zip(uq, pr):
-                            ks[l, b, min(b - eq + int(amount), nb - 1)] += prob
+                            ks[l, b, min(b - eq + amount, nb - 1)] += prob
                 out.append(ks)
             return out
 
@@ -216,19 +225,8 @@ class GlobalMdp:
     @property
     def feasible_level_masks(self):
         """Per device: bool (n_levels_d, nb), True where the level fits the battery."""
-
-        def build():
-            nb = self.energy.n_levels
-            out = []
-            for d in range(self.m):
-                mask = np.zeros((len(self.power_levels[d]), nb), dtype=bool)
-                for l, p in enumerate(self.power_levels[d]):
-                    eq = self.energy.to_quanta(energy_consumed(p, p > 0, self.energy))
-                    mask[l, :] = np.arange(nb) >= eq
-                out.append(mask)
-            return out
-
-        return self._cached("feas_masks", build)
+        return self._cached("feas_masks", lambda: [
+            np.arange(self.energy.n_levels) >= draws[:, None] for draws in self.draw_quanta])
 
     @property
     def action_feasibility(self):
@@ -300,14 +298,8 @@ class GlobalMdp:
             pv = [self.power_levels[d][self.action_digit(a_idx, d)] for d in range(self.m)]
             cost = np.zeros((nc, na))
             for i, j, w, e_own, interf in self.ordered_pairs:
-                denom = pv[j][None, :] * gv[e_own][:, None]  # (nc, na)
-                acc = self.radio.noise(i) * np.ones((nc, na))
-                for k, e_k in interf:
-                    acc = acc + pv[k][None, :] * gv[e_k][:, None]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    q = 1.0 - np.exp(-self.radio.phi * acc / denom)
-                q[:, pv[j] == 0.0] = 1.0
-                cost += w * q
+                cost += link_loss_table(self.radio, i, w, pv[j], gv[e_own],
+                                        [(pv[k], gv[e_k]) for k, e_k in interf])
             return cost * self.cost_scale
 
         return self._cached("cost_table", build)
@@ -408,6 +400,23 @@ class GlobalMdp:
         }
         blob = json.dumps(desc, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def link_loss_table(radio: RadioParams, receiver: int, w: float, p_tx, g_own,
+                    interferers) -> np.ndarray:
+    """w times the packet error rate of one directed link, shape (n_gain_cfgs, n_actions).
+
+    p_tx: (n_actions,) transmit power; g_own: (n_gain_cfgs,) the link's gain;
+    interferers: (power, gain) vector pairs in the receiver's neighbour order.
+    A silent transmitter loses its packet with certainty.
+    """
+    acc = np.full((len(g_own), len(p_tx)), radio.noise(receiver))
+    for p_k, g_k in interferers:
+        acc = acc + p_k[None, :] * g_k[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = 1.0 - np.exp(-radio.phi * acc / (p_tx[None, :] * g_own[:, None]))
+    q[:, p_tx == 0.0] = 1.0
+    return w * q
 
 
 def battery_row(mdp: GlobalMdp, device: int, b_idx: int, level: int) -> np.ndarray:

@@ -22,7 +22,6 @@ class Topology:
         mixing: (m, m) symmetric doubly stochastic Metropolis weights.
         lam: max(|lambda_2|, |lambda_m|) of the mixing matrix.
         neighbors: tuple of sorted one-hop neighbor tuples (excluding self).
-        two_hop: tuple of sorted two-hop neighborhood tuples (including self).
     """
 
     m: int
@@ -30,7 +29,6 @@ class Topology:
     mixing: np.ndarray
     lam: float
     neighbors: tuple[tuple[int, ...], ...]
-    two_hop: tuple[tuple[int, ...], ...]
 
     @property
     def n_edges(self) -> int:
@@ -147,10 +145,7 @@ def from_edges(m: int, edges) -> Topology:
         ns = sorted({j for (u, v) in edges for j in (u, v) if (u == i or v == i) and j != i})
         neighbors.append(tuple(ns))
     neighbors = tuple(neighbors)
-    lam = spectral_lambda(a)
-    two_hop = tuple(k_hop_set(neighbors, i, 2) for i in range(m))
-    topo = Topology(m=m, edges=edges, mixing=a, lam=lam,
-                    neighbors=neighbors, two_hop=two_hop)
+    topo = Topology(m=m, edges=edges, mixing=a, lam=spectral_lambda(a), neighbors=neighbors)
     _check_invariants(topo)
     return topo
 
@@ -247,8 +242,6 @@ def load_edge_list(path) -> Topology:
     for i in range(m):
         a[i, i] = 1.0 - a[i].sum()
     neighbors = tuple(tuple(sorted(j for j in range(m) if a[i, j] > 0 and j != i)) for i in range(m))
-    topo = Topology(m=m, edges=edges, mixing=a, lam=spectral_lambda(a),
-                    neighbors=neighbors,
-                    two_hop=tuple(k_hop_set(neighbors, i, 2) for i in range(m)))
+    topo = Topology(m=m, edges=edges, mixing=a, lam=spectral_lambda(a), neighbors=neighbors)
     _check_invariants(topo)
     return topo

@@ -2,8 +2,7 @@
 import numpy as np
 import pytest
 
-from ehdfl.baselines import (GreedyPolicy, MyopicCentralPolicy, greedy_action,
-                             myopic_central_action)
+from ehdfl.baselines import GreedyPolicy, MyopicCentralPolicy
 from ehdfl.instances import oracle_instance, tiny_instances
 from ehdfl.mdp import evaluate_policy
 
@@ -41,13 +40,6 @@ def test_myopic_ties_break_to_lowest_index(pair):
                 assert costs[cand] > best
 
 
-def test_myopic_functional_form_matches_class(pair):
-    mdp, _ = pair
-    pol = MyopicCentralPolicy(mdp)
-    for s in range(mdp.n_states):
-        assert pol.act(mdp, s, 1) == myopic_central_action(mdp, s)
-
-
 def test_myopic_is_stationary(pair):
     mdp, _ = pair
     pol = MyopicCentralPolicy(mdp)
@@ -64,7 +56,6 @@ def test_greedy_spends_to_the_highest_feasible_level(pair):
             b = int(mdp.battery_digit_of_state(s, d))
             feas = mdp.feasible_level_masks[d][:, b]
             assert a[d] == int(np.nonzero(feas)[0].max())
-        assert a == greedy_action(mdp, s)
 
 
 def test_greedy_silent_on_empty_battery(pair):

@@ -11,6 +11,8 @@ from ehdfl.config import canonical_hash, load_config, parse_config
 from ehdfl.errors import ConfigError
 from ehdfl.harness import run_experiment
 
+DESK8 = Path(__file__).resolve().parents[1] / "configs" / "desk8.json"
+
 
 def base_raw(out_dir="results", **over):
     raw = {
@@ -155,6 +157,33 @@ def test_load_config_reports_broken_json(tmp_path):
     assert any("not valid JSON" in it for it in exc.value.items)
 
 
+MALFORMED = [
+    (("channel", "phi"), "x"), (("channel", "tau"), "x"), (("policy", "gamma"), "x"),
+    (("channel", "sigma2"), "x"), (("power_levels",), [0.0, float("nan")]),
+    (("power_levels",), [0.0, float("inf")]), (("power_levels",), ["a", 1.0]),
+    (("topology",), []), (("energy",), []), (("task",), []), (("sweep",), []),
+    (("energy", "n_levels"), 2.5), (("horizon",), True),
+    (("power_levels",), [-1.0, 0.0]), (("energy", "k_steps"), 2.0), (("seeds",), [True]),
+    (("energy", "harvest"), {"point": float("inf")}),
+    (("declared",), {"lipschitz": 1.0, "grad_bound": 0.0}),
+    (("channel", "chains"), [{"levels": [0.1, 0.2, 0.3],
+                              "psi": [[0.5, 0.0, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, 0.5]]}]),
+]
+
+
+@pytest.mark.parametrize("path,value", MALFORMED,
+                         ids=[f"{'.'.join(p)}={v!r}" for p, v in MALFORMED])
+def test_malformed_values_are_config_errors(path, value):
+    raw = json.loads(DESK8.read_text())
+    section = raw
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    with pytest.raises(ConfigError) as exc:
+        parse_config(raw)
+    assert ".".join(path) in [it.split(":")[0].split("[")[0] for it in exc.value.items]
+
+
 # ---------------------------------------------------------------------------
 # command-line interface
 # ---------------------------------------------------------------------------
@@ -197,6 +226,14 @@ def test_cli_validation_failure_exits_2(tmp_path):
     assert "sweep" in res2.stderr
 
 
+def test_cli_malformed_value_exits_2_without_traceback(tmp_path):
+    raw = json.loads(DESK8.read_text())
+    raw["channel"]["phi"] = "x"
+    res = _cli("solve", "--config", str(_write(tmp_path, raw)))
+    assert res.returncode == 2
+    assert "channel.phi" in res.stderr and "Traceback" not in res.stderr
+
+
 def test_cli_budget_exceeded_exits_3(tmp_path):
     raw = base_raw(out_dir=str(tmp_path / "solve"), budget=10)
     raw["policy"] = {"name": "centralized_pi"}
@@ -217,6 +254,25 @@ def test_cli_zero_horizon_writes_headers_only(tmp_path):
         lines = p.read_text().splitlines()
         assert len(lines) == 2
         assert lines[0].startswith("# config ")
+
+
+@pytest.mark.parametrize("kind,sweep", [
+    ("solve", None), ("evaluate", None), ("train", None),
+    ("sweep", {"axis": "rounds", "values": [0, 1]}),
+    ("sweep", {"axis": "capacity", "values": [2, 3], "train": True}),
+    ("sweep", {"axis": "hops", "values": [0, 1]}),
+])
+def test_zero_horizon_headers_match_a_real_run(tmp_path, kind, sweep):
+    headers = []
+    for horizon in (0, 1):
+        out = tmp_path / f"h{horizon}"
+        raw = base_raw(out_dir=str(out), horizon=horizon, mc_samples=20)
+        if sweep is not None:
+            raw["sweep"] = sweep
+        run_experiment(parse_config(raw), kind)
+        headers.append({p.name: p.read_text().splitlines()[1] for p in out.glob("*.csv")})
+    assert headers[0] == headers[1]
+    assert headers[0]
 
 
 def test_cli_verify_is_reproducible(tmp_path):

@@ -6,7 +6,6 @@ from ehdfl.baselines import GreedyPolicy
 from ehdfl.channel import packet_error_rate
 from ehdfl.dflsim import (METRICS_HEADER, convergence_bound, local_sgd,
                           run_training)
-from ehdfl.energy import energy_consumed
 from ehdfl.instances import fullinfo_instance, tiny_instances
 from ehdfl.learning import LearnConsts, QuadraticTask, make_quadratic_task
 
@@ -191,9 +190,8 @@ def test_bookkeeping_matches_the_model(tiny_a, task3):
         sends = sum(1 for i in range(mdp.m) for j in topo.neighbors[i]
                     if run.beta[t, j])
         assert int(run.packets_sent[t]) == sends
-        spent = sum(energy_consumed(mdp.power_levels[i][run.actions[t, i]],
-                                    bool(run.beta[t, i]), energy)
-                    for i in range(mdp.m))
+        spent = sum(energy.to_quanta(energy.slot_energy(mdp.power_levels[i][run.actions[t, i]]))
+                    * energy.quantum for i in range(mdp.m))
         assert run.energy_spent[t] == pytest.approx(spent, abs=1e-15)
 
     # Frozen chains and sub-quantum spend: batteries never move.

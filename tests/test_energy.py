@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from ehdfl.energy import (EnergyParams, HarvestModel, battery_kernel,
-                          battery_step, energy_consumed, feasible_actions,
-                          point_harvest, solar_harvest_support)
+from ehdfl.channel import RadioParams, identity_chain
+from ehdfl.energy import (EnergyParams, HarvestModel, battery_step, point_harvest,
+                          solar_harvest_support)
 from ehdfl.errors import CausalityViolation
+from ehdfl.mdp import build_mdp
+from ehdfl.topology import build_topology
 
 
 def _params(**kw):
@@ -12,6 +14,12 @@ def _params(**kw):
                 tau=1.0, b_max=4.0, n_levels=5)
     base.update(kw)
     return EnergyParams(**base)
+
+
+def _model(params, power_levels, harvest=point_harvest(0.0)):
+    """Two-device line whose devices carry the energy model under test."""
+    return build_mdp(build_topology("line", 2), RadioParams(1.0, 1.0, params.tau), params,
+                     identity_chain([1.0]), harvest, power_levels=power_levels, horizon=1)
 
 
 def test_quantum_and_levels():
@@ -38,9 +46,9 @@ def test_energy_consumed_components():
     params = _params()
     # Transmission tau*p plus computation kappa*C*K*batch, snapped to the grid;
     # idle devices pay nothing.
-    assert energy_consumed(0.0, False, params) == 0.0
+    assert params.slot_energy(0.0) == 0.0
     raw = 1.0 * 1.5 + params.compute_energy()
-    e = energy_consumed(1.5, True, params)
+    e = params.to_quanta(params.slot_energy(1.5)) * params.quantum
     assert e == params.to_quanta(raw) * params.quantum
     assert params.compute_energy() > 0.0
 
@@ -65,10 +73,10 @@ def test_causality_guard():
 
 def test_feasible_actions_shrink_with_battery():
     params = _params(cycles_per_sample=0.0)
-    levels = [0.0, 1.0, 3.0]
-    full = feasible_actions(4.0, levels, params)
-    low = feasible_actions(1.0, levels, params)
-    empty = feasible_actions(0.0, levels, params)
+    mask = _model(params, [0.0, 1.0, 3.0]).feasible_level_masks[0]  # (levels, batteries)
+    full = np.nonzero(mask[:, params.level_index(4.0)])[0]
+    low = np.nonzero(mask[:, params.level_index(1.0)])[0]
+    empty = np.nonzero(mask[:, params.level_index(0.0)])[0]
     assert full.tolist() == [0, 1, 2]
     assert low.tolist() == [0, 1]
     assert empty.tolist() == [0]
@@ -107,7 +115,7 @@ def test_harvest_sample_frequencies():
 def test_battery_kernel_row_is_distribution():
     params = _params(cycles_per_sample=0.0)
     hv = HarvestModel(support=np.array([0.0, 1.0]), probs=np.array([0.4, 0.6]))
-    row = battery_kernel(2.0, 1.0, hv, params)
+    row = _model(params, [0.0, 1.0], hv).battery_kernels[0][1, params.level_index(2.0)]
     assert row.shape == (5,)
     assert row.sum() == pytest.approx(1.0, abs=1e-12)
     # From 2 quanta, spend 1, harvest {0, 1}: mass sits on levels 1 and 2.
@@ -118,7 +126,7 @@ def test_battery_kernel_row_is_distribution():
 def test_battery_kernel_clips_at_cap():
     params = _params(cycles_per_sample=0.0)
     hv = HarvestModel(support=np.array([0.0, 2.0]), probs=np.array([0.5, 0.5]))
-    row = battery_kernel(4.0, 0.0, hv, params)
+    row = _model(params, [0.0, 1.0], hv).battery_kernels[0][0, params.level_index(4.0)]
     assert row[4] == pytest.approx(1.0)
 
 

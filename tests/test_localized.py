@@ -10,7 +10,8 @@ from ehdfl.instances import (capacity_family, capacity_pair, desk_scenario,
                              fullinfo_instance, oracle_instance, tiny_instances)
 from ehdfl.localized import (ExtensionDefaults, build_cover, extension_action_map,
                              extension_state_map, load_localized, localized_backward_layer,
-                             localized_cost, masked_softmax, policy_distance, synthesize)
+                             localized_cost_table, masked_softmax, policy_distance,
+                             synthesize)
 from ehdfl.mdp import build_mdp
 from ehdfl.topology import build_topology, k_hop_set
 
@@ -83,6 +84,13 @@ def test_cover_devs_match_k_hop_set():
 # localized cost vs the global decomposition
 # ---------------------------------------------------------------------------
 
+def cost_entry(mdp, cov, gain_digits, levels, defaults=ExtensionDefaults()):
+    """localized_cost_table entry at one tuple of cover gain digits and cover levels."""
+    g = np.ravel_multi_index(gain_digits, cov.link_dims)
+    a = np.ravel_multi_index(levels, cov.act_dims)
+    return localized_cost_table(mdp, cov, defaults)[g, a]
+
+
 def test_full_cover_localized_cost_matches_device_share():
     # When the cover sees everything, the localized cost equals the share of
     # the global cost billed to the owner's own transmissions, and the shares
@@ -101,7 +109,7 @@ def test_full_cover_localized_cost_matches_device_share():
         for i, cov in enumerate(covers):
             gd = tuple(state.gains[e] for e in cov.links)
             lv = tuple(levels[d] for d in cov.devs)
-            li = localized_cost(mdp, cov, gd, lv)
+            li = cost_entry(mdp, cov, gd, lv)
             assert li == pytest.approx(mdp.device_cost(s, a, i), abs=1e-12)
             total += li
         assert total == pytest.approx(mdp.one_step_cost(s, a), abs=1e-12)
@@ -115,7 +123,7 @@ def test_truncated_cover_silent_owner_loses_all_packets():
     cov = build_cover(mdp, 0, 0)
     state = mdp.state_decode(mdp.n_states - 1)
     gd = tuple(state.gains[e] for e in cov.links)
-    li = localized_cost(mdp, cov, gd, (0,), ExtensionDefaults())
+    li = cost_entry(mdp, cov, gd, (0,), ExtensionDefaults())
     assert li == pytest.approx(mdp.topo.mixing[1, 0], abs=1e-12)
 
 
@@ -133,7 +141,7 @@ def test_truncated_cover_defaults_control_outsiders():
     p0 = mdp.power_levels[0][top]
     phi = mdp.radio.phi
 
-    quiet = localized_cost(mdp, cov, gd, (top,), ExtensionDefaults())
+    quiet = cost_entry(mdp, cov, gd, (top,), ExtensionDefaults())
     expected = 0.0
     for r in mdp.topo.neighbors[0]:
         g = mdp.chains[mdp.entity_of(r, 0)].levels[state.gains[mdp.entity_of(r, 0)]]
@@ -141,8 +149,8 @@ def test_truncated_cover_defaults_control_outsiders():
         expected += w * (1.0 - np.exp(-phi * mdp.radio.noise(r) / (p0 * g)))
     assert quiet == pytest.approx(expected * mdp.cost_scale, abs=1e-12)
 
-    loud = localized_cost(mdp, cov, gd, (top,),
-                          ExtensionDefaults(level=len(mdp.power_levels[2]) - 1))
+    loud = cost_entry(mdp, cov, gd, (top,),
+                      ExtensionDefaults(level=len(mdp.power_levels[2]) - 1))
     assert loud > quiet
 
 

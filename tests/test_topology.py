@@ -44,12 +44,6 @@ def test_k_hop_sets_grow_to_everything():
     assert len(sets[4]) == 8
 
 
-def test_two_hop_matches_k_hop():
-    topo = build_topology("ring", 8)
-    for i in range(8):
-        assert tuple(topo.two_hop[i]) == k_hop_set(topo.neighbors, i, 2)
-
-
 def test_random_geometric_connected_and_seeded():
     a = build_topology("random_geometric", 10, seed=3)
     b = build_topology("random_geometric", 10, seed=3)
