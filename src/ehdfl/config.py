@@ -226,8 +226,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         return default
 
     def number(sec: dict, name: str, default=None, integer=False, ok=None, what=None):
-        """sec[key] (default when absent) if it is a finite number, an int when
-        integer, for which ok holds; otherwise report it and return None."""
+        """sec[key], key the last part of the dotted name (default when absent), if
+        it is a finite number, an int when integer, for which ok holds;
+        otherwise report it under name and return None."""
         val = sec.get(name.rsplit(".", 1)[-1], default)
         if _is_number(val, integer) and (ok is None or ok(val)):
             return val
