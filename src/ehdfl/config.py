@@ -104,8 +104,12 @@ class ExperimentConfig:
             gains = tuple(int(np.argmax(c.steady)) for c in mdp.chains)
             bats = tuple(mdp.energy.n_levels - 1 for _ in range(mdp.m))
             return GlobalState(gains=gains, batteries=bats)
-        return GlobalState(gains=tuple(int(g) for g in self.s1_raw["gains"]),
-                           batteries=tuple(int(b) for b in self.s1_raw["batteries"]))
+        gains = tuple(self.s1_raw["gains"])
+        sizes = [c.n for c in mdp.chains]
+        if len(gains) != len(sizes) or any(g >= n for g, n in zip(gains, sizes)):
+            raise ConfigError([f"s1.gains: need one digit per link below its chain's level "
+                               f"count {sizes}, got {list(gains)}"])
+        return GlobalState(gains=gains, batteries=tuple(self.s1_raw["batteries"]))
 
     def build_task(self):
         from .learning import make_logistic_task, make_quadratic_task
@@ -220,7 +224,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     def section(key: str, default):
         val = raw.get(key, default)
-        if val is None or isinstance(val, dict):
+        if isinstance(val, dict) or val is default:  # null only for optional sections
             return val
         issues.append(f"{key}: need an object, got {val!r}")
         return default
@@ -236,11 +240,25 @@ def parse_config(raw: dict) -> ExperimentConfig:
         issues.append(f"{name}: missing" if val is None else f"{name}: need {what}, got {val!r}")
         return None
 
+    def digits(sec: dict, name: str, size=None, length=None):
+        """Report sec[key] under name unless it is a list of integers in [0, size)
+        (>= 0 when size is None), of the given length when that is not None."""
+        val = sec.get(name.rsplit(".", 1)[-1])
+        if not (isinstance(val, list) and all(_is_number(x, True) and 0 <= x < (size or math.inf)
+                                              for x in val)):
+            what = "integers >= 0" if size is None else f"integers in [0, {size})"
+            issues.append(f"{name}: need a list of {what}, got {val!r}")
+        elif length is not None and len(val) != length:
+            issues.append(f"{name}: length {len(val)} != m={length}")
+
+    nonneg_int = {"integer": True, "ok": lambda v: v >= 0, "what": "an integer >= 0"}
     topo = section("topology", {})
     kind = topo.get("kind", "ring")
     if kind not in TOPOLOGY_KINDS:
         issues.append(f"topology.kind: {kind!r} not one of {TOPOLOGY_KINDS}")
     m = number(topo, "topology.m", None, True, lambda v: v >= 2, "an integer >= 2") or 0
+    if topo.get("seed") is not None:
+        number(topo, "topology.seed", **nonneg_int)
 
     chan = section("channel", {})
     positive = {"ok": lambda v: v > 0, "what": "a positive number"}
@@ -259,9 +277,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(chain_specs, list) or not chain_specs:
         issues.append("channel.chains: at least one chain spec required")
         chain_specs = []
+    chain_sizes = []
     for k, spec in enumerate(chain_specs):
         try:
-            _chain_from(spec).validate()
+            chain = _chain_from(spec)
+            chain.validate()
+            chain_sizes.append(chain.n)
         except (KeyError, ValueError, TypeError) as exc:
             issues.append(f"channel.chains[{k}]: {exc}")
 
@@ -322,12 +343,20 @@ def parse_config(raw: dict) -> ExperimentConfig:
         issues.append(f"policy.name: {pol_name!r} not one of {POLICY_NAMES}")
     gamma = number(pol, "policy.gamma", 1.0, **positive)
     rounds = number(pol, "policy.rounds", 10, True, lambda v: v >= 1, "an integer >= 1")
-    hops = number(pol, "policy.hops", 2, True, lambda v: v >= 0, "an integer >= 0")
+    hops = number(pol, "policy.hops", 2, **nonneg_int)
 
     task = section("task", {})
     task_kind = task.get("kind", "quadratic")
     if task_kind not in TASK_KINDS:
         issues.append(f"task.kind: {task_kind!r} not one of {TASK_KINDS}")
+    for key, default in (("dim", 16), ("samples", 32)):
+        number(task, f"task.{key}", default, True, lambda v: v >= 1, "an integer >= 1")
+    number(task, "task.seed", 0, **nonneg_int)
+    for key in ("heterogeneity", "scale"):
+        number(task, f"task.{key}", 1.0)
+    if task.get("eta") is not None:
+        number(task, "task.eta", **positive)
+    number(raw, "mc_samples", 1000, True, lambda v: v >= 1, "an integer >= 1")
 
     seeds = raw.get("seeds", [])
     if (not isinstance(seeds, list) or not seeds
@@ -336,12 +365,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     budget = number(raw, "budget", DEFAULT_BUDGET, True, lambda v: v > 0, "a positive integer")
 
+    n_levels = energy.n_levels if energy is not None else None
     s1_raw = section("s1", None)
     if s1_raw is not None:
         if "gains" not in s1_raw or "batteries" not in s1_raw:
             issues.append("s1: needs both 'gains' and 'batteries'")
-        elif m >= 2 and len(s1_raw["batteries"]) != m:
-            issues.append(f"s1.batteries: length {len(s1_raw['batteries'])} != m={m}")
+        else:  # gain digits per link need the built model: start_state bounds them
+            digits(s1_raw, "s1.gains")
+            digits(s1_raw, "s1.batteries", n_levels, m if m >= 2 else None)
 
     sweep_raw = section("sweep", None)
     if sweep_raw is not None:
@@ -357,6 +388,19 @@ def parse_config(raw: dict) -> ExperimentConfig:
             issues.append("sweep.values: hop counts must be integers >= 0")
         elif axis == "rounds" and any(not isinstance(v, int) or v < 0 for v in values):
             issues.append("sweep.values: round counts must be integers >= 0")
+        elif axis == "capacity" and n_levels is not None:
+            n_levels = min([n_levels] + values)
+
+    # extension digits index every neighbour table: below the smallest size they meet
+    dflt = pol.get("defaults", {})
+    if not isinstance(dflt, dict):
+        issues.append(f"policy.defaults: need an object, got {dflt!r}")
+        dflt = {}
+    for key, size in (("gain", min(chain_sizes, default=None)), ("battery", n_levels),
+                      ("level", len(power_levels) or None)):
+        number(dflt, f"policy.defaults.{key}", 0, True,
+               lambda v, n=size: 0 <= v < (n or math.inf),
+               f"an integer in [0, {size})" if size else "an integer >= 0")
 
     declared = section("declared", None)
     if declared is not None and pol_name == "decentralized_pi":
@@ -384,6 +428,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         energy_raw=en, harvest_raw=harvest_raw,
         power_levels=[float(p) for p in power_levels], horizon=horizon,
         policy_name=pol_name, gamma=float(gamma), rounds=rounds, hops=hops,
-        defaults_raw=pol.get("defaults", {}), task_raw=task, seeds=list(seeds),
+        defaults_raw=dflt, task_raw=task, seeds=list(seeds),
         out_dir=raw.get("out_dir", "results"), budget=budget, s1_raw=s1_raw,
         sweep_raw=sweep_raw, declared_raw=declared, warnings=warnings)

@@ -6,6 +6,13 @@ cover member. Synthesis alternates a localized backward recursion (min outside
 the expectation) with rounds of neighborhood Q-fusion and softmax response,
 using extension defaults whenever a neighbor's table refers to a coordinate
 outside the local cover.
+
+The localized Q carries no battery information: the localized cost has no
+battery axis and the recursion's min over next actions is unmasked, so Q
+lives on gain x action configurations, (n_gain_cfgs, n_actions). Energy reaches
+the synthesized policy only through the feasibility masks of the softmax,
+whose rows run over the full local states. A battery-aware recursion, with a
+feasible min inside the expectation, is an open modelling question.
 """
 from __future__ import annotations
 
@@ -137,30 +144,17 @@ def localized_cost_table(mdp, cover: Cover,
 
 def localized_backward_layer(mdp, cover: Cover, q_next: np.ndarray,
                              cost_tbl: np.ndarray) -> np.ndarray:
-    """One step of the localized recursion: c + min_p' E[q_next(s', p') | s, p].
+    """One step of the localized recursion: c(g, p) + min_p' E[q_next(g', p') | g].
 
-    The expectation uses the cover-restricted kernel (link chains of cover
-    links, battery kernels of cover members); the min runs over all joint
-    next actions of the cover, unrestricted.
+    Tables are (n_gain_cfgs, n_actions). The expectation uses the chains of the
+    cover links; the min runs over all joint next actions of the cover,
+    unrestricted. No battery kernel enters: a table constant in the batteries
+    stays constant under them, so Q needs no battery axis.
     """
-    x = q_next.reshape(cover.state_dims + (cover.n_actions,))
-    for e in cover.links:  # link axes rotate to the back: (batteries..., actions, links...)
+    x = q_next.reshape(cover.link_dims + (cover.n_actions,))
+    for e in cover.links:  # link axes rotate to the back: (actions, links...)
         x = contract_leading(x, mdp.chains[e].psi)
-    out = np.empty((cover.n_states, cover.n_actions))
-
-    def descend(d, part, prefix):
-        if d == len(cover.devs):  # part is (actions, states) in canonical state layout
-            out[:, prefix] = part.reshape(cover.n_actions, cover.n_states).min(axis=0)
-            return
-        kerns, stride = mdp.battery_kernels[cover.devs[d]], int(cover.act_strides[d])
-        for l in range(cover.act_dims[d]):
-            descend(d + 1, contract_leading(part, kerns[l]), prefix + l * stride)
-
-    descend(0, x, 0)
-    del descend  # break the closure's self-reference so `out` is freed by refcount, not gc
-    by_gain = out.reshape(cover.n_gain_cfgs, -1, cover.n_actions)  # a view of out
-    by_gain += cost_tbl[:, None, :]  # cost broadcast over battery digits
-    return out
+    return cost_tbl + x.reshape(cover.n_actions, cover.n_gain_cfgs).min(axis=0)[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -170,12 +164,15 @@ def localized_backward_layer(mdp, cover: Cover, q_next: np.ndarray,
 class _SynthContext:
     """Covers, cost tables, feasibility rows and neighbour views of one synthesis.
 
-    views[i][j] maps a Q table of cover j, (n_states_j, n_actions_j), to a strided
-    view on cover i's digit axes (state digits, then action digits): the table
-    extension_state_map and extension_action_map would gather, without the copy.
-    pi_views[i][j] does the same for a policy table of device j, keeping its
-    trailing level axis. Digits of cover i that cover j lacks are length-1 axes.
-    The budget is checked on the covers alone, before any table is built.
+    views[i][j] maps a Q table of cover j, (n_gain_cfgs_j, n_actions_j), to a
+    strided view on cover i's gain and action digit axes: the table
+    extension_state_map and extension_action_map would gather, without the copy
+    and without the battery digits Q does not depend on. pi_views[i][j] maps a
+    policy table of device j, (n_states_j, n_levels_j), to cover i's state digit
+    axes, keeping its trailing level axis. Digits of cover i that cover j lacks
+    are length-1 axes. The budget is checked on the covers alone, before any
+    table is built. It counts states x actions, which is conservative: Q tables
+    hold gain configurations x actions.
     """
 
     def __init__(self, mdp, hops, gamma, defaults, table_budget):
@@ -205,15 +202,17 @@ def _digit_view(ci: Cover, cj: Cover, defaults: ExtensionDefaults, actions: bool
 
     Digits i lacks are fixed at the extension default by basic indexing, the rest
     transposed into i's order, and i's digits j lacks inserted as new axes. With
-    actions=False the trailing axis (device j's levels) stays last.
+    actions=True the table is a Q table (gain digits, then action digits); with
+    actions=False a policy table (state digits, then device j's levels last).
     """
     def keys(c):
-        tail = [("a", d) for d in c.devs] if actions else [("levels", None)]
-        return [("l", e) for e in c.links] + [("b", d) for d in c.devs] + tail
+        if actions:
+            return [("l", e) for e in c.links] + [("a", d) for d in c.devs]
+        return [("l", e) for e in c.links] + [("b", d) for d in c.devs] + [("levels", None)]
 
     ki, kj = keys(ci), keys(cj)
     fill = {"l": defaults.gain, "b": defaults.battery, "a": defaults.level}
-    shape = cj.state_dims + (cj.act_dims if actions else (-1,))
+    shape = cj.link_dims + cj.act_dims if actions else cj.state_dims + (-1,)
     index = tuple(slice(None) if k in ki else fill[k[0]] for k in kj)
     kept = [k for k in kj if k in ki]
     perm = [kept.index(k) for k in ki if k in kept]
@@ -265,6 +264,11 @@ def masked_softmax(rows: np.ndarray, gamma: float, feas: np.ndarray) -> np.ndarr
     return w / w.sum(axis=1, keepdims=True)
 
 
+def _state_rows(cov: Cover, x: np.ndarray) -> np.ndarray:
+    """x, on cover state axes (length 1 where it is constant), as (n_states, last axis)."""
+    return np.broadcast_to(x, cov.state_dims + x.shape[-1:]).reshape(cov.n_states, -1)
+
+
 def _init_policy(ctx: _SynthContext, i: int, q1: np.ndarray) -> np.ndarray:
     """pi^1: softmax of the own-action slice of Q^1 with others at the default level."""
     cov = ctx.covers[i]
@@ -276,15 +280,15 @@ def _init_policy(ctx: _SynthContext, i: int, q1: np.ndarray) -> np.ndarray:
             digit = l if pos == own_pos else ctx.defaults.level
             a += digit * int(cov.act_strides[pos])
         cols.append(a)
-    rows = q1[:, cols]
-    return masked_softmax(rows, ctx.gamma, ctx.feas_rows[i])
+    rows = q1[:, cols].reshape(cov.link_dims + (1,) * len(cov.devs) + (-1,))
+    return masked_softmax(_state_rows(cov, rows), ctx.gamma, ctx.feas_rows[i])
 
 
 def _expected_own_rows(ctx: _SynthContext, i: int, q_i: np.ndarray, policies) -> np.ndarray:
     """E over cover neighbors' policies of Q_i, leaving own action free."""
     cov = ctx.covers[i]
     ns = len(cov.state_dims)
-    x = q_i.reshape(cov.state_dims + tuple(cov.act_dims))
+    x = q_i.reshape(cov.link_dims + (1,) * len(cov.devs) + tuple(cov.act_dims))
     for pos in range(len(cov.devs) - 1, -1, -1):
         d = cov.devs[pos]
         if d == i:
@@ -295,7 +299,7 @@ def _expected_own_rows(ctx: _SynthContext, i: int, q_i: np.ndarray, policies) ->
         for l in range(1, cov.act_dims[pos]):  # level order keeps the sums bit-identical
             acc += x[lead + (l,)] * rows[(..., l) + tail]
         x = acc
-    return x.reshape(cov.n_states, cov.act_dims[cov.dev_pos[i]])
+    return _state_rows(cov, x)  # neighbour rows may leave battery axes at length 1
 
 
 def _improve_round(ctx: _SynthContext, q_list, pi_list):
@@ -304,10 +308,10 @@ def _improve_round(ctx: _SynthContext, q_list, pi_list):
     q_new = []
     for i in range(m):
         cov = ctx.covers[i]
-        acc = np.zeros(cov.state_dims + tuple(cov.act_dims))
+        acc = np.zeros(cov.link_dims + tuple(cov.act_dims))
         for j in cov.devs:
             acc += ctx.views[i][j](q_list[j])
-        q_new.append((acc / len(cov.devs)).reshape(cov.n_states, cov.n_actions))
+        q_new.append((acc / len(cov.devs)).reshape(cov.n_gain_cfgs, cov.n_actions))
     pi_new = []
     for i in range(m):
         rows = _expected_own_rows(ctx, i, q_new[i], pi_list)
@@ -381,13 +385,7 @@ def synthesize(mdp, *, hops: int = 2, gamma: float = 1.0, rounds: int = 20,
     q_next = None
     for t in range(T, 0, -1):
         if q_next is None:
-            q1 = []
-            for i in range(m):
-                cov = ctx.covers[i]
-                nb = cov.n_states // cov.n_gain_cfgs
-                tbl = np.broadcast_to(ctx.cost_tables[i][:, None, :],
-                                      (cov.n_gain_cfgs, nb, cov.n_actions))
-                q1.append(tbl.reshape(cov.n_states, cov.n_actions).copy())
+            q1 = ctx.cost_tables
         else:
             q1 = [localized_backward_layer(mdp, ctx.covers[i], q_next[i], ctx.cost_tables[i])
                   for i in range(m)]

@@ -168,6 +168,12 @@ MALFORMED = [
     (("declared",), {"lipschitz": 1.0, "grad_bound": 0.0}),
     (("channel", "chains"), [{"levels": [0.1, 0.2, 0.3],
                               "psi": [[0.5, 0.0, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, 0.5]]}]),
+    (("s1", "batteries"), 3), (("s1", "batteries"), [2] * 8), (("s1", "gains"), [9] * 8),
+    (("s1", "gains"), [1] * 7), (("task", "dim"), "x"), (("task", "samples"), "x"),
+    (("task", "seed"), "x"), (("task", "seed"), -1), (("mc_samples",), "x"),
+    (("topology", "seed"), "x"), (("policy", "defaults", "gain"), "x"),
+    (("policy", "defaults", "gain"), 7), (("policy", "defaults", "battery"), -1),
+    (("policy", "defaults", "level"), 2), (("policy", "defaults"), []), (("task",), None),
 ]
 
 
@@ -177,10 +183,11 @@ def test_malformed_values_are_config_errors(path, value):
     raw = json.loads(DESK8.read_text())
     section = raw
     for key in path[:-1]:
-        section = section[key]
+        section = section.setdefault(key, {})
     section[path[-1]] = value
     with pytest.raises(ConfigError) as exc:
-        parse_config(raw)
+        cfg = parse_config(raw)
+        cfg.start_state(cfg.build_model())  # the per-link gain bounds need the model
     assert ".".join(path) in [it.split(":")[0].split("[")[0] for it in exc.value.items]
 
 
@@ -227,11 +234,13 @@ def test_cli_validation_failure_exits_2(tmp_path):
 
 
 def test_cli_malformed_value_exits_2_without_traceback(tmp_path):
-    raw = json.loads(DESK8.read_text())
-    raw["channel"]["phi"] = "x"
-    res = _cli("solve", "--config", str(_write(tmp_path, raw)))
-    assert res.returncode == 2
-    assert "channel.phi" in res.stderr and "Traceback" not in res.stderr
+    # s1.gains passes parsing; its per-link bounds are checked on the built model.
+    for section, key, value in (("channel", "phi", "x"), ("s1", "gains", [9] * 8)):
+        raw = json.loads(DESK8.read_text())
+        raw[section][key] = value
+        res = _cli("solve", "--config", str(_write(tmp_path, raw)))
+        assert res.returncode == 2
+        assert f"{section}.{key}" in res.stderr and "Traceback" not in res.stderr
 
 
 def test_cli_budget_exceeded_exits_3(tmp_path):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ehdfl import localized
-from ehdfl.channel import RadioParams
+from ehdfl.channel import ChannelChain, RadioParams
+from ehdfl.energy import EnergyParams, HarvestModel
 from ehdfl.errors import BudgetExceeded
 from ehdfl.instances import (capacity_family, capacity_pair, desk_scenario,
                              fullinfo_instance, oracle_instance, tiny_instances)
@@ -180,19 +181,61 @@ def tensordot_backward_layer(mdp, cover, q_next, cost_tbl):
     return out.reshape(cover.n_states, cover.n_actions)
 
 
-@pytest.mark.parametrize("name,hops", [("pair", 1), ("capacity-3", 1), ("capacity-3", 2),
-                                       ("ring6-3", 1)])
-def test_backward_layer_is_bit_identical_to_the_tensordot_reference(name, hops):
-    mdp = {"pair": lambda: oracle_instance()[0],
-           "capacity-3": lambda: capacity_family(3)[0],
-           "ring6-3": lambda: capacity_pair(3, horizon=2)[0]}[name]()
-    rng = np.random.default_rng(hops)
+def over_batteries(cover, tbl):
+    """A (n_gain_cfgs, k) table repeated over the cover's battery digits: (n_states, k)."""
+    return np.repeat(tbl, cover.n_states // cover.n_gain_cfgs, axis=0)
+
+
+def harvest_ring(seed=0):
+    """A 4-ring with 3-5-point harvests, 5 battery levels and 3 power levels."""
+    rng = np.random.default_rng(seed)
+    energy = EnergyParams(k_steps=1, cpu_freq=1.0, cycles_per_sample=0.0, batch_size=1,
+                          tau=1.0, b_max=4.0, n_levels=5)
+    harvests = []
+    for size in (3, 4, 5, 3):
+        support = np.sort(rng.choice(5, size=size, replace=False)).astype(float)
+        harvests.append(HarvestModel(support=support, probs=rng.dirichlet(np.ones(size))))
+    chain = ChannelChain(levels=np.array([0.1, 0.8, 2.0]),  # asymmetric: psi != psi.T
+                         steady=np.array([1.0, 1.5, 1.125]) / 3.625,
+                         psi=np.array([[0.7, 0.3, 0.0], [0.2, 0.5, 0.3], [0.0, 0.4, 0.6]]))
+    return build_mdp(build_topology("ring", 4), RadioParams(0.5, (0.3,) * 4, 1.0), energy,
+                     chain, harvests, [0.0, 1.0, 2.0], horizon=2)
+
+
+LAYER_MODELS = {
+    "pair": lambda: oracle_instance()[0],
+    "capacity-3": lambda: capacity_family(3)[0],
+    "ring6-3": lambda: capacity_pair(3, horizon=2)[0],
+    "desk": lambda: desk_scenario(horizon=2).mdp,
+}
+
+
+def layer_pairs(mdp, hops, seed):
+    """(gain-only layer, tree layer on the battery-broadcast input) for every cover."""
+    rng = np.random.default_rng(seed)
     for owner in range(mdp.m):
         cover = build_cover(mdp, owner, hops)
-        q_next = rng.random((cover.n_states, cover.n_actions))
+        q_next = rng.random((cover.n_gain_cfgs, cover.n_actions))
         cost_tbl = rng.random((cover.n_gain_cfgs, cover.n_actions))
-        assert np.array_equal(localized_backward_layer(mdp, cover, q_next, cost_tbl),
-                              tensordot_backward_layer(mdp, cover, q_next, cost_tbl))
+        yield (over_batteries(cover, localized_backward_layer(mdp, cover, q_next, cost_tbl)),
+               tensordot_backward_layer(mdp, cover, over_batteries(cover, q_next), cost_tbl))
+
+
+@pytest.mark.parametrize("hops", [1, 2])
+@pytest.mark.parametrize("name", sorted(LAYER_MODELS))
+def test_backward_layer_is_bit_identical_to_the_tensordot_reference(name, hops):
+    # Point and two-point harvests: battery kernel rows with at most two nonzero
+    # entries return a battery-constant table exactly.
+    for new, ref in layer_pairs(LAYER_MODELS[name](), hops, seed=hops):
+        assert np.array_equal(new, ref)
+
+
+@pytest.mark.parametrize("hops", [0, 1])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_backward_layer_matches_the_tree_on_multi_point_harvests(seed, hops):
+    # With three or more nonzero kernel entries the tree adds rounding noise only.
+    for new, ref in layer_pairs(harvest_ring(seed), hops, seed=hops):
+        np.testing.assert_allclose(new, ref, rtol=1e-14, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -242,25 +285,31 @@ def gather_expected_own_rows(ctx, i, q_i, policies, ext_s):
 
 
 def gather_improve_round(ctx, q_list, pi_list):
-    """Reference round: np.ix_ gathers through the public extension maps."""
+    """Reference round: np.ix_ gathers through the public extension maps.
+
+    Gain-only Q tables are broadcast to full local states for the gathers, and
+    the fused tables, constant over the battery digits, returned on gains again.
+    """
     covers, dflt = ctx.covers, ctx.defaults
     ext_s = [{j: extension_state_map(ci, covers[j], dflt) for j in ci.devs} for ci in covers]
+    q_full = [over_batteries(c, q) for c, q in zip(covers, q_list)]
     q_new = []
     for i, cov in enumerate(covers):
         acc = np.zeros((cov.n_states, cov.n_actions))
         for j in cov.devs:
-            acc += q_list[j][np.ix_(ext_s[i][j], extension_action_map(cov, covers[j], dflt))]
+            acc += q_full[j][np.ix_(ext_s[i][j], extension_action_map(cov, covers[j], dflt))]
         q_new.append(acc / len(cov.devs))
     pi_new = [masked_softmax(gather_expected_own_rows(ctx, i, q_new[i], pi_list, ext_s),
                              ctx.gamma, ctx.feas_rows[i]) for i in range(len(covers))]
-    return q_new, pi_new
+    return ([q.reshape(c.n_gain_cfgs, -1, c.n_actions)[:, 0] for c, q in zip(covers, q_new)],
+            pi_new)
 
 
 def random_round_inputs(name, hops, defaults, seed):
     """A context and random Q tables with stochastic (Dirichlet) policy rows."""
     ctx = localized._SynthContext(SYNTH_MODELS[name](), hops, 0.5, defaults, 50_000_000)
     rng = np.random.default_rng(seed)
-    q = [rng.random((c.n_states, c.n_actions)) for c in ctx.covers]
+    q = [rng.random((c.n_gain_cfgs, c.n_actions)) for c in ctx.covers]
     pi = [rng.dirichlet(np.ones(c.act_dims[c.dev_pos[c.owner]]), size=c.n_states)
           for c in ctx.covers]
     return ctx, q, pi
@@ -277,9 +326,9 @@ def test_neighbour_views_match_the_extension_maps(name, hops, defaults):
             ext_p = extension_action_map(ci, cj, defaults)
             view = ctx.views[i][j](q[j])
             assert np.may_share_memory(view, q[j])
-            full = np.broadcast_to(view, ci.state_dims + tuple(ci.act_dims))
-            assert np.array_equal(full.reshape(ci.n_states, ci.n_actions),
-                                  q[j][np.ix_(ext_s, ext_p)])
+            full = np.broadcast_to(view, ci.link_dims + tuple(ci.act_dims))
+            full = over_batteries(ci, full.reshape(ci.n_gain_cfgs, ci.n_actions))
+            assert np.array_equal(full, over_batteries(cj, q[j])[np.ix_(ext_s, ext_p)])
             rows = np.broadcast_to(ctx.pi_views[i][j](pi[j]), ci.state_dims + pi[j].shape[1:])
             assert np.array_equal(rows.reshape(ci.n_states, -1), pi[j][ext_s])
 
@@ -291,8 +340,9 @@ def test_improve_round_is_bit_identical_to_the_gather_reference(name, hops, defa
     ext_s = [{j: extension_state_map(ci, ctx.covers[j], defaults) for j in ci.devs}
              for ci in ctx.covers]
     for i in range(len(ctx.covers)):
+        q_full = over_batteries(ctx.covers[i], q[i])
         assert np.array_equal(localized._expected_own_rows(ctx, i, q[i], pi),
-                              gather_expected_own_rows(ctx, i, q[i], pi, ext_s))
+                              gather_expected_own_rows(ctx, i, q_full, pi, ext_s))
     got, want = localized._improve_round(ctx, q, pi), gather_improve_round(ctx, q, pi)
     for new, ref in zip(got, want):
         for a, b in zip(new, ref):
