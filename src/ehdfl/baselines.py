@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mdp import one_hot_rows, policy_conditionals, sample_act
+from .mdp import level_rows, one_hot_rows, policy_conditionals, sample_act
 
 
 class MyopicCentralPolicy:
@@ -12,6 +12,8 @@ class MyopicCentralPolicy:
     Stationary: ignores channel persistence, harvesting, and the horizon.
     Ties break toward the lowest joint action index, like the exact solver.
     """
+
+    stationary = True
 
     def __init__(self, mdp):
         self._table = None
@@ -43,24 +45,29 @@ class GreedyPolicy:
     holding back would have been better.
     """
 
-    def __init__(self, mdp):
-        self._per_device = None
+    stationary = True
 
-    def _tables(self, mdp):
-        """Per device: (nb, n_levels), the one-hot highest feasible level per battery index."""
-        if self._per_device is None:
-            out = []
-            for d in range(mdp.m):
-                feas = mdp.feasible_level_masks[d]  # (nl, nb)
-                lvl = [max(np.nonzero(feas[:, b])[0]) for b in range(feas.shape[1])]
-                out.append(np.eye(feas.shape[0])[lvl])
-            self._per_device = out
-        return self._per_device
+    def __init__(self, mdp):
+        self._columns = None
+
+    def _hot_columns(self, mdp):
+        """Column c of a state's concatenated level rows is hot[c, b], b the battery digit
+        of c's device, found at stride strides[c] of the state index; no table over
+        states, battery configurations or joint actions is built."""
+        if self._columns is None:
+            nb = mdp.energy.n_levels
+            dev = np.repeat(np.arange(mdp.m), mdp.act_dims)
+            level = np.arange(len(dev)) - mdp.level_offsets[dev]
+            top = np.array([[max(np.nonzero(feas[:, b])[0]) for b in range(nb)]
+                            for feas in mdp.feasible_level_masks])  # (m, nb) highest feasible
+            self._columns = ((top[dev] == level[:, None]).astype(float),
+                             nb ** (mdp.m - 1 - dev))
+        return self._columns
 
     def rows(self, mdp, t, s_idx):
-        tbl, nb = self._tables(mdp), mdp.energy.n_levels
-        bats = np.asarray(s_idx)[:, None] // nb ** np.arange(mdp.m - 1, -1, -1) % nb
-        return [tbl[d][bats[:, d]] for d in range(mdp.m)]
+        hot, strides = self._hot_columns(mdp)
+        bats = np.asarray(s_idx)[:, None] // strides % mdp.energy.n_levels
+        return level_rows(mdp, hot[np.arange(len(hot)), bats])
 
     act = sample_act
     conditionals = policy_conditionals

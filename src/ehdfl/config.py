@@ -380,16 +380,19 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if axis not in SWEEP_AXES:
             issues.append(f"sweep.axis: {axis!r} not one of {SWEEP_AXES}")
         values = sweep_raw.get("values", [])
-        if not isinstance(values, list) or not values:
-            issues.append("sweep.values: need a non-empty list")
-        elif axis == "capacity" and any(not isinstance(v, int) or v < 2 for v in values):
+        if (not isinstance(values, list) or not values
+                or not all(_is_number(v, True) for v in values)):
+            issues.append("sweep.values: need a non-empty list of integers")
+        elif axis == "capacity" and min(values) < 2:
             issues.append("sweep.values: capacity sweep takes level counts >= 2")
-        elif axis == "hops" and any(not isinstance(v, int) or v < 0 for v in values):
+        elif axis == "hops" and min(values) < 0:
             issues.append("sweep.values: hop counts must be integers >= 0")
-        elif axis == "rounds" and any(not isinstance(v, int) or v < 0 for v in values):
+        elif axis == "rounds" and min(values) < 0:
             issues.append("sweep.values: round counts must be integers >= 0")
         elif axis == "capacity" and n_levels is not None:
             n_levels = min([n_levels] + values)
+        if not isinstance(sweep_raw.get("train", False), bool):
+            issues.append(f"sweep.train: need true or false, got {sweep_raw['train']!r}")
 
     # extension digits index every neighbour table: below the smallest size they meet
     dflt = pol.get("defaults", {})

@@ -463,13 +463,20 @@ def exhaustive_minimum(mdp, s1) -> float:
     Enumerating full Markov policies is hopeless even on toy models, but the
     cost from a fixed start state only depends on choices at states actually
     reachable from it; enumerating those assignments is exhaustive for this
-    start state.
+    start state. Each (state, action) pair's cost and transition come from the
+    scalar model queries once, and every assignment reuses them.
     """
     feas = mdp.action_feasibility  # (n_actions, n_battery_cfgs)
     nbc = mdp.n_battery_cfgs
+    steps: dict[tuple[int, int], tuple[float, dict]] = {}
 
     def acts(s):
         return np.nonzero(feas[:, s % nbc])[0]
+
+    def step(s, a):
+        if (s, a) not in steps:
+            steps[(s, a)] = (mdp.one_step_cost(s, a), mdp.transition(s, a))
+        return steps[(s, a)]
 
     s0 = mdp.state_index(s1)
     reach = [{s0}]
@@ -477,7 +484,7 @@ def exhaustive_minimum(mdp, s1) -> float:
         nxt = set()
         for s in reach[-1]:
             for a in acts(s):
-                nxt |= set(mdp.transition(int(s), int(a)))
+                nxt |= set(step(int(s), int(a))[1])
         reach.append(nxt)
     slots = [(t, s) for t, states in enumerate(reach) for s in sorted(states)]
     choices = [acts(s) for _, s in slots]
@@ -493,9 +500,9 @@ def exhaustive_minimum(mdp, s1) -> float:
         for t in range(mdp.horizon):
             nxt: dict[int, float] = {}
             for s, p in rho.items():
-                a = int(assign[pos[(t, s)]])
-                total += p * mdp.one_step_cost(s, a)
-                for s2, q in mdp.transition(s, a).items():
+                cost, trans = step(s, int(assign[pos[(t, s)]]))
+                total += p * cost
+                for s2, q in trans.items():
                     nxt[s2] = nxt.get(s2, 0.0) + p * q
             rho = nxt
         best = min(best, total)

@@ -25,6 +25,7 @@ solver break toward the lexicographically smallest action.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -221,6 +222,27 @@ class GlobalMdp:
             return out
 
         return self._cached("battery_kernels", build)
+
+    # level-row layout: read on every single-state draw, so plain attributes once built
+
+    @functools.cached_property
+    def level_offsets(self) -> np.ndarray:
+        """Int (m,): first column of each device in a block of concatenated level rows."""
+        return np.cumsum([0] + self.act_dims[:-1])
+
+    @functools.cached_property
+    def level_columns(self) -> list:
+        """Per device: the index of its columns in a block of concatenated level rows."""
+        return [(slice(None), slice(int(o), int(o) + n))
+                for o, n in zip(self.level_offsets, self.act_dims)]
+
+    @functools.cached_property
+    def action_one_hot(self) -> np.ndarray:
+        """Read-only (n_actions, sum of ladder lengths): each joint action's one-hot level rows."""
+        digits = np.unravel_index(np.arange(self.n_actions), self.act_dims)
+        block = np.concatenate([np.eye(n)[dg] for n, dg in zip(self.act_dims, digits)], axis=1)
+        block.flags.writeable = False
+        return block
 
     @property
     def feasible_level_masks(self):
@@ -583,21 +605,39 @@ def sample_act(self, mdp, s_idx: int, t: int, rng=None) -> tuple[int, ...]:
 
     One uniform per device, in device order. Without `rng` every device takes
     its lowest level of positive probability, which for a deterministic
-    policy is its level.
+    policy is its level. The uniforms are drawn even when every row is
+    one-hot, so the generator's stream does not depend on the rows.
     """
     u = rng.random((1, mdp.m)) if rng is not None else np.zeros((1, mdp.m))
-    return tuple(int(x) for x in _draw(self.rows(mdp, t, np.array([s_idx])), u)[0])
+    rows = self.rows(mdp, t, np.array([s_idx]))
+    flat = np.concatenate(rows, axis=1)[0]
+    if np.count_nonzero(flat) == len(rows) == np.count_nonzero(flat == 1.0):
+        # rows sum to 1, so each holds one nonzero entry, 1.0, where the inverse CDF
+        # lands for every u: skip the draw
+        return tuple((flat.nonzero()[0] - mdp.level_offsets).tolist())
+    return tuple(_draw(rows, u)[0].tolist())
 
 
 def policy_conditionals(self, mdp, t: int):
-    """Per device: (n_states, n_levels_d) level rows at every state of slot t."""
-    return self.rows(mdp, t, np.arange(mdp.n_states))
+    """Per device: (n_states, n_levels_d) level rows at every state of slot t.
+
+    Each is C-contiguous, whether `rows` gave views of one level block or not:
+    exact evaluation sweeps their columns and would run at strided speed.
+    """
+    return [np.ascontiguousarray(r) for r in self.rows(mdp, t, np.arange(mdp.n_states))]
+
+
+def level_rows(mdp, block) -> list:
+    """Per-device views of (n, sum of ladder lengths) concatenated level rows."""
+    return [block[cols] for cols in mdp.level_columns]
 
 
 def one_hot_rows(mdp, joint) -> list:
-    """Per-device one-hot level rows of an array of joint action indices."""
-    digits = np.unravel_index(joint, mdp.act_dims)
-    return [np.eye(n)[digit] for n, digit in zip(mdp.act_dims, digits)]
+    """Per-device one-hot level rows of an array of joint action indices.
+
+    One gather from the joint one-hot table, whatever the number of devices.
+    """
+    return level_rows(mdp, mdp.action_one_hot.take(joint, axis=0))
 
 
 class CentralizedPolicy:
@@ -616,11 +656,15 @@ class CentralizedPolicy:
 class FixedLevelsPolicy:
     """Every device holds one level index each slot (diagnostics, tests)."""
 
+    stationary = True
+
     def __init__(self, levels):
         self.levels = tuple(levels)
 
     def rows(self, mdp, t, s_idx):
-        return [np.eye(n)[np.full(len(s_idx), lv)] for n, lv in zip(mdp.act_dims, self.levels)]
+        block = np.zeros((len(s_idx), sum(mdp.act_dims)))
+        block[:, mdp.level_offsets + self.levels] = 1.0
+        return level_rows(mdp, block)
 
     act = sample_act
     conditionals = policy_conditionals
@@ -666,24 +710,34 @@ def expected_cost_rows(mdp: GlobalMdp, conds) -> np.ndarray:
     return out.reshape(-1) * mdp.cost_scale
 
 
-def backward_expectation(mdp: GlobalMdp, v_next: np.ndarray, conds) -> np.ndarray:
-    """E[v_next(s') | s] for every state under product conditionals.
+def battery_mixes(mdp: GlobalMdp, conds) -> list:
+    """Per device: (n_states, nb), the policy-mixed battery row at every state.
 
-    Contracts the link axes, then folds in each device's policy-mixed battery
-    row, over blocks of channel configurations of at most 2M floats.
+    mixes[d][s] = sum_l conds[d][s, l] * kernel_l[b_d(s)], one gemm per battery
+    index b_d.
     """
-    nc, nbc, nb, m = mdp.n_channel_cfgs, mdp.n_battery_cfgs, mdp.energy.n_levels, mdp.m
-    w = v_next.reshape(tuple(mdp.link_dims) + (nbc,))
-    for chain in mdp.chains:
-        w = contract_leading(w, chain.psi)
-    w = w.reshape(nbc, nc)  # w[b', c] = E[v_next(c', b') | c]
-    mixes = []  # mixes[d][s] = sum_l conds[d][s, l] * kernel_l[b_d(s)], one gemm per b_d
+    nb, m = mdp.energy.n_levels, mdp.m
+    mixes = []
     for d, kb in enumerate(mdp.battery_kernels):
         cond = conds[d].reshape(-1, nb, nb ** (m - 1 - d), len(kb))
         mix = np.empty(cond.shape[:3] + (nb,))
         for b in range(nb):
             np.matmul(cond[:, b], kb[:, b, :], out=mix[:, b])
         mixes.append(mix.reshape(-1, nb))
+    return mixes
+
+
+def backward_expectation(mdp: GlobalMdp, v_next: np.ndarray, mixes) -> np.ndarray:
+    """E[v_next(s') | s] for every state, given the policy's `battery_mixes`.
+
+    Contracts the link axes, then folds in each device's mixed battery row,
+    over blocks of channel configurations of at most 2M floats.
+    """
+    nc, nbc, nb, m = mdp.n_channel_cfgs, mdp.n_battery_cfgs, mdp.energy.n_levels, mdp.m
+    w = v_next.reshape(tuple(mdp.link_dims) + (nbc,))
+    for chain in mdp.chains:
+        w = contract_leading(w, chain.psi)
+    w = w.reshape(nbc, nc)  # w[b', c] = E[v_next(c', b') | c]
     out = np.empty(mdp.n_states)
     cb = max(1, 2_000_000 // nbc // (nbc // nb))
     for c0 in range(0, nc, cb):
@@ -703,16 +757,22 @@ def evaluate_policy(mdp: GlobalMdp, policy, s1, *, mode: str = "exact",
 
     mode="exact" runs the policy's value backward, V_t = c_t + E[V_{t+1}]
     (requires a policy exposing per-device conditionals given the global
-    state, which all policies in this package do). mode="mc" simulates
-    trajectories and returns (mean, stderr).
+    state, which all policies in this package do). A policy whose class sets
+    `stationary = True` has the same rows at every slot, so its conditionals,
+    expected costs and battery mixes are built once rather than per slot.
+    mode="mc" simulates trajectories and returns (mean, stderr).
     """
     T = horizon if horizon is not None else mdp.horizon
     if mode == "exact":
-        v = np.zeros(mdp.n_states)
-        for t in range(T, 0, -1):
-            conds = policy.conditionals(mdp, t)
-            c = expected_cost_rows(mdp, conds)
-            v = c + backward_expectation(mdp, v, conds) if t < T else c
+        stationary = getattr(policy, "stationary", False)
+        conds = policy.conditionals(mdp, T)
+        v = c = expected_cost_rows(mdp, conds)
+        mixes = battery_mixes(mdp, conds) if stationary else None
+        for t in range(T - 1, 0, -1):
+            if not stationary:
+                conds = policy.conditionals(mdp, t)
+                c, mixes = expected_cost_rows(mdp, conds), battery_mixes(mdp, conds)
+            v = c + backward_expectation(mdp, v, mixes)
         return float(v[mdp.state_index(s1) if isinstance(s1, GlobalState) else int(s1)])
     if mode == "mc":
         costs = simulate_costs(mdp, policy, s1, n_samples=n_samples, seed=seed, horizon=T)

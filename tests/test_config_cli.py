@@ -174,6 +174,7 @@ MALFORMED = [
     (("topology", "seed"), "x"), (("policy", "defaults", "gain"), "x"),
     (("policy", "defaults", "gain"), 7), (("policy", "defaults", "battery"), -1),
     (("policy", "defaults", "level"), 2), (("policy", "defaults"), []), (("task",), None),
+    (("sweep", "values"), [True, 2]), (("sweep", "train"), "no"),
 ]
 
 

@@ -8,9 +8,9 @@ from ehdfl.errors import BudgetExceeded, CausalityViolation
 from ehdfl.harness import exhaustive_minimum
 from ehdfl.instances import capacity_family, desk_scenario, oracle_instance, tiny_instances
 from ehdfl.localized import synthesize
-from ehdfl.mdp import (FixedLevelsPolicy, GlobalState, backward_induction,
-                       build_mdp, contract_leading, evaluate_policy,
-                       expected_cost_rows, load_solution, simulate_costs)
+from ehdfl.mdp import (FixedLevelsPolicy, GlobalState, backward_expectation,
+                       backward_induction, battery_mixes, build_mdp, contract_leading,
+                       evaluate_policy, expected_cost_rows, load_solution, simulate_costs)
 from ehdfl.topology import build_topology
 
 
@@ -372,6 +372,50 @@ def test_blocked_backward_evaluation_matches_forward_oracle_on_desk():
     for pol in (GreedyPolicy(desk.mdp), synthesize(desk.mdp, hops=1, gamma=desk.gamma, rounds=1)):
         ref = forward_cost(desk.mdp, pol, desk.s1)
         assert abs(evaluate_policy(desk.mdp, pol, desk.s1) - ref) <= 1e-12 * ref
+
+
+def per_slot_evaluation(mdp, policy, s1):
+    """Reference body: conditionals, expected costs and battery mixes rebuilt every slot."""
+    T = mdp.horizon
+    v = np.zeros(mdp.n_states)
+    for t in range(T, 0, -1):
+        conds = policy.conditionals(mdp, t)
+        c = expected_cost_rows(mdp, conds)
+        v = c + backward_expectation(mdp, v, battery_mixes(mdp, conds)) if t < T else c
+    return float(v[mdp.state_index(s1)])
+
+
+@pytest.mark.parametrize("name", PINNED + ["desk"])
+def test_stationary_evaluation_builds_once_and_equals_the_per_slot_loop(name, monkeypatch):
+    if name == "desk":
+        desk = desk_scenario(horizon=3)
+        mdp, s1 = desk.mdp, desk.s1
+    else:
+        mdp, s1 = pinned_instances()[name]
+    for pol in (GreedyPolicy(mdp), MyopicCentralPolicy(mdp),
+                FixedLevelsPolicy((0,) * (mdp.m - 1) + (1,))):
+        assert pol.stationary
+        ref = per_slot_evaluation(mdp, pol, s1)
+        calls = []
+
+        def counted(mdp, t, _fn=pol.conditionals, _calls=calls):
+            _calls.append(t)
+            return _fn(mdp, t)
+
+        monkeypatch.setattr(pol, "conditionals", counted)
+        assert evaluate_policy(mdp, pol, s1) == ref, type(pol).__name__
+        assert calls == [mdp.horizon]
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_evaluating_the_solution_policy_gives_the_solution_values(name):
+    mdp, _ = pinned_instances()[name]
+    sol = backward_induction(mdp)
+    pol = sol.as_policy()
+    assert not getattr(pol, "stationary", False)  # its tables change with t
+    for s in range(mdp.n_states):
+        ref = sol.values[0][s]
+        assert abs(evaluate_policy(mdp, pol, s) - ref) <= 1e-12 * ref, s
 
 
 @pytest.mark.parametrize("name", [n for n in PINNED if n != "capacity-2"] + ["desk"])
