@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mdp import level_rows, one_hot_rows, policy_conditionals, sample_act
+from .mdp import policy_conditionals, sample_act
 
 
 class MyopicCentralPolicy:
@@ -32,7 +32,7 @@ class MyopicCentralPolicy:
         return self._table
 
     def rows(self, mdp, t, s_idx):
-        return one_hot_rows(mdp, self.table(mdp)[s_idx])
+        return mdp.action_one_hot.take(self.table(mdp)[s_idx], axis=1)
 
     act = sample_act
     conditionals = policy_conditionals
@@ -48,26 +48,20 @@ class GreedyPolicy:
     stationary = True
 
     def __init__(self, mdp):
-        self._columns = None
-
-    def _hot_columns(self, mdp):
-        """Column c of a state's concatenated level rows is hot[c, b], b the battery digit
-        of c's device, found at stride strides[c] of the state index; no table over
-        states, battery configurations or joint actions is built."""
-        if self._columns is None:
-            nb = mdp.energy.n_levels
-            dev = np.repeat(np.arange(mdp.m), mdp.act_dims)
-            level = np.arange(len(dev)) - mdp.level_offsets[dev]
-            top = np.array([[max(np.nonzero(feas[:, b])[0]) for b in range(nb)]
-                            for feas in mdp.feasible_level_masks])  # (m, nb) highest feasible
-            self._columns = ((top[dev] == level[:, None]).astype(float),
-                             nb ** (mdp.m - 1 - dev))
-        return self._columns
+        self._hot = None
 
     def rows(self, mdp, t, s_idx):
-        hot, strides = self._hot_columns(mdp)
-        bats = np.asarray(s_idx)[:, None] // strides % mdp.energy.n_levels
-        return level_rows(mdp, hot[np.arange(len(hot)), bats])
+        """Device d's row is hot[d, b], b its battery digit, found at stride strides[d]
+        of the state index; no table over states, battery configurations or joint
+        actions is built."""
+        nb = mdp.energy.n_levels
+        if self._hot is None:
+            top = [[np.nonzero(feas[:, b])[0].max() for b in range(nb)]
+                   for feas in mdp.feasible_level_masks]  # (m, nb) highest feasible level
+            self._hot = (np.eye(max(mdp.act_dims))[top], np.arange(mdp.m)[:, None],
+                         nb ** np.arange(mdp.m - 1, -1, -1)[:, None])
+        hot, devs, strides = self._hot
+        return hot[devs, np.asarray(s_idx) // strides % nb]
 
     act = sample_act
     conditionals = policy_conditionals

@@ -22,7 +22,7 @@ from .boundlab import contraction_coefficient, fit_rate, gap_curve, Insufficient
 from .config import ExperimentConfig
 from .dflsim import METRICS_HEADER, convergence_bound, run_training
 from .errors import ConfigError
-from .localized import save_localized, synthesize
+from .localized import save_localized
 from .mdp import (GlobalState, backward_induction, evaluate_policy, save_solution,
                   simulate_costs)
 
@@ -164,14 +164,10 @@ def _run_solve(config: ExperimentConfig, out: Path, policy_name: str | None) -> 
         sol = backward_induction(mdp, budget=config.budget)
         save_solution(sol, out / "policy_centralized.npz")
         j = sol.expected_cost(s1)
-    elif name == "decentralized_pi":
-        pol = synthesize(mdp, hops=config.hops, gamma=config.gamma,
-                         rounds=config.rounds, defaults=config.extension_defaults(),
-                         table_budget=config.budget * 10)
-        save_localized(pol, out / "policy_decentralized.npz")
-        j = evaluate_policy(mdp, pol, s1)
     else:
         pol = config.build_policy(mdp, name)
+        if name == "decentralized_pi":
+            save_localized(pol, out / "policy_decentralized.npz")
         j = evaluate_policy(mdp, pol, s1)
     _emit(out, "solve_summary.csv", [[name, mdp.n_states, mdp.n_actions, mdp.horizon, j]],
           config.hash)
@@ -307,9 +303,7 @@ def _sweep_hops(config: ExperimentConfig, out: Path, values, jobs: int) -> None:
     eta = config.step_size(task)
     rows = []
     for hops in values:
-        policy = synthesize(mdp, hops=hops, gamma=config.gamma, rounds=config.rounds,
-                            defaults=config.extension_defaults(),
-                            table_budget=config.budget * 10)
+        policy = config.build_policy(mdp, "decentralized_pi", hops=hops)
         j = evaluate_policy(mdp, policy, s1)
         results = _pool_map(_train_worker,
                             [(mdp, task, policy, s, eta, s1) for s in config.seeds],
@@ -493,6 +487,7 @@ def exhaustive_minimum(mdp, s1) -> float:
         raise ValueError(f"instance too large for exhaustive enumeration "
                          f"({n_assign} assignments)")
     pos = {ts: k for k, ts in enumerate(slots)}
+    last = mdp.horizon - 1
     best = np.inf
     for assign in itertools.product(*choices):
         rho = {s0: 1.0}
@@ -502,8 +497,9 @@ def exhaustive_minimum(mdp, s1) -> float:
             for s, p in rho.items():
                 cost, trans = step(s, int(assign[pos[(t, s)]]))
                 total += p * cost
-                for s2, q in trans.items():
-                    nxt[s2] = nxt.get(s2, 0.0) + p * q
+                if t < last:  # the last slot's next states are never read
+                    for s2, q in trans.items():
+                        nxt[s2] = nxt.get(s2, 0.0) + p * q
             rho = nxt
         best = min(best, total)
     return float(best)

@@ -349,8 +349,10 @@ class LocalizedPolicy:
         return self._proj
 
     def rows(self, mdp, t: int, s_idx):
-        proj = self.projections(mdp)
-        return [self.tables[i][t - 1][proj[i][s_idx]] for i in range(mdp.m)]
+        out = np.zeros((mdp.m, len(s_idx), max(mdp.act_dims)))
+        for i, (tbl, proj) in enumerate(zip(self.tables, self.projections(mdp))):
+            out[i, :, :tbl[t - 1].shape[1]] = tbl[t - 1][proj[s_idx]]
+        return out
 
     act = sample_act
     conditionals = policy_conditionals

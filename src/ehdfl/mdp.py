@@ -12,9 +12,11 @@ back to canonical layout with no transpose copy. Exact policy evaluation runs
 backward with the same primitive: V_t = c_t + E[V_{t+1}].
 
 A policy is its per-slot, per-device conditional level rows given the global
-state: `rows(mdp, t, s_idx)` at an array of states. `act` (one draw) and
-`conditionals` (rows at every state) are defined once from it, and Monte Carlo
-advances all rollouts of a seed together by sampling those rows.
+state: `rows(mdp, t, s_idx)` at an array of n states is one float array of
+shape (m, n, W), device-major, W the longest power ladder, zero beyond each
+device's ladder. `act` (one draw) and `conditionals` (rows at every state) are
+defined once from it, and Monte Carlo advances all rollouts of a seed together
+by sampling those rows.
 
 Indexing convention: a global state index is the C-order ravel of
 (gain digits..., battery digits...), link entities in canonical order
@@ -223,26 +225,13 @@ class GlobalMdp:
 
         return self._cached("battery_kernels", build)
 
-    # level-row layout: read on every single-state draw, so plain attributes once built
-
-    @functools.cached_property
-    def level_offsets(self) -> np.ndarray:
-        """Int (m,): first column of each device in a block of concatenated level rows."""
-        return np.cumsum([0] + self.act_dims[:-1])
-
-    @functools.cached_property
-    def level_columns(self) -> list:
-        """Per device: the index of its columns in a block of concatenated level rows."""
-        return [(slice(None), slice(int(o), int(o) + n))
-                for o, n in zip(self.level_offsets, self.act_dims)]
-
     @functools.cached_property
     def action_one_hot(self) -> np.ndarray:
-        """Read-only (n_actions, sum of ladder lengths): each joint action's one-hot level rows."""
+        """Read-only (m, n_actions, W): each joint action's one-hot level rows."""
         digits = np.unravel_index(np.arange(self.n_actions), self.act_dims)
-        block = np.concatenate([np.eye(n)[dg] for n, dg in zip(self.act_dims, digits)], axis=1)
-        block.flags.writeable = False
-        return block
+        rows = np.eye(max(self.act_dims))[np.array(digits)]
+        rows.flags.writeable = False
+        return rows
 
     @property
     def feasible_level_masks(self):
@@ -585,19 +574,24 @@ def backward_induction(mdp: GlobalMdp, *, budget: int = DEFAULT_BUDGET) -> Solut
 # policies: per-device conditional rows, one draw rule
 # ---------------------------------------------------------------------------
 
-def _draw(rows, u: np.ndarray) -> np.ndarray:
-    """(n, k) indices by inverse CDF: rows[j] is (n, width_j) probabilities, u is (n, k).
+def _draw(rows: np.ndarray, u: np.ndarray, widths) -> np.ndarray:
+    """(n, k) indices by inverse CDF: rows is (k, n, W) probabilities, u is (n, k).
 
-    Per row the count of cumsum(row) <= u, clipped to the last index, which is
-    searchsorted(cumsum(row), u, side="right"). Rows are zero-padded to one
-    width so all k are drawn in one pass; a padded entry can only count when u
-    reaches the row's total, and then the clip discards it.
+    Row j of item i holds widths[j] entries, zero-padded to W. Per row the
+    count of cumsum(row) <= u, clipped to the last index, which is
+    searchsorted(cumsum(row), u, side="right"); a padded entry can only count
+    when u reaches the row's total, and then the clip discards it.
     """
-    padded = np.zeros(u.shape + (max(r.shape[1] for r in rows),))
-    for j, r in enumerate(rows):
-        padded[:, j, :r.shape[1]] = r
-    counts = (np.cumsum(padded, axis=2) <= u[:, :, None]).sum(axis=2)
-    return np.minimum(counts, [r.shape[1] - 1 for r in rows])
+    counts = (np.cumsum(rows, axis=2) <= u.T[:, :, None]).sum(axis=2)
+    return np.minimum(counts.T, np.subtract(widths, 1))
+
+
+def _zero_padded(arrays) -> np.ndarray:
+    """Arrays of one rank stacked on a new leading axis, zero-padded to the largest shape."""
+    out = np.zeros((len(arrays),) + tuple(np.max([a.shape for a in arrays], axis=0)))
+    for k, a in enumerate(arrays):
+        out[(k,) + tuple(map(slice, a.shape))] = a
+    return out
 
 
 def sample_act(self, mdp, s_idx: int, t: int, rng=None) -> tuple[int, ...]:
@@ -610,34 +604,16 @@ def sample_act(self, mdp, s_idx: int, t: int, rng=None) -> tuple[int, ...]:
     """
     u = rng.random((1, mdp.m)) if rng is not None else np.zeros((1, mdp.m))
     rows = self.rows(mdp, t, np.array([s_idx]))
-    flat = np.concatenate(rows, axis=1)[0]
-    if np.count_nonzero(flat) == len(rows) == np.count_nonzero(flat == 1.0):
+    if np.count_nonzero(rows) == mdp.m == np.count_nonzero(rows == 1.0):
         # rows sum to 1, so each holds one nonzero entry, 1.0, where the inverse CDF
         # lands for every u: skip the draw
-        return tuple((flat.nonzero()[0] - mdp.level_offsets).tolist())
-    return tuple(_draw(rows, u)[0].tolist())
+        return tuple(rows[:, 0].argmax(1).tolist())
+    return tuple(_draw(rows, u, mdp.act_dims)[0].tolist())
 
 
-def policy_conditionals(self, mdp, t: int):
-    """Per device: (n_states, n_levels_d) level rows at every state of slot t.
-
-    Each is C-contiguous, whether `rows` gave views of one level block or not:
-    exact evaluation sweeps their columns and would run at strided speed.
-    """
-    return [np.ascontiguousarray(r) for r in self.rows(mdp, t, np.arange(mdp.n_states))]
-
-
-def level_rows(mdp, block) -> list:
-    """Per-device views of (n, sum of ladder lengths) concatenated level rows."""
-    return [block[cols] for cols in mdp.level_columns]
-
-
-def one_hot_rows(mdp, joint) -> list:
-    """Per-device one-hot level rows of an array of joint action indices.
-
-    One gather from the joint one-hot table, whatever the number of devices.
-    """
-    return level_rows(mdp, mdp.action_one_hot.take(joint, axis=0))
+def policy_conditionals(self, mdp, t: int) -> np.ndarray:
+    """(m, n_states, W) level rows at every state of slot t; rows[d] is C-contiguous."""
+    return self.rows(mdp, t, np.arange(mdp.n_states))
 
 
 class CentralizedPolicy:
@@ -647,7 +623,7 @@ class CentralizedPolicy:
         self.tables = [np.asarray(tbl) for tbl in tables]
 
     def rows(self, mdp, t: int, s_idx):
-        return one_hot_rows(mdp, self.tables[t - 1][s_idx])
+        return mdp.action_one_hot.take(self.tables[t - 1][s_idx], axis=1)
 
     act = sample_act
     conditionals = policy_conditionals
@@ -662,9 +638,9 @@ class FixedLevelsPolicy:
         self.levels = tuple(levels)
 
     def rows(self, mdp, t, s_idx):
-        block = np.zeros((len(s_idx), sum(mdp.act_dims)))
-        block[:, mdp.level_offsets + self.levels] = 1.0
-        return level_rows(mdp, block)
+        rows = np.zeros((mdp.m, len(s_idx), max(mdp.act_dims)))
+        rows[np.arange(mdp.m), :, self.levels] = 1.0
+        return rows
 
     act = sample_act
     conditionals = policy_conditionals
@@ -677,7 +653,9 @@ class FixedLevelsPolicy:
 def expected_cost_rows(mdp: GlobalMdp, conds) -> np.ndarray:
     """E[one-slot cost | s] for every state under per-device conditionals.
 
-    conds[d] is (n_states, n_levels_d), rows summing to 1. The pairwise PER
+    conds[d] holds device d's rows at every state in its first n_levels_d
+    columns, summing to 1; any columns beyond are zero padding, as in the
+    (m, n_states, W) array `conditionals` returns, and are not read. The pairwise PER
     expectation factorizes across devices because, given the state, devices
     draw their levels independently. The survival factors exp(-phi·noise/denom)
     and exp(-phi·p_k·h_k/denom) depend only on the channel configuration, so
@@ -713,13 +691,14 @@ def expected_cost_rows(mdp: GlobalMdp, conds) -> np.ndarray:
 def battery_mixes(mdp: GlobalMdp, conds) -> list:
     """Per device: (n_states, nb), the policy-mixed battery row at every state.
 
-    mixes[d][s] = sum_l conds[d][s, l] * kernel_l[b_d(s)], one gemm per battery
-    index b_d.
+    mixes[d][s] = sum_l conds[d][s, l] * kernel_l[b_d(s)] over the n_levels_d
+    columns of conds[d] (the zero padding of the (m, n_states, W) layout is not
+    read), one gemm per battery index b_d.
     """
     nb, m = mdp.energy.n_levels, mdp.m
     mixes = []
     for d, kb in enumerate(mdp.battery_kernels):
-        cond = conds[d].reshape(-1, nb, nb ** (m - 1 - d), len(kb))
+        cond = conds[d][:, :len(kb)].reshape(-1, nb, nb ** (m - 1 - d), len(kb))
         mix = np.empty(cond.shape[:3] + (nb,))
         for b in range(nb):
             np.matmul(cond[:, b], kb[:, b, :], out=mix[:, b])
@@ -789,7 +768,8 @@ def simulate_costs(mdp: GlobalMdp, policy, s1, *, n_samples: int, seed: int,
     uniform per rollout and device for the levels (inverse CDF on the policy's
     rows at the batch's states), one per rollout and link for the gains (on
     the rows of psi) and one per rollout and device for the batteries (on the
-    battery kernel rows).
+    battery kernel rows). The psi and kernel rows are zero-padded into the
+    (entities, n_samples, width) layout of the policy's rows.
 
     Raises:
         CausalityViolation: when the policy picks a level the battery cannot fund.
@@ -801,11 +781,13 @@ def simulate_costs(mdp: GlobalMdp, policy, s1, *, n_samples: int, seed: int,
     digits = np.tile(np.array(np.unravel_index(int(s1), dims), dtype=np.int64), (n_samples, 1))
     gains, bats = digits[:, :L], digits[:, L:]
     cost_tbl = mdp.cost_table() if mdp.n_channel_cfgs * mdp.n_actions <= 50_000_000 else None
+    psi, kernels = _zero_padded([c.psi for c in mdp.chains]), _zero_padded(mdp.battery_kernels)
+    links, devs = np.arange(L)[:, None], np.arange(mdp.m)[:, None]
     rng = np.random.default_rng(seed)
     totals = np.zeros(n_samples)
     for t in range(1, T + 1):
         s_idx = np.ravel_multi_index(digits.T, dims)
-        levels = _draw(policy.rows(mdp, t, s_idx), rng.random((n_samples, mdp.m)))
+        levels = _draw(policy.rows(mdp, t, s_idx), rng.random((n_samples, mdp.m)), mdp.act_dims)
         for d, mask in enumerate(mdp.feasible_level_masks):
             bad = ~mask[levels[:, d], bats[:, d]]
             if bad.any():  # battery_row raises with the first offender's details
@@ -815,10 +797,9 @@ def simulate_costs(mdp: GlobalMdp, policy, s1, *, n_samples: int, seed: int,
             totals += cost_tbl[s_idx // nbc, np.ravel_multi_index(levels.T, mdp.act_dims)]
         else:
             totals += [mdp.one_step_cost(int(s), tuple(lv)) for s, lv in zip(s_idx, levels)]
-        gains[:] = _draw([c.psi[gains[:, e]] for e, c in enumerate(mdp.chains)],
-                         rng.random((n_samples, L)))
-        bats[:] = _draw([kb[levels[:, d], bats[:, d]] for d, kb in enumerate(mdp.battery_kernels)],
-                        rng.random((n_samples, mdp.m)))
+        gains[:] = _draw(psi[links, gains.T], rng.random((n_samples, L)), mdp.link_dims)
+        bats[:] = _draw(kernels[devs, levels.T, bats.T], rng.random((n_samples, mdp.m)),
+                        mdp.bat_dims)
     return totals
 
 

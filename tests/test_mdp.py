@@ -12,6 +12,7 @@ from ehdfl.mdp import (FixedLevelsPolicy, GlobalState, backward_expectation,
                        backward_induction, battery_mixes, build_mdp, contract_leading,
                        evaluate_policy, expected_cost_rows, load_solution, simulate_costs)
 from ehdfl.topology import build_topology
+from test_policy_rows import ragged_line
 
 
 def propagate(mdp, rho, conds):
@@ -385,11 +386,13 @@ def per_slot_evaluation(mdp, policy, s1):
     return float(v[mdp.state_index(s1)])
 
 
-@pytest.mark.parametrize("name", PINNED + ["desk"])
+@pytest.mark.parametrize("name", PINNED + ["desk", "ragged"])
 def test_stationary_evaluation_builds_once_and_equals_the_per_slot_loop(name, monkeypatch):
     if name == "desk":
         desk = desk_scenario(horizon=3)
         mdp, s1 = desk.mdp, desk.s1
+    elif name == "ragged":
+        mdp, s1 = ragged_line()
     else:
         mdp, s1 = pinned_instances()[name]
     for pol in (GreedyPolicy(mdp), MyopicCentralPolicy(mdp),
@@ -465,21 +468,22 @@ def test_exact_vs_monte_carlo_evaluation(pair):
 
 
 def test_lockstep_monte_carlo_agrees_with_exact_for_every_policy_type():
-    mdp, s1 = capacity_family(3)
-    policies = {
-        "centralized": backward_induction(mdp).as_policy(),
-        "greedy": GreedyPolicy(mdp),
-        "myopic": MyopicCentralPolicy(mdp),
-        "fixed": FixedLevelsPolicy((0, 1, 0)),
-        "localized": synthesize(mdp, hops=1, gamma=1.0, rounds=2),
-    }
-    for name, pol in policies.items():
-        horizon = 2 if name == "fixed" else None  # device 1 can fund two transmissions
-        exact = evaluate_policy(mdp, pol, s1, horizon=horizon)
-        mean, se = evaluate_policy(mdp, pol, s1, mode="mc", n_samples=4000, seed=3,
-                                   horizon=horizon)
-        assert se > 0, name
-        assert abs(exact - mean) < 5 * se, name
+    # the ragged line pads level rows to 3 columns and gain rows to 3 states
+    for mdp, s1 in (capacity_family(3), ragged_line()):
+        policies = {
+            "centralized": backward_induction(mdp).as_policy(),
+            "greedy": GreedyPolicy(mdp),
+            "myopic": MyopicCentralPolicy(mdp),
+            "fixed": FixedLevelsPolicy((0, 1, 0)),
+            "localized": synthesize(mdp, hops=1, gamma=1.0, rounds=2),
+        }
+        for name, pol in policies.items():
+            horizon = 2 if name == "fixed" else None  # device 1 can fund two transmissions
+            exact = evaluate_policy(mdp, pol, s1, horizon=horizon)
+            mean, se = evaluate_policy(mdp, pol, s1, mode="mc", n_samples=4000, seed=3,
+                                       horizon=horizon)
+            assert se > 0, name
+            assert abs(exact - mean) < 5 * se, name
 
 
 def test_simulate_costs_raises_on_an_infeasible_level(pair):

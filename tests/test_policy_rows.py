@@ -8,11 +8,14 @@ import numpy as np
 import pytest
 
 from ehdfl.baselines import GreedyPolicy, MyopicCentralPolicy
+from ehdfl.channel import ChannelChain, RadioParams
 from ehdfl.dflsim import run_training
+from ehdfl.energy import EnergyParams, HarvestModel
 from ehdfl.instances import capacity_family, oracle_instance
 from ehdfl.learning import make_quadratic_task
 from ehdfl.localized import synthesize
-from ehdfl.mdp import FixedLevelsPolicy, backward_induction
+from ehdfl.mdp import FixedLevelsPolicy, GlobalState, backward_induction, build_mdp
+from ehdfl.topology import build_topology
 
 
 def centralized_act(pol, mdp, s_idx, t, rng=None):
@@ -63,7 +66,29 @@ def policies(mdp):
     }
 
 
-INSTANCES = {"pair": oracle_instance, "capacity-3": lambda: capacity_family(3)}
+def ragged_line():
+    """Three-device line whose ladders (2, 3, 2 levels) and chains (2, 3 states) differ.
+
+    Every pinned instance has equal ladders and equal chains, so this is the
+    model on which rows are zero-padded to the longest ladder and the Monte
+    Carlo gain rows to the largest chain.
+    """
+    topo = build_topology("line", 3)
+    energy = EnergyParams(k_steps=1, cpu_freq=1.0, cycles_per_sample=0.0,
+                          batch_size=1, tau=1.0, b_max=2.0, n_levels=3)
+    chains = [ChannelChain(levels=np.array([0.4, 2.2]), steady=np.array([0.5, 0.5]),
+                           psi=np.array([[0.7, 0.3], [0.3, 0.7]])),
+              ChannelChain(levels=np.array([0.5, 1.2, 3.0]),
+                           steady=np.array([4.0, 6.0, 3.0]) / 13.0,
+                           psi=np.array([[0.7, 0.3, 0.0], [0.2, 0.6, 0.2], [0.0, 0.4, 0.6]]))]
+    harvest = HarvestModel(support=np.array([0.0, 1.0]), probs=np.array([0.6, 0.4]))
+    mdp = build_mdp(topo, RadioParams(1.8, (0.4, 0.4, 0.4), 1.0), energy, chains, harvest,
+                    power_levels=[[0.0, 1.0], [0.0, 1.0, 2.0], [0.0, 1.0]], horizon=3)
+    return mdp, GlobalState(gains=(1, 2), batteries=(2, 2, 2))
+
+
+INSTANCES = {"pair": oracle_instance, "capacity-3": lambda: capacity_family(3),
+             "ragged": ragged_line}
 
 
 @pytest.fixture(scope="module", params=sorted(INSTANCES))
@@ -94,6 +119,19 @@ def test_deterministic_act_needs_no_generator(case, name):
     pol, body = pols[name]
     for s in range(mdp.n_states):
         assert pol.act(mdp, s, 1) == body(pol, mdp, s, 1)
+
+
+@pytest.mark.parametrize("name", ["centralized", "greedy", "myopic", "fixed", "localized"])
+def test_rows_are_one_device_major_array_zero_beyond_each_ladder(case, name):
+    mdp, _, pols = case
+    pol = pols[name][0]
+    for t in range(1, mdp.horizon + 1):
+        rows = pol.rows(mdp, t, np.arange(mdp.n_states))
+        assert rows.shape == (mdp.m, mdp.n_states, max(mdp.act_dims))
+        for d, n_d in enumerate(mdp.act_dims):
+            assert rows[d].flags.c_contiguous
+            assert not rows[d, :, n_d:].any()
+            np.testing.assert_allclose(rows[d].sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["centralized", "greedy", "myopic", "fixed", "localized"])
