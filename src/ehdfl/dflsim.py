@@ -13,8 +13,6 @@ from .mdp import GlobalMdp, GlobalState
 _ROLE_POLICY = 0
 _ROLE_CHANNEL = 1
 _ROLE_HARVEST = 2
-_ROLE_DATA = 3
-_ROLE_NOISE = 4
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
@@ -112,11 +110,11 @@ class DflRun:
 
 
 def run_training(mdp: GlobalMdp, task, policy, *, seed: int, eta: float,
-                 horizon: int | None = None, init_model=None, batch=None,
-                 noise_std: float = 0.0, per_override: float | None = None,
+                 horizon: int | None = None, per_override: float | None = None,
                  s1: GlobalState | None = None, record_models: bool = False) -> DflRun:
     """Co-simulate the radio process and decentralized training for T slots.
 
+    Every device starts from the zero model and takes full-batch local steps.
     per_override, when given, replaces every link's packet-error probability
     with a constant (0.0 forces lossless delivery); the channel process still
     advances so trajectories stay comparable across override settings.
@@ -132,13 +130,9 @@ def run_training(mdp: GlobalMdp, task, policy, *, seed: int, eta: float,
     rng_pol = _stream(seed, _ROLE_POLICY)
     rng_chan = _stream(seed, _ROLE_CHANNEL)
     rng_harv = [_stream(seed, _ROLE_HARVEST, i) for i in range(m)]
-    rng_data = [_stream(seed, _ROLE_DATA, i) for i in range(m)]
-    rng_noise = [_stream(seed, _ROLE_NOISE, i) for i in range(m)]
 
     d = task.dim
-    if init_model is None:
-        init_model = np.zeros(d)
-    models = [np.array(init_model, dtype=float, copy=True) for _ in range(m)]
+    models = [np.zeros(d) for _ in range(m)]
 
     gains = np.asarray(s1.gains, dtype=np.int64)
     bats_j = np.array([b * energy.quantum for b in s1.batteries])
@@ -189,9 +183,7 @@ def run_training(mdp: GlobalMdp, task, policy, *, seed: int, eta: float,
         deltas = [np.zeros(d) for _ in range(m)]
         for i in range(m):
             if beta[i]:
-                w_new, sup_sq = local_sgd(
-                    task, i, models[i], k_steps=energy.k_steps, eta=eta, batch=batch,
-                    rng_data=rng_data[i], rng_noise=rng_noise[i], noise_std=noise_std)
+                w_new, sup_sq = local_sgd(task, i, models[i], k_steps=energy.k_steps, eta=eta)
                 deltas[i] = w_new - models[i]
                 rec.sup_grad_sq = max(rec.sup_grad_sq, sup_sq)
         if record_models:
@@ -201,10 +193,7 @@ def run_training(mdp: GlobalMdp, task, policy, *, seed: int, eta: float,
         # Packet outcomes: one PER draw per directed neighbor link with an
         # active transmitter, in ascending (receiver, transmitter) order.
         for e, (a, b) in enumerate(mdp.entities):
-            g = mdp.chains[e].levels[gains[e]]
-            gain_mat[a, b] = g
-            if mdp.reciprocal:
-                gain_mat[b, a] = g
+            gain_mat[a, b] = gain_mat[b, a] = mdp.chains[e].levels[gains[e]]
         zeta = np.zeros((m, m))
         for i in range(m):
             for j in sorted(topo.neighbors[i]):

@@ -99,6 +99,13 @@ def _train_worker(args):
     }
 
 
+def _train_seeds(config: ExperimentConfig, mdp, policy, s1, jobs: int) -> list:
+    """One `_train_worker` result per config seed, on the config's task and step size."""
+    task = config.build_task()
+    eta = config.step_size(task)
+    return _pool_map(_train_worker, [(mdp, task, policy, s, eta, s1) for s in config.seeds], jobs)
+
+
 def _mc_worker(args):
     mdp, policy, s1, seed, n_samples = args
     return simulate_costs(mdp, policy, s1, n_samples=n_samples, seed=seed)
@@ -194,11 +201,7 @@ def _run_train(config: ExperimentConfig, out: Path, jobs: int,
     name = policy_name or config.policy_name
     mdp = config.build_model()
     s1 = config.start_state(mdp)
-    policy = config.build_policy(mdp, name)
-    task = config.build_task()
-    eta = config.step_size(task)
-    results = _pool_map(_train_worker,
-                        [(mdp, task, policy, s, eta, s1) for s in config.seeds], jobs)
+    results = _train_seeds(config, mdp, config.build_policy(mdp, name), s1, jobs)
     for res in results:
         write_csv(out / f"metrics_seed{res['seed']}.csv", res["header"], res["rows"],
                   config.hash)
@@ -285,12 +288,7 @@ def _sweep_capacity(config: ExperimentConfig, out: Path, values, jobs: int) -> N
         j_star = sol.expected_cost(s1)
         loss_mean, loss_se = "", ""
         if train:
-            task = config.build_task()
-            eta = config.step_size(task)
-            policy = config.build_policy(mdp)
-            results = _pool_map(_train_worker,
-                                [(mdp, task, policy, s, eta, s1)
-                                 for s in config.seeds], jobs)
+            results = _train_seeds(config, mdp, config.build_policy(mdp), s1, jobs)
             loss_mean, loss_se = _mean_stderr([r["final_device"] for r in results])
         rows.append([n_levels, mdp.energy.b_max, j_star, loss_mean, loss_se])
     _emit(out, "final_vs_battery.csv", rows, config.hash)
@@ -299,15 +297,11 @@ def _sweep_capacity(config: ExperimentConfig, out: Path, values, jobs: int) -> N
 def _sweep_hops(config: ExperimentConfig, out: Path, values, jobs: int) -> None:
     mdp = config.build_model()
     s1 = config.start_state(mdp)
-    task = config.build_task()
-    eta = config.step_size(task)
     rows = []
     for hops in values:
         policy = config.build_policy(mdp, "decentralized_pi", hops=hops)
         j = evaluate_policy(mdp, policy, s1)
-        results = _pool_map(_train_worker,
-                            [(mdp, task, policy, s, eta, s1) for s in config.seeds],
-                            jobs)
+        results = _train_seeds(config, mdp, policy, s1, jobs)
         loss_mean, loss_se = _mean_stderr([r["final_device"] for r in results])
         rows.append([hops, j, loss_mean, loss_se, len(results)])
     _emit(out, "hops_table.csv", rows, config.hash)

@@ -36,12 +36,6 @@ class ExtensionDefaults:
     level: int = 0
 
 
-def _strides(dims):
-    if not dims:
-        return np.zeros(0, dtype=np.int64)
-    return np.cumprod([1] + list(dims[::-1]))[::-1][1:].astype(np.int64)
-
-
 @dataclass(eq=False)
 class Cover:
     """One device's kappa-hop view: member devices, incident link entities."""
@@ -56,8 +50,6 @@ class Cover:
 
     def __post_init__(self):
         self.state_dims = tuple(self.link_dims) + tuple(self.bat_dims)
-        self.state_strides = _strides(self.state_dims)
-        self.act_strides = _strides(self.act_dims)
         self.dev_pos = {d: k for k, d in enumerate(self.devs)}
         self.link_pos = {e: k for k, e in enumerate(self.links)}
 
@@ -73,28 +65,10 @@ class Cover:
     def n_actions(self) -> int:
         return math.prod(self.act_dims)
 
-    def state_digit(self, idx, pos: int):
-        return (idx // self.state_strides[pos]) % self.state_dims[pos]
-
-    def battery_digit(self, idx, device: int):
-        return self.state_digit(idx, len(self.links) + self.dev_pos[device])
-
-    def action_digit(self, idx, device: int):
-        return (idx // self.act_strides[self.dev_pos[device]]) % self.act_dims[self.dev_pos[device]]
-
 
 def build_cover(mdp, owner: int, hops: int) -> Cover:
     devs = k_hop_set(mdp.topo.neighbors, owner, hops)
-    dev_set = set(devs)
-    links = []
-    for e, pair in enumerate(mdp.entities):
-        if mdp.reciprocal:
-            if pair[0] in dev_set or pair[1] in dev_set:
-                links.append(e)
-        else:
-            if pair[0] in dev_set:  # receiver holds the incoming gain
-                links.append(e)
-    links = tuple(links)
+    links = tuple(e for e, (a, b) in enumerate(mdp.entities) if a in devs or b in devs)
     return Cover(owner=owner, hops=hops, devs=tuple(devs), links=links,
                  link_dims=tuple(mdp.chains[e].n for e in links),
                  bat_dims=tuple(mdp.energy.n_levels for _ in devs),
@@ -114,20 +88,17 @@ def localized_cost_table(mdp, cover: Cover,
     out-of-cover gains the default gain digit.
     """
     ng, na = cover.n_gain_cfgs, cover.n_actions
-    g_idx = np.arange(ng)
-    a_idx = np.arange(na)
-    g_strides = _strides(cover.link_dims)
+    gains = np.unravel_index(np.arange(ng), cover.link_dims)
+    levels = np.unravel_index(np.arange(na), cover.act_dims)
 
     def gain_vec(e):
         if e in cover.link_pos:
-            pos = cover.link_pos[e]
-            digit = (g_idx // g_strides[pos]) % cover.link_dims[pos]
-            return mdp.chains[e].levels[digit]
+            return mdp.chains[e].levels[gains[cover.link_pos[e]]]
         return np.full(ng, mdp.chains[e].levels[defaults.gain])
 
     def power_vec(d):
         if d in cover.dev_pos:
-            return mdp.power_levels[d][cover.action_digit(a_idx, d)]
+            return mdp.power_levels[d][levels[cover.dev_pos[d]]]
         return np.full(na, mdp.power_levels[d][defaults.level])
 
     out = np.zeros((ng, na))
@@ -135,7 +106,7 @@ def localized_cost_table(mdp, cover: Cover,
         if j == cover.owner:
             out += link_loss_table(mdp.radio, i, w, power_vec(j), gain_vec(e_own),
                                    [(power_vec(k), gain_vec(e_k)) for k, e_k in interf])
-    return out * mdp.cost_scale
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +142,10 @@ class _SynthContext:
     policy table of device j, (n_states_j, n_levels_j), to cover i's state digit
     axes, keeping its trailing level axis. Digits of cover i that cover j lacks
     are length-1 axes. The budget is checked on the covers alone, before any
-    table is built. It counts states x actions, which is conservative: Q tables
-    hold gain configurations x actions.
+    table is built. It counts states x actions, within about 4x of the largest
+    table: Q holds gain configurations x actions, but _expected_own_rows builds
+    an intermediate of states x actions / 4 on the shipped models (16,384 of
+    65,536 entries on the desk ring at hops 2).
     """
 
     def __init__(self, mdp, hops, gamma, defaults, table_budget):
@@ -192,8 +165,8 @@ class _SynthContext:
         self.feas_rows = [self._feasible_rows(c) for c in self.covers]
 
     def _feasible_rows(self, cover):
-        idx = np.arange(cover.n_states)
-        b = cover.battery_digit(idx, cover.owner)
+        digits = np.unravel_index(np.arange(cover.n_states), cover.state_dims)
+        b = digits[len(cover.links) + cover.dev_pos[cover.owner]]
         return self.mdp.feasible_level_masks[cover.owner][:, b].T  # (n_states, nl_owner)
 
 
@@ -225,33 +198,19 @@ def extension_state_map(ci: Cover, cj: Cover, defaults: ExtensionDefaults) -> np
 
     Coordinates j knows about but i does not take the extension defaults.
     """
-    idx = np.arange(ci.n_states, dtype=np.int64)
-    out = np.zeros_like(idx)
-    for pos, e in enumerate(cj.links):
-        if e in ci.link_pos:
-            digit = ci.state_digit(idx, ci.link_pos[e])
-        else:
-            digit = defaults.gain
-        out += digit * cj.state_strides[pos]
-    for pos, d in enumerate(cj.devs):
-        if d in ci.dev_pos:
-            digit = ci.state_digit(idx, len(ci.links) + ci.dev_pos[d])
-        else:
-            digit = defaults.battery
-        out += digit * cj.state_strides[len(cj.links) + pos]
-    return out
+    digits, nl = np.unravel_index(np.arange(ci.n_states), ci.state_dims), len(ci.links)
+    gain, battery = np.full(ci.n_states, defaults.gain), np.full(ci.n_states, defaults.battery)
+    coords = [digits[ci.link_pos[e]] if e in ci.link_pos else gain for e in cj.links]
+    coords += [digits[nl + ci.dev_pos[d]] if d in ci.dev_pos else battery for d in cj.devs]
+    return np.ravel_multi_index(coords, cj.state_dims)
 
 
 def extension_action_map(ci: Cover, cj: Cover, defaults: ExtensionDefaults) -> np.ndarray:
-    idx = np.arange(ci.n_actions, dtype=np.int64)
-    out = np.zeros_like(idx)
-    for pos, d in enumerate(cj.devs):
-        if d in ci.dev_pos:
-            digit = ci.action_digit(idx, d)
-        else:
-            digit = defaults.level
-        out += digit * cj.act_strides[pos]
-    return out
+    """Local joint action index of cover j as seen from each joint action of cover i."""
+    levels = np.unravel_index(np.arange(ci.n_actions), ci.act_dims)
+    level = np.full(ci.n_actions, defaults.level)
+    coords = [levels[ci.dev_pos[d]] if d in ci.dev_pos else level for d in cj.devs]
+    return np.ravel_multi_index(coords, cj.act_dims)
 
 
 def masked_softmax(rows: np.ndarray, gamma: float, feas: np.ndarray) -> np.ndarray:
@@ -272,14 +231,10 @@ def _state_rows(cov: Cover, x: np.ndarray) -> np.ndarray:
 def _init_policy(ctx: _SynthContext, i: int, q1: np.ndarray) -> np.ndarray:
     """pi^1: softmax of the own-action slice of Q^1 with others at the default level."""
     cov = ctx.covers[i]
-    own_pos = cov.dev_pos[i]
-    cols = []
-    for l in range(cov.act_dims[own_pos]):
-        a = 0
-        for pos in range(len(cov.devs)):
-            digit = l if pos == own_pos else ctx.defaults.level
-            a += digit * int(cov.act_strides[pos])
-        cols.append(a)
+    own = cov.dev_pos[i]
+    levels = np.full((len(cov.devs), cov.act_dims[own]), ctx.defaults.level)
+    levels[own] = np.arange(cov.act_dims[own])
+    cols = np.ravel_multi_index(levels, cov.act_dims)
     rows = q1[:, cols].reshape(cov.link_dims + (1,) * len(cov.devs) + (-1,))
     return masked_softmax(_state_rows(cov, rows), ctx.gamma, ctx.feas_rows[i])
 
@@ -339,13 +294,10 @@ class LocalizedPolicy:
     def projections(self, mdp):
         """Per device: local state index for every global state index (cached)."""
         if not self._proj:
+            digits = np.unravel_index(np.arange(mdp.n_states), mdp.link_dims + mdp.bat_dims)
             for cov in self.covers:
-                idx = np.zeros(mdp.n_states, dtype=np.int64)
-                for pos, e in enumerate(cov.links):
-                    idx += mdp.state_channel_digits(e) * cov.state_strides[pos]
-                for pos, d in enumerate(cov.devs):
-                    idx += mdp.state_battery_digits(d) * cov.state_strides[len(cov.links) + pos]
-                self._proj.append(idx)
+                coords = [digits[e] for e in cov.links] + [digits[mdp.n_links + d] for d in cov.devs]
+                self._proj.append(np.ravel_multi_index(coords, cov.state_dims))
         return self._proj
 
     def rows(self, mdp, t: int, s_idx):

@@ -18,12 +18,13 @@ device's ladder. `act` (one draw) and `conditionals` (rows at every state) are
 defined once from it, and Monte Carlo advances all rollouts of a seed together
 by sampling those rows.
 
-Indexing convention: a global state index is the C-order ravel of
-(gain digits..., battery digits...), link entities in canonical order
-(sorted undirected edges when reciprocal, sorted (receiver, transmitter)
-pairs otherwise), devices ascending. Joint action indices ravel per-device
-level digits in device order, so index 0 is all-silent and ties in the
-solver break toward the lexicographically smallest action.
+Indexing convention: links are undirected, one link entity (one fading gain)
+per sorted undirected edge, in sorted order. A global state index is the
+C-order ravel of (gain digits..., battery digits...), devices ascending. Joint
+action indices ravel per-device level digits in device order, so index 0 is
+all-silent and ties in the solver break toward the lexicographically smallest
+action. Digits are read and written with np.unravel_index and
+np.ravel_multi_index over the dims tuples, nowhere by hand.
 """
 from __future__ import annotations
 
@@ -51,15 +52,6 @@ class GlobalState:
     batteries: tuple[int, ...]
 
 
-def _digits(idx, dims):
-    out = []
-    rem = np.asarray(idx)
-    for base in reversed(dims):
-        out.append(rem % base)
-        rem = rem // base
-    return list(reversed(out))
-
-
 @dataclass(eq=False)
 class GlobalMdp:
     """Bundle of topology, channel chains, energy model, actions, horizon."""
@@ -71,9 +63,7 @@ class GlobalMdp:
     harvests: list
     power_levels: list
     horizon: int
-    reciprocal: bool = True
-    cost_scale: float = 1.0
-    entities: list = field(default_factory=list)
+    entities: list = field(init=False)
 
     # ------------------------------------------------------------------
     # construction
@@ -83,10 +73,7 @@ class GlobalMdp:
         m = self.topo.m
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.reciprocal:
-            self.entities = [tuple(e) for e in self.topo.edges]
-        else:
-            self.entities = sorted((i, j) for i in range(m) for j in self.topo.neighbors[i])
+        self.entities = [tuple(e) for e in self.topo.edges]
         if len(self.chains) != len(self.entities):
             raise ValueError("need one channel chain per link entity")
         if len(self.harvests) != m or len(self.power_levels) != m:
@@ -101,7 +88,6 @@ class GlobalMdp:
             self.power_levels[d] = lv
         for hv in self.harvests:
             hv.quanta(self.energy)  # validates grid alignment
-        self._cache = {}
 
     @property
     def m(self) -> int:
@@ -140,12 +126,8 @@ class GlobalMdp:
         return math.prod(self.act_dims)
 
     def entity_of(self, receiver: int, transmitter: int) -> int:
-        """Link entity index carrying the gain seen by `receiver` from `transmitter`."""
-        if self.reciprocal:
-            key = (min(receiver, transmitter), max(receiver, transmitter))
-        else:
-            key = (receiver, transmitter)
-        return self._entity_index[key]
+        """Link entity index carrying the gain between `receiver` and `transmitter`."""
+        return self._entity_index[(min(receiver, transmitter), max(receiver, transmitter))]
 
     # ------------------------------------------------------------------
     # state and action indexing
@@ -172,58 +154,33 @@ class GlobalMdp:
     def powers_of(self, levels) -> np.ndarray:
         return np.array([self.power_levels[d][l] for d, l in enumerate(levels)])
 
-    # vectorized digit helpers over flat indices -------------------------------
-
-    def channel_digit(self, ch_idx, entity: int):
-        return _digits(ch_idx, self.link_dims)[entity]
-
-    def battery_digit_of_state(self, s_idx, device: int):
-        dims = self.link_dims + self.bat_dims
-        return _digits(s_idx, dims)[self.n_links + device]
-
-    def action_digit(self, a_idx, device: int):
-        return _digits(a_idx, self.act_dims)[device]
-
     # ------------------------------------------------------------------
     # cached factored model pieces
     # ------------------------------------------------------------------
 
-    def _cached(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
-
-    @property
+    @functools.cached_property
     def draw_quanta(self):
         """Per device: int (n_levels_d,), the battery quanta one slot at each level draws."""
+        e = self.energy
+        return [np.array([e.to_quanta(e.slot_energy(p)) for p in lv]) for lv in self.power_levels]
 
-        def build():
-            e = self.energy
-            return [np.array([e.to_quanta(e.slot_energy(p)) for p in lv]) for lv in self.power_levels]
-
-        return self._cached("draw_quanta", build)
-
-    @property
+    @functools.cached_property
     def battery_kernels(self):
         """Per device: array (n_levels_d, nb, nb); infeasible rows are identity filler."""
-
-        def build():
-            nb = self.energy.n_levels
-            out = []
-            for d, draws in enumerate(self.draw_quanta):
-                uq, pr = self.harvests[d].quanta(self.energy)
-                ks = np.zeros((len(draws), nb, nb))
-                for l, eq in enumerate(draws):
-                    for b in range(nb):
-                        if eq > b:
-                            ks[l, b, b] = 1.0  # never selectable, placeholder row
-                            continue
-                        for amount, prob in zip(uq, pr):
-                            ks[l, b, min(b - eq + amount, nb - 1)] += prob
-                out.append(ks)
-            return out
-
-        return self._cached("battery_kernels", build)
+        nb = self.energy.n_levels
+        out = []
+        for d, draws in enumerate(self.draw_quanta):
+            uq, pr = self.harvests[d].quanta(self.energy)
+            ks = np.zeros((len(draws), nb, nb))
+            for l, eq in enumerate(draws):
+                for b in range(nb):
+                    if eq > b:
+                        ks[l, b, b] = 1.0  # never selectable, placeholder row
+                        continue
+                    for amount, prob in zip(uq, pr):
+                        ks[l, b, min(b - eq + amount, nb - 1)] += prob
+            out.append(ks)
+        return out
 
     @functools.cached_property
     def action_one_hot(self) -> np.ndarray:
@@ -233,87 +190,57 @@ class GlobalMdp:
         rows.flags.writeable = False
         return rows
 
-    @property
+    @functools.cached_property
     def feasible_level_masks(self):
         """Per device: bool (n_levels_d, nb), True where the level fits the battery."""
-        return self._cached("feas_masks", lambda: [
-            np.arange(self.energy.n_levels) >= draws[:, None] for draws in self.draw_quanta])
+        return [np.arange(self.energy.n_levels) >= draws[:, None] for draws in self.draw_quanta]
 
-    @property
+    @functools.cached_property
     def action_feasibility(self):
         """Bool (n_actions, n_battery_cfgs): joint action feasible at battery config."""
+        na, nbc = self.n_actions, self.n_battery_cfgs
+        if na * nbc > 200_000_000:
+            raise BudgetExceeded(f"action feasibility table too large ({na}x{nbc})")
+        levels = np.unravel_index(np.arange(na), self.act_dims)
+        bats = np.unravel_index(np.arange(nbc), self.bat_dims)
+        feas = np.ones((na, nbc), dtype=bool)
+        for d, mask in enumerate(self.feasible_level_masks):
+            feas &= mask[np.ix_(levels[d], bats[d])]
+        return feas
 
-        def build():
-            na, nbc = self.n_actions, self.n_battery_cfgs
-            if na * nbc > 200_000_000:
-                raise BudgetExceeded(f"action feasibility table too large ({na}x{nbc})")
-            feas = np.ones((na, nbc), dtype=bool)
-            a_idx = np.arange(na)
-            b_idx = np.arange(nbc)
-            for d in range(self.m):
-                ad = self.action_digit(a_idx, d)
-                bd = _digits(b_idx, self.bat_dims)[d]
-                feas &= self.feasible_level_masks[d][np.ix_(ad, bd)]
-            return feas
-
-        return self._cached("action_feas", build)
-
-    @property
+    @functools.cached_property
     def ordered_pairs(self):
         """All (receiver, transmitter, weight, own entity, [(interferer, entity), ...])."""
+        out = []
+        for j in range(self.m):
+            for i in self.topo.neighbors[j]:
+                interf = [(k, self.entity_of(i, k)) for k in self.topo.neighbors[i] if k != j]
+                out.append((i, j, float(self.topo.mixing[i, j]), self.entity_of(i, j), interf))
+        return out
 
-        def build():
-            out = []
-            for j in range(self.m):
-                for i in self.topo.neighbors[j]:
-                    interf = [(k, self.entity_of(i, k)) for k in self.topo.neighbors[i] if k != j]
-                    out.append((i, j, float(self.topo.mixing[i, j]), self.entity_of(i, j), interf))
-            return out
-
-        return self._cached("pairs", build)
-
-    def channel_gain_values(self, entity: int) -> np.ndarray:
-        """Gain value of one entity for every channel configuration (cached, (nc,))."""
-
-        def build():
-            ch = np.arange(self.n_channel_cfgs)
-            return self.chains[entity].levels[self.channel_digit(ch, entity)]
-
-        return self._cached(("gain_values", entity), build)
-
-    def state_battery_digits(self, device: int) -> np.ndarray:
-        def build():
-            b = np.arange(self.n_battery_cfgs)
-            per_cfg = _digits(b, self.bat_dims)[device].astype(np.int64)
-            return np.tile(per_cfg, self.n_channel_cfgs)
-
-        return self._cached(("bat_digits", device), build)
-
-    def state_channel_digits(self, entity: int) -> np.ndarray:
-        def build():
-            ch = np.arange(self.n_channel_cfgs)
-            per_cfg = np.asarray(self.channel_digit(ch, entity), dtype=np.int64)
-            return np.repeat(per_cfg, self.n_battery_cfgs)
-
-        return self._cached(("ch_digits", entity), build)
+    @functools.cached_property
+    def gain_values(self) -> list:
+        """Per link entity: its gain value at every channel configuration, (nc,)."""
+        digits = np.unravel_index(np.arange(self.n_channel_cfgs), self.link_dims)
+        return [chain.levels[g] for chain, g in zip(self.chains, digits)]
 
     def cost_table(self) -> np.ndarray:
         """Expected one-slot cost, shape (n_channel_cfgs, n_actions)."""
+        return self._cost_table
 
-        def build():
-            nc, na = self.n_channel_cfgs, self.n_actions
-            if nc * na > 200_000_000:
-                raise BudgetExceeded(f"cost table too large ({nc}x{na})")
-            gv = [self.channel_gain_values(e) for e in range(self.n_links)]
-            a_idx = np.arange(na)
-            pv = [self.power_levels[d][self.action_digit(a_idx, d)] for d in range(self.m)]
-            cost = np.zeros((nc, na))
-            for i, j, w, e_own, interf in self.ordered_pairs:
-                cost += link_loss_table(self.radio, i, w, pv[j], gv[e_own],
-                                        [(pv[k], gv[e_k]) for k, e_k in interf])
-            return cost * self.cost_scale
-
-        return self._cached("cost_table", build)
+    @functools.cached_property
+    def _cost_table(self) -> np.ndarray:
+        nc, na = self.n_channel_cfgs, self.n_actions
+        if nc * na > 200_000_000:
+            raise BudgetExceeded(f"cost table too large ({nc}x{na})")
+        gv = self.gain_values
+        levels = np.unravel_index(np.arange(na), self.act_dims)
+        pv = [lv[digit] for lv, digit in zip(self.power_levels, levels)]
+        cost = np.zeros((nc, na))
+        for i, j, w, e_own, interf in self.ordered_pairs:
+            cost += link_loss_table(self.radio, i, w, pv[j], gv[e_own],
+                                    [(pv[k], gv[e_k]) for k, e_k in interf])
+        return cost
 
     # ------------------------------------------------------------------
     # scalar model queries
@@ -339,7 +266,7 @@ class GlobalMdp:
 
         for i, j, w, _, _ in self.ordered_pairs:
             total += w * packet_error_rate(p, g, self.topo, self.radio, i, j)
-        return total * self.cost_scale
+        return total
 
     def device_cost(self, state, levels, device: int) -> float:
         """Share of the one-slot cost charged to `device`'s own transmissions.
@@ -360,7 +287,7 @@ class GlobalMdp:
         for i, j, w, _, _ in self.ordered_pairs:
             if j == device:
                 total += w * packet_error_rate(p, g, self.topo, self.radio, i, j)
-        return total * self.cost_scale
+        return total
 
     def transition(self, state, levels, max_support: int = 1_000_000) -> dict:
         """Explicit next-state distribution {flat index: prob} (small instances)."""
@@ -397,7 +324,8 @@ class GlobalMdp:
             "edges": [list(e) for e in self.topo.edges],
             "mixing": np.round(self.topo.mixing, 12).tolist(),
             "entities": [list(e) for e in self.entities],
-            "reciprocal": self.reciprocal,
+            # retired model knobs, kept as their only values so saved files' hashes still match
+            "reciprocal": True,
             "chains": [[np.round(c.levels, 12).tolist(), np.round(c.psi, 12).tolist()]
                        for c in self.chains],
             "radio": [self.radio.phi, np.atleast_1d(self.radio.sigma2).tolist(), self.radio.tau],
@@ -407,7 +335,7 @@ class GlobalMdp:
             "harvests": [[h.support.tolist(), h.probs.tolist()] for h in self.harvests],
             "powers": [lv.tolist() for lv in self.power_levels],
             "horizon": self.horizon,
-            "cost_scale": self.cost_scale,
+            "cost_scale": 1.0,
         }
         blob = json.dumps(desc, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
@@ -439,13 +367,11 @@ def battery_row(mdp: GlobalMdp, device: int, b_idx: int, level: int) -> np.ndarr
     return mdp.battery_kernels[device][level, b_idx]
 
 
-def build_mdp(topo, radio, energy, chains, harvests, power_levels, horizon, *,
-              reciprocal=True, cost_scale=1.0) -> GlobalMdp:
+def build_mdp(topo, radio, energy, chains, harvests, power_levels, horizon) -> GlobalMdp:
     """Assemble a GlobalMdp, broadcasting single chains/harvests/ladders."""
     m = topo.m
-    n_entities = len(topo.edges) if reciprocal else sum(len(n) for n in topo.neighbors)
     if isinstance(chains, ChannelChain):
-        chains = [chains] * n_entities
+        chains = [chains] * len(topo.edges)
     if isinstance(harvests, HarvestModel):
         harvests = [harvests] * m
     power_levels = list(power_levels)
@@ -455,7 +381,7 @@ def build_mdp(topo, radio, energy, chains, harvests, power_levels, horizon, *,
         power_levels = [np.asarray(lv, dtype=float) for lv in power_levels]
     return GlobalMdp(topo=topo, radio=radio, energy=energy, chains=list(chains),
                      harvests=list(harvests), power_levels=power_levels,
-                     horizon=horizon, reciprocal=reciprocal, cost_scale=cost_scale)
+                     horizon=horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +592,7 @@ def expected_cost_rows(mdp: GlobalMdp, conds) -> np.ndarray:
     conds = [c.reshape(nc, nbc, -1) for c in conds]
     out = np.zeros((nc, nbc))
     for i, j, w, e_own, interf in mdp.ordered_pairs:
-        h_own = mdp.channel_gain_values(e_own)
+        h_own = mdp.gain_values[e_own]
         cond_j = conds[j]
         acc = cond_j[:, :, 0].copy()  # silent level: guaranteed loss
         for l in range(1, mdp.act_dims[j]):
@@ -674,7 +600,7 @@ def expected_cost_rows(mdp: GlobalMdp, conds) -> np.ndarray:
             denom = pj * h_own
             surv = np.exp(-phi * mdp.radio.noise(i) / denom)[:, None]
             for k, e_k in interf:
-                hk = mdp.channel_gain_values(e_k)
+                hk = mdp.gain_values[e_k]
                 f = np.zeros((nc, nbc))
                 for lk in range(mdp.act_dims[k]):
                     pk = mdp.power_levels[k][lk]
@@ -685,7 +611,7 @@ def expected_cost_rows(mdp: GlobalMdp, conds) -> np.ndarray:
                 surv = surv * f
             acc += cond_j[:, :, l] * (1.0 - surv)
         out += w * acc
-    return out.reshape(-1) * mdp.cost_scale
+    return out.reshape(-1)
 
 
 def battery_mixes(mdp: GlobalMdp, conds) -> list:

@@ -53,7 +53,7 @@ def test_greedy_spends_to_the_highest_feasible_level(pair):
     for s in range(mdp.n_states):
         a = pol.act(mdp, s, 1)
         for d in range(mdp.m):
-            b = int(mdp.battery_digit_of_state(s, d))
+            b = mdp.state_decode(s).batteries[d]
             feas = mdp.feasible_level_masks[d][:, b]
             assert a[d] == int(np.nonzero(feas)[0].max())
 

@@ -7,7 +7,7 @@ from ehdfl.energy import EnergyParams, HarvestModel
 from ehdfl.errors import BudgetExceeded, CausalityViolation
 from ehdfl.harness import exhaustive_minimum
 from ehdfl.instances import capacity_family, desk_scenario, oracle_instance, tiny_instances
-from ehdfl.localized import synthesize
+from ehdfl.localized import LocalizedPolicy, build_cover, synthesize
 from ehdfl.mdp import (FixedLevelsPolicy, GlobalState, backward_expectation,
                        backward_induction, battery_mixes, build_mdp, contract_leading,
                        evaluate_policy, expected_cost_rows, load_solution, simulate_costs)
@@ -22,9 +22,10 @@ def propagate(mdp, rho, conds):
     row, sums out the current battery digits, then applies the link chains.
     """
     nc, nbc = mdp.n_channel_cfgs, mdp.n_battery_cfgs
+    digits = np.unravel_index(np.arange(mdp.n_states), mdp.link_dims + mdp.bat_dims)
     mixes = []
     for d in range(mdp.m):
-        rows = mdp.battery_kernels[d][:, mdp.state_battery_digits(d), :]
+        rows = mdp.battery_kernels[d][:, digits[mdp.n_links + d], :]
         mixes.append(np.einsum("sl,lsb->sb", conds[d], rows))
     w = rho[:, None]
     for d in range(mdp.m):
@@ -41,7 +42,7 @@ def per_state_expected_cost_rows(mdp, conds):
     phi = mdp.radio.phi
     out = np.zeros(n_s)
     for i, j, w, e_own, interf in mdp.ordered_pairs:
-        h_own = np.repeat(mdp.channel_gain_values(e_own), mdp.n_battery_cfgs)
+        h_own = np.repeat(mdp.gain_values[e_own], mdp.n_battery_cfgs)
         cond_j = conds[j]
         acc = cond_j[:, 0].copy()  # silent level: guaranteed loss
         for l in range(1, mdp.act_dims[j]):
@@ -49,7 +50,7 @@ def per_state_expected_cost_rows(mdp, conds):
             denom = pj * h_own
             surv = np.exp(-phi * mdp.radio.noise(i) / denom)
             for k, e_k in interf:
-                hk = np.repeat(mdp.channel_gain_values(e_k), mdp.n_battery_cfgs)
+                hk = np.repeat(mdp.gain_values[e_k], mdp.n_battery_cfgs)
                 f = np.zeros(n_s)
                 for lk in range(mdp.act_dims[k]):
                     pk = mdp.power_levels[k][lk]
@@ -60,7 +61,7 @@ def per_state_expected_cost_rows(mdp, conds):
                 surv = surv * f
             acc += cond_j[:, l] * (1.0 - surv)
         out += w * acc
-    return out * mdp.cost_scale
+    return out
 
 
 def forward_cost(mdp, policy, s1):
@@ -114,8 +115,7 @@ def tensordot_backward_induction(mdp):
 
 def with_horizon(mdp, horizon):
     return build_mdp(mdp.topo, mdp.radio, mdp.energy, mdp.chains, mdp.harvests,
-                     mdp.power_levels, horizon, reciprocal=mdp.reciprocal,
-                     cost_scale=mdp.cost_scale)
+                     mdp.power_levels, horizon)
 
 
 def pinned_instances():
@@ -150,6 +150,37 @@ def test_action_round_trip(pair):
     mdp, _ = pair
     for a in range(mdp.n_actions):
         assert mdp.action_index(mdp.action_decode(a)) == a
+
+
+def test_signatures_match_the_hashes_in_saved_files():
+    # Saved .npz solutions and policies carry these hashes; a change orphans them.
+    assert desk_scenario().mdp.signature() == "e39aec440a333801"
+    assert oracle_instance()[0].signature() == "e3e9b4cb994f7654"
+
+
+@pytest.mark.parametrize("name", PINNED + ["ragged"])
+def test_index_codec_agrees_with_state_and_action_decode(name):
+    # ragged_line's chains have 2 and 3 states, so a swapped digit axis shows.
+    mdp = ragged_line()[0] if name == "ragged" else pinned_instances()[name][0]
+    nbc = mdp.n_battery_cfgs
+    views = []
+    for hops in (0, 1, 2):
+        covers = [build_cover(mdp, i, hops) for i in range(mdp.m)]
+        pol = LocalizedPolicy(hops=hops, gamma=1.0, rounds=0, covers=covers, tables=[],
+                              mdp_signature=mdp.signature())
+        views += zip(covers, pol.projections(mdp))
+    feas = mdp.action_feasibility
+    for s in range(mdp.n_states):
+        state = mdp.state_decode(s)
+        for cov, proj in views:
+            coords = [state.gains[e] for e in cov.links] + [state.batteries[d] for d in cov.devs]
+            assert proj[s] == np.ravel_multi_index(coords, cov.state_dims)
+        for e, chain in enumerate(mdp.chains):
+            assert mdp.gain_values[e][s // nbc] == chain.levels[state.gains[e]]
+        for a in range(mdp.n_actions):
+            fits = [mdp.feasible_level_masks[d][l, state.batteries[d]]
+                    for d, l in enumerate(mdp.action_decode(a))]
+            assert feas[a, s % nbc] == all(fits)
 
 
 def test_feasibility_blocks_empty_battery(pair):
