@@ -182,12 +182,6 @@ def step_links(state: np.ndarray, chains, rng: np.random.Generator) -> np.ndarra
     return out
 
 
-def _gain(gains, i: int, j: int) -> float:
-    if callable(gains):
-        return float(gains(i, j))
-    return float(gains[i, j])
-
-
 def packet_error_rate(p, gains, topo, radio: RadioParams, i: int, j: int) -> float:
     """PER on the directed link j -> i under the exponential waterfall model.
 
@@ -197,7 +191,7 @@ def packet_error_rate(p, gains, topo, radio: RadioParams, i: int, j: int) -> flo
 
     Args:
         p: per-device power vector.
-        gains: callable (i, j) -> gain, or 2-D array indexed [i, j].
+        gains: (m, m) gain array indexed [receiver, transmitter].
         topo: Topology (interferers are i's one-hop neighbors except j).
         radio: RadioParams.
         i: receiver. j: transmitter.
@@ -205,11 +199,11 @@ def packet_error_rate(p, gains, topo, radio: RadioParams, i: int, j: int) -> flo
     pj = float(p[j])
     if pj <= 0.0:
         return 1.0
-    h = _gain(gains, i, j)
+    h = float(gains[i, j])
     interf = 0.0
     for k in topo.neighbors[i]:
         if k != j:
-            interf += float(p[k]) * _gain(gains, i, k)
+            interf += float(p[k]) * float(gains[i, k])
     x = radio.phi * (interf + radio.noise(i)) / (pj * h)
     return 1.0 - math.exp(-x)
 

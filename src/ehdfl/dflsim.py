@@ -19,24 +19,12 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
 
 
-def local_sgd(task, i: int, w, *, k_steps: int, eta: float, batch=None,
-              rng_data=None, rng_noise=None, noise_std: float = 0.0):
-    """Run K local steps from w and return (w_new, sup of squared grad norms).
-
-    batch=None uses the full local set each step. Injected noise is isotropic
-    with total variance noise_std^2, so the stochastic-gradient second moment
-    is the clean norm plus noise_std^2 exactly.
-    """
+def local_sgd(task, i: int, w, *, k_steps: int, eta: float):
+    """Run K full-batch local steps from w; return (w_new, sup of squared grad norms)."""
     w = np.array(w, dtype=float, copy=True)
-    d = w.size
     sup_sq = 0.0
     for _ in range(k_steps):
-        idx = None
-        if batch is not None:
-            idx = rng_data.choice(task.samples(i), size=batch, replace=False)
-        g = task.local_grad(i, w, idx)
-        if noise_std > 0.0:
-            g = g + rng_noise.normal(size=d) * (noise_std / np.sqrt(d))
+        g = task.local_grad(i, w)
         sup_sq = max(sup_sq, float(g @ g))
         w -= eta * g
     return w, sup_sq
@@ -164,7 +152,6 @@ def run_training(mdp: GlobalMdp, task, policy, *, seed: int, eta: float,
         rec.device_loss[row] = float(np.mean([task.global_loss(w) for w in models]))
         rec.opt_gap[row] = rec.global_loss[row] - f_star
 
-    gain_mat = np.zeros((m, m))
     for t in range(horizon):
         rec.batteries[t] = bats_j
         log_point(t)
@@ -192,8 +179,7 @@ def run_training(mdp: GlobalMdp, task, policy, *, seed: int, eta: float,
 
         # Packet outcomes: one PER draw per directed neighbor link with an
         # active transmitter, in ascending (receiver, transmitter) order.
-        for e, (a, b) in enumerate(mdp.entities):
-            gain_mat[a, b] = gain_mat[b, a] = mdp.chains[e].levels[gains[e]]
+        gain_mat = mdp.gain_matrix(gains)
         zeta = np.zeros((m, m))
         for i in range(m):
             for j in sorted(topo.neighbors[i]):

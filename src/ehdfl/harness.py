@@ -187,7 +187,7 @@ def _run_evaluate(config: ExperimentConfig, out: Path, jobs: int,
     s1 = config.start_state(mdp)
     policy = config.build_policy(mdp, name)
     j_exact = evaluate_policy(mdp, policy, s1)
-    n_samples = int(config.raw.get("mc_samples", 1000))
+    n_samples = config.mc_samples
     draws = _pool_map(_mc_worker, [(mdp, policy, s1, s, n_samples)
                                    for s in config.seeds], jobs)
     means = [float(np.mean(d)) for d in draws]
@@ -251,12 +251,11 @@ def _sweep_rounds(config: ExperimentConfig, out: Path, values) -> None:
     s1 = config.start_state(mdp)
     curve = gap_curve(mdp, hops=config.hops, gamma=config.gamma,
                       rounds=max(values), s1=s1,
-                      defaults=config.extension_defaults(), budget=config.budget)
+                      defaults=config.extension_defaults, budget=config.budget)
     d_analytic = ""
-    if config.declared_raw:
-        d_analytic = contraction_coefficient(
-            config.gamma, mdp.m, float(config.declared_raw["lipschitz"]),
-            float(config.declared_raw["grad_bound"]), mdp.n_actions)
+    if config.declared:
+        d_analytic = contraction_coefficient(config.gamma, mdp.m, *config.declared,
+                                             mdp.n_actions)
     try:
         fit = fit_rate(curve.gaps)
         d_fit, r2 = fit.d_hat, fit.r_squared
@@ -281,13 +280,12 @@ def _capacity_model(config: ExperimentConfig, n_levels: int):
 
 def _sweep_capacity(config: ExperimentConfig, out: Path, values, jobs: int) -> None:
     rows = []
-    train = bool(config.sweep_raw.get("train", False))
     for n_levels in values:
         mdp, s1 = _capacity_model(config, n_levels)
         sol = backward_induction(mdp, budget=config.budget)
         j_star = sol.expected_cost(s1)
         loss_mean, loss_se = "", ""
-        if train:
+        if config.sweep_train:
             results = _train_seeds(config, mdp, config.build_policy(mdp), s1, jobs)
             loss_mean, loss_se = _mean_stderr([r["final_device"] for r in results])
         rows.append([n_levels, mdp.energy.b_max, j_star, loss_mean, loss_se])

@@ -29,10 +29,8 @@ class QuadraticTask:
         r = self.a_mats[i] @ w - self.b_vecs[i]
         return 0.5 * float(r @ r) / self.samples(i)
 
-    def local_grad(self, i, w, idx=None):
+    def local_grad(self, i, w):
         a, b = self.a_mats[i], self.b_vecs[i]
-        if idx is not None:
-            a, b = a[idx], b[idx]
         return a.T @ (a @ w - b) / a.shape[0]
 
     def global_loss(self, w):
@@ -91,10 +89,8 @@ class LogisticTask:
         z = self.y_vecs[i] * (self.x_mats[i] @ w)
         return float(np.mean(np.logaddexp(0.0, -z))) + 0.5 * self.reg * float(w @ w)
 
-    def local_grad(self, i, w, idx=None):
+    def local_grad(self, i, w):
         x, y = self.x_mats[i], self.y_vecs[i]
-        if idx is not None:
-            x, y = x[idx], y[idx]
         z = y * (x @ w)
         s = -y / (1.0 + np.exp(z))
         return x.T @ s / x.shape[0] + self.reg * w
@@ -177,11 +173,6 @@ class LearnConsts:
     def c1(self) -> float:
         return self.sigma_l ** 2 + 4.0 * self.k_steps * self.sigma_g ** 2
 
-    def replace(self, **kw) -> "LearnConsts":
-        from dataclasses import replace as _rep
-
-        return _rep(self, **kw)
-
 
 def prescribed_eta(lipschitz: float, m: int, k_steps: int, horizon: int) -> float:
     """Step size matching the convergence analysis: sqrt(m) / (64 L K sqrt(T))."""
@@ -212,10 +203,10 @@ def certify_consts(task, *, eta: float, k_steps: int, sigma_l: float = 0.0,
                    seed: int = 0) -> LearnConsts:
     """Assemble certified constants: exact L, probe-grid sigma_g, trajectory G.
 
-    trajectory_sup_sq is the largest squared stochastic-gradient norm observed
-    while training; G^2 takes that times a safety factor, plus the injected
-    noise variance, so the bound's moment condition holds on everything the
-    run actually visited.
+    trajectory_sup_sq is the largest squared gradient norm observed while
+    training; G^2 takes that times a safety factor, plus sigma_l^2, the
+    declared local gradient variance, so the bound's moment condition holds on
+    everything the run actually visited.
     """
     lip = task.lipschitz()
     sg = hetero_const(task, probe_points(task, seed=seed))

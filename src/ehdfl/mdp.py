@@ -74,18 +74,13 @@ class GlobalMdp:
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         self.entities = [tuple(e) for e in self.topo.edges]
-        if len(self.chains) != len(self.entities):
-            raise ValueError("need one channel chain per link entity")
+        self.chains = link_chains(self.chains, len(self.entities))
         if len(self.harvests) != m or len(self.power_levels) != m:
             raise ValueError("need one harvest model and one power ladder per device")
         for chain in self.chains:
             chain.validate()
         self._entity_index = {e: k for k, e in enumerate(self.entities)}
-        for d, lv in enumerate(self.power_levels):
-            lv = np.asarray(lv, dtype=float)
-            if lv[0] != 0.0 or (np.diff(lv) <= 0).any():
-                raise ValueError(f"power levels of device {d} must be ascending with first level 0")
-            self.power_levels[d] = lv
+        self.power_levels = [power_ladder(lv) for lv in self.power_levels]
         for hv in self.harvests:
             hv.quanta(self.energy)  # validates grid alignment
 
@@ -246,12 +241,12 @@ class GlobalMdp:
     # scalar model queries
     # ------------------------------------------------------------------
 
-    def gain_lookup(self, state: GlobalState):
-        def g(i, k):
-            e = self.entity_of(i, k)
-            return self.chains[e].levels[state.gains[e]]
-
-        return g
+    def gain_matrix(self, gains) -> np.ndarray:
+        """(m, m) symmetric array of link gains at per-link gain digits; 0 off the links."""
+        mat = np.zeros((self.m, self.m))
+        for e, (a, b) in enumerate(self.entities):
+            mat[a, b] = mat[b, a] = self.chains[e].levels[gains[e]]
+        return mat
 
     def one_step_cost(self, state, levels) -> float:
         """Mixing-weighted sum of packet error rates for one (state, action)."""
@@ -259,7 +254,7 @@ class GlobalMdp:
             state = self.state_decode(int(state))
         if isinstance(levels, (int, np.integer)):
             levels = self.action_decode(int(levels))
-        g = self.gain_lookup(state)
+        g = self.gain_matrix(state.gains)
         p = self.powers_of(levels)
         total = 0.0
         from .channel import packet_error_rate
@@ -279,7 +274,7 @@ class GlobalMdp:
             state = self.state_decode(int(state))
         if isinstance(levels, (int, np.integer)):
             levels = self.action_decode(int(levels))
-        g = self.gain_lookup(state)
+        g = self.gain_matrix(state.gains)
         p = self.powers_of(levels)
         total = 0.0
         from .channel import packet_error_rate
@@ -367,19 +362,34 @@ def battery_row(mdp: GlobalMdp, device: int, b_idx: int, level: int) -> np.ndarr
     return mdp.battery_kernels[device][level, b_idx]
 
 
+def link_chains(chains, n_links: int) -> list:
+    """One chain per link: a lone chain, bare or in a list of one, serves every link."""
+    chains = [chains] if isinstance(chains, ChannelChain) else list(chains)
+    if len(chains) == 1:
+        chains = chains * n_links
+    if len(chains) != n_links:
+        raise ValueError(f"need one chain or one per link ({n_links}), got {len(chains)}")
+    return chains
+
+
+def power_ladder(levels) -> np.ndarray:
+    """One device's power levels as floats: 0.0 first, then strictly rising."""
+    lv = np.asarray(levels, dtype=float)
+    if lv[0] != 0.0 or (np.diff(lv) <= 0).any():
+        raise ValueError(f"need levels rising strictly from 0.0, got {lv.tolist()}; silence "
+                         f"(0.0) is the level of zero quantum cost an empty battery can afford")
+    return lv
+
+
 def build_mdp(topo, radio, energy, chains, harvests, power_levels, horizon) -> GlobalMdp:
-    """Assemble a GlobalMdp, broadcasting single chains/harvests/ladders."""
+    """Assemble a GlobalMdp, broadcasting a single harvest or ladder (and chain, via link_chains)."""
     m = topo.m
-    if isinstance(chains, ChannelChain):
-        chains = [chains] * len(topo.edges)
     if isinstance(harvests, HarvestModel):
         harvests = [harvests] * m
     power_levels = list(power_levels)
     if np.ndim(power_levels[0]) == 0:
-        power_levels = [np.asarray(power_levels, dtype=float)] * m
-    else:
-        power_levels = [np.asarray(lv, dtype=float) for lv in power_levels]
-    return GlobalMdp(topo=topo, radio=radio, energy=energy, chains=list(chains),
+        power_levels = [power_levels] * m
+    return GlobalMdp(topo=topo, radio=radio, energy=energy, chains=chains,
                      harvests=list(harvests), power_levels=power_levels,
                      horizon=horizon)
 

@@ -140,11 +140,11 @@ def from_edges(m: int, edges) -> Topology:
     edges = tuple(sorted((min(i, j), max(i, j)) for i, j in edges))
     _validate(m, edges)
     a = metropolis_weights(m, edges)
-    neighbors = []
-    for i in range(m):
-        ns = sorted({j for (u, v) in edges for j in (u, v) if (u == i or v == i) and j != i})
-        neighbors.append(tuple(ns))
-    neighbors = tuple(neighbors)
+    adj = [[] for _ in range(m)]
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    neighbors = tuple(tuple(sorted(ns)) for ns in adj)
     topo = Topology(m=m, edges=edges, mixing=a, lam=spectral_lambda(a), neighbors=neighbors)
     _check_invariants(topo)
     return topo

@@ -157,6 +157,7 @@ def test_load_config_reports_broken_json(tmp_path):
     assert any("not valid JSON" in it for it in exc.value.items)
 
 
+DESK8_CHAIN = json.loads(DESK8.read_text())["channel"]["chains"][0]
 MALFORMED = [
     (("channel", "phi"), "x"), (("channel", "tau"), "x"), (("policy", "gamma"), "x"),
     (("channel", "sigma2"), "x"), (("power_levels",), [0.0, float("nan")]),
@@ -175,6 +176,9 @@ MALFORMED = [
     (("policy", "defaults", "gain"), 7), (("policy", "defaults", "battery"), -1),
     (("policy", "defaults", "level"), 2), (("policy", "defaults"), []), (("task",), None),
     (("sweep", "values"), [True, 2]), (("sweep", "train"), "no"),
+    (("channel", "chains"), [DESK8_CHAIN, DESK8_CHAIN]),
+    (("power_levels",), [0.0, 0.0, 1.0]), (("power_levels",), [0.0, 1.0, 1.0]),
+    (("power_levels",), [0.25, 1.0]), (("seeds",), [-1]),
 ]
 
 
@@ -188,7 +192,7 @@ def test_malformed_values_are_config_errors(path, value):
     section[path[-1]] = value
     with pytest.raises(ConfigError) as exc:
         cfg = parse_config(raw)
-        cfg.start_state(cfg.build_model())  # the per-link gain bounds need the model
+        cfg.start_state(cfg.build_model())  # whatever parsing lets through must build
     assert ".".join(path) in [it.split(":")[0].split("[")[0] for it in exc.value.items]
 
 
@@ -235,13 +239,22 @@ def test_cli_validation_failure_exits_2(tmp_path):
 
 
 def test_cli_malformed_value_exits_2_without_traceback(tmp_path):
-    # s1.gains passes parsing; its per-link bounds are checked on the built model.
-    for section, key, value in (("channel", "phi", "x"), ("s1", "gains", [9] * 8)):
+    # s1.gains needs the per-link chain sizes; the chain count needs the topology.
+    for section, key, value in (("channel", "phi", "x"), ("s1", "gains", [9] * 8),
+                                ("channel", "chains", [DESK8_CHAIN, DESK8_CHAIN])):
         raw = json.loads(DESK8.read_text())
         raw[section][key] = value
         res = _cli("solve", "--config", str(_write(tmp_path, raw)))
         assert res.returncode == 2
         assert f"{section}.{key}" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_cli_negative_seed_exits_2_without_traceback(tmp_path):
+    cfg = _write(tmp_path, base_raw(out_dir=str(tmp_path / "out")))
+    res = _cli("train", "--config", str(cfg), "--seed", "-3")
+    assert res.returncode == 2
+    assert "error: seeds:" in res.stderr and "Traceback" not in res.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_budget_exceeded_exits_3(tmp_path):

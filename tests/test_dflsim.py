@@ -55,18 +55,6 @@ def test_local_sgd_leaves_input_untouched(task3):
     np.testing.assert_array_equal(w0, keep)
 
 
-def test_local_sgd_noise_is_seeded(task3):
-    w0 = np.zeros(task3.dim)
-    mk = lambda: np.random.default_rng(42)
-    wa, _ = local_sgd(task3, 0, w0, k_steps=1, eta=0.1, rng_noise=mk(),
-                      noise_std=0.5)
-    wb, _ = local_sgd(task3, 0, w0, k_steps=1, eta=0.1, rng_noise=mk(),
-                      noise_std=0.5)
-    clean, _ = local_sgd(task3, 0, w0, k_steps=1, eta=0.1)
-    np.testing.assert_array_equal(wa, wb)
-    assert not np.array_equal(wa, clean)
-
-
 # ---------------------------------------------------------------------------
 # full runs
 # ---------------------------------------------------------------------------

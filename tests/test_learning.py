@@ -1,4 +1,6 @@
 """Synthetic tasks and certified constants: exactness and consistency checks."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -51,14 +53,6 @@ def test_global_grad_is_average_of_locals(quad):
     np.testing.assert_allclose(quad.global_grad(w), avg, atol=1e-14)
 
 
-def test_minibatch_gradient_uses_selected_rows(quad):
-    w = np.zeros(quad.dim)
-    idx = np.array([0, 3, 5])
-    a, b = quad.a_mats[1][idx], quad.b_vecs[1][idx]
-    expected = a.T @ (a @ w - b) / len(idx)
-    np.testing.assert_allclose(quad.local_grad(1, w, idx=idx), expected, atol=1e-14)
-
-
 def test_zero_heterogeneity_aligns_local_optima():
     # Identical targets mean every local gradient vanishes at the shared
     # optimum; the data matrices still differ, so gradients may disagree
@@ -105,7 +99,7 @@ def test_learn_consts_c1():
     c = LearnConsts(lipschitz=1.0, sigma_l=0.3, sigma_g=0.7, grad_bound=1.0,
                     eta=0.01, k_steps=3)
     assert c.c1 == pytest.approx(0.3 ** 2 + 4 * 3 * 0.7 ** 2, rel=1e-15)
-    assert c.replace(sigma_l=0.0).c1 == pytest.approx(4 * 3 * 0.7 ** 2, rel=1e-15)
+    assert dataclasses.replace(c, sigma_l=0.0).c1 == pytest.approx(4 * 3 * 0.7 ** 2, rel=1e-15)
 
 
 def test_certify_consts_covers_the_trajectory(quad):
