@@ -11,8 +11,8 @@ end.
 
 from .baselines import GreedyPolicy, MyopicCentralPolicy
 from .boundlab import (ContractionReport, GapCurve, InsufficientData, RateFit,
-                       contraction_coefficient, contraction_study,
-                       decay_slope_pvalue, fit_rate, gap_curve, temperature_cap)
+                       contraction_coefficient, contraction_study, fit_rate,
+                       gap_curve, temperature_cap)
 from .channel import (ChannelChain, RadioParams, build_chain_from_crossing,
                       identity_chain, packet_error_rate, rayleigh_chain)
 from .config import ExperimentConfig, canonical_hash, load_config, parse_config
@@ -43,7 +43,7 @@ __all__ = [
     "backward_induction", "battery_step", "build_chain_from_crossing",
     "build_mdp", "build_topology", "canonical_hash", "certify_consts",
     "contraction_coefficient", "contraction_study", "convergence_bound",
-    "decay_slope_pvalue", "evaluate_policy", "fit_rate", "gap_curve",
+    "evaluate_policy", "fit_rate", "gap_curve",
     "hetero_const", "identity_chain", "load_config", "load_localized",
     "load_solution", "local_sgd", "make_logistic_task", "make_quadratic_task",
     "packet_error_rate", "parse_config", "point_harvest", "prescribed_eta",

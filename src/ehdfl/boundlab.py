@@ -79,18 +79,6 @@ def fit_rate(gaps, *, tol: float = 1e-14) -> RateFit:
                    r_squared=float(r2), points=n)
 
 
-def decay_slope_pvalue(gaps, r_lo: int = 1, r_hi: int = 10):
-    """One-sided p-value that the log-gap slope over R in [r_lo, r_hi] is < 0."""
-    from scipy import stats
-
-    g = np.asarray(gaps, dtype=float)[r_lo:r_hi + 1]
-    if (g <= 0).any():
-        g = np.maximum(g, 1e-300)
-    res = stats.linregress(np.arange(r_lo, r_hi + 1, dtype=float), np.log(g))
-    p_one_sided = res.pvalue / 2.0 if res.slope < 0 else 1.0 - res.pvalue / 2.0
-    return float(res.slope), float(p_one_sided)
-
-
 def contraction_coefficient(gamma: float, m: int, lipschitz: float,
                             grad_bound: float, n_joint_actions: int) -> float:
     """D = 32 gamma m (L + 1) G^2 |P|^2 for the round-update contraction."""

@@ -98,11 +98,8 @@ class ExperimentConfig:
                          self.power_levels, self.horizon)
 
     def start_state(self, mdp: GlobalMdp) -> GlobalState:
-        """The configured s1, else each link's likeliest gain with full batteries."""
-        if self.s1 is not None:
-            return self.s1
-        return GlobalState(gains=tuple(int(np.argmax(c.steady)) for c in mdp.chains),
-                           batteries=(mdp.energy.n_levels - 1,) * mdp.m)
+        """The configured s1, else the model's default start."""
+        return self.s1 if self.s1 is not None else mdp.default_start
 
     def build_task(self):
         from .learning import make_logistic_task, make_quadratic_task

@@ -110,10 +110,7 @@ def run_training(mdp: GlobalMdp, task, policy, *, seed: int, eta: float,
     topo, radio, energy, draw_quanta = mdp.topo, mdp.radio, mdp.energy, mdp.draw_quanta
     m = topo.m
     horizon = mdp.horizon if horizon is None else horizon
-    if s1 is None:
-        gains = tuple(int(np.argmax(c.steady)) for c in mdp.chains)
-        bats = tuple(energy.n_levels - 1 for _ in range(m))
-        s1 = GlobalState(gains=gains, batteries=bats)
+    s1 = mdp.default_start if s1 is None else s1
 
     rng_pol = _stream(seed, _ROLE_POLICY)
     rng_chan = _stream(seed, _ROLE_CHANNEL)

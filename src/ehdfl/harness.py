@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +73,7 @@ def _pool_map(fn, tasks, jobs: int):
     tasks = list(tasks)
     if jobs <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(fn, tasks))
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 
 @dataclass(eq=False)
@@ -107,6 +106,7 @@ class LogisticTask:
     @property
     def w_star(self):
         if not hasattr(self, "_w_star"):
+            from scipy.optimize import minimize  # slower to import than all of ehdfl
             res = minimize(self.global_loss, np.zeros(self.dim), jac=self.global_grad,
                            method="L-BFGS-B", tol=1e-12)
             self._w_star = res.x

@@ -120,6 +120,12 @@ class GlobalMdp:
     def n_actions(self) -> int:
         return math.prod(self.act_dims)
 
+    @property
+    def default_start(self) -> GlobalState:
+        """Each link's likeliest gain (argmax of its steady law), every battery full."""
+        return GlobalState(gains=tuple(int(np.argmax(c.steady)) for c in self.chains),
+                           batteries=(self.energy.n_levels - 1,) * self.m)
+
     def entity_of(self, receiver: int, transmitter: int) -> int:
         """Link entity index carrying the gain between `receiver` and `transmitter`."""
         return self._entity_index[(min(receiver, transmitter), max(receiver, transmitter))]

@@ -7,6 +7,7 @@ lambda = max(|lambda_2|, |lambda_m|) < 1 on any connected graph.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,21 +15,43 @@ import numpy as np
 
 @dataclass(frozen=True, eq=False)
 class Topology:
-    """Immutable graph bundle: neighbor sets, mixing matrix, hop sets.
+    """Immutable graph bundle: edges, neighbor sets, mixing weights, hop sets.
+
+    Building one costs O(m + edges). The dense products, ``mixing`` and
+    ``lam``, are computed on first read and their invariants checked there;
+    parsing a config reads neither, while the cost table, training and
+    ``GlobalMdp.signature`` do.
 
     Attributes:
         m: device count.
         edges: undirected edges as sorted (i, j) pairs with i < j.
+        neighbors: tuple of sorted one-hop neighbor tuples (excluding self).
         mixing: (m, m) symmetric doubly stochastic Metropolis weights.
         lam: max(|lambda_2|, |lambda_m|) of the mixing matrix.
-        neighbors: tuple of sorted one-hop neighbor tuples (excluding self).
     """
 
     m: int
     edges: tuple[tuple[int, int], ...]
-    mixing: np.ndarray
-    lam: float
     neighbors: tuple[tuple[int, ...], ...]
+
+    @functools.cached_property
+    def mixing(self) -> np.ndarray:
+        a = metropolis_weights(self.m, self.edges)
+        if (not np.allclose(a.sum(axis=0), 1.0, atol=1e-12)
+                or not np.allclose(a.sum(axis=1), 1.0, atol=1e-12)):
+            raise ValueError("mixing matrix is not doubly stochastic")
+        if (a < -1e-15).any():
+            raise ValueError("mixing matrix has negative entries")
+        if (np.diag(a) <= 0).any():
+            raise ValueError("mixing matrix diagonal must be positive")
+        return a
+
+    @functools.cached_property
+    def lam(self) -> float:
+        lam = spectral_lambda(self.mixing)
+        if not lam < 1.0:
+            raise ValueError(f"spectral lambda must be < 1, got {lam}")
+        return lam
 
     @property
     def n_edges(self) -> int:
@@ -139,27 +162,11 @@ def from_edges(m: int, edges) -> Topology:
     """Assemble a Topology from an undirected edge list (validates)."""
     edges = tuple(sorted((min(i, j), max(i, j)) for i, j in edges))
     _validate(m, edges)
-    a = metropolis_weights(m, edges)
     adj = [[] for _ in range(m)]
     for i, j in edges:
         adj[i].append(j)
         adj[j].append(i)
-    neighbors = tuple(tuple(sorted(ns)) for ns in adj)
-    topo = Topology(m=m, edges=edges, mixing=a, lam=spectral_lambda(a), neighbors=neighbors)
-    _check_invariants(topo)
-    return topo
-
-
-def _check_invariants(topo: Topology) -> None:
-    a = topo.mixing
-    if not np.allclose(a.sum(axis=0), 1.0, atol=1e-12) or not np.allclose(a.sum(axis=1), 1.0, atol=1e-12):
-        raise ValueError("mixing matrix is not doubly stochastic")
-    if (a < -1e-15).any():
-        raise ValueError("mixing matrix has negative entries")
-    if (np.diag(a) <= 0).any():
-        raise ValueError("mixing matrix diagonal must be positive")
-    if topo.m >= 2 and not topo.lam < 1.0:
-        raise ValueError(f"spectral lambda must be < 1, got {topo.lam}")
+    return Topology(m=m, edges=edges, neighbors=tuple(tuple(sorted(ns)) for ns in adj))
 
 
 def build_topology(kind: str, m: int, *, seed: int | None = None,
@@ -203,45 +210,3 @@ def build_topology(kind: str, m: int, *, seed: int | None = None,
         raise RuntimeError(
             f"random_geometric: no connected draw in {attempts} attempts (m={m}, radius={r:.3f})")
     raise ValueError(f"unknown topology kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# serialization: one edge per line "i j a_ij"; self-weights are inferred
-# ---------------------------------------------------------------------------
-
-def save_edge_list(topo: Topology, path) -> None:
-    lines = [f"{i} {j} {float(topo.mixing[i, j])!r}" for i, j in topo.edges]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_edge_list(path) -> Topology:
-    """Rebuild a Topology from an edge-weight file written by save_edge_list.
-
-    Off-diagonal weights are taken from the file; diagonals are inferred as
-    1 - row sum, then the usual invariants are checked.
-    """
-    edges = []
-    weights = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            si, sj, sw = line.split()
-            i, j = int(si), int(sj)
-            key = (min(i, j), max(i, j))
-            edges.append(key)
-            weights[key] = float(sw)
-    m = max(max(i, j) for i, j in edges) + 1
-    edges = tuple(sorted(set(edges)))
-    _validate(m, edges)
-    a = np.zeros((m, m))
-    for (i, j) in edges:
-        a[i, j] = a[j, i] = weights[(i, j)]
-    for i in range(m):
-        a[i, i] = 1.0 - a[i].sum()
-    neighbors = tuple(tuple(sorted(j for j in range(m) if a[i, j] > 0 and j != i)) for i in range(m))
-    topo = Topology(m=m, edges=edges, mixing=a, lam=spectral_lambda(a), neighbors=neighbors)
-    _check_invariants(topo)
-    return topo

@@ -4,8 +4,7 @@ import pytest
 
 from ehdfl.boundlab import (ContractionReport, InsufficientData,
                             contraction_coefficient, contraction_study,
-                            decay_slope_pvalue, fit_rate, gap_curve,
-                            temperature_cap)
+                            fit_rate, gap_curve, temperature_cap)
 from ehdfl.instances import oracle_instance, tiny_instances
 
 
@@ -36,15 +35,6 @@ def test_fit_rate_constant_series_is_flat_and_exact():
     fit = fit_rate(np.full(6, 0.7))
     assert fit.d_hat == pytest.approx(1.0, rel=1e-12)
     assert fit.r_squared == 1.0
-
-
-def test_decay_slope_pvalue_detects_decay():
-    gaps = 2.0 * 0.6 ** np.arange(12)
-    slope, p = decay_slope_pvalue(gaps, 1, 10)
-    assert slope == pytest.approx(np.log(0.6), rel=1e-9)
-    assert p < 1e-6
-    slope_up, p_up = decay_slope_pvalue(2.0 * 1.4 ** np.arange(12), 1, 10)
-    assert slope_up > 0 and p_up > 0.5
 
 
 def test_temperature_cap_inverts_the_coefficient():

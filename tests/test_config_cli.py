@@ -2,6 +2,8 @@
 import json
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +198,25 @@ def test_malformed_values_are_config_errors(path, value):
     assert ".".join(path) in [it.split(":")[0].split("[")[0] for it in exc.value.items]
 
 
+def test_zero_horizon_ring_of_20000_parses_in_linear_time_and_memory():
+    # Parsing builds the topology but not its dense m x m products.
+    raw = json.loads(DESK8.read_text())
+    raw["topology"]["m"], raw["horizon"] = 20_000, 0
+    del raw["s1"]
+    t0 = time.perf_counter()
+    parse_config(raw)
+    seconds = time.perf_counter() - t0
+    tracemalloc.start()
+    try:
+        cfg = parse_config(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cfg.m == 20_000 and len(cfg.chains) == 20_000
+    assert seconds < 1.0
+    assert peak < 50e6
+
+
 # ---------------------------------------------------------------------------
 # command-line interface
 # ---------------------------------------------------------------------------
@@ -213,6 +234,17 @@ def _write(tmp_path, raw, name="cfg.json"):
 
 def _csv_bytes(d: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(Path(d).glob("*.csv"))}
+
+
+def test_cli_import_leaves_scipy_and_process_pools_unloaded():
+    # SciPy serves only the logistic task's optimum and a pool only --jobs > 1;
+    # every command would pay for their import otherwise.
+    code = ("import sys, ehdfl.cli; "
+            "print(sorted(m for m in ('scipy', 'concurrent.futures') if m in sys.modules))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 def test_cli_train_writes_metrics(tmp_path):

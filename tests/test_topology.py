@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from ehdfl.topology import (build_topology, from_edges, k_hop_set,
-                            load_edge_list, save_edge_list)
+from ehdfl.instances import (capacity_family, desk_scenario, fullinfo_instance,
+                             oracle_instance, tiny_instances)
+from ehdfl.topology import (build_topology, from_edges, k_hop_set, metropolis_weights,
+                            spectral_lambda)
 
 
 @pytest.mark.parametrize("kind,m", [("ring", 8), ("complete", 3), ("line", 5)])
@@ -61,9 +63,24 @@ def test_unknown_kind_rejected():
         build_topology("star", 4)
 
 
-def test_edge_list_round_trip(tmp_path):
-    topo = build_topology("ring", 5)
-    save_edge_list(topo, tmp_path / "edges.txt")
-    back = load_edge_list(tmp_path / "edges.txt")
-    assert back.edges == topo.edges
-    assert np.allclose(back.mixing, topo.mixing)
+def pinned_topologies():
+    out = {name: inst.mdp.topo for name, inst in tiny_instances().items()}
+    out["pair"] = oracle_instance()[0].topo
+    out["capacity"] = capacity_family(2)[0].topo
+    out["fullinfo"] = fullinfo_instance().mdp.topo
+    out["desk"] = desk_scenario(horizon=1).mdp.topo
+    for kind, m in (("ring", 6), ("complete", 4), ("line", 5), ("random_geometric", 10)):
+        out[f"{kind}-{m}"] = build_topology(kind, m, seed=3)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(pinned_topologies()))
+def test_lazy_products_equal_the_eager_ones(name):
+    # Nothing dense is built until read, and then exactly the Metropolis matrix
+    # and its spectral lambda, bit for bit.
+    topo = pinned_topologies()[name]
+    assert "mixing" not in vars(topo) and "lam" not in vars(topo)
+    a = metropolis_weights(topo.m, topo.edges)
+    assert np.array_equal(topo.mixing, a)
+    assert topo.lam == spectral_lambda(a)
+    assert topo.mixing is topo.mixing  # computed once
