@@ -16,23 +16,22 @@ class MyopicCentralPolicy:
     stationary = True
 
     def __init__(self, mdp):
-        self._table = None
+        self._table = self.table(mdp)
 
     def table(self, mdp) -> np.ndarray:
-        if self._table is None:
-            cost = mdp.cost_table()  # (nc, na)
-            feas = mdp.action_feasibility  # (na, nbc)
-            nc, nbc = mdp.n_channel_cfgs, mdp.n_battery_cfgs
-            penal = np.where(feas.T, 0.0, np.inf)  # (nbc, na)
-            table = np.empty(mdp.n_states, dtype=np.int32)
-            for c in range(nc):
-                rows = cost[c][None, :] + penal  # (nbc, na)
-                table[c * nbc:(c + 1) * nbc] = rows.argmin(axis=1)
-            self._table = table
-        return self._table
+        """(n_states,) int32 argmin joint action of the one-slot cost at every state."""
+        cost = mdp.cost_table()  # (nc, na)
+        feas = mdp.action_feasibility  # (na, nbc)
+        nc, nbc = mdp.n_channel_cfgs, mdp.n_battery_cfgs
+        penal = np.where(feas.T, 0.0, np.inf)  # (nbc, na)
+        table = np.empty(mdp.n_states, dtype=np.int32)
+        for c in range(nc):
+            rows = cost[c][None, :] + penal  # (nbc, na)
+            table[c * nbc:(c + 1) * nbc] = rows.argmin(axis=1)
+        return table
 
     def rows(self, mdp, t, s_idx):
-        return mdp.action_one_hot.take(self.table(mdp)[s_idx], axis=1)
+        return mdp.action_one_hot.take(self._table[s_idx], axis=1)
 
     act = sample_act
     conditionals = policy_conditionals
@@ -48,20 +47,18 @@ class GreedyPolicy:
     stationary = True
 
     def __init__(self, mdp):
-        self._hot = None
+        nb = mdp.energy.n_levels
+        top = [[np.nonzero(feas[:, b])[0].max() for b in range(nb)]
+               for feas in mdp.feasible_level_masks]  # (m, nb) highest feasible level
+        self._hot = (np.eye(max(mdp.act_dims))[top], np.arange(mdp.m)[:, None],
+                     nb ** np.arange(mdp.m - 1, -1, -1)[:, None])
 
     def rows(self, mdp, t, s_idx):
         """Device d's row is hot[d, b], b its battery digit, found at stride strides[d]
         of the state index; no table over states, battery configurations or joint
         actions is built."""
-        nb = mdp.energy.n_levels
-        if self._hot is None:
-            top = [[np.nonzero(feas[:, b])[0].max() for b in range(nb)]
-                   for feas in mdp.feasible_level_masks]  # (m, nb) highest feasible level
-            self._hot = (np.eye(max(mdp.act_dims))[top], np.arange(mdp.m)[:, None],
-                         nb ** np.arange(mdp.m - 1, -1, -1)[:, None])
         hot, devs, strides = self._hot
-        return hot[devs, np.asarray(s_idx) // strides % nb]
+        return hot[devs, np.asarray(s_idx) // strides % mdp.energy.n_levels]
 
     act = sample_act
     conditionals = policy_conditionals

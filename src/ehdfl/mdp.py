@@ -5,7 +5,9 @@ one power level index per device. The transition kernel factorizes into
 independent link chains (action-free) and per-device battery kernels
 (own-action only), which the exact solver exploits: channel axes are
 contracted once per layer, battery axes along a tree over devices so partial
-contractions are shared between joint actions. Each contraction is one gemm,
+contractions are shared between joint actions. A level is contracted only
+over the battery suffix it can fund (energy causality), so infeasible
+(action, battery) pairs are never formed. Each contraction is one gemm,
 `contract_leading`, that consumes the leading axis and appends the new one
 last, so contracting the link axes and then the battery axes rotates an array
 back to canonical layout with no transpose copy. Exact policy evaluation runs
@@ -462,6 +464,11 @@ def contract_leading(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
 def backward_induction(mdp: GlobalMdp, *, budget: int = DEFAULT_BUDGET) -> Solution:
     """Exact dynamic program over the factored model.
 
+    Battery axes are contracted along a tree over devices. Under each level l
+    of device d the output keeps only the batteries b >= draw_quanta[d][l]
+    that can fund it, and a level no battery can fund is skipped, so
+    infeasible (action, battery) pairs are never formed: each joint action
+    is scored on exactly the battery configurations where it is feasible.
     Joint actions are scanned in ascending index order and strict improvement
     is required to replace the incumbent, so ties resolve to the lowest index.
 
@@ -473,14 +480,12 @@ def backward_induction(mdp: GlobalMdp, *, budget: int = DEFAULT_BUDGET) -> Solut
         raise BudgetExceeded(
             f"state-action product {n_s * n_a} exceeds budget {budget}; "
             "raise the budget explicitly if this size is intended")
-    link_dims, bat_dims, m = mdp.link_dims, mdp.bat_dims, mdp.m
-    shape = tuple(link_dims + bat_dims)
-    kbs = mdp.battery_kernels
-    strides = np.cumprod([1] + mdp.act_dims[::-1])[::-1][1:]  # C-order action strides
-    # per joint action: cost over the link axes, feasibility over the battery axes
+    link_dims, m, nb = mdp.link_dims, mdp.m, mdp.energy.n_levels
+    shape = tuple(link_dims + mdp.bat_dims)
+    kbs, draws = mdp.battery_kernels, [dq.tolist() for dq in mdp.draw_quanta]
+    strides = np.cumprod([1] + mdp.act_dims[::-1])[::-1][1:].tolist()  # C-order action strides
+    # per joint action: cost over the link axes, broadcast over the battery axes
     cost_a = np.ascontiguousarray(mdp.cost_table().T).reshape((n_a,) + tuple(link_dims) + (1,) * m)
-    feas_a = mdp.action_feasibility.reshape((n_a,) + (1,) * len(link_dims) + tuple(bat_dims))
-    q, ok = np.empty(shape), np.empty(shape, dtype=bool)
 
     values, tables = [None] * mdp.horizon, [None] * mdp.horizon
     v_next = np.zeros(shape)
@@ -491,18 +496,20 @@ def backward_induction(mdp: GlobalMdp, *, budget: int = DEFAULT_BUDGET) -> Solut
         best = np.full(shape, np.inf)
         arg = np.zeros(shape, dtype=np.int32)
 
-        def descend(d, x, a):
-            if d == m:  # x is back in canonical layout
-                np.add(x, cost_a[a], out=q)
-                np.less(q, best, out=ok)
-                np.logical_and(ok, feas_a[a], out=ok)
-                np.copyto(best, q, where=ok)
-                np.copyto(arg, a, where=ok)
+        def descend(d, x, a, view):
+            if d == m:  # canonical layout; `view` cuts each battery axis as x's were cut
+                x += cost_a[a]
+                incumbent = best[view]
+                ok = x < incumbent
+                np.copyto(incumbent, x, where=ok)
+                np.copyto(arg[view], a, where=ok)
                 return
-            for l in range(mdp.act_dims[d]):
-                descend(d + 1, contract_leading(x, kbs[d][l]), a + l * int(strides[d]))
+            for l, q in enumerate(draws[d]):
+                if q < nb:  # the level is fundable at batteries q.., so cut the output there
+                    descend(d + 1, contract_leading(x, kbs[d][l])[..., q:],
+                            a + l * strides[d], view + (slice(q, None),))
 
-        descend(0, w, 0)
+        descend(0, w, 0, (slice(None),) * len(link_dims))
         del descend  # break the closure's self-reference so it is freed by refcount, not gc
         if not np.isfinite(best).all():
             raise CausalityViolation("no feasible action at some state (should not happen)")

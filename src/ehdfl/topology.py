@@ -203,8 +203,10 @@ def build_topology(kind: str, m: int, *, seed: int | None = None,
         rng = np.random.default_rng(seed)
         for _ in range(attempts):
             pts = rng.random((m, 2))
-            d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-            edges = [(i, j) for i in range(m) for j in range(i + 1, m) if d2[i, j] <= r * r]
+            edges = []
+            for i in range(m - 1):  # row i against the later points only: O(m) memory
+                d2 = ((pts[i] - pts[i + 1:]) ** 2).sum(axis=1)
+                edges += [(i, j) for j in (i + 1 + np.nonzero(d2 <= r * r)[0]).tolist()]
             if is_connected(m, edges):
                 return from_edges(m, edges)
         raise RuntimeError(

@@ -1,8 +1,13 @@
 """Reference policies: myopic argmin and battery-greedy behavior."""
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ehdfl.baselines import GreedyPolicy, MyopicCentralPolicy
+from ehdfl.config import parse_config
+from ehdfl.errors import BudgetExceeded
 from ehdfl.instances import oracle_instance, tiny_instances
 from ehdfl.mdp import evaluate_policy
 
@@ -95,3 +100,14 @@ def test_greedy_never_beats_the_exact_solution():
         for pol in (MyopicCentralPolicy(mdp), GreedyPolicy(mdp)):
             j = evaluate_policy(mdp, pol, s1, mode="exact")
             assert j >= j_star - 1e-9
+
+
+def test_an_oversized_myopic_table_is_refused_when_the_policy_is_built():
+    # The table is built in the constructor, so build_policy refuses it (exit 3)
+    # before any evaluation starts; 16 devices give 2^16 x 2^16 (channel, action) pairs.
+    raw = json.loads((Path(__file__).resolve().parents[1] / "configs" / "desk8.json").read_text())
+    raw["topology"]["m"] = 16
+    del raw["s1"]
+    cfg = parse_config(raw)
+    with pytest.raises(BudgetExceeded):
+        cfg.build_policy(cfg.build_model(), "myopic_central")

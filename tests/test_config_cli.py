@@ -217,6 +217,22 @@ def test_zero_horizon_ring_of_20000_parses_in_linear_time_and_memory():
     assert peak < 50e6
 
 
+def test_zero_horizon_random_geometric_config_of_2000_parses_in_linear_memory():
+    # Edges are found one row of squared distances at a time, never an m x m array.
+    raw = json.loads(DESK8.read_text())
+    raw["topology"] = {"kind": "random_geometric", "m": 2_000, "seed": 3}
+    raw["horizon"] = 0
+    del raw["s1"]
+    tracemalloc.start()
+    try:
+        cfg = parse_config(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cfg.m == 2_000 and len(cfg.chains) == len(cfg.topo.edges)
+    assert peak < 20e6
+
+
 # ---------------------------------------------------------------------------
 # command-line interface
 # ---------------------------------------------------------------------------

@@ -113,6 +113,45 @@ def tensordot_backward_induction(mdp):
     return values, tables
 
 
+def reference_backward_induction(mdp):
+    """Reference DP: the unpruned contract_leading tree.
+
+    Every level's battery kernel is contracted over every battery digit, and
+    the leaf masks the infeasible (action, battery) pairs with
+    `action_feasibility` after the work is done.
+    """
+    link_dims, bat_dims, m, n_a = mdp.link_dims, mdp.bat_dims, mdp.m, mdp.n_actions
+    shape = tuple(link_dims + bat_dims)
+    kbs = mdp.battery_kernels
+    strides = np.cumprod([1] + mdp.act_dims[::-1])[::-1][1:]
+    cost_a = np.ascontiguousarray(mdp.cost_table().T).reshape((n_a,) + tuple(link_dims) + (1,) * m)
+    feas_a = mdp.action_feasibility.reshape((n_a,) + (1,) * len(link_dims) + tuple(bat_dims))
+    values, tables = [None] * mdp.horizon, [None] * mdp.horizon
+    v_next = np.zeros(shape)
+    for t in range(mdp.horizon, 0, -1):
+        w = v_next
+        for chain in mdp.chains:
+            w = contract_leading(w, chain.psi)
+        best = np.full(shape, np.inf)
+        arg = np.zeros(shape, dtype=np.int32)
+
+        def descend(d, x, a):
+            if d == m:
+                q = x + cost_a[a]
+                ok = (q < best) & feas_a[a]
+                np.copyto(best, q, where=ok)
+                np.copyto(arg, a, where=ok)
+                return
+            for l in range(mdp.act_dims[d]):
+                descend(d + 1, contract_leading(x, kbs[d][l]), a + l * int(strides[d]))
+
+        descend(0, w, 0)
+        values[t - 1] = best.reshape(-1)
+        tables[t - 1] = arg.reshape(-1)
+        v_next = best
+    return values, tables
+
+
 def with_horizon(mdp, horizon):
     return build_mdp(mdp.topo, mdp.radio, mdp.energy, mdp.chains, mdp.harvests,
                      mdp.power_levels, horizon)
@@ -472,6 +511,21 @@ def test_dp_is_bit_identical_to_the_tensordot_reference(name):
         mdp = capacity_family(4)[0] if name == "capacity-4" else pinned_instances()[name][0]
     sol = backward_induction(mdp, budget=mdp.n_states * mdp.n_actions)
     values, tables = tensordot_backward_induction(mdp)
+    for t in range(mdp.horizon):
+        assert np.array_equal(sol.values[t], values[t])
+        assert np.array_equal(sol.tables[t], tables[t])
+
+
+@pytest.mark.parametrize("name", PINNED + ["ragged", "desk"])
+def test_pruned_dp_is_bit_identical_to_the_unpruned_tree(name):
+    # The pruned tree slices each contraction's output to the fundable battery
+    # suffix; slicing the kernel rows instead flips near-tie table entries on desk.
+    if name == "desk":
+        mdp = desk_scenario(horizon=2).mdp
+    else:
+        mdp = ragged_line()[0] if name == "ragged" else pinned_instances()[name][0]
+    sol = backward_induction(mdp, budget=mdp.n_states * mdp.n_actions)
+    values, tables = reference_backward_induction(mdp)
     for t in range(mdp.horizon):
         assert np.array_equal(sol.values[t], values[t])
         assert np.array_equal(sol.tables[t], tables[t])

@@ -1,5 +1,6 @@
 """The exhaustive oracle: one model query per (state, action), and agreement
-with the exact DP on generated models.
+with the exact DP on generated models, where the energy-pruned DP also
+matches the unpruned tree bit for bit.
 
 `exhaustive_minimum` memoizes each pair's scalar cost and transition. The
 enumeration it used to run, querying the model on every assignment, is kept
@@ -20,6 +21,7 @@ from ehdfl.harness import exhaustive_minimum
 from ehdfl.instances import oracle_instance, tiny_instances
 from ehdfl.mdp import GlobalState, backward_induction, build_mdp
 from ehdfl.topology import build_topology
+from test_mdp import reference_backward_induction
 
 
 def unmemoized_minimum(mdp, s1) -> float:
@@ -122,9 +124,11 @@ def small_models(draw):
     harvest = HarvestModel(support=np.array(support, dtype=float)[order],
                            probs=weights[order] / weights.sum())
     power = draw(st.sampled_from([0.4, 1.0, 2.0]))  # 0, 1 or 2 battery quanta
+    # an optional top level one or two quanta dearer, possibly more than a battery holds
+    ladder = [0.0, power] + draw(st.sampled_from([[], [power + 1.0], [power + 2.0]]))
     phi = draw(st.sampled_from([0.5, 1.3, 2.4]))
     mdp = build_mdp(topo, RadioParams(phi, (0.4,) * m, 1.0), energy, chains, harvest,
-                    [0.0, power], draw(st.integers(1, 3)))
+                    ladder, draw(st.integers(1, 3)))
     s1 = GlobalState(gains=tuple(draw(st.integers(0, 1)) for _ in chains),
                      batteries=tuple(draw(st.integers(0, n_levels - 1)) for _ in range(m)))
     return mdp, s1
@@ -138,3 +142,15 @@ def test_dp_matches_the_exhaustive_oracle_on_generated_models(model):
     assume(assignment_count(mdp, s1) <= MAX_ASSIGNMENTS)
     j_dp = backward_induction(mdp).expected_cost(s1)
     assert abs(j_dp - exhaustive_minimum(mdp, s1)) <= 1e-9
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_models())
+def test_pruned_dp_is_bit_identical_to_the_unpruned_tree_on_generated_models(model):
+    mdp, _ = model
+    sol = backward_induction(mdp)
+    values, tables = reference_backward_induction(mdp)
+    for t in range(mdp.horizon):
+        assert np.array_equal(sol.values[t], values[t])
+        assert np.array_equal(sol.tables[t], tables[t])

@@ -3,8 +3,8 @@ import pytest
 
 from ehdfl.instances import (capacity_family, desk_scenario, fullinfo_instance,
                              oracle_instance, tiny_instances)
-from ehdfl.topology import (build_topology, from_edges, k_hop_set, metropolis_weights,
-                            spectral_lambda)
+from ehdfl.topology import (build_topology, from_edges, is_connected, k_hop_set,
+                            metropolis_weights, spectral_lambda)
 
 
 @pytest.mark.parametrize("kind,m", [("ring", 8), ("complete", 3), ("line", 5)])
@@ -51,6 +51,27 @@ def test_random_geometric_connected_and_seeded():
     b = build_topology("random_geometric", 10, seed=3)
     assert a.edges == b.edges
     assert a.lam < 1.0
+
+
+def dense_random_geometric_edges(m, seed):
+    """Reference: each draw's edges read off the full (m, m) squared-distance array."""
+    r = float(np.sqrt(2.0 * np.log(m) / m))
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        pts = rng.random((m, 2))
+        d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+        edges = [(i, j) for i in range(m) for j in range(i + 1, m) if d2[i, j] <= r * r]
+        if is_connected(m, edges):
+            return edges
+    raise AssertionError("no connected draw")
+
+
+@pytest.mark.parametrize("m", [2, 3, 8, 50, 200])
+def test_random_geometric_edges_equal_the_dense_distance_formula(m):
+    # The row-by-row search must accept the same draws and find the same edges.
+    for seed in (0, 1, 5, 11):
+        topo = build_topology("random_geometric", m, seed=seed)
+        assert topo.edges == tuple(dense_random_geometric_edges(m, seed))
 
 
 def test_disconnected_edge_list_rejected():
