@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .localized import ExtensionDefaults, synthesize
-from .mdp import GlobalMdp, backward_induction, evaluate_policy
+from .mdp import DEFAULT_BUDGET, GlobalMdp, backward_induction, evaluate_policy
 
 
 @dataclass(frozen=True)
@@ -20,7 +20,7 @@ class GapCurve:
 
 def gap_curve(mdp: GlobalMdp, *, hops: int, gamma: float, rounds: int,
               s1=None, defaults: ExtensionDefaults | None = None,
-              budget: int | None = None) -> GapCurve:
+              budget: int = DEFAULT_BUDGET) -> GapCurve:
     """Exact optimality gap after each improvement round.
 
     Round 0 is the initialization (softmax response assuming default neighbor
@@ -28,14 +28,13 @@ def gap_curve(mdp: GlobalMdp, *, hops: int, gamma: float, rounds: int,
     computed with the exact product-form evaluator against the optimal cost
     from full backward induction, so the curve carries no sampling noise.
     """
-    kw = {} if budget is None else {"budget": budget}
-    sol = backward_induction(mdp, **kw)
+    sol = backward_induction(mdp, budget=budget)
     j_star = sol.expected_cost(s1)
     snaps = synthesize(mdp, hops=hops, gamma=gamma, rounds=rounds,
                        defaults=defaults, snapshot_rounds=range(rounds + 1))
     j_rounds = np.zeros(rounds + 1)
     for r in range(rounds + 1):
-        j_rounds[r] = evaluate_policy(mdp, snaps[r], s1, mode="exact")
+        j_rounds[r] = evaluate_policy(mdp, snaps[r], s1)
     return GapCurve(gaps=j_rounds - j_star, j_star=j_star, j_rounds=j_rounds,
                     gamma=gamma, hops=hops)
 
@@ -93,26 +92,32 @@ def temperature_cap(m: int, lipschitz: float, grad_bound: float,
 
 @dataclass(frozen=True)
 class ContractionReport:
-    gamma: float
-    cap: float
-    d_bound: float
+    """The measured gap curve beside its geometric fit and the analytic coefficient."""
+
     curve: GapCurve
-    fit: RateFit
+    fit: RateFit | None     # None when the curve is too short to fit (InsufficientData)
+    d_bound: float | None   # analytic D; None without declared constants
 
     @property
     def certified(self) -> bool:
-        return self.gamma <= self.cap and self.d_bound <= 1.0
+        return self.d_bound is not None and self.d_bound <= 1.0
 
 
-def contraction_study(mdp: GlobalMdp, *, hops: int, gamma: float, rounds: int,
-                      lipschitz: float, grad_bound: float, s1=None,
-                      budget: int | None = None) -> ContractionReport:
-    """Pair the analytical contraction coefficient with the measured curve."""
+def contraction_study(mdp: GlobalMdp, *, hops: int, gamma: float, rounds: int, s1=None,
+                      defaults: ExtensionDefaults | None = None,
+                      declared: tuple[float, float] | None = None,
+                      budget: int = DEFAULT_BUDGET) -> ContractionReport:
+    """Pair the measured gap curve and its rate fit with the analytic coefficient.
+
+    `declared` is (lipschitz, grad_bound); without it the report has no D.
+    """
     curve = gap_curve(mdp, hops=hops, gamma=gamma, rounds=rounds, s1=s1,
-                      budget=budget)
-    fit = fit_rate(curve.gaps)
-    cap = temperature_cap(mdp.m, lipschitz, grad_bound, mdp.n_actions)
-    d_bound = contraction_coefficient(gamma, mdp.m, lipschitz, grad_bound,
-                                      mdp.n_actions)
-    return ContractionReport(gamma=gamma, cap=cap, d_bound=d_bound,
-                             curve=curve, fit=fit)
+                      defaults=defaults, budget=budget)
+    try:
+        fit = fit_rate(curve.gaps)
+    except InsufficientData:
+        fit = None
+    d_bound = None
+    if declared is not None:
+        d_bound = contraction_coefficient(gamma, mdp.m, *declared, mdp.n_actions)
+    return ContractionReport(curve=curve, fit=fit, d_bound=d_bound)

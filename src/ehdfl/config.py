@@ -61,7 +61,6 @@ class ExperimentConfig:
 
     raw: dict
     hash: str
-    name: str
     m: int
     topo: Topology
     radio: RadioParams
@@ -85,7 +84,6 @@ class ExperimentConfig:
     s1: GlobalState | None
     sweep_raw: dict | None
     sweep_train: bool
-    declared_raw: dict | None
     declared: tuple[float, float] | None  # (lipschitz, grad_bound)
     warnings: list[str] = field(default_factory=list)
 
@@ -147,11 +145,17 @@ def _chain_from(spec: dict) -> ChannelChain:
 
 
 def _stationary(psi: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eig(psi.T)
-    k = int(np.argmin(np.abs(vals - 1.0)))
-    v = np.real(vecs[:, k])
-    v = np.abs(v)
-    return v / v.sum()
+    """Birth-death steady law by detailed balance, pi[k+1] psi[k+1, k] = pi[k] psi[k, k+1].
+
+    As exact as the rates: a symmetric chain's levels tie exactly, so no
+    eigensolver rounding decides `default_start`'s argmax.
+    """
+    up, down = np.diag(psi, 1), np.diag(psi, -1)
+    if up.shape != down.shape or not ((up > 0) & (down > 0)).all():
+        raise ValueError("psi: no unique positive steady law unless every rate between "
+                         "neighbouring levels is positive; give 'steady' explicitly")
+    w = np.cumprod(np.concatenate(([1.0], up / down)))
+    return w / w.sum()
 
 
 def _harvest_from(spec: dict) -> HarvestModel:
@@ -395,12 +399,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(issues)
 
     return ExperimentConfig(
-        raw=raw, hash=canonical_hash(raw), name=raw.get("name", "experiment"), m=m,
+        raw=raw, hash=canonical_hash(raw), m=m,
         topo=topo, radio=radio, chains=chains, energy=energy,
         harvests=harvests[0] if isinstance(harvest_raw, dict) else harvests,
         power_levels=ladder, horizon=horizon, policy_name=pol_name, gamma=gamma,
         rounds=rounds, hops=hops, extension_defaults=ExtensionDefaults(**ext),
         task_kind=task_kind, task_args=task_args, eta=eta, mc_samples=mc_samples,
         seeds=list(seeds), out_dir=raw.get("out_dir", "results"), budget=budget, s1=s1,
-        sweep_raw=sweep_raw, sweep_train=sweep_train, declared_raw=declared_raw,
-        declared=declared, warnings=warnings)
+        sweep_raw=sweep_raw, sweep_train=sweep_train, declared=declared, warnings=warnings)

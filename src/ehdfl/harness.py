@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import GreedyPolicy
-from .boundlab import contraction_coefficient, fit_rate, gap_curve, InsufficientData
+from .boundlab import contraction_study
 from .config import ExperimentConfig
 from .dflsim import METRICS_HEADER, convergence_bound, run_training
 from .errors import ConfigError
@@ -248,20 +248,13 @@ def _run_sweep(config: ExperimentConfig, out: Path, jobs: int) -> None:
 def _sweep_rounds(config: ExperimentConfig, out: Path, values) -> None:
     """Synthesis-gap decay: one synthesis pass, snapshot every requested round."""
     mdp = config.build_model()
-    s1 = config.start_state(mdp)
-    curve = gap_curve(mdp, hops=config.hops, gamma=config.gamma,
-                      rounds=max(values), s1=s1,
-                      defaults=config.extension_defaults, budget=config.budget)
-    d_analytic = ""
-    if config.declared:
-        d_analytic = contraction_coefficient(config.gamma, mdp.m, *config.declared,
-                                             mdp.n_actions)
-    try:
-        fit = fit_rate(curve.gaps)
-        d_fit, r2 = fit.d_hat, fit.r_squared
-    except InsufficientData:
-        d_fit, r2 = "", ""
-    rows = [[config.gamma, config.hops, r, curve.gaps[r], d_analytic, d_fit, r2]
+    report = contraction_study(mdp, hops=config.hops, gamma=config.gamma, rounds=max(values),
+                               s1=config.start_state(mdp), defaults=config.extension_defaults,
+                               declared=config.declared, budget=config.budget)
+    fit = report.fit
+    d_analytic = "" if report.d_bound is None else report.d_bound
+    d_fit, r2 = ("", "") if fit is None else (fit.d_hat, fit.r_squared)
+    rows = [[config.gamma, config.hops, r, report.curve.gaps[r], d_analytic, d_fit, r2]
             for r in values]
     _emit(out, "final_vs_rounds.csv", rows, config.hash)
 
@@ -317,10 +310,7 @@ def mc_transition_error(mdp, state, levels, *, n_draws: int = 100_000,
     factor kernels, so agreement checks the product composition inside
     ``transition`` and not just one sampler against itself.
     """
-    if isinstance(state, (int, np.integer)):
-        state = mdp.state_decode(int(state))
-    if isinstance(levels, (int, np.integer)):
-        levels = mdp.action_decode(int(levels))
+    state, levels = mdp.decoded(state, levels)
     model = mdp.transition(state, levels)
     rng = np.random.default_rng(seed)
     gains = np.empty((n_draws, mdp.n_links), dtype=np.int64)

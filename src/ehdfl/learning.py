@@ -1,6 +1,7 @@
 """Synthetic learning tasks and certified smoothness/heterogeneity constants."""
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,16 +42,14 @@ class QuadraticTask:
             g += self.local_grad(i, w)
         return g / self.m
 
-    @property
+    @functools.cached_property
     def w_star(self):
-        if not hasattr(self, "_w_star"):
-            h = np.zeros((self.dim, self.dim))
-            c = np.zeros(self.dim)
-            for i in range(self.m):
-                h += self.a_mats[i].T @ self.a_mats[i] / self.samples(i)
-                c += self.a_mats[i].T @ self.b_vecs[i] / self.samples(i)
-            self._w_star = np.linalg.solve(h / self.m, c / self.m)
-        return self._w_star
+        h = np.zeros((self.dim, self.dim))
+        c = np.zeros(self.dim)
+        for i in range(self.m):
+            h += self.a_mats[i].T @ self.a_mats[i] / self.samples(i)
+            c += self.a_mats[i].T @ self.b_vecs[i] / self.samples(i)
+        return np.linalg.solve(h / self.m, c / self.m)
 
     @property
     def f_star(self) -> float:
@@ -103,14 +102,12 @@ class LogisticTask:
             g += self.local_grad(i, w)
         return g / self.m
 
-    @property
+    @functools.cached_property
     def w_star(self):
-        if not hasattr(self, "_w_star"):
-            from scipy.optimize import minimize  # slower to import than all of ehdfl
-            res = minimize(self.global_loss, np.zeros(self.dim), jac=self.global_grad,
-                           method="L-BFGS-B", tol=1e-12)
-            self._w_star = res.x
-        return self._w_star
+        from scipy.optimize import minimize  # slower to import than all of ehdfl
+        res = minimize(self.global_loss, np.zeros(self.dim), jac=self.global_grad,
+                       method="L-BFGS-B", tol=1e-12)
+        return res.x
 
     @property
     def f_star(self) -> float:

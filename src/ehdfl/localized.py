@@ -16,14 +16,15 @@ feasible min inside the expectation, is an open modelling question.
 """
 from __future__ import annotations
 
-import json
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BudgetExceeded
-from .mdp import contract_leading, link_loss_table, policy_conditionals, sample_act
+from .mdp import (contract_leading, link_loss_table, load_artifact, policy_conditionals,
+                  sample_act, save_artifact)
 from .topology import k_hop_set
 
 
@@ -309,9 +310,6 @@ class LocalizedPolicy:
     act = sample_act
     conditionals = policy_conditionals
 
-    def save(self, path) -> None:
-        save_localized(self, path)
-
 
 def synthesize(mdp, *, hops: int = 2, gamma: float = 1.0, rounds: int = 20,
                defaults: ExtensionDefaults | None = None,
@@ -388,13 +386,8 @@ def policy_distance(pa: LocalizedPolicy, pb: LocalizedPolicy) -> np.ndarray:
 # serialization
 # ---------------------------------------------------------------------------
 
-LOCALIZED_FORMAT_VERSION = 1
-
-
 def save_localized(pol: LocalizedPolicy, path) -> None:
-    path = str(path)
     meta = {
-        "format_version": LOCALIZED_FORMAT_VERSION,
         "kind": "localized_policy",
         "hops": pol.hops,
         "gamma": pol.gamma,
@@ -403,36 +396,20 @@ def save_localized(pol: LocalizedPolicy, path) -> None:
         "mdp_signature": pol.mdp_signature,
         "m": len(pol.tables),
         "horizon": len(pol.tables[0]),
-        "covers": [{"owner": c.owner, "hops": c.hops, "devs": list(c.devs),
-                    "links": list(c.links), "link_dims": list(c.link_dims),
-                    "bat_dims": list(c.bat_dims), "act_dims": list(c.act_dims)}
-                   for c in pol.covers],
+        "covers": [dataclasses.asdict(c) for c in pol.covers],
     }
     arrays = {f"pi_{i}_{t}": pol.tables[i][t]
               for i in range(len(pol.tables)) for t in range(len(pol.tables[i]))}
-    np.savez_compressed(path if path.endswith(".npz") else path + ".npz",
-                        meta=json.dumps(meta, sort_keys=True), **arrays)
-    mpath = (path[:-4] if path.endswith(".npz") else path) + ".manifest.txt"
-    with open(mpath, "w") as fh:
-        for k in ("kind", "format_version", "m", "horizon", "hops", "gamma", "rounds",
-                  "mdp_signature"):
-            fh.write(f"{k}: {meta[k]}\n")
+    save_artifact(path, meta, ("kind", "format_version", "m", "horizon", "hops", "gamma",
+                               "rounds", "mdp_signature"), arrays)
 
 
 def load_localized(path, mdp=None) -> LocalizedPolicy:
-    path = str(path)
-    with np.load(path if path.endswith(".npz") else path + ".npz") as z:
-        meta = json.loads(str(z["meta"]))
-        if meta["format_version"] != LOCALIZED_FORMAT_VERSION:
-            raise ValueError(f"unsupported policy format {meta['format_version']}")
-        if mdp is not None and meta["mdp_signature"] != mdp.signature():
-            raise ValueError("policy was produced for a different model")
-        covers = [Cover(owner=c["owner"], hops=c["hops"], devs=tuple(c["devs"]),
-                        links=tuple(c["links"]), link_dims=tuple(c["link_dims"]),
-                        bat_dims=tuple(c["bat_dims"]), act_dims=tuple(c["act_dims"]))
-                  for c in meta["covers"]]
-        tables = [[z[f"pi_{i}_{t}"] for t in range(meta["horizon"])]
-                  for i in range(meta["m"])]
+    meta, arrays = load_artifact(path, mdp)
+    covers = [Cover(**{k: v if isinstance(v, int) else tuple(v) for k, v in c.items()})
+              for c in meta["covers"]]
+    tables = [[arrays[f"pi_{i}_{t}"] for t in range(meta["horizon"])]
+              for i in range(meta["m"])]
     d = meta["defaults"]
     return LocalizedPolicy(hops=meta["hops"], gamma=meta["gamma"], rounds=meta["rounds"],
                            covers=covers, tables=tables, mdp_signature=meta["mdp_signature"],

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelChain, RadioParams
+from .channel import ChannelChain, RadioParams, packet_error_rate
 from .energy import EnergyParams, HarvestModel
 from .errors import BudgetExceeded, CausalityViolation
 
@@ -256,20 +256,28 @@ class GlobalMdp:
             mat[a, b] = mat[b, a] = self.chains[e].levels[gains[e]]
         return mat
 
-    def one_step_cost(self, state, levels) -> float:
-        """Mixing-weighted sum of packet error rates for one (state, action)."""
+    def decoded(self, state, levels) -> tuple[GlobalState, tuple[int, ...]]:
+        """(state, levels) with a flat state or joint action index decoded."""
         if isinstance(state, (int, np.integer)):
             state = self.state_decode(int(state))
         if isinstance(levels, (int, np.integer)):
             levels = self.action_decode(int(levels))
+        return state, levels
+
+    def _link_loss(self, state, levels, device: int | None) -> float:
+        """Sum of w * PER over the ordered pairs, those `device` transmits on unless None."""
+        state, levels = self.decoded(state, levels)
         g = self.gain_matrix(state.gains)
         p = self.powers_of(levels)
         total = 0.0
-        from .channel import packet_error_rate
-
         for i, j, w, _, _ in self.ordered_pairs:
-            total += w * packet_error_rate(p, g, self.topo, self.radio, i, j)
+            if device is None or j == device:
+                total += w * packet_error_rate(p, g, self.topo, self.radio, i, j)
         return total
+
+    def one_step_cost(self, state, levels) -> float:
+        """Mixing-weighted sum of packet error rates for one (state, action)."""
+        return self._link_loss(state, levels, None)
 
     def device_cost(self, state, levels, device: int) -> float:
         """Share of the one-slot cost charged to `device`'s own transmissions.
@@ -278,26 +286,11 @@ class GlobalMdp:
         expected loss on its outgoing links, the quantity its own power level
         controls most directly.
         """
-        if isinstance(state, (int, np.integer)):
-            state = self.state_decode(int(state))
-        if isinstance(levels, (int, np.integer)):
-            levels = self.action_decode(int(levels))
-        g = self.gain_matrix(state.gains)
-        p = self.powers_of(levels)
-        total = 0.0
-        from .channel import packet_error_rate
-
-        for i, j, w, _, _ in self.ordered_pairs:
-            if j == device:
-                total += w * packet_error_rate(p, g, self.topo, self.radio, i, j)
-        return total
+        return self._link_loss(state, levels, device)
 
     def transition(self, state, levels, max_support: int = 1_000_000) -> dict:
         """Explicit next-state distribution {flat index: prob} (small instances)."""
-        if isinstance(state, (int, np.integer)):
-            state = self.state_decode(int(state))
-        if isinstance(levels, (int, np.integer)):
-            levels = self.action_decode(int(levels))
+        state, levels = self.decoded(state, levels)
         branches = []
         for e, chain in enumerate(self.chains):
             row = chain.psi[state.gains[e]]
@@ -447,9 +440,6 @@ class Solution:
 
     def as_policy(self):
         return CentralizedPolicy(self.tables)
-
-    def save(self, path) -> None:
-        save_solution(self, path)
 
 
 def contract_leading(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -679,37 +669,30 @@ def backward_expectation(mdp: GlobalMdp, v_next: np.ndarray, mixes) -> np.ndarra
     return out
 
 
-def evaluate_policy(mdp: GlobalMdp, policy, s1, *, mode: str = "exact",
-                    n_samples: int = 1000, seed: int = 0, horizon: int | None = None):
-    """Expected cumulative cost J(policy) from initial state s1.
+def evaluate_policy(mdp: GlobalMdp, policy, s1) -> float:
+    """Exact expected cumulative cost J(policy) from initial state s1.
 
-    mode="exact" runs the policy's value backward, V_t = c_t + E[V_{t+1}]
-    (requires a policy exposing per-device conditionals given the global
-    state, which all policies in this package do). A policy whose class sets
-    `stationary = True` has the same rows at every slot, so its conditionals,
-    expected costs and battery mixes are built once rather than per slot.
-    mode="mc" simulates trajectories and returns (mean, stderr).
+    Runs the policy's value backward, V_t = c_t + E[V_{t+1}], from the
+    policy's per-device conditionals given the global state (every policy in
+    this package exposes them). A policy whose class sets `stationary = True`
+    has the same rows at every slot, so its conditionals, expected costs and
+    battery mixes are built once rather than per slot. For a sampled estimate
+    use `simulate_costs`.
     """
-    T = horizon if horizon is not None else mdp.horizon
-    if mode == "exact":
-        stationary = getattr(policy, "stationary", False)
-        conds = policy.conditionals(mdp, T)
-        v = c = expected_cost_rows(mdp, conds)
-        mixes = battery_mixes(mdp, conds) if stationary else None
-        for t in range(T - 1, 0, -1):
-            if not stationary:
-                conds = policy.conditionals(mdp, t)
-                c, mixes = expected_cost_rows(mdp, conds), battery_mixes(mdp, conds)
-            v = c + backward_expectation(mdp, v, mixes)
-        return float(v[mdp.state_index(s1) if isinstance(s1, GlobalState) else int(s1)])
-    if mode == "mc":
-        costs = simulate_costs(mdp, policy, s1, n_samples=n_samples, seed=seed, horizon=T)
-        return float(costs.mean()), float(costs.std(ddof=1) / np.sqrt(len(costs)))
-    raise ValueError(f"unknown mode {mode!r}")
+    T = mdp.horizon
+    stationary = getattr(policy, "stationary", False)
+    conds = policy.conditionals(mdp, T)
+    v = c = expected_cost_rows(mdp, conds)
+    mixes = battery_mixes(mdp, conds) if stationary else None
+    for t in range(T - 1, 0, -1):
+        if not stationary:
+            conds = policy.conditionals(mdp, t)
+            c, mixes = expected_cost_rows(mdp, conds), battery_mixes(mdp, conds)
+        v = c + backward_expectation(mdp, v, mixes)
+    return float(v[mdp.state_index(s1) if isinstance(s1, GlobalState) else int(s1)])
 
 
-def simulate_costs(mdp: GlobalMdp, policy, s1, *, n_samples: int, seed: int,
-                   horizon: int | None = None) -> np.ndarray:
+def simulate_costs(mdp: GlobalMdp, policy, s1, *, n_samples: int, seed: int) -> np.ndarray:
     """Monte Carlo rollouts of the cumulative cost, all advanced in lockstep.
 
     The n_samples rollouts move together as (n_samples, ·) digit arrays driven
@@ -723,7 +706,6 @@ def simulate_costs(mdp: GlobalMdp, policy, s1, *, n_samples: int, seed: int,
     Raises:
         CausalityViolation: when the policy picks a level the battery cannot fund.
     """
-    T = horizon if horizon is not None else mdp.horizon
     if isinstance(s1, GlobalState):
         s1 = mdp.state_index(s1)
     dims, L, nbc = mdp.link_dims + mdp.bat_dims, mdp.n_links, mdp.n_battery_cfgs
@@ -734,7 +716,7 @@ def simulate_costs(mdp: GlobalMdp, policy, s1, *, n_samples: int, seed: int,
     links, devs = np.arange(L)[:, None], np.arange(mdp.m)[:, None]
     rng = np.random.default_rng(seed)
     totals = np.zeros(n_samples)
-    for t in range(1, T + 1):
+    for t in range(1, mdp.horizon + 1):
         s_idx = np.ravel_multi_index(digits.T, dims)
         levels = _draw(policy.rows(mdp, t, s_idx), rng.random((n_samples, mdp.m)), mdp.act_dims)
         for d, mask in enumerate(mdp.feasible_level_masks):
@@ -753,40 +735,45 @@ def simulate_costs(mdp: GlobalMdp, policy, s1, *, n_samples: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# solution serialization: versioned npz plus a text manifest
+# saved artifacts: versioned npz plus a text manifest
 # ---------------------------------------------------------------------------
 
 FORMAT_VERSION = 1
 
 
-def save_solution(sol: Solution, path) -> None:
-    path = str(path)
-    meta = {
-        "format_version": FORMAT_VERSION,
-        "kind": "centralized_solution",
-        "mdp_signature": sol.mdp.signature(),
-        "horizon": sol.horizon,
-        "n_states": sol.mdp.n_states,
-        "n_actions": sol.mdp.n_actions,
-    }
-    np.savez_compressed(path if path.endswith(".npz") else path + ".npz",
-                        meta=json.dumps(meta, sort_keys=True),
-                        values=np.stack(sol.values),
-                        tables=np.stack(sol.tables))
-    mpath = (path[:-4] if path.endswith(".npz") else path) + ".manifest.txt"
-    with open(mpath, "w") as fh:
-        for k in sorted(meta):
+def save_artifact(path, meta: dict, manifest_keys, arrays: dict) -> None:
+    """Write `arrays` and the JSON `meta` to <stem>.npz and `manifest_keys` of meta to
+    <stem>.manifest.txt, where `path` is <stem> with or without the .npz suffix."""
+    stem = str(path).removesuffix(".npz")
+    meta = {"format_version": FORMAT_VERSION, **meta}
+    np.savez_compressed(stem + ".npz", meta=json.dumps(meta, sort_keys=True), **arrays)
+    with open(stem + ".manifest.txt", "w") as fh:
+        for k in manifest_keys:
             fh.write(f"{k}: {meta[k]}\n")
 
 
-def load_solution(path, mdp: GlobalMdp) -> Solution:
-    path = str(path)
-    with np.load(path if path.endswith(".npz") else path + ".npz") as z:
+def load_artifact(path, mdp: GlobalMdp | None) -> tuple[dict, dict]:
+    """(meta, arrays) of a saved artifact, checked against FORMAT_VERSION and, given
+    `mdp`, against its signature."""
+    with np.load(str(path).removesuffix(".npz") + ".npz") as z:
         meta = json.loads(str(z["meta"]))
         if meta["format_version"] != FORMAT_VERSION:
-            raise ValueError(f"unsupported solution format {meta['format_version']}")
-        if meta["mdp_signature"] != mdp.signature():
-            raise ValueError("solution was produced for a different model")
-        values = [row for row in z["values"]]
-        tables = [row.astype(np.int32) for row in z["tables"]]
-    return Solution(mdp=mdp, values=values, tables=tables)
+            raise ValueError(f"unsupported artifact format {meta['format_version']}")
+        if mdp is not None and meta["mdp_signature"] != mdp.signature():
+            raise ValueError(f"{meta['kind']} was produced for a different model")
+        return meta, {k: z[k] for k in z.files if k != "meta"}
+
+
+def save_solution(sol: Solution, path) -> None:
+    meta = {"kind": "centralized_solution", "mdp_signature": sol.mdp.signature(),
+            "horizon": sol.horizon, "n_states": sol.mdp.n_states,
+            "n_actions": sol.mdp.n_actions}
+    save_artifact(path, meta, ("format_version", "horizon", "kind", "mdp_signature",
+                               "n_actions", "n_states"),
+                  {"values": np.stack(sol.values), "tables": np.stack(sol.tables)})
+
+
+def load_solution(path, mdp: GlobalMdp) -> Solution:
+    _, arrays = load_artifact(path, mdp)
+    return Solution(mdp=mdp, values=list(arrays["values"]),
+                    tables=[row.astype(np.int32) for row in arrays["tables"]])

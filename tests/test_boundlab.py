@@ -63,8 +63,8 @@ def test_gap_curve_is_nonnegative_and_anchored():
 def test_contraction_study_bundles_certification():
     inst = tiny_instances()["tiny-a"]
     rep = contraction_study(inst.mdp, hops=inst.hops, gamma=inst.gamma,
-                            rounds=10, lipschitz=inst.declared_lipschitz,
-                            grad_bound=inst.declared_grad_bound, s1=inst.s1)
+                            rounds=10, s1=inst.s1,
+                            declared=(inst.declared_lipschitz, inst.declared_grad_bound))
     assert isinstance(rep, ContractionReport)
     assert rep.certified
     assert rep.d_bound == pytest.approx(1.0, rel=1e-9)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ehdfl.config import canonical_hash, load_config, parse_config
+from ehdfl.config import _stationary, canonical_hash, load_config, parse_config
 from ehdfl.errors import ConfigError
 from ehdfl.harness import run_experiment
 
@@ -144,6 +144,15 @@ def test_build_model_and_start_state():
     assert s2.gains == (1,) and s2.batteries == (0, 1)
 
 
+def test_steady_law_is_exact_by_detailed_balance():
+    for p in (0.15, 0.2, 0.3):  # eig gives 0.5000000000000001 on one side for some of these
+        assert _stationary(np.array([[1 - p, p], [p, 1 - p]])).tolist() == [0.5, 0.5]
+    psi = np.array([[0.6, 0.4, 0.0], [0.3, 0.5, 0.2], [0.0, 0.7, 0.3]])
+    vals, vecs = np.linalg.eig(psi.T)
+    ref = np.abs(np.real(vecs[:, np.argmin(np.abs(vals - 1.0))]))
+    np.testing.assert_allclose(_stationary(psi), ref / ref.sum(), rtol=0, atol=1e-12)
+
+
 def test_build_policy_rejects_unknown_names():
     cfg = parse_config(base_raw())
     mdp = cfg.build_model()
@@ -171,6 +180,7 @@ MALFORMED = [
     (("declared",), {"lipschitz": 1.0, "grad_bound": 0.0}),
     (("channel", "chains"), [{"levels": [0.1, 0.2, 0.3],
                               "psi": [[0.5, 0.0, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, 0.5]]}]),
+    (("channel", "chains"), [{"levels": [0.1, 0.2], "psi": [[1.0, 0.0], [0.0, 1.0]]}]),
     (("s1", "batteries"), 3), (("s1", "batteries"), [2] * 8), (("s1", "gains"), [9] * 8),
     (("s1", "gains"), [1] * 7), (("task", "dim"), "x"), (("task", "samples"), "x"),
     (("task", "seed"), "x"), (("task", "seed"), -1), (("mc_samples",), "x"),

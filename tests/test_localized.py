@@ -12,7 +12,7 @@ from ehdfl.instances import (capacity_family, capacity_pair, desk_scenario,
 from ehdfl.localized import (ExtensionDefaults, build_cover, extension_action_map,
                              extension_state_map, load_localized, localized_backward_layer,
                              localized_cost_table, masked_softmax, policy_distance,
-                             synthesize)
+                             save_localized, synthesize)
 from ehdfl.mdp import build_mdp
 from ehdfl.topology import build_topology, k_hop_set
 
@@ -438,7 +438,7 @@ def test_table_budget_is_checked_before_any_table_is_built():
 
 def test_localized_round_trip(tmp_path, pair_policy):
     mdp, s1, pol = pair_policy
-    pol.save(tmp_path / "pol.npz")
+    save_localized(pol, tmp_path / "pol.npz")
     back = load_localized(tmp_path / "pol.npz", mdp)
     assert back.gamma == pol.gamma and back.hops == pol.hops
     for ta, tb in zip(pol.tables, back.tables):
@@ -453,6 +453,6 @@ def test_localized_round_trip(tmp_path, pair_policy):
 def test_localized_load_rejects_wrong_model(tmp_path, pair_policy):
     _, _, pol = pair_policy
     other = tiny_instances()["tiny-a"].mdp
-    pol.save(tmp_path / "pol.npz")
+    save_localized(pol, tmp_path / "pol.npz")
     with pytest.raises(ValueError, match="different model"):
         load_localized(tmp_path / "pol.npz", other)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from ehdfl.instances import capacity_family, desk_scenario, oracle_instance, tin
 from ehdfl.localized import LocalizedPolicy, build_cover, synthesize
 from ehdfl.mdp import (FixedLevelsPolicy, GlobalState, backward_expectation,
                        backward_induction, battery_mixes, build_mdp, contract_leading,
-                       evaluate_policy, expected_cost_rows, load_solution, simulate_costs)
+                       evaluate_policy, expected_cost_rows, load_solution, save_solution,
+                       simulate_costs)
 from ehdfl.topology import build_topology
 from test_policy_rows import ragged_line
 
@@ -543,12 +546,18 @@ def test_contract_leading_is_tensordot_bit_for_bit(dims):
         assert np.array_equal(out, ref)
 
 
+def mc_mean_stderr(mdp, pol, s1, *, n_samples, seed):
+    """Sample mean of simulate_costs and its standard error, std(ddof=1) / sqrt(n)."""
+    costs = simulate_costs(mdp, pol, s1, n_samples=n_samples, seed=seed)
+    return float(costs.mean()), float(costs.std(ddof=1) / np.sqrt(len(costs)))
+
+
 def test_exact_vs_monte_carlo_evaluation(pair):
     mdp, s1 = pair
     from ehdfl.baselines import GreedyPolicy
     pol = GreedyPolicy(mdp)
     exact = evaluate_policy(mdp, pol, s1)
-    mean, se = evaluate_policy(mdp, pol, s1, mode="mc", n_samples=4000, seed=9)
+    mean, se = mc_mean_stderr(mdp, pol, s1, n_samples=4000, seed=9)
     assert abs(exact - mean) < 4 * se + 1e-6
 
 
@@ -563,10 +572,10 @@ def test_lockstep_monte_carlo_agrees_with_exact_for_every_policy_type():
             "localized": synthesize(mdp, hops=1, gamma=1.0, rounds=2),
         }
         for name, pol in policies.items():
-            horizon = 2 if name == "fixed" else None  # device 1 can fund two transmissions
-            exact = evaluate_policy(mdp, pol, s1, horizon=horizon)
-            mean, se = evaluate_policy(mdp, pol, s1, mode="mc", n_samples=4000, seed=3,
-                                       horizon=horizon)
+            # device 1 can fund two transmissions
+            run = dataclasses.replace(mdp, horizon=2) if name == "fixed" else mdp
+            exact = evaluate_policy(run, pol, s1)
+            mean, se = mc_mean_stderr(run, pol, s1, n_samples=4000, seed=3)
             assert se > 0, name
             assert abs(exact - mean) < 5 * se, name
 
@@ -591,7 +600,7 @@ def test_simulate_costs_deterministic_given_seed(pair):
 def test_solution_round_trip(tmp_path, pair):
     mdp, s1 = pair
     sol = backward_induction(mdp)
-    sol.save(tmp_path / "sol.npz")
+    save_solution(sol, tmp_path / "sol.npz")
     back = load_solution(tmp_path / "sol.npz", mdp)
     assert back.expected_cost(s1) == sol.expected_cost(s1)
     assert all((a == b).all() for a, b in zip(back.tables, sol.tables))
@@ -602,7 +611,7 @@ def test_solution_rejects_wrong_model(tmp_path, pair, tiny_a):
     mdp, _ = pair
     other, _ = tiny_a
     sol = backward_induction(mdp)
-    sol.save(tmp_path / "sol.npz")
+    save_solution(sol, tmp_path / "sol.npz")
     with pytest.raises(ValueError, match="different model"):
         load_solution(tmp_path / "sol.npz", other)
 
