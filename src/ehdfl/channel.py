@@ -30,10 +30,10 @@ class RadioParams:
         s = np.atleast_1d(np.asarray(self.sigma2, dtype=float))
         if not (s > 0).all():
             raise ValueError("sigma2 must be positive")
+        object.__setattr__(self, "_noise", tuple(s.tolist()))
 
     def noise(self, i: int) -> float:
-        s = np.atleast_1d(np.asarray(self.sigma2, dtype=float))
-        return float(s[0]) if s.size == 1 else float(s[i])
+        return self._noise[0] if len(self._noise) == 1 else self._noise[i]
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,23 +162,24 @@ def rayleigh_chain(n_levels: int, doppler_hz: float, tau: float,
     return build_chain_from_crossing(levels, steady, crossing, tau)
 
 
-def step_links(state: np.ndarray, chains, rng: np.random.Generator) -> np.ndarray:
+def step_links(state: np.ndarray, chains, u: np.ndarray) -> np.ndarray:
     """Advance every link's gain index one slot.
 
     Args:
-        state: integer array of current gain indices, one per link entity.
+        state: integer array (..., n_links) of current gain indices, the last
+            axis one per link entity; leading axes index independent runs.
         chains: matching sequence of ChannelChain.
-        rng: numpy Generator; one uniform draw is consumed per link, in link
-            order, so trajectories are reproducible for a fixed stream.
+        u: uniforms in [0, 1) of the same shape, one per run and link.
+
+    Each next index is searchsorted(cumsum(psi row), u, side="right"), the
+    count of CDF entries <= u, clipped to the last level against cumsum
+    rounding at 1.0.
     """
     state = np.asarray(state)
     out = np.empty_like(state)
-    u = rng.random(len(state))
     for k, chain in enumerate(chains):
-        row = chain.psi[state[k]]
-        out[k] = int(np.searchsorted(np.cumsum(row), u[k], side="right"))
-        if out[k] >= chain.n:  # guard against cumsum rounding at 1.0
-            out[k] = chain.n - 1
+        cdf = np.cumsum(chain.psi[state[..., k]], axis=-1)
+        out[..., k] = np.minimum((cdf <= u[..., k, None]).sum(-1), chain.n - 1)
     return out
 
 

@@ -1,13 +1,13 @@
 """Slot-level training simulator: local SGD plus lossy gossip over the radio model."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .channel import packet_error_rate, step_links
-from .energy import battery_step
-from .mdp import GlobalMdp, GlobalState
+from .errors import CausalityViolation
+from .mdp import GlobalMdp, GlobalState, _draw, _zero_padded
 
 # Sub-stream roles under the run seed; per-device streams spawn as (role, device).
 _ROLE_POLICY = 0
@@ -20,36 +20,37 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
 
 
 def local_sgd(task, i: int, w, *, k_steps: int, eta: float):
-    """Run K full-batch local steps from w; return (w_new, sup of squared grad norms)."""
+    """Run K full-batch local steps from w, (..., d); return (w_new, sup of squared grad norms).
+
+    Leading axes of w index independent models; the sup has their shape.
+    """
     w = np.array(w, dtype=float, copy=True)
-    sup_sq = 0.0
+    sup_sq = np.zeros(w.shape[:-1])
     for _ in range(k_steps):
         g = task.local_grad(i, w)
-        sup_sq = max(sup_sq, float(g @ g))
+        gg = np.matmul(g[..., None, :], g[..., None])[..., 0, 0]
+        sup_sq = np.where(gg > sup_sq, gg, sup_sq)
         w -= eta * g
     return w, sup_sq
 
 
 def apply_gossip(models, deltas, beta, zeta, mixing, neighbors):
-    """One aggregation slot; returns the new model list.
+    """One aggregation slot over (S, m, d) models and deltas; returns the new models.
 
-    Device i adds a_ij * zeta_ij * delta_j for every transmitting neighbor and
-    a_ii * delta_i for itself. Contributions accumulate in ascending j order
-    (self included at its sorted position) so a reference recursion written
-    the same way matches bit for bit.
+    Device i adds a_ij * zeta_ij * delta_j for every transmitting neighbor
+    (beta (S, m), zeta (S, m, m) receiver-major) and a_ii * delta_i for itself.
+    Contributions accumulate in ascending j order (self included at its sorted
+    position) so a reference recursion written the same way matches bit for
+    bit: pass r adds every device's r-th contribution at once.
     """
-    m = len(models)
-    out = []
-    for i in range(m):
-        acc = models[i].copy()
-        for j in sorted(set(neighbors[i]) | {i}):
-            if not beta[j]:
-                continue
-            gate = 1.0 if j == i else float(zeta[i][j])
-            if gate == 0.0:
-                continue
-            acc += (mixing[i, j] * gate) * deltas[j]
-        out.append(acc)
+    order = [sorted(set(neighbors[i]) | {i}) for i in range(models.shape[1])]
+    out = models.copy()
+    for r in range(max(map(len, order))):
+        rx = np.array([i for i, js in enumerate(order) if r < len(js)])
+        tx = np.array([order[i][r] for i in rx])
+        gate = (beta[:, tx] != 0) & ((zeta[:, rx, tx] != 0.0) | (rx == tx))
+        acc = out[:, rx]
+        out[:, rx] = np.where(gate[..., None], acc + mixing[rx, tx, None] * deltas[:, tx], acc)
     return out
 
 
@@ -60,33 +61,42 @@ METRICS_HEADER = ("slot", "grad_norm_sq_avg_model", "consensus", "global_loss",
 
 @dataclass
 class DflRun:
-    """Trajectory record; arrays are indexed by slot (1-based slots map to row t-1)."""
+    """Trajectory record of the seeds of one `run_training` call.
+
+    Every array leads with the seed axis (row k is the k-th seed asked for);
+    per-slot axes follow, 1-based slot t at index t-1. `run[k]` is seed k's
+    own record, with the seed axis dropped.
+    """
 
     horizon: int
     m: int
-    wbar: np.ndarray           # (T+1, d) average model at slot starts, then final
-    consensus: np.ndarray      # (T+1,) sum_i ||w_i - wbar||^2
-    grad_norm_sq: np.ndarray   # (T,) ||grad F(wbar_t)||^2 at slot starts
-    global_loss: np.ndarray    # (T+1,)
-    device_loss: np.ndarray    # (T+1,) mean_i F(w_i); carries the consensus penalty
-    opt_gap: np.ndarray        # (T+1,) F(wbar) - F*
-    energy_spent: np.ndarray   # (T,) joules summed over devices
-    packets_sent: np.ndarray   # (T,) int
-    packets_dropped: np.ndarray  # (T,) int
-    beta: np.ndarray           # (T, m) participation indicators
-    per: np.ndarray            # (T, m, m) q for receiver i <- transmitter j, 0 elsewhere
-    actions: np.ndarray        # (T, m) chosen level indices
-    batteries: np.ndarray      # (T+1, m) joules at slot starts
-    sup_grad_sq: float         # max squared stochastic-gradient norm seen
-    final_models: list = field(default_factory=list)
-    models: list = field(default_factory=list)    # per-slot snapshots if recorded
-    deltas: list = field(default_factory=list)    # per-slot local updates if recorded
+    wbar: np.ndarray           # (S, T+1, d) average model at slot starts, then final
+    consensus: np.ndarray      # (S, T+1) sum_i ||w_i - wbar||^2
+    grad_norm_sq: np.ndarray   # (S, T) ||grad F(wbar_t)||^2 at slot starts
+    global_loss: np.ndarray    # (S, T+1)
+    device_loss: np.ndarray    # (S, T+1) mean_i F(w_i); carries the consensus penalty
+    opt_gap: np.ndarray        # (S, T+1) F(wbar) - F*
+    energy_spent: np.ndarray   # (S, T) joules summed over devices
+    packets_sent: np.ndarray   # (S, T) int
+    packets_dropped: np.ndarray  # (S, T) int
+    beta: np.ndarray           # (S, T, m) participation indicators
+    per: np.ndarray            # (S, T, m, m) q for receiver i <- transmitter j, 0 elsewhere
+    actions: np.ndarray        # (S, T, m) chosen level indices
+    batteries: np.ndarray      # (S, T+1, m) joules at slot starts
+    sup_grad_sq: np.ndarray    # (S,) max squared stochastic-gradient norm seen
+    final_models: np.ndarray   # (S, m, d)
+    models: np.ndarray         # (S, T, m, d) models at slot starts if recorded, else (S, 0, m, d)
+    deltas: np.ndarray         # (S, T, m, d) local updates if recorded, else (S, 0, m, d)
+
+    def __getitem__(self, k: int) -> DflRun:
+        return DflRun(self.horizon, self.m,
+                      *(getattr(self, f.name)[k] for f in fields(self)[2:]))
 
     def time_avg_grad_sq(self) -> float:
         return float(np.mean(self.grad_norm_sq))
 
     def csv_rows(self):
-        """Yield (header, rows) for the per-slot metrics file."""
+        """Yield (header, rows) for the per-slot metrics file of a one-seed record."""
         header = list(METRICS_HEADER)
         rows = []
         for t in range(self.horizon):
@@ -97,113 +107,151 @@ class DflRun:
         return header, rows
 
 
-def run_training(mdp: GlobalMdp, task, policy, *, seed: int, eta: float,
+def run_training(mdp: GlobalMdp, task, policy, *, seeds, eta: float,
                  horizon: int | None = None, per_override: float | None = None,
                  s1: GlobalState | None = None, record_models: bool = False) -> DflRun:
-    """Co-simulate the radio process and decentralized training for T slots.
+    """Co-simulate the radio process and decentralized training for T slots, every seed at once.
 
     Every device starts from the zero model and takes full-batch local steps.
     per_override, when given, replaces every link's packet-error probability
     with a constant (0.0 forces lossless delivery); the channel process still
     advances so trajectories stay comparable across override settings.
+
+    The seeds advance in lockstep as (S, ·) arrays, and each seed's record is
+    the one a run of that seed alone gives, bit for bit. Each seed has its own
+    policy, channel and per-device harvest streams. Each slot, a seed's policy
+    stream gives random(m) for the levels, drawn from the policy's rows at the
+    seed's state; its channel stream gives random(n_active + L), the first
+    n_active for the packet outcomes of the directed links with an active
+    transmitter, in ascending (receiver, transmitter) order, the last L for
+    the link step; each harvest stream gives one uniform.
+
+    Raises:
+        CausalityViolation: when the policy picks a level the battery cannot fund.
     """
-    topo, radio, energy, draw_quanta = mdp.topo, mdp.radio, mdp.energy, mdp.draw_quanta
-    m = topo.m
+    topo, radio, energy = mdp.topo, mdp.radio, mdp.energy
+    m, n_links, n_seeds = topo.m, mdp.n_links, len(seeds)
     horizon = mdp.horizon if horizon is None else horizon
     s1 = mdp.default_start if s1 is None else s1
-
-    rng_pol = _stream(seed, _ROLE_POLICY)
-    rng_chan = _stream(seed, _ROLE_CHANNEL)
-    rng_harv = [_stream(seed, _ROLE_HARVEST, i) for i in range(m)]
-
     d = task.dim
-    models = [np.zeros(d) for _ in range(m)]
 
-    gains = np.asarray(s1.gains, dtype=np.int64)
-    bats_j = np.array([b * energy.quantum for b in s1.batteries])
+    # The policy and harvest streams feed only their own draws, so every slot's
+    # uniforms are drawn up front; channel draws depend on who transmits.
+    pol_u = np.array([_stream(s, _ROLE_POLICY).random((horizon, m))
+                      for s in seeds]).reshape(n_seeds, horizon, m)
+    harvest = np.zeros((n_seeds, horizon, m), dtype=np.int64)
+    for i, (hv, amounts) in enumerate(zip(mdp.harvests, mdp.harvest_quanta)):
+        for k, s in enumerate(seeds):
+            u = _stream(s, _ROLE_HARVEST, i).random(horizon)
+            harvest[k, :, i] = amounts[hv.cdf.searchsorted(u, side="right")]
+    rng_chan = [_stream(s, _ROLE_CHANNEL) for s in seeds]
+
+    pair_rx, pair_tx = np.array([(i, j) for i in range(m) for j in sorted(topo.neighbors[i])],
+                                dtype=np.int64).reshape(-1, 2).T
+    ladders, draws = _zero_padded(mdp.power_levels), _zero_padded(mdp.draw_quanta).astype(int)
+    devs, seed_rows = np.arange(m), np.arange(n_seeds)[:, None]
+    dims = mdp.link_dims + mdp.bat_dims
+    gains = np.tile(np.asarray(s1.gains, dtype=np.int64), (n_seeds, 1))
+    quanta = np.tile(np.asarray(s1.batteries, dtype=np.int64), (n_seeds, 1))
+    models = np.zeros((n_seeds, m, d))
+    recorded = horizon if record_models else 0
 
     rec = DflRun(
         horizon=horizon, m=m,
-        wbar=np.zeros((horizon + 1, d)),
-        consensus=np.zeros(horizon + 1),
-        grad_norm_sq=np.zeros(horizon),
-        global_loss=np.zeros(horizon + 1),
-        device_loss=np.zeros(horizon + 1),
-        opt_gap=np.zeros(horizon + 1),
-        energy_spent=np.zeros(horizon),
-        packets_sent=np.zeros(horizon, dtype=np.int64),
-        packets_dropped=np.zeros(horizon, dtype=np.int64),
-        beta=np.zeros((horizon, m), dtype=np.int64),
-        per=np.zeros((horizon, m, m)),
-        actions=np.zeros((horizon, m), dtype=np.int64),
-        batteries=np.zeros((horizon + 1, m)),
-        sup_grad_sq=0.0,
+        wbar=np.zeros((n_seeds, horizon + 1, d)),
+        consensus=np.zeros((n_seeds, horizon + 1)),
+        grad_norm_sq=np.zeros((n_seeds, horizon)),
+        global_loss=np.zeros((n_seeds, horizon + 1)),
+        device_loss=np.zeros((n_seeds, horizon + 1)),
+        opt_gap=np.zeros((n_seeds, horizon + 1)),
+        energy_spent=np.zeros((n_seeds, horizon)),
+        packets_sent=np.zeros((n_seeds, horizon), dtype=np.int64),
+        packets_dropped=np.zeros((n_seeds, horizon), dtype=np.int64),
+        beta=np.zeros((n_seeds, horizon, m), dtype=np.int64),
+        per=np.zeros((n_seeds, horizon, m, m)),
+        actions=np.zeros((n_seeds, horizon, m), dtype=np.int64),
+        batteries=np.zeros((n_seeds, horizon + 1, m)),
+        sup_grad_sq=np.zeros(n_seeds),
+        final_models=models,
+        models=np.zeros((n_seeds, recorded, m, d)),
+        deltas=np.zeros((n_seeds, recorded, m, d)),
     )
     f_star = task.f_star
 
     def log_point(row: int) -> None:
-        wbar = np.mean(models, axis=0)
-        rec.wbar[row] = wbar
-        rec.consensus[row] = float(sum(np.sum((w - wbar) ** 2) for w in models))
-        rec.global_loss[row] = task.global_loss(wbar)
-        rec.device_loss[row] = float(np.mean([task.global_loss(w) for w in models]))
-        rec.opt_gap[row] = rec.global_loss[row] - f_star
+        wbar = rec.wbar[:, row] = np.mean(models, axis=1)
+        spread = np.sum((models - wbar[:, None]) ** 2, axis=-1)
+        for i in range(m):  # in device order, as a scalar sum over devices runs
+            rec.consensus[:, row] += spread[:, i]
+        losses = task.global_loss(np.concatenate([wbar[:, None], models], axis=1))
+        rec.global_loss[:, row] = losses[:, 0]
+        rec.device_loss[:, row] = np.mean(losses[:, 1:], axis=-1)
+        rec.opt_gap[:, row] = rec.global_loss[:, row] - f_star
 
     for t in range(horizon):
-        rec.batteries[t] = bats_j
+        rec.batteries[:, t] = quanta * energy.quantum
         log_point(t)
-        rec.grad_norm_sq[t] = float(np.sum(task.global_grad(rec.wbar[t]) ** 2))
+        rec.grad_norm_sq[:, t] = np.sum(task.global_grad(rec.wbar[:, t]) ** 2, axis=-1)
 
-        state = GlobalState(gains=tuple(int(g) for g in gains),
-                            batteries=tuple(energy.level_index(b) for b in bats_j))
-        s_idx = mdp.state_index(state)
-        levels = policy.act(mdp, s_idx, t + 1, rng_pol)
-        rec.actions[t] = levels
-        powers = mdp.powers_of(levels)
-        beta = [1 if p > 0 else 0 for p in powers]
-        rec.beta[t] = beta
+        s_idx = np.ravel_multi_index(np.hstack([gains, quanta]).T, dims)
+        levels = rec.actions[:, t] = _draw(policy.rows(mdp, t + 1, s_idx), pol_u[:, t],
+                                           mdp.act_dims)
+        powers = ladders[devs, levels]
+        beta = powers > 0
+        rec.beta[:, t] = beta
 
         # Local SGD for participating devices.
-        deltas = [np.zeros(d) for _ in range(m)]
+        deltas = np.zeros((n_seeds, m, d))
         for i in range(m):
-            if beta[i]:
-                w_new, sup_sq = local_sgd(task, i, models[i], k_steps=energy.k_steps, eta=eta)
-                deltas[i] = w_new - models[i]
-                rec.sup_grad_sq = max(rec.sup_grad_sq, sup_sq)
+            on = beta[:, i]
+            if on.any():
+                w_new, sup_sq = local_sgd(task, i, models[on, i], k_steps=energy.k_steps,
+                                          eta=eta)
+                deltas[on, i] = w_new - models[on, i]
+                best = rec.sup_grad_sq[on]
+                rec.sup_grad_sq[on] = np.where(sup_sq > best, sup_sq, best)
         if record_models:
-            rec.models.append([w.copy() for w in models])
-            rec.deltas.append([dw.copy() for dw in deltas])
+            rec.models[:, t], rec.deltas[:, t] = models, deltas
 
-        # Packet outcomes: one PER draw per directed neighbor link with an
-        # active transmitter, in ascending (receiver, transmitter) order.
-        gain_mat = mdp.gain_matrix(gains)
-        zeta = np.zeros((m, m))
-        for i in range(m):
-            for j in sorted(topo.neighbors[i]):
-                if not beta[j]:
-                    continue
-                q = packet_error_rate(powers, gain_mat, topo, radio, i, j)
-                if per_override is not None:
-                    q = float(per_override)
-                rec.per[t, i, j] = q
-                ok = rng_chan.random() >= q
-                zeta[i, j] = 1.0 if ok else 0.0
-                rec.packets_sent[t] += 1
-                rec.packets_dropped[t] += 0 if ok else 1
+        # Packet outcomes on the directed links with an active transmitter.
+        active = beta[:, pair_tx]
+        n_active = active.sum(axis=1)
+        u = [rng.random(n + n_links) for rng, n in zip(rng_chan, n_active.tolist())]
+        offsets = np.cumsum([0] + [len(x) for x in u])[:-1, None]
+        u = np.concatenate(u) if u else np.zeros(0)
+        gain_mat = np.zeros((n_seeds, m, m))
+        for e, (a, b) in enumerate(mdp.entities):
+            gain_mat[:, a, b] = gain_mat[:, b, a] = mdp.chains[e].levels[gains[:, e]]
+        q = np.full(active.shape, 0.0 if per_override is None else float(per_override))
+        if per_override is None:
+            for k, p in zip(*np.nonzero(active)):
+                q[k, p] = packet_error_rate(powers[k], gain_mat[k], topo, radio,
+                                            pair_rx[p], pair_tx[p])
+        # an active link's uniform sits at its rank among the seed's active links
+        ok = u[offsets + np.cumsum(active, axis=1) - 1] >= q
+        rec.per[seed_rows, t, pair_rx, pair_tx] = np.where(active, q, 0.0)
+        zeta = np.zeros((n_seeds, m, m))
+        zeta[seed_rows, pair_rx, pair_tx] = active & ok
+        rec.packets_sent[:, t] = n_active
+        rec.packets_dropped[:, t] = (active & ~ok).sum(axis=1)
 
         models = apply_gossip(models, deltas, beta, zeta, topo.mixing, topo.neighbors)
 
         # Energy bookkeeping and exogenous processes.
+        spend = draws[devs, levels]
         for i in range(m):
-            e_i = int(draw_quanta[i][levels[i]]) * energy.quantum
-            rec.energy_spent[t] += e_i
-            u = mdp.harvests[i].sample(rng_harv[i])
-            bats_j[i] = battery_step(bats_j[i], e_i, u, energy)
-        gains = step_links(gains, mdp.chains, rng_chan)
+            rec.energy_spent[:, t] += spend[:, i] * energy.quantum
+        if (spend > quanta).any():
+            k, i = np.argwhere(spend > quanta)[0]
+            raise CausalityViolation(f"seed {seeds[k]}: device {i} spends {spend[k, i]} "
+                                     f"quanta from a battery of {quanta[k, i]}")
+        quanta = np.minimum(quanta - spend + harvest[:, t], energy.n_levels - 1)
+        gains = step_links(gains, mdp.chains, u[offsets + n_active[:, None]
+                                                + np.arange(n_links)])
 
-    rec.batteries[horizon] = bats_j
+    rec.batteries[:, horizon] = quanta * energy.quantum
     log_point(horizon)
-    rec.final_models = [w.copy() for w in models]
+    rec.final_models = models
     return rec
 
 

@@ -106,6 +106,8 @@ class HarvestModel:
             raise ValueError("probs must be a distribution")
         object.__setattr__(self, "support", s)
         object.__setattr__(self, "probs", pr)
+        cdf = pr.cumsum()
+        object.__setattr__(self, "cdf", cdf / cdf[-1])  # Generator.choice's normalized CDF
 
     def quanta(self, params: EnergyParams) -> tuple[np.ndarray, np.ndarray]:
         """Support snapped to quanta; rejects amounts that are not multiples."""
@@ -116,8 +118,8 @@ class HarvestModel:
         return q, self.probs
 
     def sample(self, rng: np.random.Generator, size=None):
-        idx = rng.choice(len(self.support), size=size, p=self.probs)
-        return self.support[idx]
+        """The draws of rng.choice(len(support), size, p=probs): one uniform each."""
+        return self.support[self.cdf.searchsorted(rng.random(size), side="right")]
 
     def mean(self) -> float:
         return float(np.dot(self.support, self.probs))

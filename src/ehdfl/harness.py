@@ -83,8 +83,13 @@ def _pool_map(fn, tasks, jobs: int):
 # ---------------------------------------------------------------------------
 
 def _train_worker(args):
-    mdp, task, policy, seed, eta, s1 = args
-    run = run_training(mdp, task, policy, seed=seed, eta=eta, s1=s1)
+    """One result per seed of a chunk, from one lockstep `run_training` call."""
+    mdp, task, policy, seeds, eta, s1 = args
+    lockstep = run_training(mdp, task, policy, seeds=seeds, eta=eta, s1=s1)
+    return [_seed_result(seed, lockstep[k]) for k, seed in enumerate(seeds)]
+
+
+def _seed_result(seed, run) -> dict:
     header, rows = run.csv_rows()
     return {
         "seed": seed, "header": header, "rows": rows,
@@ -100,10 +105,18 @@ def _train_worker(args):
 
 
 def _train_seeds(config: ExperimentConfig, mdp, policy, s1, jobs: int) -> list:
-    """One `_train_worker` result per config seed, on the config's task and step size."""
+    """One result per config seed, on the config's task and step size, in seed order.
+
+    `jobs` splits the seeds into that many contiguous chunks, one `_train_worker`
+    call each; a seed's record does not depend on the chunk it runs in.
+    """
     task = config.build_task()
     eta = config.step_size(task)
-    return _pool_map(_train_worker, [(mdp, task, policy, s, eta, s1) for s in config.seeds], jobs)
+    seeds = list(config.seeds)
+    n = max(1, min(jobs, len(seeds)))
+    chunks = [seeds[k * len(seeds) // n:(k + 1) * len(seeds) // n] for k in range(n)]
+    parts = _pool_map(_train_worker, [(mdp, task, policy, c, eta, s1) for c in chunks], jobs)
+    return [res for part in parts for res in part]
 
 
 def _mc_worker(args):
@@ -343,9 +356,9 @@ def _gossip_replay_error() -> float:
     inst = tiny_instances()["tiny-a"]
     mdp = inst.mdp
     task = make_quadratic_task(mdp.m, 6, 12, heterogeneity=1.5, seed=3)
-    run = run_training(mdp, task, GreedyPolicy(mdp), seed=11, eta=0.1,
+    run = run_training(mdp, task, GreedyPolicy(mdp), seeds=[11], eta=0.1,
                        horizon=8, per_override=0.0, s1=inst.s1,
-                       record_models=True)
+                       record_models=True)[0]
     mixing, neighbors = mdp.topo.mixing, mdp.topo.neighbors
     models = [w.copy() for w in run.models[0]]
     worst = 0.0

@@ -6,6 +6,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Task methods take models w of shape (..., d) and return one loss or gradient per
+# leading index. Products are stacked np.matmul, which runs the same BLAS kernel per
+# item as the 1-D product, so a batched value is bit-identical to the one-model value.
+
+
+def _matvec(a, w):
+    """a @ w over the leading axes of w."""
+    return np.matmul(a, w[..., None])[..., 0]
+
+
+def _sq_norm(v):
+    """v . v over the leading axes of v."""
+    return np.matmul(v[..., None, :], v[..., None])[..., 0, 0]
+
+
+def _global_loss(task, w):
+    """Mean of the device losses, summed in device order."""
+    return sum(task.local_loss(i, w) for i in range(task.m)) / task.m
+
+
+def _global_grad(task, w):
+    g = np.zeros(np.shape(w))
+    for i in range(task.m):
+        g += task.local_grad(i, w)
+    return g / task.m
+
 
 @dataclass(eq=False)
 class QuadraticTask:
@@ -26,21 +52,15 @@ class QuadraticTask:
         return self.a_mats[i].shape[0]
 
     def local_loss(self, i, w):
-        r = self.a_mats[i] @ w - self.b_vecs[i]
-        return 0.5 * float(r @ r) / self.samples(i)
+        r = _matvec(self.a_mats[i], w) - self.b_vecs[i]
+        return 0.5 * _sq_norm(r) / self.samples(i)
 
     def local_grad(self, i, w):
         a, b = self.a_mats[i], self.b_vecs[i]
-        return a.T @ (a @ w - b) / a.shape[0]
+        return _matvec(a.T, _matvec(a, w) - b) / a.shape[0]
 
-    def global_loss(self, w):
-        return sum(self.local_loss(i, w) for i in range(self.m)) / self.m
-
-    def global_grad(self, w):
-        g = np.zeros(self.dim)
-        for i in range(self.m):
-            g += self.local_grad(i, w)
-        return g / self.m
+    global_loss = _global_loss
+    global_grad = _global_grad
 
     @functools.cached_property
     def w_star(self):
@@ -84,23 +104,17 @@ class LogisticTask:
         return self.x_mats[i].shape[0]
 
     def local_loss(self, i, w):
-        z = self.y_vecs[i] * (self.x_mats[i] @ w)
-        return float(np.mean(np.logaddexp(0.0, -z))) + 0.5 * self.reg * float(w @ w)
+        z = self.y_vecs[i] * _matvec(self.x_mats[i], w)
+        return np.mean(np.logaddexp(0.0, -z), axis=-1) + 0.5 * self.reg * _sq_norm(w)
 
     def local_grad(self, i, w):
         x, y = self.x_mats[i], self.y_vecs[i]
-        z = y * (x @ w)
+        z = y * _matvec(x, w)
         s = -y / (1.0 + np.exp(z))
-        return x.T @ s / x.shape[0] + self.reg * w
+        return _matvec(x.T, s) / x.shape[0] + self.reg * w
 
-    def global_loss(self, w):
-        return sum(self.local_loss(i, w) for i in range(self.m)) / self.m
-
-    def global_grad(self, w):
-        g = np.zeros(self.dim)
-        for i in range(self.m):
-            g += self.local_grad(i, w)
-        return g / self.m
+    global_loss = _global_loss
+    global_grad = _global_grad
 
     @functools.cached_property
     def w_star(self):

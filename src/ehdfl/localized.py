@@ -405,7 +405,7 @@ def save_localized(pol: LocalizedPolicy, path) -> None:
 
 
 def load_localized(path, mdp=None) -> LocalizedPolicy:
-    meta, arrays = load_artifact(path, mdp)
+    meta, arrays = load_artifact(path, mdp, "localized_policy")
     covers = [Cover(**{k: v if isinstance(v, int) else tuple(v) for k, v in c.items()})
               for c in meta["covers"]]
     tables = [[arrays[f"pi_{i}_{t}"] for t in range(meta["horizon"])]

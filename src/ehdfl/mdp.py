@@ -66,6 +66,7 @@ class GlobalMdp:
     power_levels: list
     horizon: int
     entities: list = field(init=False)
+    harvest_quanta: list = field(init=False)  # per device: its harvest support in quanta
 
     # ------------------------------------------------------------------
     # construction
@@ -83,8 +84,7 @@ class GlobalMdp:
             chain.validate()
         self._entity_index = {e: k for k, e in enumerate(self.entities)}
         self.power_levels = [power_ladder(lv) for lv in self.power_levels]
-        for hv in self.harvests:
-            hv.quanta(self.energy)  # validates grid alignment
+        self.harvest_quanta = [hv.quanta(self.energy)[0] for hv in self.harvests]
 
     @property
     def m(self) -> int:
@@ -173,7 +173,7 @@ class GlobalMdp:
         nb = self.energy.n_levels
         out = []
         for d, draws in enumerate(self.draw_quanta):
-            uq, pr = self.harvests[d].quanta(self.energy)
+            uq, pr = self.harvest_quanta[d], self.harvests[d].probs
             ks = np.zeros((len(draws), nb, nb))
             for l, eq in enumerate(draws):
                 for b in range(nb):
@@ -752,13 +752,15 @@ def save_artifact(path, meta: dict, manifest_keys, arrays: dict) -> None:
             fh.write(f"{k}: {meta[k]}\n")
 
 
-def load_artifact(path, mdp: GlobalMdp | None) -> tuple[dict, dict]:
-    """(meta, arrays) of a saved artifact, checked against FORMAT_VERSION and, given
-    `mdp`, against its signature."""
+def load_artifact(path, mdp: GlobalMdp | None, kind: str) -> tuple[dict, dict]:
+    """(meta, arrays) of a saved artifact, checked against FORMAT_VERSION, the `kind`
+    expected and, given `mdp`, its signature."""
     with np.load(str(path).removesuffix(".npz") + ".npz") as z:
         meta = json.loads(str(z["meta"]))
         if meta["format_version"] != FORMAT_VERSION:
             raise ValueError(f"unsupported artifact format {meta['format_version']}")
+        if meta["kind"] != kind:
+            raise ValueError(f"{path} holds a {meta['kind']}, not a {kind}")
         if mdp is not None and meta["mdp_signature"] != mdp.signature():
             raise ValueError(f"{meta['kind']} was produced for a different model")
         return meta, {k: z[k] for k in z.files if k != "meta"}
@@ -774,6 +776,6 @@ def save_solution(sol: Solution, path) -> None:
 
 
 def load_solution(path, mdp: GlobalMdp) -> Solution:
-    _, arrays = load_artifact(path, mdp)
+    _, arrays = load_artifact(path, mdp, "centralized_solution")
     return Solution(mdp=mdp, values=list(arrays["values"]),
                     tables=[row.astype(np.int32) for row in arrays["tables"]])

@@ -55,8 +55,8 @@ def desk_runs(desk, desk_policies):
     eta = desk.step_size(task)
     runs = {}
     for name, pol in desk_policies.items():
-        runs[name] = [run_training(desk.mdp, task, pol, seed=s, eta=eta,
-                                   s1=desk.s1) for s in SEEDS]
+        run = run_training(desk.mdp, task, pol, seeds=SEEDS, eta=eta, s1=desk.s1)
+        runs[name] = [run[k] for k in range(len(SEEDS))]
     return runs
 
 

@@ -133,9 +133,9 @@ def test_c06_lossless_run_replays_bit_for_bit(report):
     task = make_quadratic_task(mdp.m, 6, 12, heterogeneity=1.5, seed=3)
     eta = 0.1
     horizon = 50
-    run = run_training(mdp, task, GreedyPolicy(mdp), seed=11, eta=eta,
+    run = run_training(mdp, task, GreedyPolicy(mdp), seeds=[11], eta=eta,
                        horizon=horizon, per_override=0.0, record_models=True,
-                       s1=inst.s1)
+                       s1=inst.s1)[0]
     mixing, neighbors = mdp.topo.mixing, mdp.topo.neighbors
     models = [np.zeros(task.dim) for _ in range(mdp.m)]
     exact = (run.beta == 1).all() and int(run.packets_dropped.sum()) == 0
@@ -170,8 +170,9 @@ def test_c07_measured_rate_never_exceeds_the_certificate(report):
     task = make_quadratic_task(m, 6, 12, heterogeneity=1.5, seed=3)
     lip = task.lipschitz()
     eta = prescribed_eta(lip, m, mdp.energy.k_steps, horizon)
-    runs = [run_training(mdp, task, GreedyPolicy(mdp), seed=s, eta=eta,
-                         horizon=horizon, s1=inst.s1) for s in SEEDS]
+    lockstep = run_training(mdp, task, GreedyPolicy(mdp), seeds=SEEDS, eta=eta,
+                            horizon=horizon, s1=inst.s1)
+    runs = [lockstep[k] for k in range(len(SEEDS))]
     consts = certify_consts(task, eta=eta, k_steps=mdp.energy.k_steps,
                             trajectory_sup_sq=max(r.sup_grad_sq for r in runs),
                             safety=2.0)
@@ -184,8 +185,8 @@ def test_c07_measured_rate_never_exceeds_the_certificate(report):
         margins.append(bound.total - r.time_avg_grad_sq())
         all_participate = all_participate and bool((r.beta == 1).all())
 
-    lossless = run_training(mdp, task, GreedyPolicy(mdp), seed=0, eta=eta,
-                            horizon=horizon, per_override=0.0, s1=inst.s1)
+    lossless = run_training(mdp, task, GreedyPolicy(mdp), seeds=[0], eta=eta,
+                            horizon=horizon, per_override=0.0, s1=inst.s1)[0]
     clean = convergence_bound(consts, lam, m, horizon,
                               float(lossless.opt_gap[0]), lossless.beta,
                               lossless.per, mdp.topo.mixing)
@@ -238,9 +239,8 @@ def test_c09_wider_covers_do_not_hurt(report, desk_final_loss):
     for hops in (2, 3):
         pol = synthesize(short.mdp, hops=hops, gamma=short.gamma, rounds=2,
                          table_budget=300_000_000)
-        finals = [run_training(short.mdp, task, pol, seed=s, eta=eta,
-                               s1=short.s1).device_loss[-1]
-                  for s in range(10)]
+        finals = run_training(short.mdp, task, pol, seeds=range(10), eta=eta,
+                              s1=short.s1).device_loss[:, -1]
         means[hops] = (float(np.mean(finals)),
                        float(np.std(finals) / np.sqrt(len(finals))))
     diff = abs(means[3][0] - means[2][0])

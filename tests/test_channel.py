@@ -51,7 +51,7 @@ def test_identity_chain_freezes_state():
     rng = np.random.default_rng(0)
     state = np.array([1])
     for _ in range(10):
-        state = step_links(state, [chain], rng)
+        state = step_links(state, [chain], rng.random(1))
     assert state[0] == 1
 
 
@@ -63,8 +63,23 @@ def test_step_links_marginals_match_psi():
     hits = 0
     n = 20000
     for _ in range(n):
-        hits += step_links(np.array([0]), [chain], rng)[0]
+        hits += step_links(np.array([0]), [chain], rng.random(1))[0]
     assert abs(hits / n - 0.3) < 0.01
+
+
+def test_step_links_on_a_batch_is_each_run_stepped_alone():
+    chains = [rayleigh_chain(4, doppler_hz=40.0, tau=1e-3), identity_chain([0.4, 2.0]),
+              rayleigh_chain(3, doppler_hz=80.0, tau=1e-3)]
+    rng = np.random.default_rng(2)
+    state = np.stack([rng.integers(0, c.n, size=50) for c in chains], axis=1)
+    u = rng.random(state.shape)
+    u[:5] = [0.0, 0.0, np.nextafter(1.0, 0.0)]  # the edges of the inverse CDF
+    batch = step_links(state, chains, u)
+    for k in range(len(state)):
+        assert np.array_equal(batch[k], step_links(state[k], chains, u[k]))
+        for e, chain in enumerate(chains):
+            want = np.searchsorted(np.cumsum(chain.psi[state[k, e]]), u[k, e], side="right")
+            assert batch[k, e] == min(want, chain.n - 1)
 
 
 def _pair_setup():

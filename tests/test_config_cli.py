@@ -11,7 +11,7 @@ import pytest
 
 from ehdfl.config import _stationary, canonical_hash, load_config, parse_config
 from ehdfl.errors import ConfigError
-from ehdfl.harness import run_experiment
+from ehdfl.harness import _train_seeds, run_experiment
 
 DESK8 = Path(__file__).resolve().parents[1] / "configs" / "desk8.json"
 
@@ -389,6 +389,21 @@ def test_cli_runs_are_byte_identical_across_jobs(tmp_path):
                           "metric_vs_slots.csv"}
     assert _csv_bytes(dirs[1]) == first  # same invocation repeated
     assert _csv_bytes(dirs[2]) == first  # parallel workers
+
+
+@pytest.mark.parametrize("policy", ["greedy", "decentralized_pi"])
+def test_train_seeds_are_identical_across_jobs(policy):
+    # Two workers get contiguous chunks of 2 and 3 seeds; the repeated seed lands in both.
+    seeds = [4, 1, 9, 1, 6]
+    cfg = parse_config(base_raw(seeds=seeds, horizon=6,
+                                policy={"name": policy, "gamma": 1.0, "rounds": 2,
+                                        "hops": 1}))
+    mdp = cfg.build_model()
+    pol, s1 = cfg.build_policy(mdp), cfg.start_state(mdp)
+    one, two = (_train_seeds(cfg, mdp, pol, s1, jobs) for jobs in (1, 2))
+    assert [r["seed"] for r in one] == seeds
+    assert one == two
+    assert one[1] == one[3]
 
 
 @pytest.mark.parametrize("policy", ["greedy", "decentralized_pi"])

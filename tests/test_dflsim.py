@@ -1,13 +1,192 @@
-"""Co-simulation: local SGD, lossy gossip, bookkeeping, and the rate certificate."""
+"""Co-simulation: local SGD, lossy gossip, bookkeeping, and the rate certificate.
+
+`reference_training` is the former one-seed co-simulation, kept as the
+reference the lockstep `run_training` must match bit for bit. It runs on the
+former one-model helpers below: the task methods before they took a batch
+axis, `local_sgd`, `apply_gossip`, `step_links` drawing from its generator,
+and harvests drawn by `Generator.choice`.
+"""
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from ehdfl.baselines import GreedyPolicy
 from ehdfl.channel import packet_error_rate
-from ehdfl.dflsim import (METRICS_HEADER, convergence_bound, local_sgd,
+from ehdfl.dflsim import (METRICS_HEADER, DflRun, convergence_bound, local_sgd,
                           run_training)
+from ehdfl.energy import battery_step
 from ehdfl.instances import fullinfo_instance, tiny_instances
-from ehdfl.learning import LearnConsts, QuadraticTask, make_quadratic_task
+from ehdfl.learning import LearnConsts, QuadraticTask, make_logistic_task, make_quadratic_task
+from ehdfl.mdp import GlobalState
+
+
+class FormerTask:
+    """A task's losses and gradients as computed one model at a time before batching."""
+
+    def __init__(self, task):
+        self.task, self.m, self.dim = task, task.m, task.dim
+        self.quadratic = isinstance(task, QuadraticTask)
+        self.f_star = self.global_loss(task.w_star)
+
+    def local_loss(self, i, w):
+        if self.quadratic:
+            r = self.task.a_mats[i] @ w - self.task.b_vecs[i]
+            return 0.5 * float(r @ r) / self.task.samples(i)
+        z = self.task.y_vecs[i] * (self.task.x_mats[i] @ w)
+        return float(np.mean(np.logaddexp(0.0, -z))) + 0.5 * self.task.reg * float(w @ w)
+
+    def local_grad(self, i, w):
+        if self.quadratic:
+            a, b = self.task.a_mats[i], self.task.b_vecs[i]
+            return a.T @ (a @ w - b) / a.shape[0]
+        x, y = self.task.x_mats[i], self.task.y_vecs[i]
+        s = -y / (1.0 + np.exp(y * (x @ w)))
+        return x.T @ s / x.shape[0] + self.task.reg * w
+
+    def global_loss(self, w):
+        return sum(self.local_loss(i, w) for i in range(self.m)) / self.m
+
+    def global_grad(self, w):
+        g = np.zeros(self.dim)
+        for i in range(self.m):
+            g += self.local_grad(i, w)
+        return g / self.m
+
+
+def _former_local_sgd(task, i, w, *, k_steps, eta):
+    w = np.array(w, dtype=float, copy=True)
+    sup_sq = 0.0
+    for _ in range(k_steps):
+        g = task.local_grad(i, w)
+        sup_sq = max(sup_sq, float(g @ g))
+        w -= eta * g
+    return w, sup_sq
+
+
+def _former_apply_gossip(models, deltas, beta, zeta, mixing, neighbors):
+    out = []
+    for i in range(len(models)):
+        acc = models[i].copy()
+        for j in sorted(set(neighbors[i]) | {i}):
+            if not beta[j]:
+                continue
+            gate = 1.0 if j == i else float(zeta[i][j])
+            if gate == 0.0:
+                continue
+            acc += (mixing[i, j] * gate) * deltas[j]
+        out.append(acc)
+    return out
+
+
+def _former_step_links(state, chains, rng):
+    out = np.empty_like(state)
+    u = rng.random(len(state))
+    for k, chain in enumerate(chains):
+        out[k] = int(np.searchsorted(np.cumsum(chain.psi[state[k]]), u[k], side="right"))
+        if out[k] >= chain.n:
+            out[k] = chain.n - 1
+    return out
+
+
+def _stream(seed, *key):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
+
+
+def reference_training(mdp, task, policy, *, seed, eta, horizon=None, per_override=None,
+                       s1=None, record_models=False):
+    """One seed's co-simulation, slot by slot and device by device, through `policy.act`."""
+    task = FormerTask(task)
+    topo, radio, energy, draw_quanta = mdp.topo, mdp.radio, mdp.energy, mdp.draw_quanta
+    m = topo.m
+    horizon = mdp.horizon if horizon is None else horizon
+    s1 = mdp.default_start if s1 is None else s1
+    rng_pol, rng_chan = _stream(seed, 0), _stream(seed, 1)
+    rng_harv = [_stream(seed, 2, i) for i in range(m)]
+    d = task.dim
+    models = [np.zeros(d) for _ in range(m)]
+    gains = np.asarray(s1.gains, dtype=np.int64)
+    bats_j = np.array([b * energy.quantum for b in s1.batteries])
+    rec = SimpleNamespace(
+        horizon=horizon, m=m, wbar=np.zeros((horizon + 1, d)),
+        consensus=np.zeros(horizon + 1), grad_norm_sq=np.zeros(horizon),
+        global_loss=np.zeros(horizon + 1), device_loss=np.zeros(horizon + 1),
+        opt_gap=np.zeros(horizon + 1), energy_spent=np.zeros(horizon),
+        packets_sent=np.zeros(horizon, dtype=np.int64),
+        packets_dropped=np.zeros(horizon, dtype=np.int64),
+        beta=np.zeros((horizon, m), dtype=np.int64), per=np.zeros((horizon, m, m)),
+        actions=np.zeros((horizon, m), dtype=np.int64), batteries=np.zeros((horizon + 1, m)),
+        sup_grad_sq=0.0, final_models=[], models=[], deltas=[])
+
+    def log_point(row):
+        wbar = np.mean(models, axis=0)
+        rec.wbar[row] = wbar
+        rec.consensus[row] = float(sum(np.sum((w - wbar) ** 2) for w in models))
+        rec.global_loss[row] = task.global_loss(wbar)
+        rec.device_loss[row] = float(np.mean([task.global_loss(w) for w in models]))
+        rec.opt_gap[row] = rec.global_loss[row] - task.f_star
+
+    for t in range(horizon):
+        rec.batteries[t] = bats_j
+        log_point(t)
+        rec.grad_norm_sq[t] = float(np.sum(task.global_grad(rec.wbar[t]) ** 2))
+        state = GlobalState(gains=tuple(int(g) for g in gains),
+                            batteries=tuple(energy.level_index(b) for b in bats_j))
+        levels = policy.act(mdp, mdp.state_index(state), t + 1, rng_pol)
+        rec.actions[t] = levels
+        powers = mdp.powers_of(levels)
+        beta = [1 if p > 0 else 0 for p in powers]
+        rec.beta[t] = beta
+        deltas = [np.zeros(d) for _ in range(m)]
+        for i in range(m):
+            if beta[i]:
+                w_new, sup_sq = _former_local_sgd(task, i, models[i], k_steps=energy.k_steps,
+                                                  eta=eta)
+                deltas[i] = w_new - models[i]
+                rec.sup_grad_sq = max(rec.sup_grad_sq, sup_sq)
+        if record_models:
+            rec.models.append([w.copy() for w in models])
+            rec.deltas.append([dw.copy() for dw in deltas])
+        gain_mat = mdp.gain_matrix(gains)
+        zeta = np.zeros((m, m))
+        for i in range(m):
+            for j in sorted(topo.neighbors[i]):
+                if not beta[j]:
+                    continue
+                q = packet_error_rate(powers, gain_mat, topo, radio, i, j)
+                if per_override is not None:
+                    q = float(per_override)
+                rec.per[t, i, j] = q
+                ok = rng_chan.random() >= q
+                zeta[i, j] = 1.0 if ok else 0.0
+                rec.packets_sent[t] += 1
+                rec.packets_dropped[t] += 0 if ok else 1
+        models = _former_apply_gossip(models, deltas, beta, zeta, topo.mixing, topo.neighbors)
+        for i in range(m):
+            e_i = int(draw_quanta[i][levels[i]]) * energy.quantum
+            rec.energy_spent[t] += e_i
+            hv = mdp.harvests[i]
+            u = hv.support[rng_harv[i].choice(len(hv.support), p=hv.probs)]
+            bats_j[i] = battery_step(bats_j[i], e_i, u, energy)
+        gains = _former_step_links(gains, mdp.chains, rng_chan)
+
+    rec.batteries[horizon] = bats_j
+    log_point(horizon)
+    rec.final_models = [w.copy() for w in models]
+    rec.models = np.reshape(rec.models, (len(rec.models), m, d))
+    rec.deltas = np.reshape(rec.deltas, (len(rec.deltas), m, d))
+    return rec
+
+
+RECORD_FIELDS = tuple(f for f in DflRun.__dataclass_fields__ if f not in ("models", "deltas"))
+
+
+def assert_same_record(run, ref, with_models=False):
+    """Every field of a one-seed record equal, bit for bit, to the reference's."""
+    for name in RECORD_FIELDS + (("models", "deltas") if with_models else ()):
+        got, want = np.asarray(getattr(run, name)), np.asarray(getattr(ref, name))
+        assert got.shape == want.shape, name
+        assert got.astype(float).tobytes() == want.astype(float).tobytes(), name
 
 
 @pytest.fixture(scope="module")
@@ -55,22 +234,52 @@ def test_local_sgd_leaves_input_untouched(task3):
     np.testing.assert_array_equal(w0, keep)
 
 
+@pytest.mark.parametrize("make", [make_quadratic_task, make_logistic_task])
+def test_batched_task_methods_match_the_former_one_model_bodies(make):
+    # 16 features and 9 devices: sums over both run pairwise in numpy past 8 terms.
+    task = make(9, 16, 32, heterogeneity=2.5, seed=4)
+    former = FormerTask(task)
+    w = np.random.default_rng(0).normal(size=(3, 9, 16))
+    loss, grad = task.global_loss(w), task.global_grad(w)
+    assert former.f_star == task.f_star
+    for idx in np.ndindex(3, 9):
+        assert loss[idx] == task.global_loss(w[idx]) == former.global_loss(w[idx])
+        assert np.array_equal(grad[idx], former.global_grad(w[idx]))
+        for i in range(task.m):
+            assert task.local_loss(i, w[idx]) == former.local_loss(i, w[idx])
+            assert np.array_equal(task.local_grad(i, w)[idx], former.local_grad(i, w[idx]))
+
+
 # ---------------------------------------------------------------------------
 # full runs
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("name", ["greedy", "dec1", "centralized_pi"])
+def test_lockstep_training_matches_the_reference_on_the_desk_ring(desk, desk_policies, name):
+    # Eight devices and 16 features, where a pairwise numpy sum would differ
+    # from the reference's sums in device order.
+    task = desk.build_task()
+    eta = desk.step_size(task)
+    seeds = [0, 5, 2, 5]
+    kw = dict(eta=eta, s1=desk.s1, horizon=6, record_models=True)
+    run = run_training(desk.mdp, task, desk_policies[name], seeds=seeds, **kw)
+    for k, seed in enumerate(seeds):
+        ref = reference_training(desk.mdp, task, desk_policies[name], seed=seed, **kw)
+        assert_same_record(run[k], ref, with_models=True)
+
+
 def test_run_training_deterministic_given_seed(tiny_a, task3):
-    kw = dict(seed=5, eta=0.1, horizon=20)
-    ra = run_training(tiny_a.mdp, task3, GreedyPolicy(tiny_a.mdp), **kw)
-    rb = run_training(tiny_a.mdp, task3, GreedyPolicy(tiny_a.mdp), **kw)
+    kw = dict(seeds=[5], eta=0.1, horizon=20)
+    ra = run_training(tiny_a.mdp, task3, GreedyPolicy(tiny_a.mdp), **kw)[0]
+    rb = run_training(tiny_a.mdp, task3, GreedyPolicy(tiny_a.mdp), **kw)[0]
     np.testing.assert_array_equal(ra.wbar, rb.wbar)
     np.testing.assert_array_equal(ra.per, rb.per)
     np.testing.assert_array_equal(ra.packets_dropped, rb.packets_dropped)
     for wa, wb in zip(ra.final_models, rb.final_models):
         np.testing.assert_array_equal(wa, wb)
 
-    rc = run_training(tiny_a.mdp, task3, GreedyPolicy(tiny_a.mdp), seed=6,
-                      eta=0.1, horizon=20)
+    rc = run_training(tiny_a.mdp, task3, GreedyPolicy(tiny_a.mdp), seeds=[6],
+                      eta=0.1, horizon=20)[0]
     assert (not np.array_equal(ra.packets_dropped, rc.packets_dropped)
             or not np.array_equal(ra.wbar, rc.wbar))
 
@@ -81,8 +290,8 @@ def test_gossip_matches_independent_recursion(tiny_a, task3):
     mdp = tiny_a.mdp
     eta = 0.1
     horizon = 8
-    run = run_training(mdp, task3, GreedyPolicy(mdp), seed=11, eta=eta,
-                       horizon=horizon, per_override=0.0, record_models=True)
+    run = run_training(mdp, task3, GreedyPolicy(mdp), seeds=[11], eta=eta,
+                       horizon=horizon, per_override=0.0, record_models=True)[0]
     assert int(run.packets_dropped.sum()) == 0
     assert (run.beta == 1).all()
 
@@ -114,8 +323,8 @@ def test_total_packet_loss_leaves_only_self_updates(tiny_a, task3):
     mdp = tiny_a.mdp
     eta = 0.1
     horizon = 6
-    run = run_training(mdp, task3, GreedyPolicy(mdp), seed=2, eta=eta,
-                       horizon=horizon, per_override=1.0)
+    run = run_training(mdp, task3, GreedyPolicy(mdp), seeds=[2], eta=eta,
+                       horizon=horizon, per_override=1.0)[0]
     assert int(run.packets_dropped.sum()) == int(run.packets_sent.sum())
 
     mixing = mdp.topo.mixing
@@ -140,8 +349,8 @@ def test_identical_devices_stay_in_consensus():
     task = QuadraticTask(a_mats=[base.a_mats[0]] * 3, b_vecs=[base.b_vecs[0]] * 3)
     eta = 0.1
     horizon = 10
-    run = run_training(mdp, task, GreedyPolicy(mdp), seed=1, eta=eta,
-                       horizon=horizon, per_override=0.0)
+    run = run_training(mdp, task, GreedyPolicy(mdp), seeds=[1], eta=eta,
+                       horizon=horizon, per_override=0.0)[0]
     # The mixing diagonal comes from a subtraction, so it can differ from the
     # off-diagonal weights by one ulp; consensus is zero up to that noise.
     assert (run.consensus <= 1e-28).all()
@@ -156,8 +365,8 @@ def test_identical_devices_stay_in_consensus():
 
 
 def test_zero_horizon_records_only_the_initial_point(tiny_a, task3):
-    run = run_training(tiny_a.mdp, task3, GreedyPolicy(tiny_a.mdp), seed=0,
-                       eta=0.1, horizon=0)
+    run = run_training(tiny_a.mdp, task3, GreedyPolicy(tiny_a.mdp), seeds=[0],
+                       eta=0.1, horizon=0)[0]
     assert run.global_loss.shape == (1,)
     assert run.global_loss[0] == pytest.approx(task3.global_loss(np.zeros(task3.dim)))
     assert run.grad_norm_sq.shape == (0,)
@@ -168,8 +377,8 @@ def test_zero_horizon_records_only_the_initial_point(tiny_a, task3):
 
 def test_bookkeeping_matches_the_model(tiny_a, task3):
     mdp = tiny_a.mdp
-    run = run_training(mdp, task3, GreedyPolicy(mdp), seed=4, eta=0.1, horizon=5,
-                       s1=tiny_a.s1)
+    run = run_training(mdp, task3, GreedyPolicy(mdp), seeds=[4], eta=0.1, horizon=5,
+                       s1=tiny_a.s1)[0]
     topo, energy = mdp.topo, mdp.energy
 
     # Directed sends: one per (receiver, transmitter) neighbor pair with an

@@ -13,7 +13,7 @@ from ehdfl.localized import (ExtensionDefaults, build_cover, extension_action_ma
                              extension_state_map, load_localized, localized_backward_layer,
                              localized_cost_table, masked_softmax, policy_distance,
                              save_localized, synthesize)
-from ehdfl.mdp import build_mdp
+from ehdfl.mdp import backward_induction, build_mdp, load_solution, save_solution
 from ehdfl.topology import build_topology, k_hop_set
 
 
@@ -448,6 +448,20 @@ def test_localized_round_trip(tmp_path, pair_policy):
     from ehdfl.mdp import evaluate_policy
     assert evaluate_policy(mdp, back, s1) == pytest.approx(
         evaluate_policy(mdp, pol, s1), abs=1e-15)
+
+
+def test_load_solution_rejects_a_saved_localized_policy(tmp_path, pair_policy):
+    mdp, _, pol = pair_policy
+    save_localized(pol, tmp_path / "pol.npz")
+    with pytest.raises(ValueError, match="holds a localized_policy, not a centralized_solution"):
+        load_solution(tmp_path / "pol.npz", mdp)
+
+
+def test_load_localized_rejects_a_saved_solution(tmp_path, pair_policy):
+    mdp, _, _ = pair_policy
+    save_solution(backward_induction(mdp), tmp_path / "sol.npz")
+    with pytest.raises(ValueError, match="holds a centralized_solution, not a localized_policy"):
+        load_localized(tmp_path / "sol.npz", mdp)
 
 
 def test_localized_load_rejects_wrong_model(tmp_path, pair_policy):

@@ -83,6 +83,29 @@ def test_oracle_queries_each_pair_once_and_matches_the_unmemoized_enumeration(
     assert set(calls["transition"]) == set(calls["one_step_cost"])
 
 
+def binding_instance():
+    """tiny-a's line and frozen gains with a 2 J level, one whole battery quantum, and
+    harvests of 0 or 2 J. The tiny instances' 0.9 J level rounds to no quanta, so
+    their batteries never move; here a battery runs dry and energy causality binds."""
+    base = tiny_instances()["tiny-a"].mdp
+    harvest = HarvestModel(support=np.array([0.0, 2.0]), probs=np.array([0.5, 0.5]))
+    mdp = build_mdp(base.topo, base.radio, base.energy, base.chains, harvest,
+                    power_levels=[0.0, 2.0], horizon=2)
+    return mdp, GlobalState(gains=(1, 1), batteries=(1, 1, 1))
+
+
+def test_oracle_and_pruned_dp_agree_where_energy_causality_binds():
+    mdp, s1 = binding_instance()
+    assert any(q.any() for q in mdp.draw_quanta)
+    assert not mdp.action_feasibility.all()
+    sol = backward_induction(mdp)
+    assert abs(sol.expected_cost(s1) - exhaustive_minimum(mdp, s1)) <= 1e-9
+    values, tables = reference_backward_induction(mdp)
+    for t in range(mdp.horizon):
+        assert np.array_equal(sol.values[t], values[t])
+        assert np.array_equal(sol.tables[t], tables[t])
+
+
 # ---------------------------------------------------------------------------
 # generated models
 # ---------------------------------------------------------------------------

@@ -11,11 +11,14 @@ from ehdfl.baselines import GreedyPolicy, MyopicCentralPolicy
 from ehdfl.channel import ChannelChain, RadioParams
 from ehdfl.dflsim import run_training
 from ehdfl.energy import EnergyParams, HarvestModel
+from ehdfl.errors import CausalityViolation
 from ehdfl.instances import capacity_family, oracle_instance
-from ehdfl.learning import make_quadratic_task
+from ehdfl.learning import make_logistic_task, make_quadratic_task
 from ehdfl.localized import synthesize
 from ehdfl.mdp import FixedLevelsPolicy, GlobalState, backward_induction, build_mdp
 from ehdfl.topology import build_topology
+
+from test_dflsim import assert_same_record, reference_training
 
 
 def centralized_act(pol, mdp, s_idx, t, rng=None):
@@ -151,9 +154,39 @@ def test_training_records_are_bit_identical_to_the_former_act(case, name):
     pol, body = pols[name]
     task = make_quadratic_task(mdp.m, 4, 8, heterogeneity=1.0, seed=3)
     horizon = 1 if name == "fixed" else None  # a fixed transmitter may run dry after slot 1
+    new = run_training(mdp, task, pol, seeds=range(5), eta=0.05, s1=s1, horizon=horizon)
     for seed in range(5):
-        new = run_training(mdp, task, pol, seed=seed, eta=0.05, s1=s1, horizon=horizon)
-        ref = run_training(mdp, task, ReferenceAct(pol, body), seed=seed, eta=0.05, s1=s1,
-                           horizon=horizon)
-        for field in ("actions", "batteries", "device_loss", "packets_sent"):
-            assert np.array_equal(getattr(new, field), getattr(ref, field)), (seed, field)
+        ref = reference_training(mdp, task, ReferenceAct(pol, body), seed=seed, eta=0.05,
+                                 s1=s1, horizon=horizon)
+        assert_same_record(new[seed], ref)
+
+
+@pytest.mark.parametrize("task_kind", ["quadratic", "logistic"])
+@pytest.mark.parametrize("name", ["centralized", "greedy", "myopic", "fixed", "localized"])
+def test_lockstep_training_is_bit_identical_to_the_per_seed_reference(case, name, task_kind):
+    """Every record field, models and deltas included, of every seed of one lockstep
+    call against the former one-seed co-simulation; a seed list with a repeat, and
+    one seed alone, at horizons 0, 1 and T, with and without a PER override."""
+    mdp, s1, pols = case
+    pol = pols[name][0]
+    make = make_quadratic_task if task_kind == "quadratic" else make_logistic_task
+    task = make(mdp.m, 4, 8, heterogeneity=1.0, seed=5)
+    for seeds in ([3, 0, 7, 3, 12], [9]):
+        for horizon in (0, 1, mdp.horizon):
+            for per_override in (None, 0.0):
+                kw = dict(eta=0.3, s1=s1, horizon=horizon, per_override=per_override,
+                          record_models=True)
+                refs = []
+                for seed in seeds:
+                    try:
+                        refs.append(reference_training(mdp, task, pol, seed=seed, **kw))
+                    except CausalityViolation:  # the fixed levels drain a battery
+                        refs = None
+                        break
+                if refs is None:
+                    with pytest.raises(CausalityViolation):
+                        run_training(mdp, task, pol, seeds=seeds, **kw)
+                    continue
+                run = run_training(mdp, task, pol, seeds=seeds, **kw)
+                for k, ref in enumerate(refs):
+                    assert_same_record(run[k], ref, with_models=True)
