@@ -60,6 +60,11 @@ class GreedyPolicy:
         hot, devs, strides = self._hot
         return hot[devs, np.asarray(s_idx) // strides % mdp.energy.n_levels]
 
+    def conditionals(self, mdp, t):
+        """Device d's rows read only its battery: (1, ..., nb at axis 1 + d, ..., 1, W)."""
+        hot, m = self._hot[0], mdp.m  # hot: (m, nb, W)
+        return [hot[d].reshape((1,) * (d + 1) + (-1,) + (1,) * (m - 1 - d) + hot.shape[2:])
+                for d in range(m)]
+
     act = sample_act
-    conditionals = policy_conditionals
 

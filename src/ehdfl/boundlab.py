@@ -34,7 +34,7 @@ def gap_curve(mdp: GlobalMdp, *, hops: int, gamma: float, rounds: int,
                        defaults=defaults, snapshot_rounds=range(rounds + 1))
     j_rounds = np.zeros(rounds + 1)
     for r in range(rounds + 1):
-        j_rounds[r] = evaluate_policy(mdp, snaps[r], s1)
+        j_rounds[r] = evaluate_policy(mdp, snaps[r], s1, budget=budget)
     return GapCurve(gaps=j_rounds - j_star, j_star=j_star, j_rounds=j_rounds,
                     gamma=gamma, hops=hops)
 

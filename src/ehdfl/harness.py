@@ -188,7 +188,7 @@ def _run_solve(config: ExperimentConfig, out: Path, policy_name: str | None) -> 
         pol = config.build_policy(mdp, name)
         if name == "decentralized_pi":
             save_localized(pol, out / "policy_decentralized.npz")
-        j = evaluate_policy(mdp, pol, s1)
+        j = evaluate_policy(mdp, pol, s1, budget=config.budget)
     _emit(out, "solve_summary.csv", [[name, mdp.n_states, mdp.n_actions, mdp.horizon, j]],
           config.hash)
 
@@ -199,7 +199,7 @@ def _run_evaluate(config: ExperimentConfig, out: Path, jobs: int,
     mdp = config.build_model()
     s1 = config.start_state(mdp)
     policy = config.build_policy(mdp, name)
-    j_exact = evaluate_policy(mdp, policy, s1)
+    j_exact = evaluate_policy(mdp, policy, s1, budget=config.budget)
     n_samples = config.mc_samples
     draws = _pool_map(_mc_worker, [(mdp, policy, s1, s, n_samples)
                                    for s in config.seeds], jobs)
@@ -304,7 +304,7 @@ def _sweep_hops(config: ExperimentConfig, out: Path, values, jobs: int) -> None:
     rows = []
     for hops in values:
         policy = config.build_policy(mdp, "decentralized_pi", hops=hops)
-        j = evaluate_policy(mdp, policy, s1)
+        j = evaluate_policy(mdp, policy, s1, budget=config.budget)
         results = _train_seeds(config, mdp, policy, s1, jobs)
         loss_mean, loss_se = _mean_stderr([r["final_device"] for r in results])
         rows.append([hops, j, loss_mean, loss_se, len(results)])

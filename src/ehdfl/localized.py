@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceeded
-from .mdp import (contract_leading, link_loss_table, load_artifact, policy_conditionals,
-                  sample_act, save_artifact)
+from .mdp import contract_leading, link_loss_table, load_artifact, sample_act, save_artifact
 from .topology import k_hop_set
 
 
@@ -290,25 +289,43 @@ class LocalizedPolicy:
     tables: list  # tables[i][t-1]: (n_states_i, n_levels_i)
     mdp_signature: str
     defaults: ExtensionDefaults = field(default_factory=ExtensionDefaults)
-    _proj: list = field(default_factory=list, repr=False)
+    _index: list = field(default_factory=list, repr=False)
 
-    def projections(self, mdp):
-        """Per device: local state index for every global state index (cached)."""
-        if not self._proj:
-            digits = np.unravel_index(np.arange(mdp.n_states), mdp.link_dims + mdp.bat_dims)
+    def local_index(self, mdp):
+        """Per device: its local state index on the canonical state layout (cached).
+
+        Shape (n_channel_cfgs, nb or 1, ..., nb or 1): a battery axis has
+        length nb only for the cover's devices, so the array never spans
+        global states the policy cannot tell apart.
+        """
+        if not self._index:
+            m, nb = mdp.m, mdp.energy.n_levels
+            gains = np.unravel_index(np.arange(mdp.n_channel_cfgs), mdp.link_dims)
             for cov in self.covers:
-                coords = [digits[e] for e in cov.links] + [digits[mdp.n_links + d] for d in cov.devs]
-                self._proj.append(np.ravel_multi_index(coords, cov.state_dims))
-        return self._proj
+                coords = [gains[e].reshape((-1,) + (1,) * m) for e in cov.links]
+                coords += [np.arange(nb).reshape((1,) * (d + 1) + (nb,) + (1,) * (m - 1 - d))
+                           for d in cov.devs]
+                self._index.append(np.ravel_multi_index(coords, cov.state_dims))
+        return self._index
 
     def rows(self, mdp, t: int, s_idx):
+        digits = np.unravel_index(s_idx, mdp.state_shape)
         out = np.zeros((mdp.m, len(s_idx), max(mdp.act_dims)))
-        for i, (tbl, proj) in enumerate(zip(self.tables, self.projections(mdp))):
-            out[i, :, :tbl[t - 1].shape[1]] = tbl[t - 1][proj[s_idx]]
+        for i, (tbl, idx) in enumerate(zip(self.tables, self.local_index(mdp))):
+            local = idx[tuple(dg if n > 1 else 0 for dg, n in zip(digits, idx.shape))]
+            out[i, :, :tbl[t - 1].shape[1]] = tbl[t - 1][local]
+        return out
+
+    def conditionals(self, mdp, t: int):
+        """Device i's rows over its cover: (n_channel_cfgs, nb on cover devices, W)."""
+        out = []
+        for tbl, idx in zip(self.tables, self.local_index(mdp)):
+            rows = np.zeros(idx.shape + (max(mdp.act_dims),))
+            rows[..., :tbl[t - 1].shape[1]] = tbl[t - 1][idx]
+            out.append(rows)
         return out
 
     act = sample_act
-    conditionals = policy_conditionals
 
 
 def synthesize(mdp, *, hops: int = 2, gamma: float = 1.0, rounds: int = 20,

@@ -75,20 +75,22 @@ def test_greedy_silent_on_empty_battery(pair):
 def test_conditionals_are_deterministic_rows(pair):
     mdp, _ = pair
     for pol in (MyopicCentralPolicy(mdp), GreedyPolicy(mdp)):
-        for rows in pol.conditionals(mdp, 1):
-            assert rows.shape[0] == mdp.n_states
-            np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=0)
+        for cond in pol.conditionals(mdp, 1):
+            rows = np.broadcast_to(cond, mdp.state_shape + cond.shape[-1:])
+            np.testing.assert_allclose(rows.sum(axis=-1), 1.0, atol=0)
             assert ((rows == 0.0) | (rows == 1.0)).all()
 
 
 def test_conditionals_match_act(pair):
     mdp, _ = pair
     for pol in (MyopicCentralPolicy(mdp), GreedyPolicy(mdp)):
-        conds = pol.conditionals(mdp, 1)
+        conds = [np.broadcast_to(c, mdp.state_shape + c.shape[-1:])
+                 for c in pol.conditionals(mdp, 1)]
         for s in range(mdp.n_states):
             a = pol.act(mdp, s, 1)
+            digits = np.unravel_index(s, mdp.state_shape)
             for d in range(mdp.m):
-                assert conds[d][s, a[d]] == 1.0
+                assert conds[d][digits + (a[d],)] == 1.0
 
 
 def test_greedy_never_beats_the_exact_solution():

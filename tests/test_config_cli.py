@@ -324,6 +324,23 @@ def test_cli_budget_exceeded_exits_3(tmp_path):
     assert "error:" in res.stderr and "10" in res.stderr
 
 
+def test_cli_exact_evaluation_of_an_oversized_model_exits_3_before_building_rows(tmp_path):
+    # 64 devices: 2^64 channel x 2^64 battery configurations. Greedy rows need no
+    # table, so only the exact-evaluation budget stands between the run and a
+    # full-size allocation.
+    raw = json.loads(DESK8.read_text())
+    raw["topology"]["m"] = 64
+    raw["horizon"] = 1
+    raw["out_dir"] = str(tmp_path / "out")
+    del raw["s1"]
+    cfg = _write(tmp_path, raw)
+    start = time.perf_counter()
+    res = _cli("evaluate", "--config", str(cfg), "--policy", "greedy")
+    assert time.perf_counter() - start < 10.0
+    assert res.returncode == 3, res.stderr
+    assert "error:" in res.stderr and "Traceback" not in res.stderr
+
+
 def test_cli_zero_horizon_writes_headers_only(tmp_path):
     out = tmp_path / "empty"
     cfg = _write(tmp_path, base_raw(out_dir=str(out), horizon=0))

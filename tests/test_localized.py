@@ -370,8 +370,9 @@ def pair_policy():
 def test_conditionals_are_distributions(pair_policy):
     mdp, _, pol = pair_policy
     for t in (1, mdp.horizon):
-        for rows in pol.conditionals(mdp, t):
-            assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-12)
+        for cond in pol.conditionals(mdp, t):
+            rows = np.broadcast_to(cond, mdp.state_shape + cond.shape[-1:])
+            assert np.allclose(rows.sum(axis=-1), 1.0, atol=1e-12)
             assert (rows >= 0).all()
 
 

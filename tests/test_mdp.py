@@ -18,9 +18,16 @@ from ehdfl.topology import build_topology
 from test_policy_rows import ragged_line
 
 
+def state_rows(mdp, conds):
+    """Scoped conditionals broadcast to the full state layout: per device, (n_states, W)."""
+    return [np.broadcast_to(c, mdp.state_shape + c.shape[-1:]).reshape(mdp.n_states, -1)
+            for c in conds]
+
+
 def propagate(mdp, rho, conds):
     """Forward oracle: one-slot pushforward of a state distribution.
 
+    conds holds each device's (n_states, W) rows, as `state_rows` gives them.
     Builds the row-wise outer product of every device's policy-mixed battery
     row, sums out the current battery digits, then applies the link chains.
     """
@@ -29,7 +36,7 @@ def propagate(mdp, rho, conds):
     mixes = []
     for d in range(mdp.m):
         rows = mdp.battery_kernels[d][:, digits[mdp.n_links + d], :]
-        mixes.append(np.einsum("sl,lsb->sb", conds[d], rows))
+        mixes.append(np.einsum("sl,lsb->sb", conds[d][:, :len(rows)], rows))
     w = rho[:, None]
     for d in range(mdp.m):
         w = (w[:, :, None] * mixes[d][:, None, :]).reshape(mdp.n_states, -1)
@@ -40,7 +47,7 @@ def propagate(mdp, rho, conds):
 
 
 def per_state_expected_cost_rows(mdp, conds):
-    """Reference body: survival factors recomputed over every state."""
+    """Reference body: survival factors recomputed over every state, from (n_states, W) rows."""
     n_s = mdp.n_states
     phi = mdp.radio.phi
     out = np.zeros(n_s)
@@ -75,8 +82,43 @@ def forward_cost(mdp, policy, s1):
     for t in range(1, mdp.horizon + 1):
         conds = policy.conditionals(mdp, t)
         total += float(rho @ expected_cost_rows(mdp, conds))
-        rho = propagate(mdp, rho, conds)
+        rho = propagate(mdp, rho, state_rows(mdp, conds))
     return total
+
+
+def per_state_battery_mixes(mdp, conds):
+    """Reference body: per device, (n_states, nb) mixed battery rows from (n_states, W) rows,
+    one gemm per battery digit b_d over every state."""
+    nb, m = mdp.energy.n_levels, mdp.m
+    mixes = []
+    for d, kb in enumerate(mdp.battery_kernels):
+        cond = conds[d][:, :len(kb)].reshape(-1, nb, nb ** (m - 1 - d), len(kb))
+        mix = np.empty(cond.shape[:3] + (nb,))
+        for b in range(nb):
+            np.matmul(cond[:, b], kb[:, b, :], out=mix[:, b])
+        mixes.append(mix.reshape(-1, nb))
+    return mixes
+
+
+def per_state_backward_expectation(mdp, v_next, mixes):
+    """Reference body: E[v_next(s') | s] from `per_state_battery_mixes`, every device's
+    next battery folded at every state, over blocks of at most 2M floats."""
+    nc, nbc, nb, m = mdp.n_channel_cfgs, mdp.n_battery_cfgs, mdp.energy.n_levels, mdp.m
+    w = v_next.reshape(tuple(mdp.link_dims) + (nbc,))
+    for chain in mdp.chains:
+        w = contract_leading(w, chain.psi)
+    w = w.reshape(nbc, nc)  # w[b', c] = E[v_next(c', b') | c]
+    out = np.empty(mdp.n_states)
+    cb = max(1, 2_000_000 // nbc // (nbc // nb))
+    for c0 in range(0, nc, cb):
+        c1 = min(c0 + cb, nc)
+        rows = slice(c0 * nbc, c1 * nbc)
+        y = np.matmul(mixes[0][rows].reshape(c1 - c0, nbc, nb),
+                      w[:, c0:c1].T.reshape(c1 - c0, nb, -1)).reshape((c1 - c0) * nbc, -1)
+        for d in range(1, m):
+            y = np.einsum("sk,skr->sr", mixes[d][rows], y.reshape(len(y), nb, -1))
+        out[rows] = y[:, 0]
+    return out
 
 
 def tensordot_backward_induction(mdp):
@@ -210,7 +252,8 @@ def test_index_codec_agrees_with_state_and_action_decode(name):
         covers = [build_cover(mdp, i, hops) for i in range(mdp.m)]
         pol = LocalizedPolicy(hops=hops, gamma=1.0, rounds=0, covers=covers, tables=[],
                               mdp_signature=mdp.signature())
-        views += zip(covers, pol.projections(mdp))
+        views += zip(covers, (np.broadcast_to(idx, mdp.state_shape).reshape(-1)
+                              for idx in pol.local_index(mdp)))
     feas = mdp.action_feasibility
     for s in range(mdp.n_states):
         state = mdp.state_decode(s)
@@ -392,7 +435,7 @@ class UniformPolicy:
         return tuple(int(rng.integers(n)) for n in mdp.act_dims)
 
     def conditionals(self, mdp, t):
-        return [np.full((mdp.n_states, n), 1.0 / n) for n in mdp.act_dims]
+        return [np.full((1,) * (mdp.m + 1) + (n,), 1.0 / n) for n in mdp.act_dims]
 
 
 def test_exact_evaluator_matches_joint_enumeration(pair):
@@ -410,7 +453,7 @@ def test_propagate_matches_transition_pushforward(pair):
     conds = pol.conditionals(mdp, 1)
     rho = np.zeros(mdp.n_states)
     rho[mdp.state_index(s1)] = 1.0
-    pushed = propagate(mdp, rho, conds)
+    pushed = propagate(mdp, rho, state_rows(mdp, conds))
     a = mdp.action_index((0, 1))
     ref = np.zeros(mdp.n_states)
     for s2, p in mdp.transition(mdp.state_index(s1), a).items():
@@ -441,9 +484,11 @@ def test_backward_evaluation_matches_forward_oracle(name):
 
 
 def test_blocked_backward_evaluation_matches_forward_oracle_on_desk():
-    # Desk's 256 x 256 (channel, battery) grid is folded in five blocks.
+    # The myopic policy's full-scope fold runs in 32 blocks of 8 channel
+    # configurations; greedy's and hops-1's scoped folds run in one.
     desk = desk_scenario(horizon=2)
-    for pol in (GreedyPolicy(desk.mdp), synthesize(desk.mdp, hops=1, gamma=desk.gamma, rounds=1)):
+    for pol in (GreedyPolicy(desk.mdp), MyopicCentralPolicy(desk.mdp),
+                synthesize(desk.mdp, hops=1, gamma=desk.gamma, rounds=1)):
         ref = forward_cost(desk.mdp, pol, desk.s1)
         assert abs(evaluate_policy(desk.mdp, pol, desk.s1) - ref) <= 1e-12 * ref
 
@@ -503,7 +548,112 @@ def test_expected_cost_rows_is_bit_identical_to_the_per_state_reference(name):
         for t in (1, mdp.horizon):
             conds = pol.conditionals(mdp, t)
             assert np.array_equal(expected_cost_rows(mdp, conds),
-                                  per_state_expected_cost_rows(mdp, conds))
+                                  per_state_expected_cost_rows(mdp, state_rows(mdp, conds)))
+
+
+def five_policies(mdp):
+    """One policy of each type; the localized one is stochastic."""
+    return {
+        "centralized": backward_induction(mdp, budget=mdp.n_states * mdp.n_actions).as_policy(),
+        "greedy": GreedyPolicy(mdp),
+        "myopic": MyopicCentralPolicy(mdp),
+        "fixed": FixedLevelsPolicy((0,) * (mdp.m - 1) + (1,)),
+        "localized": synthesize(mdp, hops=1, gamma=1.0, rounds=2),
+    }
+
+
+def random_localized(mdp, hops, seed=0):
+    """A hops-`hops` LocalizedPolicy with random rows, for shapes synthesis is slow to reach."""
+    rng = np.random.default_rng(seed)
+    covers = [build_cover(mdp, i, hops) for i in range(mdp.m)]
+    tables = []
+    for cov in covers:
+        x = rng.random((mdp.horizon, cov.n_states, mdp.act_dims[cov.owner]))
+        tables.append(list(x / x.sum(axis=2, keepdims=True)))
+    return LocalizedPolicy(hops=hops, gamma=1.0, rounds=0, covers=covers, tables=tables,
+                           mdp_signature=mdp.signature())
+
+
+def scope_shape(mdp, name, pol, d):
+    """The state axes device d's conditionals of policy type `name` must span."""
+    m, nb = mdp.m, mdp.energy.n_levels
+    if name in ("centralized", "myopic"):
+        return mdp.state_shape
+    if name == "fixed":
+        return (1,) * (m + 1)
+    if name == "greedy":
+        return (1,) * (d + 1) + (nb,) + (1,) * (m - 1 - d)
+    return (mdp.n_channel_cfgs,) + tuple(nb if j in pol.covers[d].devs else 1 for j in range(m))
+
+
+def check_scoped_conditionals(mdp, policies):
+    """Each device's conditionals span exactly its policy's scope and broadcast to the rows
+    at every state, element for element."""
+    for name, pol in policies.items():
+        for t in (1, mdp.horizon):
+            rows = pol.rows(mdp, t, np.arange(mdp.n_states))
+            conds = pol.conditionals(mdp, t)
+            assert len(conds) == mdp.m, name
+            for d, cond in enumerate(conds):
+                assert cond.shape == scope_shape(mdp, name, pol, d) + rows.shape[-1:], (name, d)
+                full = np.broadcast_to(cond, mdp.state_shape + cond.shape[-1:])
+                assert np.array_equal(full.reshape(mdp.n_states, -1), rows[d]), (name, t, d)
+
+
+def check_scoped_fold(mdp, policies, seed=0):
+    """The scoped mixes and fold against the per-state reference bodies, within 1e-12
+    relative at every state."""
+    v_next = 0.5 + np.random.default_rng(seed).random(mdp.n_states)
+    for name, pol in policies.items():
+        for t in (1, mdp.horizon):
+            conds = pol.conditionals(mdp, t)
+            mixes = battery_mixes(mdp, conds)
+            ref_mixes = per_state_battery_mixes(mdp, state_rows(mdp, conds))
+            for mix, ref in zip(mixes, ref_mixes):
+                full = np.broadcast_to(mix, mdp.state_shape + mix.shape[-1:])
+                np.testing.assert_allclose(full.reshape(ref.shape), ref, rtol=1e-12, atol=0)
+            got = backward_expectation(mdp, v_next, mixes)
+            ref = per_state_backward_expectation(mdp, v_next, ref_mixes)
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0, err_msg=name)
+
+
+def scoped_case(name):
+    """(mdp, policies) of one instance for the scoped conditionals and fold tests."""
+    if name == "desk":
+        mdp = desk_scenario(horizon=3).mdp
+        return mdp, five_policies(mdp)
+    if name == "desk-hops3":  # every cover holds all devices but the antipode: near-full scope
+        mdp = desk_scenario(horizon=1).mdp
+        return mdp, {"localized": random_localized(mdp, 3)}
+    mdp = ragged_line()[0] if name == "ragged" else pinned_instances()[name][0]
+    return mdp, five_policies(mdp)
+
+
+SCOPED_CASES = PINNED + ["ragged", "desk", "desk-hops3"]
+
+
+@pytest.mark.parametrize("name", SCOPED_CASES)
+def test_scoped_conditionals_broadcast_to_the_rows_at_every_state(name):
+    check_scoped_conditionals(*scoped_case(name))
+
+
+@pytest.mark.parametrize("name", SCOPED_CASES)
+def test_scoped_fold_matches_the_per_state_reference(name):
+    check_scoped_fold(*scoped_case(name))
+
+
+def test_exact_evaluation_budget_is_checked_before_anything_is_built(pair, monkeypatch):
+    mdp, s1 = pair
+    size = mdp.n_states * mdp.m * max(mdp.act_dims)
+    pol = GreedyPolicy(mdp)
+    assert evaluate_policy(mdp, pol, s1, budget=size) == evaluate_policy(mdp, pol, s1)
+
+    def refuse(*args):
+        raise AssertionError("conditionals built past the budget")
+
+    monkeypatch.setattr(pol, "conditionals", refuse)
+    with pytest.raises(BudgetExceeded, match=str(size)):
+        evaluate_policy(mdp, pol, s1, budget=size - 1)
 
 
 @pytest.mark.parametrize("name", PINNED + ["capacity-4", "desk"])
@@ -633,3 +783,5 @@ def test_sizes_do_not_wrap_on_a_64_device_ring():
     assert mdp.n_actions == 2 ** 64
     with pytest.raises(BudgetExceeded):
         backward_induction(mdp)
+    with pytest.raises(BudgetExceeded, match=str(2 ** 128 * m * 2)):
+        evaluate_policy(mdp, GreedyPolicy(mdp), GlobalState(gains=(0,) * m, batteries=(1,) * m))

@@ -21,7 +21,8 @@ from ehdfl.harness import exhaustive_minimum
 from ehdfl.instances import oracle_instance, tiny_instances
 from ehdfl.mdp import GlobalState, backward_induction, build_mdp
 from ehdfl.topology import build_topology
-from test_mdp import reference_backward_induction
+from test_mdp import (check_scoped_conditionals, check_scoped_fold, five_policies,
+                      reference_backward_induction)
 
 
 def unmemoized_minimum(mdp, s1) -> float:
@@ -177,3 +178,19 @@ def test_pruned_dp_is_bit_identical_to_the_unpruned_tree_on_generated_models(mod
     for t in range(mdp.horizon):
         assert np.array_equal(sol.values[t], values[t])
         assert np.array_equal(sol.tables[t], tables[t])
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_models())
+def test_scoped_conditionals_broadcast_to_the_rows_on_generated_models(model):
+    mdp, _ = model
+    check_scoped_conditionals(mdp, five_policies(mdp))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_models())
+def test_scoped_fold_matches_the_per_state_reference_on_generated_models(model):
+    mdp, _ = model
+    check_scoped_fold(mdp, five_policies(mdp))

@@ -39,8 +39,16 @@ def greedy_act(pol, mdp, s_idx, t, rng=None):
                  for d, b in enumerate(bats))
 
 
+def projections(pol, mdp):
+    """Per device: the local state index at every global state, from all state digits."""
+    digits = np.unravel_index(np.arange(mdp.n_states), mdp.link_dims + mdp.bat_dims)
+    return [np.ravel_multi_index([digits[e] for e in cov.links]
+                                 + [digits[mdp.n_links + d] for d in cov.devs], cov.state_dims)
+            for cov in pol.covers]
+
+
 def localized_act(pol, mdp, s_idx, t, rng):
-    proj = pol.projections(mdp)
+    proj = projections(pol, mdp)
     levels = []
     for i in range(mdp.m):
         row = pol.tables[i][t - 1][proj[i][s_idx]]
@@ -142,10 +150,12 @@ def test_rows_at_a_batch_are_the_conditionals_at_those_states(case, name):
     mdp, _, pols = case
     pol = pols[name][0]
     s_idx = np.random.default_rng(1).integers(0, mdp.n_states, size=17)
+    digits = np.unravel_index(s_idx, mdp.state_shape)
     for t in range(1, mdp.horizon + 1):
         conds = pol.conditionals(mdp, t)
         for rows, cond in zip(pol.rows(mdp, t, s_idx), conds):
-            assert np.array_equal(rows, cond[s_idx])
+            full = np.broadcast_to(cond, mdp.state_shape + cond.shape[-1:])
+            assert np.array_equal(rows, full[digits])
 
 
 @pytest.mark.parametrize("name", ["centralized", "greedy", "myopic", "fixed", "localized"])
