@@ -3,32 +3,29 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mdp import policy_conditionals, sample_act
+from .mdp import (DEFAULT_BUDGET, bellman_slot, check_dp_budget, policy_conditionals,
+                  sample_act)
 
 
 class MyopicCentralPolicy:
     """Minimizes the current slot's expected cost over feasible joint actions.
 
-    Stationary: ignores channel persistence, harvesting, and the horizon.
-    Ties break toward the lowest joint action index, like the exact solver.
+    Stationary: ignores channel persistence, harvesting, and the horizon. Its
+    table is the exact solver's terminal slot, `bellman_slot` without
+    continuation, so it shares the solver's argmin and tie rule (the lowest
+    joint action index wins), and it is refused under the solver's budget
+    check before any cost table is built.
     """
 
     stationary = True
 
-    def __init__(self, mdp):
+    def __init__(self, mdp, *, budget: int = DEFAULT_BUDGET):
+        check_dp_budget(mdp, budget)
         self._table = self.table(mdp)
 
     def table(self, mdp) -> np.ndarray:
         """(n_states,) int32 argmin joint action of the one-slot cost at every state."""
-        cost = mdp.cost_table()  # (nc, na)
-        feas = mdp.action_feasibility  # (na, nbc)
-        nc, nbc = mdp.n_channel_cfgs, mdp.n_battery_cfgs
-        penal = np.where(feas.T, 0.0, np.inf)  # (nbc, na)
-        table = np.empty(mdp.n_states, dtype=np.int32)
-        for c in range(nc):
-            rows = cost[c][None, :] + penal  # (nbc, na)
-            table[c * nbc:(c + 1) * nbc] = rows.argmin(axis=1)
-        return table
+        return bellman_slot(mdp, None)[1].reshape(-1)
 
     def rows(self, mdp, t, s_idx):
         return mdp.action_one_hot.take(self._table[s_idx], axis=1)

@@ -121,7 +121,7 @@ class ExperimentConfig:
                               defaults=self.extension_defaults,
                               table_budget=self.budget * 10)
         if name == "myopic_central":
-            return MyopicCentralPolicy(mdp)
+            return MyopicCentralPolicy(mdp, budget=self.budget)
         if name == "greedy":
             return GreedyPolicy(mdp)
         raise ConfigError([f"policy: unknown name {name!r}"])

@@ -69,12 +69,6 @@ class EnergyParams:
             raise ValueError("energy amounts are nonnegative")
         return int(np.floor(x / self.quantum + 0.5))
 
-    def level_index(self, b: float) -> int:
-        k = self.to_quanta(b)
-        if not 0 <= k < self.n_levels:
-            raise ValueError(f"battery value {b} outside [0, {self.b_max}]")
-        return k
-
 
 def battery_step(b: float, e: float, u: float, params: EnergyParams) -> float:
     """Next battery level: clamp(b - e + u) at capacity.
@@ -116,10 +110,6 @@ class HarvestModel:
         if not np.allclose(back, self.support, atol=1e-9 * max(params.quantum, 1e-30)):
             raise ValueError("harvest support must be integer multiples of the battery quantum")
         return q, self.probs
-
-    def sample(self, rng: np.random.Generator, size=None):
-        """The draws of rng.choice(len(support), size, p=probs): one uniform each."""
-        return self.support[self.cdf.searchsorted(rng.random(size), side="right")]
 
     def mean(self) -> float:
         return float(np.dot(self.support, self.probs))

@@ -20,7 +20,7 @@ from .baselines import GreedyPolicy
 from .boundlab import contraction_study
 from .config import ExperimentConfig
 from .dflsim import METRICS_HEADER, convergence_bound, run_training
-from .errors import ConfigError
+from .errors import BudgetExceeded, ConfigError
 from .localized import save_localized
 from .mdp import (GlobalState, backward_induction, evaluate_policy, save_solution,
                   simulate_costs)
@@ -446,6 +446,19 @@ def verify_suite(out: Path | None = None, *, config_hash: str = "builtin") -> bo
     return ok
 
 
+def action_feasibility(mdp) -> np.ndarray:
+    """Bool (n_actions, n_battery_cfgs): joint action feasible at battery config."""
+    na, nbc = mdp.n_actions, mdp.n_battery_cfgs
+    if na * nbc > 200_000_000:
+        raise BudgetExceeded(f"action feasibility table too large ({na}x{nbc})")
+    levels = np.unravel_index(np.arange(na), mdp.act_dims)
+    bats = np.unravel_index(np.arange(nbc), mdp.bat_dims)
+    feas = np.ones((na, nbc), dtype=bool)
+    for d, mask in enumerate(mdp.feasible_level_masks):
+        feas &= mask[np.ix_(levels[d], bats[d])]
+    return feas
+
+
 def exhaustive_minimum(mdp, s1) -> float:
     """Minimum cost over every deterministic assignment on reachable slots.
 
@@ -455,7 +468,7 @@ def exhaustive_minimum(mdp, s1) -> float:
     start state. Each (state, action) pair's cost and transition come from the
     scalar model queries once, and every assignment reuses them.
     """
-    feas = mdp.action_feasibility  # (n_actions, n_battery_cfgs)
+    feas = action_feasibility(mdp)  # (n_actions, n_battery_cfgs)
     nbc = mdp.n_battery_cfgs
     steps: dict[tuple[int, int], tuple[float, dict]] = {}
 

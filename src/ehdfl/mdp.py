@@ -161,9 +161,6 @@ class GlobalMdp:
         return GlobalState(gains=tuple(int(c) for c in coords[:L]),
                            batteries=tuple(int(c) for c in coords[L:]))
 
-    def action_index(self, levels: tuple[int, ...]) -> int:
-        return int(np.ravel_multi_index(levels, self.act_dims))
-
     def action_decode(self, a: int) -> tuple[int, ...]:
         return tuple(int(x) for x in np.unravel_index(a, self.act_dims))
 
@@ -212,19 +209,6 @@ class GlobalMdp:
         return [np.arange(self.energy.n_levels) >= draws[:, None] for draws in self.draw_quanta]
 
     @functools.cached_property
-    def action_feasibility(self):
-        """Bool (n_actions, n_battery_cfgs): joint action feasible at battery config."""
-        na, nbc = self.n_actions, self.n_battery_cfgs
-        if na * nbc > 200_000_000:
-            raise BudgetExceeded(f"action feasibility table too large ({na}x{nbc})")
-        levels = np.unravel_index(np.arange(na), self.act_dims)
-        bats = np.unravel_index(np.arange(nbc), self.bat_dims)
-        feas = np.ones((na, nbc), dtype=bool)
-        for d, mask in enumerate(self.feasible_level_masks):
-            feas &= mask[np.ix_(levels[d], bats[d])]
-        return feas
-
-    @functools.cached_property
     def ordered_pairs(self):
         """All (receiver, transmitter, weight, own entity, [(interferer, entity), ...])."""
         out = []
@@ -247,8 +231,6 @@ class GlobalMdp:
     @functools.cached_property
     def _cost_table(self) -> np.ndarray:
         nc, na = self.n_channel_cfgs, self.n_actions
-        if nc * na > 200_000_000:
-            raise BudgetExceeded(f"cost table too large ({nc}x{na})")
         gv = self.gain_values
         levels = np.unravel_index(np.arange(na), self.act_dims)
         pv = [lv[digit] for lv, digit in zip(self.power_levels, levels)]
@@ -432,25 +414,6 @@ class Solution:
             s1 = self.mdp.state_index(s1)
         return float(self.values[0][s1])
 
-    def q_row(self, t: int, s_idx: int) -> np.ndarray:
-        """Q_t(s, .) recomputed from V_{t+1}; infeasible joint actions are +inf."""
-        mdp = self.mdp
-        state = mdp.state_decode(s_idx)
-        ch_idx = s_idx // mdp.n_battery_cfgs
-        b_idx = s_idx % mdp.n_battery_cfgs
-        row = np.full(mdp.n_actions, np.inf)
-        vnext = self.values[t] if t < self.horizon else None
-        for a in range(mdp.n_actions):
-            if not mdp.action_feasibility[a, b_idx]:
-                continue
-            c = mdp.cost_table()[ch_idx, a]
-            if vnext is None:
-                row[a] = c
-            else:
-                dist = mdp.transition(state, a)
-                row[a] = c + sum(prob * vnext[s2] for s2, prob in dist.items())
-        return row
-
     def as_policy(self):
         return CentralizedPolicy(self.tables)
 
@@ -464,8 +427,18 @@ def contract_leading(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return np.dot(x.reshape(x.shape[0], -1).T, mat.T).reshape(x.shape[1:] + (mat.shape[0],))
 
 
-def backward_induction(mdp: GlobalMdp, *, budget: int = DEFAULT_BUDGET) -> Solution:
-    """Exact dynamic program over the factored model.
+def check_dp_budget(mdp: GlobalMdp, budget: int) -> None:
+    """Raise BudgetExceeded when one slot of the DP, n_states * n_actions, exceeds budget."""
+    size = mdp.n_states * mdp.n_actions
+    if size > budget:
+        raise BudgetExceeded(
+            f"state-action product {size} exceeds budget {budget}; "
+            "raise the budget explicitly if this size is intended")
+
+
+def bellman_slot(mdp: GlobalMdp, v_next: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """One slot of backward induction: (V_t, argmin table) on the canonical layout
+    (link digits..., battery digits...), given V_{t+1} on that layout.
 
     Battery axes are contracted along a tree over devices. Under each level l
     of device d the output keeps only the batteries b >= draw_quanta[d][l]
@@ -474,51 +447,56 @@ def backward_induction(mdp: GlobalMdp, *, budget: int = DEFAULT_BUDGET) -> Solut
     is scored on exactly the battery configurations where it is feasible.
     Joint actions are scanned in ascending index order and strict improvement
     is required to replace the incumbent, so ties resolve to the lowest index.
-
-    Raises:
-        BudgetExceeded: when n_states * n_actions > budget.
+    `v_next=None` means no continuation (V_{T+1} = 0): the psi and kernel
+    contractions are skipped and each action's one-slot cost is compared
+    alone, which makes the slot the myopic argmin.
     """
-    n_s, n_a = mdp.n_states, mdp.n_actions
-    if n_s * n_a > budget:
-        raise BudgetExceeded(
-            f"state-action product {n_s * n_a} exceeds budget {budget}; "
-            "raise the budget explicitly if this size is intended")
-    link_dims, m, nb = mdp.link_dims, mdp.m, mdp.energy.n_levels
+    link_dims, m, nb, n_a = mdp.link_dims, mdp.m, mdp.energy.n_levels, mdp.n_actions
     shape = tuple(link_dims + mdp.bat_dims)
     kbs, draws = mdp.battery_kernels, [dq.tolist() for dq in mdp.draw_quanta]
     strides = np.cumprod([1] + mdp.act_dims[::-1])[::-1][1:].tolist()  # C-order action strides
     # per joint action: cost over the link axes, broadcast over the battery axes
     cost_a = np.ascontiguousarray(mdp.cost_table().T).reshape((n_a,) + tuple(link_dims) + (1,) * m)
+    best = np.full(shape, np.inf)
+    arg = np.zeros(shape, dtype=np.int32)
 
-    values, tables = [None] * mdp.horizon, [None] * mdp.horizon
-    v_next = np.zeros(shape)
-    for t in range(mdp.horizon, 0, -1):
-        w = v_next
+    def descend(d, x, a, view):
+        if d == m:  # canonical layout; `view` cuts each battery axis as x's were cut
+            x = cost_a[a] if x is None else np.add(x, cost_a[a], out=x)
+            incumbent = best[view]
+            ok = x < incumbent
+            np.copyto(incumbent, x, where=ok)
+            np.copyto(arg[view], a, where=ok)
+            return
+        for l, q in enumerate(draws[d]):
+            if q < nb:  # the level is fundable at batteries q.., so cut the output there
+                y = None if x is None else contract_leading(x, kbs[d][l])[..., q:]
+                descend(d + 1, y, a + l * strides[d], view + (slice(q, None),))
+
+    if v_next is not None:
         for chain in mdp.chains:  # link axes rotate to the back: (batteries..., links...)
-            w = contract_leading(w, chain.psi)
-        best = np.full(shape, np.inf)
-        arg = np.zeros(shape, dtype=np.int32)
+            v_next = contract_leading(v_next, chain.psi)
+    descend(0, v_next, 0, (slice(None),) * len(link_dims))
+    del descend  # break the closure's self-reference so it is freed by refcount, not gc
+    if not np.isfinite(best).all():
+        raise CausalityViolation("no feasible action at some state (should not happen)")
+    return best, arg
 
-        def descend(d, x, a, view):
-            if d == m:  # canonical layout; `view` cuts each battery axis as x's were cut
-                x += cost_a[a]
-                incumbent = best[view]
-                ok = x < incumbent
-                np.copyto(incumbent, x, where=ok)
-                np.copyto(arg[view], a, where=ok)
-                return
-            for l, q in enumerate(draws[d]):
-                if q < nb:  # the level is fundable at batteries q.., so cut the output there
-                    descend(d + 1, contract_leading(x, kbs[d][l])[..., q:],
-                            a + l * strides[d], view + (slice(q, None),))
 
-        descend(0, w, 0, (slice(None),) * len(link_dims))
-        del descend  # break the closure's self-reference so it is freed by refcount, not gc
-        if not np.isfinite(best).all():
-            raise CausalityViolation("no feasible action at some state (should not happen)")
-        values[t - 1] = best.reshape(-1)
+def backward_induction(mdp: GlobalMdp, *, budget: int = DEFAULT_BUDGET) -> Solution:
+    """Exact dynamic program over the factored model: one `bellman_slot` per slot,
+    the terminal slot without continuation.
+
+    Raises:
+        BudgetExceeded: when n_states * n_actions > budget.
+    """
+    check_dp_budget(mdp, budget)
+    values, tables = [None] * mdp.horizon, [None] * mdp.horizon
+    v = None
+    for t in range(mdp.horizon, 0, -1):
+        v, arg = bellman_slot(mdp, v)
+        values[t - 1] = v.reshape(-1)
         tables[t - 1] = arg.reshape(-1)
-        v_next = best
     return Solution(mdp=mdp, values=values, tables=tables)
 
 
@@ -579,26 +557,6 @@ class CentralizedPolicy:
 
     act = sample_act
     conditionals = policy_conditionals
-
-
-class FixedLevelsPolicy:
-    """Every device holds one level index each slot (diagnostics, tests)."""
-
-    stationary = True
-
-    def __init__(self, levels):
-        self.levels = tuple(levels)
-
-    def rows(self, mdp, t, s_idx):
-        rows = np.zeros((mdp.m, len(s_idx), max(mdp.act_dims)))
-        rows[np.arange(mdp.m), :, self.levels] = 1.0
-        return rows
-
-    def conditionals(self, mdp, t):
-        """Rows that read no state: length 1 on every state axis."""
-        return self.rows(mdp, t, [0]).reshape((mdp.m,) + (1,) * (mdp.m + 1) + (-1,))
-
-    act = sample_act
 
 
 # ---------------------------------------------------------------------------

@@ -53,10 +53,6 @@ class Topology:
             raise ValueError(f"spectral lambda must be < 1, got {lam}")
         return lam
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
     def degree(self, i: int) -> int:
         return len(self.neighbors[i])
 

@@ -31,7 +31,7 @@ def desk_solution(desk):
 def desk_policies(desk, desk_solution):
     pols = {
         "centralized_pi": desk_solution.as_policy(),
-        "myopic_central": MyopicCentralPolicy(desk.mdp),
+        "myopic_central": MyopicCentralPolicy(desk.mdp, budget=desk.budget),
         "greedy": GreedyPolicy(desk.mdp),
     }
     for k in (0, 1, 2):

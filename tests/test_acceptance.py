@@ -15,7 +15,7 @@ import pytest
 from ehdfl.boundlab import fit_rate, gap_curve, temperature_cap
 from ehdfl.baselines import GreedyPolicy
 from ehdfl.dflsim import convergence_bound, run_training
-from ehdfl.harness import exhaustive_minimum, mc_transition_error
+from ehdfl.harness import action_feasibility, exhaustive_minimum, mc_transition_error
 from ehdfl.instances import (capacity_family, capacity_pair, desk_scenario,
                              fullinfo_instance, oracle_instance, tiny_instances)
 from ehdfl.learning import certify_consts, make_quadratic_task, prescribed_eta
@@ -74,9 +74,10 @@ def test_c03_kernels_are_distributions_and_match_sampling(report):
             row_err = max(row_err, float(np.abs(chain.psi.sum(axis=1) - 1.0).max()))
         for kern in mdp.battery_kernels:
             row_err = max(row_err, float(np.abs(kern.sum(axis=2) - 1.0).max()))
+        feas = action_feasibility(mdp)
         for s in range(mdp.n_states):
             b = s % mdp.n_battery_cfgs
-            for a in np.nonzero(mdp.action_feasibility[:, b])[0]:
+            for a in np.nonzero(feas[:, b])[0]:
                 mass = sum(mdp.transition(s, int(a)).values())
                 row_err = max(row_err, abs(mass - 1.0))
 
@@ -84,7 +85,7 @@ def test_c03_kernels_are_distributions_and_match_sampling(report):
     for mdp, s1 in (oracle_instance(), capacity_family(3)):
         s_idx = mdp.state_index(s1)
         b = s_idx % mdp.n_battery_cfgs
-        a = int(np.nonzero(mdp.action_feasibility[:, b])[0][-1])
+        a = int(np.nonzero(action_feasibility(mdp)[:, b])[0][-1])
         mc_err = max(mc_err, mc_transition_error(mdp, s_idx, a, n_draws=100_000,
                                                  seed=7))
     ok = row_err <= 1e-10 and mc_err <= 0.01

@@ -341,6 +341,22 @@ def test_cli_exact_evaluation_of_an_oversized_model_exits_3_before_building_rows
     assert "error:" in res.stderr and "Traceback" not in res.stderr
 
 
+def test_cli_myopic_training_over_the_budget_exits_3_before_building_the_table(tmp_path):
+    # 11 devices: 2^22 states x 2^11 joint actions, over the config's 20M budget.
+    # The myopic table is one DP slot, so the DP's budget check refuses it at once.
+    raw = json.loads(DESK8.read_text())
+    raw["topology"]["m"] = 11
+    raw["horizon"] = 2
+    raw["out_dir"] = str(tmp_path / "out")
+    del raw["s1"]
+    cfg = _write(tmp_path, raw)
+    start = time.perf_counter()
+    res = _cli("train", "--config", str(cfg), "--policy", "myopic_central")
+    assert time.perf_counter() - start < 2.0
+    assert res.returncode == 3, res.stderr
+    assert "error:" in res.stderr and "Traceback" not in res.stderr
+
+
 def test_cli_zero_horizon_writes_headers_only(tmp_path):
     out = tmp_path / "empty"
     cfg = _write(tmp_path, base_raw(out_dir=str(out), horizon=0))

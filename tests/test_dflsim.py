@@ -131,7 +131,7 @@ def reference_training(mdp, task, policy, *, seed, eta, horizon=None, per_overri
         log_point(t)
         rec.grad_norm_sq[t] = float(np.sum(task.global_grad(rec.wbar[t]) ** 2))
         state = GlobalState(gains=tuple(int(g) for g in gains),
-                            batteries=tuple(energy.level_index(b) for b in bats_j))
+                            batteries=tuple(energy.to_quanta(b) for b in bats_j))
         levels = policy.act(mdp, mdp.state_index(state), t + 1, rng_pol)
         rec.actions[t] = levels
         powers = mdp.powers_of(levels)

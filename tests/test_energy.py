@@ -74,9 +74,9 @@ def test_causality_guard():
 def test_feasible_actions_shrink_with_battery():
     params = _params(cycles_per_sample=0.0)
     mask = _model(params, [0.0, 1.0, 3.0]).feasible_level_masks[0]  # (levels, batteries)
-    full = np.nonzero(mask[:, params.level_index(4.0)])[0]
-    low = np.nonzero(mask[:, params.level_index(1.0)])[0]
-    empty = np.nonzero(mask[:, params.level_index(0.0)])[0]
+    full = np.nonzero(mask[:, params.to_quanta(4.0)])[0]
+    low = np.nonzero(mask[:, params.to_quanta(1.0)])[0]
+    empty = np.nonzero(mask[:, params.to_quanta(0.0)])[0]
     assert full.tolist() == [0, 1, 2]
     assert low.tolist() == [0, 1]
     assert empty.tolist() == [0]
@@ -96,18 +96,24 @@ def test_harvest_off_grid_rejected():
         hv.quanta(params)
 
 
+def harvest_draws(hv, rng, size):
+    """Harvest amounts drawn by inverse CDF on `hv.cdf`, one uniform each, as the
+    training co-simulation draws them."""
+    return hv.support[hv.cdf.searchsorted(rng.random(size), side="right")]
+
+
 def test_point_harvest_mean_and_sample():
     hv = point_harvest(2.0)
     rng = np.random.default_rng(0)
     assert hv.mean() == 2.0
-    assert (hv.sample(rng, size=10) == 2.0).all()
+    assert (harvest_draws(hv, rng, size=10) == 2.0).all()
 
 
 def test_harvest_sample_frequencies():
     hv = HarvestModel(support=np.array([0.0, 1.0, 2.0]),
                       probs=np.array([0.2, 0.5, 0.3]))
     rng = np.random.default_rng(7)
-    draws = hv.sample(rng, size=100_000)
+    draws = harvest_draws(hv, rng, size=100_000)
     for v, p in zip(hv.support, hv.probs):
         assert abs((draws == v).mean() - p) < 0.01
 
@@ -115,7 +121,7 @@ def test_harvest_sample_frequencies():
 def test_battery_kernel_row_is_distribution():
     params = _params(cycles_per_sample=0.0)
     hv = HarvestModel(support=np.array([0.0, 1.0]), probs=np.array([0.4, 0.6]))
-    row = _model(params, [0.0, 1.0], hv).battery_kernels[0][1, params.level_index(2.0)]
+    row = _model(params, [0.0, 1.0], hv).battery_kernels[0][1, params.to_quanta(2.0)]
     assert row.shape == (5,)
     assert row.sum() == pytest.approx(1.0, abs=1e-12)
     # From 2 quanta, spend 1, harvest {0, 1}: mass sits on levels 1 and 2.
@@ -126,7 +132,7 @@ def test_battery_kernel_row_is_distribution():
 def test_battery_kernel_clips_at_cap():
     params = _params(cycles_per_sample=0.0)
     hv = HarvestModel(support=np.array([0.0, 2.0]), probs=np.array([0.5, 0.5]))
-    row = _model(params, [0.0, 1.0], hv).battery_kernels[0][0, params.level_index(4.0)]
+    row = _model(params, [0.0, 1.0], hv).battery_kernels[0][0, params.to_quanta(4.0)]
     assert row[4] == pytest.approx(1.0)
 
 

@@ -7,6 +7,7 @@ from ehdfl import localized
 from ehdfl.channel import ChannelChain, RadioParams
 from ehdfl.energy import EnergyParams, HarvestModel
 from ehdfl.errors import BudgetExceeded
+from ehdfl.harness import action_feasibility
 from ehdfl.instances import (capacity_family, capacity_pair, desk_scenario,
                              fullinfo_instance, oracle_instance, tiny_instances)
 from ehdfl.localized import (ExtensionDefaults, build_cover, extension_action_map,
@@ -379,11 +380,11 @@ def test_conditionals_are_distributions(pair_policy):
 def test_act_respects_energy_causality(pair_policy):
     mdp, _, pol = pair_policy
     rng = np.random.default_rng(0)
-    feas = mdp.action_feasibility
+    feas = action_feasibility(mdp)
     for s in range(mdp.n_states):
         for _ in range(20):
             levels = pol.act(mdp, s, 1, rng)
-            assert feas[mdp.action_index(levels), s % mdp.n_battery_cfgs]
+            assert feas[np.ravel_multi_index(levels, mdp.act_dims), s % mdp.n_battery_cfgs]
 
 
 def test_tiny_gamma_gives_near_uniform_feasible_policy():

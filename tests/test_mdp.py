@@ -7,15 +7,15 @@ from ehdfl.baselines import GreedyPolicy, MyopicCentralPolicy
 from ehdfl.channel import RadioParams
 from ehdfl.energy import EnergyParams, HarvestModel
 from ehdfl.errors import BudgetExceeded, CausalityViolation
-from ehdfl.harness import exhaustive_minimum
-from ehdfl.instances import capacity_family, desk_scenario, oracle_instance, tiny_instances
+from ehdfl.harness import action_feasibility, exhaustive_minimum
+from ehdfl.instances import (DESK_BUDGET, capacity_family, desk_scenario, oracle_instance,
+                             tiny_instances)
 from ehdfl.localized import LocalizedPolicy, build_cover, synthesize
-from ehdfl.mdp import (FixedLevelsPolicy, GlobalState, backward_expectation,
-                       backward_induction, battery_mixes, build_mdp, contract_leading,
-                       evaluate_policy, expected_cost_rows, load_solution, save_solution,
-                       simulate_costs)
+from ehdfl.mdp import (GlobalState, backward_expectation, backward_induction, battery_mixes,
+                       build_mdp, contract_leading, evaluate_policy, expected_cost_rows,
+                       load_solution, save_solution, simulate_costs)
 from ehdfl.topology import build_topology
-from test_policy_rows import ragged_line
+from test_policy_rows import FixedLevelsPolicy, ragged_line
 
 
 def state_rows(mdp, conds):
@@ -129,7 +129,7 @@ def tensordot_backward_induction(mdp):
     kbs = mdp.battery_kernels
     strides = np.cumprod([1] + mdp.act_dims[::-1])[::-1][1:]
     cost_nd = mdp.cost_table().reshape(tuple(link_dims) + (1,) * m + (mdp.n_actions,))
-    feas_nd = mdp.action_feasibility.T.reshape((1,) * L + tuple(bat_dims) + (mdp.n_actions,))
+    feas_nd = action_feasibility(mdp).T.reshape((1,) * L + tuple(bat_dims) + (mdp.n_actions,))
     values, tables = [None] * mdp.horizon, [None] * mdp.horizon
     v_next = np.zeros(shape)
     for t in range(mdp.horizon, 0, -1):
@@ -163,14 +163,14 @@ def reference_backward_induction(mdp):
 
     Every level's battery kernel is contracted over every battery digit, and
     the leaf masks the infeasible (action, battery) pairs with
-    `action_feasibility` after the work is done.
+    `harness.action_feasibility` after the work is done.
     """
     link_dims, bat_dims, m, n_a = mdp.link_dims, mdp.bat_dims, mdp.m, mdp.n_actions
     shape = tuple(link_dims + bat_dims)
     kbs = mdp.battery_kernels
     strides = np.cumprod([1] + mdp.act_dims[::-1])[::-1][1:]
     cost_a = np.ascontiguousarray(mdp.cost_table().T).reshape((n_a,) + tuple(link_dims) + (1,) * m)
-    feas_a = mdp.action_feasibility.reshape((n_a,) + (1,) * len(link_dims) + tuple(bat_dims))
+    feas_a = action_feasibility(mdp).reshape((n_a,) + (1,) * len(link_dims) + tuple(bat_dims))
     values, tables = [None] * mdp.horizon, [None] * mdp.horizon
     v_next = np.zeros(shape)
     for t in range(mdp.horizon, 0, -1):
@@ -233,7 +233,7 @@ def test_state_round_trip(pair):
 def test_action_round_trip(pair):
     mdp, _ = pair
     for a in range(mdp.n_actions):
-        assert mdp.action_index(mdp.action_decode(a)) == a
+        assert np.ravel_multi_index(mdp.action_decode(a), mdp.act_dims) == a
 
 
 def test_signatures_match_the_hashes_in_saved_files():
@@ -254,7 +254,7 @@ def test_index_codec_agrees_with_state_and_action_decode(name):
                               mdp_signature=mdp.signature())
         views += zip(covers, (np.broadcast_to(idx, mdp.state_shape).reshape(-1)
                               for idx in pol.local_index(mdp)))
-    feas = mdp.action_feasibility
+    feas = action_feasibility(mdp)
     for s in range(mdp.n_states):
         state = mdp.state_decode(s)
         for cov, proj in views:
@@ -270,7 +270,7 @@ def test_index_codec_agrees_with_state_and_action_decode(name):
 
 def test_feasibility_blocks_empty_battery(pair):
     mdp, _ = pair
-    feas = mdp.action_feasibility
+    feas = action_feasibility(mdp)
     for b_idx in range(mdp.n_battery_cfgs):
         bats = np.unravel_index(b_idx, mdp.bat_dims)
         for a in range(mdp.n_actions):
@@ -286,7 +286,7 @@ def test_feasibility_blocks_empty_battery(pair):
 
 def test_transition_rows_are_distributions(pair):
     mdp, _ = pair
-    feas = mdp.action_feasibility
+    feas = action_feasibility(mdp)
     for s in range(mdp.n_states):
         for a in range(mdp.n_actions):
             if not feas[a, s % mdp.n_battery_cfgs]:
@@ -341,7 +341,7 @@ def test_device_cost_decomposition(which, pair, tiny_a):
 
 def dict_backward_induction(mdp):
     """Naive reference DP built from the scalar model calls only."""
-    feas = mdp.action_feasibility
+    feas = action_feasibility(mdp)
     nbc = mdp.n_battery_cfgs
     v_next = {s: 0.0 for s in range(mdp.n_states)}
     values = []
@@ -378,12 +378,25 @@ def test_dp_matches_exhaustive_enumeration(pair):
     assert abs(sol.expected_cost(s1) - exhaustive_minimum(mdp, s1)) <= 1e-9
 
 
+def q_row(sol, t: int, s_idx: int) -> np.ndarray:
+    """Reference: Q_t(s, .) recomputed from V_{t+1} by the scalar model; infeasible
+    joint actions are +inf."""
+    mdp, nbc = sol.mdp, sol.mdp.n_battery_cfgs
+    row = np.full(mdp.n_actions, np.inf)
+    vnext = sol.values[t] if t < sol.horizon else None
+    for a in np.flatnonzero(action_feasibility(mdp)[:, s_idx % nbc]):
+        row[a] = mdp.cost_table()[s_idx // nbc, a]
+        if vnext is not None:
+            row[a] += sum(prob * vnext[s2] for s2, prob in mdp.transition(s_idx, a).items())
+    return row
+
+
 def test_q_row_consistent_with_values(pair):
     mdp, _ = pair
     sol = backward_induction(mdp)
     for t in (1, mdp.horizon):
         for s in range(mdp.n_states):
-            row = sol.q_row(t, s)
+            row = q_row(sol, t, s)
             assert np.nanmin(row[np.isfinite(row)]) == pytest.approx(
                 sol.value(t, s), abs=1e-12)
             assert row[sol.tables[t - 1][s]] == pytest.approx(
@@ -405,7 +418,7 @@ def test_ties_resolve_to_lowest_action_index():
     sol = backward_induction(mdp)
     s = mdp.state_index(GlobalState(gains=(0,), batteries=(1, 1)))
     best = sol.tables[0][s]
-    row = sol.q_row(1, s)
+    row = q_row(sol, 1, s)
     ties = np.flatnonzero(np.isclose(row, row[best], atol=1e-15))
     assert best == ties.min()
 
@@ -423,7 +436,7 @@ def test_exact_evaluator_matches_deterministic_cost(pair):
     pol = FixedLevelsPolicy((1, 0))
     conds = pol.conditionals(mdp, 1)
     rows = expected_cost_rows(mdp, conds)
-    a = mdp.action_index((1, 0))
+    a = np.ravel_multi_index((1, 0), mdp.act_dims)
     for s in range(mdp.n_states):
         assert rows[s] == pytest.approx(mdp.one_step_cost(s, a), abs=1e-12)
 
@@ -454,7 +467,7 @@ def test_propagate_matches_transition_pushforward(pair):
     rho = np.zeros(mdp.n_states)
     rho[mdp.state_index(s1)] = 1.0
     pushed = propagate(mdp, rho, state_rows(mdp, conds))
-    a = mdp.action_index((0, 1))
+    a = np.ravel_multi_index((0, 1), mdp.act_dims)
     ref = np.zeros(mdp.n_states)
     for s2, p in mdp.transition(mdp.state_index(s1), a).items():
         ref[s2] += p
@@ -487,7 +500,7 @@ def test_blocked_backward_evaluation_matches_forward_oracle_on_desk():
     # The myopic policy's full-scope fold runs in 32 blocks of 8 channel
     # configurations; greedy's and hops-1's scoped folds run in one.
     desk = desk_scenario(horizon=2)
-    for pol in (GreedyPolicy(desk.mdp), MyopicCentralPolicy(desk.mdp),
+    for pol in (GreedyPolicy(desk.mdp), MyopicCentralPolicy(desk.mdp, budget=desk.budget),
                 synthesize(desk.mdp, hops=1, gamma=desk.gamma, rounds=1)):
         ref = forward_cost(desk.mdp, pol, desk.s1)
         assert abs(evaluate_policy(desk.mdp, pol, desk.s1) - ref) <= 1e-12 * ref
@@ -513,7 +526,7 @@ def test_stationary_evaluation_builds_once_and_equals_the_per_slot_loop(name, mo
         mdp, s1 = ragged_line()
     else:
         mdp, s1 = pinned_instances()[name]
-    for pol in (GreedyPolicy(mdp), MyopicCentralPolicy(mdp),
+    for pol in (GreedyPolicy(mdp), MyopicCentralPolicy(mdp, budget=DESK_BUDGET),
                 FixedLevelsPolicy((0,) * (mdp.m - 1) + (1,))):
         assert pol.stationary
         ref = per_slot_evaluation(mdp, pol, s1)
@@ -544,7 +557,7 @@ def test_expected_cost_rows_is_bit_identical_to_the_per_state_reference(name):
     mdp = desk_scenario(horizon=2).mdp if name == "desk" else pinned_instances()[name][0]
     localized = synthesize(mdp, hops=1, gamma=1.0, rounds=1)
     assert any(((r > 0.01) & (r < 0.99)).any() for r in localized.conditionals(mdp, 1))
-    for pol in (GreedyPolicy(mdp), MyopicCentralPolicy(mdp), localized):
+    for pol in (GreedyPolicy(mdp), MyopicCentralPolicy(mdp, budget=DESK_BUDGET), localized):
         for t in (1, mdp.horizon):
             conds = pol.conditionals(mdp, t)
             assert np.array_equal(expected_cost_rows(mdp, conds),
@@ -553,10 +566,11 @@ def test_expected_cost_rows_is_bit_identical_to_the_per_state_reference(name):
 
 def five_policies(mdp):
     """One policy of each type; the localized one is stochastic."""
+    budget = mdp.n_states * mdp.n_actions
     return {
-        "centralized": backward_induction(mdp, budget=mdp.n_states * mdp.n_actions).as_policy(),
+        "centralized": backward_induction(mdp, budget=budget).as_policy(),
         "greedy": GreedyPolicy(mdp),
-        "myopic": MyopicCentralPolicy(mdp),
+        "myopic": MyopicCentralPolicy(mdp, budget=budget),
         "fixed": FixedLevelsPolicy((0,) * (mdp.m - 1) + (1,)),
         "localized": synthesize(mdp, hops=1, gamma=1.0, rounds=2),
     }

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from ehdfl.channel import ChannelChain, RadioParams
 from ehdfl.energy import EnergyParams, HarvestModel
-from ehdfl.harness import exhaustive_minimum
+from ehdfl.harness import action_feasibility, exhaustive_minimum
 from ehdfl.instances import oracle_instance, tiny_instances
 from ehdfl.mdp import GlobalState, backward_induction, build_mdp
 from ehdfl.topology import build_topology
@@ -27,7 +27,7 @@ from test_mdp import (check_scoped_conditionals, check_scoped_fold, five_policie
 
 def unmemoized_minimum(mdp, s1) -> float:
     """Reference body: the model is queried again in every assignment."""
-    feas = mdp.action_feasibility
+    feas = action_feasibility(mdp)
     nbc = mdp.n_battery_cfgs
 
     def acts(s):
@@ -98,7 +98,7 @@ def binding_instance():
 def test_oracle_and_pruned_dp_agree_where_energy_causality_binds():
     mdp, s1 = binding_instance()
     assert any(q.any() for q in mdp.draw_quanta)
-    assert not mdp.action_feasibility.all()
+    assert not action_feasibility(mdp).all()
     sol = backward_induction(mdp)
     assert abs(sol.expected_cost(s1) - exhaustive_minimum(mdp, s1)) <= 1e-9
     values, tables = reference_backward_induction(mdp)
@@ -116,7 +116,7 @@ MAX_ASSIGNMENTS = 20_000  # well inside the oracle's guard, and fast enough to e
 
 def assignment_count(mdp, s1) -> int:
     """Deterministic assignments the oracle would enumerate from s1."""
-    feas = mdp.action_feasibility
+    feas = action_feasibility(mdp)
     nbc = mdp.n_battery_cfgs
     reach = [{mdp.state_index(s1)}]
     for _ in range(1, mdp.horizon):
@@ -175,6 +175,8 @@ def test_pruned_dp_is_bit_identical_to_the_unpruned_tree_on_generated_models(mod
     mdp, _ = model
     sol = backward_induction(mdp)
     values, tables = reference_backward_induction(mdp)
+    # t = horizon - 1 is the terminal slot, which the solver runs without continuation
+    # and the reference runs on a contracted V_{T+1} of zeros
     for t in range(mdp.horizon):
         assert np.array_equal(sol.values[t], values[t])
         assert np.array_equal(sol.tables[t], tables[t])

@@ -2,7 +2,8 @@
 
 Each policy class used to carry its own `act`. Those bodies are kept here as
 references; the shared `act` must pick the same levels at every state and
-leave the training co-simulation bit-identical.
+leave the training co-simulation bit-identical. `FixedLevelsPolicy`, which
+only the tests use, lives here as well.
 """
 import numpy as np
 import pytest
@@ -15,10 +16,30 @@ from ehdfl.errors import CausalityViolation
 from ehdfl.instances import capacity_family, oracle_instance
 from ehdfl.learning import make_logistic_task, make_quadratic_task
 from ehdfl.localized import synthesize
-from ehdfl.mdp import FixedLevelsPolicy, GlobalState, backward_induction, build_mdp
+from ehdfl.mdp import GlobalState, backward_induction, build_mdp, sample_act
 from ehdfl.topology import build_topology
 
 from test_dflsim import assert_same_record, reference_training
+
+
+class FixedLevelsPolicy:
+    """Every device holds one level index each slot."""
+
+    stationary = True
+
+    def __init__(self, levels):
+        self.levels = tuple(levels)
+
+    def rows(self, mdp, t, s_idx):
+        rows = np.zeros((mdp.m, len(s_idx), max(mdp.act_dims)))
+        rows[np.arange(mdp.m), :, self.levels] = 1.0
+        return rows
+
+    def conditionals(self, mdp, t):
+        """Rows that read no state: length 1 on every state axis."""
+        return self.rows(mdp, t, [0]).reshape((mdp.m,) + (1,) * (mdp.m + 1) + (-1,))
+
+    act = sample_act
 
 
 def centralized_act(pol, mdp, s_idx, t, rng=None):

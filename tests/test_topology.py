@@ -19,14 +19,14 @@ def test_mixing_is_symmetric_doubly_stochastic(kind, m):
 
 def test_ring_structure():
     topo = build_topology("ring", 6)
-    assert topo.n_edges == 6
+    assert len(topo.edges) == 6
     assert all(topo.degree(i) == 2 for i in range(6))
     assert topo.diameter == 3
 
 
 def test_complete_has_all_pairs():
     topo = build_topology("complete", 4)
-    assert topo.n_edges == 6
+    assert len(topo.edges) == 6
     assert topo.diameter == 1
 
 
