@@ -3,8 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mdp import (DEFAULT_BUDGET, bellman_slot, check_dp_budget, policy_conditionals,
-                  sample_act)
+from .mdp import (DEFAULT_BUDGET, bellman_slot, check_dp_budget, sample_act,
+                  table_conditionals, table_rows)
 
 
 class MyopicCentralPolicy:
@@ -27,11 +27,13 @@ class MyopicCentralPolicy:
         """(n_states,) int32 argmin joint action of the one-slot cost at every state."""
         return bellman_slot(mdp, None)[1].reshape(-1)
 
-    def rows(self, mdp, t, s_idx):
-        return mdp.action_one_hot.take(self._table[s_idx], axis=1)
+    def rows(self, mdp, t, digits):
+        return table_rows(mdp, self._table, digits)
+
+    def conditionals(self, mdp, t):
+        return table_conditionals(mdp, self._table)
 
     act = sample_act
-    conditionals = policy_conditionals
 
 
 class GreedyPolicy:
@@ -47,19 +49,15 @@ class GreedyPolicy:
         nb = mdp.energy.n_levels
         top = [[np.nonzero(feas[:, b])[0].max() for b in range(nb)]
                for feas in mdp.feasible_level_masks]  # (m, nb) highest feasible level
-        self._hot = (np.eye(max(mdp.act_dims))[top], np.arange(mdp.m)[:, None],
-                     nb ** np.arange(mdp.m - 1, -1, -1)[:, None])
+        self._hot = np.eye(max(mdp.act_dims))[top]  # (m, nb, W)
 
-    def rows(self, mdp, t, s_idx):
-        """Device d's row is hot[d, b], b its battery digit, found at stride strides[d]
-        of the state index; no table over states, battery configurations or joint
-        actions is built."""
-        hot, devs, strides = self._hot
-        return hot[devs, np.asarray(s_idx) // strides % mdp.energy.n_levels]
+    def rows(self, mdp, t, digits):
+        """Device d's row is hot[d, b] at its battery digit b; no table over states is built."""
+        return self._hot[np.arange(mdp.m)[:, None], digits[:, mdp.n_links:].T]
 
     def conditionals(self, mdp, t):
         """Device d's rows read only its battery: (1, ..., nb at axis 1 + d, ..., 1, W)."""
-        hot, m = self._hot[0], mdp.m  # hot: (m, nb, W)
+        hot, m = self._hot, mdp.m
         return [hot[d].reshape((1,) * (d + 1) + (-1,) + (1,) * (m - 1 - d) + hot.shape[2:])
                 for d in range(m)]
 

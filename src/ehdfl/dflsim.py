@@ -121,7 +121,7 @@ def run_training(mdp: GlobalMdp, task, policy, *, seeds, eta: float,
     the one a run of that seed alone gives, bit for bit. Each seed has its own
     policy, channel and per-device harvest streams. Each slot, a seed's policy
     stream gives random(m) for the levels, drawn from the policy's rows at the
-    seed's state; its channel stream gives random(n_active + L), the first
+    seed's state digits; its channel stream gives random(n_active + L), the first
     n_active for the packet outcomes of the directed links with an active
     transmitter, in ascending (receiver, transmitter) order, the last L for
     the link step; each harvest stream gives one uniform.
@@ -150,7 +150,6 @@ def run_training(mdp: GlobalMdp, task, policy, *, seeds, eta: float,
                                 dtype=np.int64).reshape(-1, 2).T
     ladders, draws = _zero_padded(mdp.power_levels), _zero_padded(mdp.draw_quanta).astype(int)
     devs, seed_rows = np.arange(m), np.arange(n_seeds)[:, None]
-    dims = mdp.link_dims + mdp.bat_dims
     gains = np.tile(np.asarray(s1.gains, dtype=np.int64), (n_seeds, 1))
     quanta = np.tile(np.asarray(s1.batteries, dtype=np.int64), (n_seeds, 1))
     models = np.zeros((n_seeds, m, d))
@@ -193,9 +192,8 @@ def run_training(mdp: GlobalMdp, task, policy, *, seeds, eta: float,
         log_point(t)
         rec.grad_norm_sq[:, t] = np.sum(task.global_grad(rec.wbar[:, t]) ** 2, axis=-1)
 
-        s_idx = np.ravel_multi_index(np.hstack([gains, quanta]).T, dims)
-        levels = rec.actions[:, t] = _draw(policy.rows(mdp, t + 1, s_idx), pol_u[:, t],
-                                           mdp.act_dims)
+        levels = rec.actions[:, t] = _draw(policy.rows(mdp, t + 1, np.hstack([gains, quanta])),
+                                           pol_u[:, t], mdp.act_dims)
         powers = ladders[devs, levels]
         beta = powers > 0
         rec.beta[:, t] = beta

@@ -22,8 +22,8 @@ from .config import ExperimentConfig
 from .dflsim import METRICS_HEADER, convergence_bound, run_training
 from .errors import BudgetExceeded, ConfigError
 from .localized import save_localized
-from .mdp import (GlobalState, backward_induction, evaluate_policy, save_solution,
-                  simulate_costs)
+from .mdp import (GlobalState, backward_induction, check_eval_budget, evaluate_policy,
+                  save_solution, simulate_costs)
 
 # Header line of every CSV the harness writes; metrics_seed<s>.csv takes dflsim.METRICS_HEADER.
 HEADERS = {
@@ -185,6 +185,7 @@ def _run_solve(config: ExperimentConfig, out: Path, policy_name: str | None) -> 
         save_solution(sol, out / "policy_centralized.npz")
         j = sol.expected_cost(s1)
     else:
+        check_eval_budget(mdp, config.budget)
         pol = config.build_policy(mdp, name)
         if name == "decentralized_pi":
             save_localized(pol, out / "policy_decentralized.npz")
@@ -198,6 +199,7 @@ def _run_evaluate(config: ExperimentConfig, out: Path, jobs: int,
     name = policy_name or config.policy_name
     mdp = config.build_model()
     s1 = config.start_state(mdp)
+    check_eval_budget(mdp, config.budget)
     policy = config.build_policy(mdp, name)
     j_exact = evaluate_policy(mdp, policy, s1, budget=config.budget)
     n_samples = config.mc_samples
@@ -301,6 +303,7 @@ def _sweep_capacity(config: ExperimentConfig, out: Path, values, jobs: int) -> N
 def _sweep_hops(config: ExperimentConfig, out: Path, values, jobs: int) -> None:
     mdp = config.build_model()
     s1 = config.start_state(mdp)
+    check_eval_budget(mdp, config.budget)
     rows = []
     for hops in values:
         policy = config.build_policy(mdp, "decentralized_pi", hops=hops)
@@ -334,10 +337,7 @@ def mc_transition_error(mdp, state, levels, *, n_draws: int = 100_000,
     for i in range(mdp.m):
         row = mdp.battery_kernels[i][levels[i], state.batteries[i]]
         bats[:, i] = rng.choice(mdp.energy.n_levels, size=n_draws, p=row)
-    dims = mdp.link_dims + mdp.bat_dims
-    flat = np.ravel_multi_index(
-        tuple(gains[:, e] for e in range(mdp.n_links))
-        + tuple(bats[:, i] for i in range(mdp.m)), dims)
+    flat = np.ravel_multi_index((*gains.T, *bats.T), mdp.link_dims + mdp.bat_dims)
     counts = np.bincount(flat, minlength=mdp.n_states) / n_draws
     worst = 0.0
     for s2, p in model.items():
@@ -394,10 +394,8 @@ def _bound_per_term() -> float:
 
 def verify_suite(out: Path | None = None, *, config_hash: str = "builtin") -> bool:
     """Deterministic oracle and invariant checks on the pinned instances."""
-    from .instances import tiny_instances
+    from .instances import capacity_family, oracle_instance, tiny_instances
     checks: list[tuple[str, float, float, bool]] = []
-
-    from .instances import oracle_instance
     insts = tiny_instances()
     cases = [(name, inst.mdp, inst.s1) for name, inst in insts.items()]
     cases.append(("pair", *oracle_instance()))
@@ -426,7 +424,6 @@ def verify_suite(out: Path | None = None, *, config_hash: str = "builtin") -> bo
         worst = max(worst, float(np.abs(kern.sum(axis=-1) - 1.0).max()))
     checks.append(("kernel-rows", worst, 1e-10, worst <= 1e-10))
 
-    from .instances import capacity_family
     mdp_mv, s1_mv = capacity_family(2)  # stochastic gains, so the draw is non-trivial
     mc = mc_transition_error(mdp_mv, mdp_mv.state_index(s1_mv), mdp_mv.n_actions - 1)
     checks.append(("mc-transition", mc, 0.01, mc <= 0.01))

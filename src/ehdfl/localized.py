@@ -52,18 +52,8 @@ class Cover:
         self.state_dims = tuple(self.link_dims) + tuple(self.bat_dims)
         self.dev_pos = {d: k for k, d in enumerate(self.devs)}
         self.link_pos = {e: k for k, e in enumerate(self.links)}
-
-    @property
-    def n_gain_cfgs(self) -> int:
-        return math.prod(self.link_dims)
-
-    @property
-    def n_states(self) -> int:
-        return math.prod(self.state_dims)
-
-    @property
-    def n_actions(self) -> int:
-        return math.prod(self.act_dims)
+        self.n_gain_cfgs, self.n_actions = math.prod(self.link_dims), math.prod(self.act_dims)
+        self.n_states = math.prod(self.state_dims)
 
 
 def build_cover(mdp, owner: int, hops: int) -> Cover:
@@ -87,26 +77,18 @@ def localized_cost_table(mdp, cover: Cover,
     information only: out-of-cover powers take the default level and
     out-of-cover gains the default gain digit.
     """
-    ng, na = cover.n_gain_cfgs, cover.n_actions
-    gains = np.unravel_index(np.arange(ng), cover.link_dims)
-    levels = np.unravel_index(np.arange(na), cover.act_dims)
+    gains = np.unravel_index(np.arange(cover.n_gain_cfgs), cover.link_dims)
+    levels = np.unravel_index(np.arange(cover.n_actions), cover.act_dims)
 
-    def gain_vec(e):
-        if e in cover.link_pos:
-            return mdp.chains[e].levels[gains[cover.link_pos[e]]]
-        return np.full(ng, mdp.chains[e].levels[defaults.gain])
+    def gain(e):
+        k = cover.link_pos.get(e)
+        return mdp.chains[e].levels[defaults.gain if k is None else gains[k][:, None]]
 
-    def power_vec(d):
-        if d in cover.dev_pos:
-            return mdp.power_levels[d][levels[cover.dev_pos[d]]]
-        return np.full(na, mdp.power_levels[d][defaults.level])
+    def power(d):
+        k = cover.dev_pos.get(d)
+        return mdp.power_levels[d][defaults.level if k is None else levels[k][None, :]]
 
-    out = np.zeros((ng, na))
-    for i, j, w, e_own, interf in mdp.ordered_pairs:
-        if j == cover.owner:
-            out += link_loss_table(mdp.radio, i, w, power_vec(j), gain_vec(e_own),
-                                   [(power_vec(k), gain_vec(e_k)) for k, e_k in interf])
-    return out
+    return link_loss_table(mdp, (cover.n_gain_cfgs, cover.n_actions), power, gain, cover.owner)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +271,17 @@ class LocalizedPolicy:
     tables: list  # tables[i][t-1]: (n_states_i, n_levels_i)
     mdp_signature: str
     defaults: ExtensionDefaults = field(default_factory=ExtensionDefaults)
+    _codecs: list = field(default_factory=list, repr=False)
     _index: list = field(default_factory=list, repr=False)
+
+    def codecs(self, mdp):
+        """Per device: (digit columns, strides) that ravel its cover's digits (cached)."""
+        if not self._codecs:
+            for cov in self.covers:
+                cols = cov.links + tuple(mdp.n_links + d for d in cov.devs)
+                strides = np.cumprod((1,) + cov.state_dims[::-1])[-2::-1]
+                self._codecs.append((np.array(cols, dtype=np.intp), strides))
+        return self._codecs
 
     def local_index(self, mdp):
         """Per device: its local state index on the canonical state layout (cached).
@@ -301,19 +293,17 @@ class LocalizedPolicy:
         if not self._index:
             m, nb = mdp.m, mdp.energy.n_levels
             gains = np.unravel_index(np.arange(mdp.n_channel_cfgs), mdp.link_dims)
-            for cov in self.covers:
-                coords = [gains[e].reshape((-1,) + (1,) * m) for e in cov.links]
-                coords += [np.arange(nb).reshape((1,) * (d + 1) + (nb,) + (1,) * (m - 1 - d))
-                           for d in cov.devs]
-                self._index.append(np.ravel_multi_index(coords, cov.state_dims))
+            axes = [g.reshape((-1,) + (1,) * m) for g in gains]
+            axes += [np.arange(nb).reshape((1,) * (d + 1) + (nb,) + (1,) * (m - 1 - d))
+                     for d in range(m)]
+            for cols, strides in self.codecs(mdp):
+                self._index.append(sum(axes[c] * k for c, k in zip(cols, strides)))
         return self._index
 
-    def rows(self, mdp, t: int, s_idx):
-        digits = np.unravel_index(s_idx, mdp.state_shape)
-        out = np.zeros((mdp.m, len(s_idx), max(mdp.act_dims)))
-        for i, (tbl, idx) in enumerate(zip(self.tables, self.local_index(mdp))):
-            local = idx[tuple(dg if n > 1 else 0 for dg, n in zip(digits, idx.shape))]
-            out[i, :, :tbl[t - 1].shape[1]] = tbl[t - 1][local]
+    def rows(self, mdp, t: int, digits):
+        out = np.zeros((mdp.m, len(digits), max(mdp.act_dims)))
+        for i, (tbl, (cols, strides)) in enumerate(zip(self.tables, self.codecs(mdp))):
+            out[i, :, :tbl[t - 1].shape[1]] = tbl[t - 1][digits[:, cols] @ strides]
         return out
 
     def conditionals(self, mdp, t: int):

@@ -14,10 +14,10 @@ back to canonical layout with no transpose copy. Exact policy evaluation runs
 backward with the same primitive: V_t = c_t + E[V_{t+1}].
 
 A policy is its per-slot, per-device conditional level rows given the global
-state: `rows(mdp, t, s_idx)` at an array of n states is one float array of
-shape (m, n, W), device-major, W the longest power ladder, zero beyond each
-device's ladder. `act` (one draw) is defined once from it, and Monte Carlo
-advances all rollouts of a seed together by sampling those rows.
+state: `rows(mdp, t, digits)` at an (n, L + m) int array of state digits (gains,
+then batteries) is one float array (m, n, W), device-major, W the longest
+power ladder, zero beyond each device's ladder. Rollouts carry digits and
+sample those rows; `act` (one draw at a flat index) is defined once from them.
 `conditionals(mdp, t)` gives the same rows at every state on each policy's
 own scope: m arrays, each broadcastable to the canonical state layout
 `state_shape + (W,)` = (n_channel_cfgs, nb, ..., nb, W), the flattened link
@@ -33,8 +33,8 @@ per sorted undirected edge, in sorted order. A global state index is the
 C-order ravel of (gain digits..., battery digits...), devices ascending. Joint
 action indices ravel per-device level digits in device order, so index 0 is
 all-silent and ties in the solver break toward the lexicographically smallest
-action. Digits are read and written with np.unravel_index and
-np.ravel_multi_index over the dims tuples, nowhere by hand.
+action. Only tables over every state, the exact solver's and the table
+policies' (`table_rows`), use the flat state index.
 """
 from __future__ import annotations
 
@@ -47,11 +47,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelChain, RadioParams, packet_error_rate
+from .channel import ChannelChain, RadioParams, packet_error_rate, step_links
 from .energy import EnergyParams, HarvestModel
 from .errors import BudgetExceeded, CausalityViolation
 
 DEFAULT_BUDGET = 10_000_000
+# Monte Carlo reads slot costs from the cost table up to this many entries, else per sample
+COST_TABLE_ENTRIES = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -230,15 +232,10 @@ class GlobalMdp:
 
     @functools.cached_property
     def _cost_table(self) -> np.ndarray:
-        nc, na = self.n_channel_cfgs, self.n_actions
-        gv = self.gain_values
-        levels = np.unravel_index(np.arange(na), self.act_dims)
-        pv = [lv[digit] for lv, digit in zip(self.power_levels, levels)]
-        cost = np.zeros((nc, na))
-        for i, j, w, e_own, interf in self.ordered_pairs:
-            cost += link_loss_table(self.radio, i, w, pv[j], gv[e_own],
-                                    [(pv[k], gv[e_k]) for k, e_k in interf])
-        return cost
+        levels = np.unravel_index(np.arange(self.n_actions), self.act_dims)
+        return link_loss_table(self, (self.n_channel_cfgs, self.n_actions),
+                               lambda d: self.power_levels[d][levels[d]][None, :],
+                               lambda e: self.gain_values[e][:, None])
 
     # ------------------------------------------------------------------
     # scalar model queries
@@ -332,21 +329,23 @@ class GlobalMdp:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def link_loss_table(radio: RadioParams, receiver: int, w: float, p_tx, g_own,
-                    interferers) -> np.ndarray:
-    """w times the packet error rate of one directed link, shape (n_gain_cfgs, n_actions).
+def link_loss_table(mdp: GlobalMdp, shape, power, gain, owner: int | None = None) -> np.ndarray:
+    """Sum of w * PER over the ordered pairs, those `owner` transmits on unless None.
 
-    p_tx: (n_actions,) transmit power; g_own: (n_gain_cfgs,) the link's gain;
-    interferers: (power, gain) vector pairs in the receiver's neighbour order.
-    A silent transmitter loses its packet with certainty.
+    power(d) and gain(e) give device d's power and link e's gain, broadcastable
+    to `shape`. Each element sees the same float operations in pair order, so
+    tables and samples agree bit for bit. A silent transmitter always loses.
     """
-    acc = np.full((len(g_own), len(p_tx)), radio.noise(receiver))
-    for p_k, g_k in interferers:
-        acc = acc + p_k[None, :] * g_k[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = 1.0 - np.exp(-radio.phi * acc / (p_tx[None, :] * g_own[:, None]))
-    q[:, p_tx == 0.0] = 1.0
-    return w * q
+    radio, out = mdp.radio, np.zeros(shape)
+    for i, j, w, e_own, interf in mdp.ordered_pairs:
+        if owner is None or j == owner:
+            acc, p_tx = radio.noise(i), power(j)
+            for k, e_k in interf:
+                acc = acc + power(k) * gain(e_k)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                q = 1.0 - np.exp(-radio.phi * acc / (p_tx * gain(e_own)))
+            out += w * np.where(p_tx == 0.0, 1.0, q)
+    return out
 
 
 def battery_row(mdp: GlobalMdp, device: int, b_idx: int, level: int) -> np.ndarray:
@@ -525,7 +524,7 @@ def _zero_padded(arrays) -> np.ndarray:
 
 
 def sample_act(self, mdp, s_idx: int, t: int, rng=None) -> tuple[int, ...]:
-    """Levels at one state, drawn from the policy's rows with rng.random(m).
+    """Levels at one flat state index, drawn from the policy's rows with rng.random(m).
 
     One uniform per device, in device order. Without `rng` every device takes
     its lowest level of positive probability, which for a deterministic
@@ -533,7 +532,7 @@ def sample_act(self, mdp, s_idx: int, t: int, rng=None) -> tuple[int, ...]:
     one-hot, so the generator's stream does not depend on the rows.
     """
     u = rng.random((1, mdp.m)) if rng is not None else np.zeros((1, mdp.m))
-    rows = self.rows(mdp, t, np.array([s_idx]))
+    rows = self.rows(mdp, t, np.array([np.unravel_index(s_idx, mdp.link_dims + mdp.bat_dims)]))
     if np.count_nonzero(rows) == mdp.m == np.count_nonzero(rows == 1.0):
         # rows sum to 1, so each holds one nonzero entry, 1.0, where the inverse CDF
         # lands for every u: skip the draw
@@ -541,9 +540,15 @@ def sample_act(self, mdp, s_idx: int, t: int, rng=None) -> tuple[int, ...]:
     return tuple(_draw(rows, u, mdp.act_dims)[0].tolist())
 
 
-def policy_conditionals(self, mdp, t: int) -> np.ndarray:
-    """(m,) + state_shape + (W,): the level rows at every state of slot t, full scope."""
-    return self.rows(mdp, t, np.arange(mdp.n_states)).reshape((mdp.m,) + mdp.state_shape + (-1,))
+def table_rows(mdp, table: np.ndarray, digits) -> np.ndarray:
+    """One-hot rows of a per-state joint action table at (n, L + m) digits; the only global ravel."""
+    s_idx = np.ravel_multi_index(np.asarray(digits).T, mdp.link_dims + mdp.bat_dims)
+    return mdp.action_one_hot.take(table[s_idx], axis=1)
+
+
+def table_conditionals(mdp, table: np.ndarray) -> np.ndarray:
+    """(m,) + state_shape + (W,): a per-state joint action table's rows, full scope."""
+    return mdp.action_one_hot.take(table, axis=1).reshape((mdp.m,) + mdp.state_shape + (-1,))
 
 
 class CentralizedPolicy:
@@ -552,11 +557,13 @@ class CentralizedPolicy:
     def __init__(self, tables):
         self.tables = [np.asarray(tbl) for tbl in tables]
 
-    def rows(self, mdp, t: int, s_idx):
-        return mdp.action_one_hot.take(self.tables[t - 1][s_idx], axis=1)
+    def rows(self, mdp, t: int, digits):
+        return table_rows(mdp, self.tables[t - 1], digits)
+
+    def conditionals(self, mdp, t: int):
+        return table_conditionals(mdp, self.tables[t - 1])
 
     act = sample_act
-    conditionals = policy_conditionals
 
 
 # ---------------------------------------------------------------------------
@@ -673,6 +680,15 @@ def _expanded(x: np.ndarray, shape: tuple) -> np.ndarray:
     return out
 
 
+def check_eval_budget(mdp: GlobalMdp, budget: int) -> None:
+    """Raise BudgetExceeded when exact evaluation's n_states * m * W row entries exceed budget."""
+    size = mdp.n_states * mdp.m * max(mdp.act_dims)
+    if size > budget:
+        raise BudgetExceeded(
+            f"exact evaluation needs {size} level-row entries (states x devices x levels), "
+            f"over the budget {budget}")
+
+
 def evaluate_policy(mdp: GlobalMdp, policy, s1, *, budget: int = DEFAULT_BUDGET) -> float:
     """Exact expected cumulative cost J(policy) from initial state s1.
 
@@ -689,11 +705,7 @@ def evaluate_policy(mdp: GlobalMdp, policy, s1, *, budget: int = DEFAULT_BUDGET)
     Raises:
         BudgetExceeded: when n_states * m * W exceeds budget, before anything is built.
     """
-    size = mdp.n_states * mdp.m * max(mdp.act_dims)
-    if size > budget:
-        raise BudgetExceeded(
-            f"exact evaluation needs {size} level-row entries (states x devices x levels), "
-            f"over the budget {budget}")
+    check_eval_budget(mdp, budget)
     T = mdp.horizon
     stationary = getattr(policy, "stationary", False)
     conds = policy.conditionals(mdp, T)
@@ -707,44 +719,49 @@ def evaluate_policy(mdp: GlobalMdp, policy, s1, *, budget: int = DEFAULT_BUDGET)
     return float(v[mdp.state_index(s1) if isinstance(s1, GlobalState) else int(s1)])
 
 
+def sample_costs(mdp: GlobalMdp, gains, levels) -> np.ndarray:
+    """One-slot cost of each of n samples at (n, L) gain and (n, m) level digits."""
+    return link_loss_table(mdp, len(gains), lambda d: mdp.power_levels[d][levels[:, d]],
+                           lambda e: mdp.chains[e].levels[gains[:, e]])
+
+
 def simulate_costs(mdp: GlobalMdp, policy, s1, *, n_samples: int, seed: int) -> np.ndarray:
     """Monte Carlo rollouts of the cumulative cost, all advanced in lockstep.
 
-    The n_samples rollouts move together as (n_samples, ·) digit arrays driven
-    by one RNG stream, default_rng(seed). Each slot draws, in this order, one
-    uniform per rollout and device for the levels (inverse CDF on the policy's
-    rows at the batch's states), one per rollout and link for the gains (on
-    the rows of psi) and one per rollout and device for the batteries (on the
-    battery kernel rows). The psi and kernel rows are zero-padded into the
-    (entities, n_samples, width) layout of the policy's rows.
+    The n_samples rollouts move together as one (n_samples, L + m) array of
+    state digits, never a flat index, driven by one RNG stream, default_rng(seed).
+    Each slot draws, in this order, one uniform per rollout and device for the
+    levels (inverse CDF on the policy's rows at the digits), one per rollout and
+    link for the gains (`step_links`) and one per rollout and device for the
+    batteries (on the battery kernel rows). A slot's cost comes from `cost_table`
+    up to COST_TABLE_ENTRIES entries, else from `sample_costs`, bit for bit equal.
 
     Raises:
         CausalityViolation: when the policy picks a level the battery cannot fund.
     """
-    if isinstance(s1, GlobalState):
-        s1 = mdp.state_index(s1)
-    dims, L, nbc = mdp.link_dims + mdp.bat_dims, mdp.n_links, mdp.n_battery_cfgs
-    digits = np.tile(np.array(np.unravel_index(int(s1), dims), dtype=np.int64), (n_samples, 1))
+    s1 = s1 if isinstance(s1, GlobalState) else mdp.state_decode(int(s1))
+    L, m = mdp.n_links, mdp.m
+    digits = np.tile(np.array(s1.gains + s1.batteries, dtype=np.int64), (n_samples, 1))
     gains, bats = digits[:, :L], digits[:, L:]
-    cost_tbl = mdp.cost_table() if mdp.n_channel_cfgs * mdp.n_actions <= 50_000_000 else None
-    psi, kernels = _zero_padded([c.psi for c in mdp.chains]), _zero_padded(mdp.battery_kernels)
-    links, devs = np.arange(L)[:, None], np.arange(mdp.m)[:, None]
+    use_table = mdp.n_channel_cfgs * mdp.n_actions <= COST_TABLE_ENTRIES
+    cost_tbl = mdp.cost_table() if use_table else None
+    kernels, devs = _zero_padded(mdp.battery_kernels), np.arange(m)[:, None]
     rng = np.random.default_rng(seed)
     totals = np.zeros(n_samples)
     for t in range(1, mdp.horizon + 1):
-        s_idx = np.ravel_multi_index(digits.T, dims)
-        levels = _draw(policy.rows(mdp, t, s_idx), rng.random((n_samples, mdp.m)), mdp.act_dims)
+        levels = _draw(policy.rows(mdp, t, digits), rng.random((n_samples, m)), mdp.act_dims)
         for d, mask in enumerate(mdp.feasible_level_masks):
             bad = ~mask[levels[:, d], bats[:, d]]
             if bad.any():  # battery_row raises with the first offender's details
                 k = int(bad.argmax())
                 battery_row(mdp, d, int(bats[k, d]), int(levels[k, d]))
-        if cost_tbl is not None:
-            totals += cost_tbl[s_idx // nbc, np.ravel_multi_index(levels.T, mdp.act_dims)]
+        if use_table:
+            totals += cost_tbl[np.ravel_multi_index(gains.T, mdp.link_dims),
+                               np.ravel_multi_index(levels.T, mdp.act_dims)]
         else:
-            totals += [mdp.one_step_cost(int(s), tuple(lv)) for s, lv in zip(s_idx, levels)]
-        gains[:] = _draw(psi[links, gains.T], rng.random((n_samples, L)), mdp.link_dims)
-        bats[:] = _draw(kernels[devs, levels.T, bats.T], rng.random((n_samples, mdp.m)),
+            totals += sample_costs(mdp, gains, levels)
+        gains[:] = step_links(gains, mdp.chains, rng.random((n_samples, L)))
+        bats[:] = _draw(kernels[devs, levels.T, bats.T], rng.random((n_samples, m)),
                         mdp.bat_dims)
     return totals
 

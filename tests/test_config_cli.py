@@ -450,3 +450,46 @@ def test_evaluate_csv_is_byte_identical_across_jobs(tmp_path, policy):
         run_experiment(cfg, "evaluate", jobs=jobs)
         csvs.append((out / "evaluate.csv").read_bytes())
     assert csvs[0] == csvs[1]
+
+
+def test_size_ladder_exits_0_or_quickly_3_and_trains_a_64_device_ring(tmp_path):
+    # Ring copies of desk8: m = 9 is the largest that exact evaluation admits, 11 and 16
+    # are over every exact budget, and 64 rolls out only on state digits.
+    from ehdfl.cli import main
+    raw = json.loads(DESK8.read_text())
+    del raw["s1"]
+    raw.update(horizon=2, seeds=[0], mc_samples=50)
+    codes = {}
+    for m in (9, 11, 16, 64):
+        raw["topology"] = {"kind": "ring", "m": m}
+        cfg = _write(tmp_path, raw, f"ring{m}.json")
+        for kind in ("solve", "evaluate", "train"):
+            for name in ("centralized_pi", "decentralized_pi", "myopic_central", "greedy"):
+                start = time.perf_counter()
+                code = main([kind, "--config", str(cfg), "--policy", name,
+                             "--out", str(tmp_path / f"{m}-{kind}-{name}")])
+                assert code in (0, 3), (m, kind, name)
+                assert code == 0 or time.perf_counter() - start < 2.0, (m, kind, name)
+                codes[m, kind, name] = code
+    assert codes[64, "train", "greedy"] == codes[64, "train", "decentralized_pi"] == 0
+    assert codes[9, "evaluate", "greedy"] == 0
+
+
+def test_oversized_exact_evaluation_is_refused_before_any_synthesis(tmp_path, monkeypatch):
+    # Synthesis on a 64-device ring at T = 40 takes tens of seconds, and exact evaluation is
+    # over budget anyway, so solve, evaluate and the hops sweep refuse before building.
+    from ehdfl import localized
+    from ehdfl.cli import main
+
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("synthesis started")
+
+    monkeypatch.setattr(localized, "synthesize", no_synthesis)
+    raw = json.loads(DESK8.read_text())
+    del raw["s1"]
+    raw.update(topology={"kind": "ring", "m": 64}, sweep={"axis": "hops", "values": [1, 2]})
+    cfg = _write(tmp_path, raw)
+    for kind in ("solve", "evaluate", "sweep"):
+        start = time.perf_counter()
+        assert main([kind, "--config", str(cfg), "--out", str(tmp_path / kind)]) == 3, kind
+        assert time.perf_counter() - start < 2.0, kind

@@ -16,6 +16,7 @@ from ehdfl.localized import (ExtensionDefaults, build_cover, extension_action_ma
                              save_localized, synthesize)
 from ehdfl.mdp import backward_induction, build_mdp, load_solution, save_solution
 from ehdfl.topology import build_topology, k_hop_set
+from test_mdp import COST_MODELS, cost_model, former_link_loss_table
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +92,46 @@ def cost_entry(mdp, cov, gain_digits, levels, defaults=ExtensionDefaults()):
     g = np.ravel_multi_index(gain_digits, cov.link_dims)
     a = np.ravel_multi_index(levels, cov.act_dims)
     return localized_cost_table(mdp, cov, defaults)[g, a]
+
+
+def former_localized_cost_table(mdp, cover, defaults):
+    """The former closure loop: full-length vectors for out-of-cover gains and powers."""
+    ng, na = cover.n_gain_cfgs, cover.n_actions
+    gains = np.unravel_index(np.arange(ng), cover.link_dims)
+    levels = np.unravel_index(np.arange(na), cover.act_dims)
+
+    def gain_vec(e):
+        if e in cover.link_pos:
+            return mdp.chains[e].levels[gains[cover.link_pos[e]]]
+        return np.full(ng, mdp.chains[e].levels[defaults.gain])
+
+    def power_vec(d):
+        if d in cover.dev_pos:
+            return mdp.power_levels[d][levels[cover.dev_pos[d]]]
+        return np.full(na, mdp.power_levels[d][defaults.level])
+
+    out = np.zeros((ng, na))
+    for i, j, w, e_own, interf in mdp.ordered_pairs:
+        if j == cover.owner:
+            out += former_link_loss_table(mdp.radio, i, w, power_vec(j), gain_vec(e_own),
+                                          [(power_vec(k), gain_vec(e_k)) for k, e_k in interf])
+    return out
+
+
+def check_localized_cost_tables(mdp):
+    """Every device's localized cost table at hops 0-2 and two default triples equals
+    the former closure loop bit for bit."""
+    for hops in (0, 1, 2):
+        for defaults in (ExtensionDefaults(), ExtensionDefaults(gain=1, battery=1, level=1)):
+            for i in range(mdp.m):
+                cov = build_cover(mdp, i, hops)
+                assert np.array_equal(localized_cost_table(mdp, cov, defaults),
+                                      former_localized_cost_table(mdp, cov, defaults)), (hops, i)
+
+
+@pytest.mark.parametrize("name", COST_MODELS)
+def test_localized_cost_table_equals_the_former_closure_loop(name):
+    check_localized_cost_tables(cost_model(name))
 
 
 def test_full_cover_localized_cost_matches_device_share():

@@ -11,11 +11,12 @@ from ehdfl.harness import action_feasibility, exhaustive_minimum
 from ehdfl.instances import (DESK_BUDGET, capacity_family, desk_scenario, oracle_instance,
                              tiny_instances)
 from ehdfl.localized import LocalizedPolicy, build_cover, synthesize
+from ehdfl import mdp as mdp_module
 from ehdfl.mdp import (GlobalState, backward_expectation, backward_induction, battery_mixes,
                        build_mdp, contract_leading, evaluate_policy, expected_cost_rows,
-                       load_solution, save_solution, simulate_costs)
+                       load_solution, sample_costs, save_solution, simulate_costs)
 from ehdfl.topology import build_topology
-from test_policy_rows import FixedLevelsPolicy, ragged_line
+from test_policy_rows import FixedLevelsPolicy, check_digit_rows, ragged_line, state_digits
 
 
 def state_rows(mdp, conds):
@@ -316,6 +317,56 @@ def test_frozen_instance_transitions_are_deterministic(tiny_a):
         assert dist[s] == pytest.approx(1.0)
 
 
+def former_link_loss_table(radio, receiver, w, p_tx, g_own, interferers):
+    """The former per-link kernel: w * PER of one directed link, (n_gain_cfgs, n_actions)."""
+    acc = np.full((len(g_own), len(p_tx)), radio.noise(receiver))
+    for p_k, g_k in interferers:
+        acc = acc + p_k[None, :] * g_k[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = 1.0 - np.exp(-radio.phi * acc / (p_tx[None, :] * g_own[:, None]))
+    q[:, p_tx == 0.0] = 1.0
+    return w * q
+
+
+def former_cost_table(mdp):
+    """The former cost table: one per-link table per ordered pair, summed in pair order."""
+    gv = mdp.gain_values
+    levels = np.unravel_index(np.arange(mdp.n_actions), mdp.act_dims)
+    pv = [lv[digit] for lv, digit in zip(mdp.power_levels, levels)]
+    cost = np.zeros((mdp.n_channel_cfgs, mdp.n_actions))
+    for i, j, w, e_own, interf in mdp.ordered_pairs:
+        cost += former_link_loss_table(mdp.radio, i, w, pv[j], gv[e_own],
+                                       [(pv[k], gv[e_k]) for k, e_k in interf])
+    return cost
+
+
+def cost_model(name):
+    """A pinned instance, capacity-4, the ragged line or the desk ring (T = 2)."""
+    if name == "desk":
+        return desk_scenario(horizon=2).mdp
+    if name == "capacity-4":
+        return capacity_family(4)[0]
+    return ragged_line()[0] if name == "ragged" else pinned_instances()[name][0]
+
+
+COST_MODELS = PINNED + ["capacity-4", "ragged", "desk"]
+
+
+def check_cost_tables(mdp):
+    """cost_table, and sample_costs at every (c, a), equal the former table bit for bit."""
+    ref = former_cost_table(mdp)
+    assert np.array_equal(mdp.cost_table(), ref)
+    c, a = np.divmod(np.arange(ref.size), mdp.n_actions)  # every (c, a), row-major
+    gains = np.stack(np.unravel_index(c, mdp.link_dims), axis=-1)
+    levels = np.stack(np.unravel_index(a, mdp.act_dims), axis=-1)
+    assert np.array_equal(sample_costs(mdp, gains, levels), ref.reshape(-1))
+
+
+@pytest.mark.parametrize("name", COST_MODELS)
+def test_kernel_cost_table_and_sample_costs_equal_the_former_table(name):
+    check_cost_tables(cost_model(name))
+
+
 def test_cost_table_matches_pointwise(pair):
     mdp, _ = pair
     tbl = mdp.cost_table()
@@ -605,7 +656,7 @@ def check_scoped_conditionals(mdp, policies):
     at every state, element for element."""
     for name, pol in policies.items():
         for t in (1, mdp.horizon):
-            rows = pol.rows(mdp, t, np.arange(mdp.n_states))
+            rows = pol.rows(mdp, t, state_digits(mdp))
             conds = pol.conditionals(mdp, t)
             assert len(conds) == mdp.m, name
             for d, cond in enumerate(conds):
@@ -654,6 +705,36 @@ def test_scoped_conditionals_broadcast_to_the_rows_at_every_state(name):
 @pytest.mark.parametrize("name", SCOPED_CASES)
 def test_scoped_fold_matches_the_per_state_reference(name):
     check_scoped_fold(*scoped_case(name))
+
+
+@pytest.mark.parametrize("name", PINNED + ["ragged", "desk"])
+def test_digit_rows_equal_the_former_index_rows_at_every_state(name):
+    mdp = desk_scenario(horizon=2).mdp if name == "desk" else scoped_case(name)[0]
+    check_digit_rows(mdp, five_policies(mdp))
+
+
+def mc_totals(mdp, pol, s1):
+    """simulate_costs totals, or the CausalityViolation message when the policy drains a battery."""
+    try:
+        return simulate_costs(mdp, pol, s1, n_samples=300, seed=11)
+    except CausalityViolation as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", PINNED + ["ragged", "desk"])
+def test_monte_carlo_totals_are_bit_identical_on_both_sides_of_the_cost_table_switch(
+        name, monkeypatch):
+    mdp, pols = scoped_case(name)
+    s1 = {"desk": lambda: desk_scenario(horizon=3).s1,
+          "ragged": lambda: ragged_line()[1]}.get(name, lambda: pinned_instances()[name][1])()
+    pols["fixed"] = FixedLevelsPolicy((1,) + (0,) * (mdp.m - 1))  # funds at least one slot
+    table = {k: mc_totals(mdp, pol, s1) for k, pol in pols.items()}
+    monkeypatch.setattr(mdp_module, "COST_TABLE_ENTRIES", 0)
+    for k, pol in pols.items():
+        per_sample = mc_totals(mdp, pol, s1)
+        assert type(per_sample) is type(table[k]), (name, k)
+        assert np.array_equal(per_sample, table[k]), (name, k)
+    assert sum(isinstance(x, np.ndarray) for x in table.values()) >= 4, name
 
 
 def test_exact_evaluation_budget_is_checked_before_anything_is_built(pair, monkeypatch):

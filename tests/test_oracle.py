@@ -21,8 +21,10 @@ from ehdfl.harness import action_feasibility, exhaustive_minimum
 from ehdfl.instances import oracle_instance, tiny_instances
 from ehdfl.mdp import GlobalState, backward_induction, build_mdp
 from ehdfl.topology import build_topology
-from test_mdp import (check_scoped_conditionals, check_scoped_fold, five_policies,
-                      reference_backward_induction)
+from test_localized import check_localized_cost_tables
+from test_mdp import (check_cost_tables, check_scoped_conditionals, check_scoped_fold,
+                      five_policies, reference_backward_induction)
+from test_policy_rows import check_digit_rows
 
 
 def unmemoized_minimum(mdp, s1) -> float:
@@ -196,3 +198,20 @@ def test_scoped_conditionals_broadcast_to_the_rows_on_generated_models(model):
 def test_scoped_fold_matches_the_per_state_reference_on_generated_models(model):
     mdp, _ = model
     check_scoped_fold(mdp, five_policies(mdp))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_models())
+def test_digit_rows_equal_the_former_index_rows_on_generated_models(model):
+    mdp, _ = model
+    check_digit_rows(mdp, five_policies(mdp))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_models())
+def test_kernel_tables_equal_the_former_tables_on_generated_models(model):
+    mdp, _ = model
+    check_cost_tables(mdp)
+    check_localized_cost_tables(mdp)

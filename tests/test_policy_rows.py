@@ -1,9 +1,10 @@
-"""The shared policy interface: per-state rows, one `act` draw rule for all policies.
+"""The shared policy interface: rows at state digits, one `act` draw rule for all policies.
 
-Each policy class used to carry its own `act`. Those bodies are kept here as
-references; the shared `act` must pick the same levels at every state and
-leave the training co-simulation bit-identical. `FixedLevelsPolicy`, which
-only the tests use, lives here as well.
+Each policy class used to carry its own `act`, and its `rows` used to take flat
+state indices. Those bodies are kept here as references; the shared `act` must
+pick the same levels at every state, the digit rows must equal the index rows
+element for element, and the training co-simulation must stay bit-identical.
+`FixedLevelsPolicy`, which only the tests use, lives here as well.
 """
 import numpy as np
 import pytest
@@ -30,8 +31,8 @@ class FixedLevelsPolicy:
     def __init__(self, levels):
         self.levels = tuple(levels)
 
-    def rows(self, mdp, t, s_idx):
-        rows = np.zeros((mdp.m, len(s_idx), max(mdp.act_dims)))
+    def rows(self, mdp, t, digits):
+        rows = np.zeros((mdp.m, len(digits), max(mdp.act_dims)))
         rows[np.arange(mdp.m), :, self.levels] = 1.0
         return rows
 
@@ -40,6 +41,77 @@ class FixedLevelsPolicy:
         return self.rows(mdp, t, [0]).reshape((mdp.m,) + (1,) * (mdp.m + 1) + (-1,))
 
     act = sample_act
+
+
+def state_digits(mdp, s_idx=None):
+    """(n, L + m) state digits of flat state indices, every state by default."""
+    s_idx = np.arange(mdp.n_states) if s_idx is None else np.asarray(s_idx)
+    return np.stack(np.unravel_index(s_idx, mdp.link_dims + mdp.bat_dims), axis=-1)
+
+
+# Former index-based `rows` bodies: (policy, mdp, t, flat state indices) -> (m, n, W).
+
+def centralized_rows(pol, mdp, t, s_idx):
+    return mdp.action_one_hot.take(pol.tables[t - 1][s_idx], axis=1)
+
+
+def myopic_rows(pol, mdp, t, s_idx):
+    return mdp.action_one_hot.take(pol.table(mdp)[s_idx], axis=1)
+
+
+def greedy_rows(pol, mdp, t, s_idx):
+    """Device d's battery digit found at its C-order stride of the state index."""
+    nb = mdp.energy.n_levels
+    top = [[np.nonzero(feas[:, b])[0].max() for b in range(nb)]
+           for feas in mdp.feasible_level_masks]
+    strides = nb ** np.arange(mdp.m - 1, -1, -1)[:, None]
+    return np.eye(max(mdp.act_dims))[top][np.arange(mdp.m)[:, None], s_idx // strides % nb]
+
+
+def fixed_rows(pol, mdp, t, s_idx):
+    rows = np.zeros((mdp.m, len(s_idx), max(mdp.act_dims)))
+    rows[np.arange(mdp.m), :, pol.levels] = 1.0
+    return rows
+
+
+def former_local_index(pol, mdp):
+    """Per device: its local state index on the canonical layout, by np.ravel_multi_index."""
+    m, nb = mdp.m, mdp.energy.n_levels
+    gains = np.unravel_index(np.arange(mdp.n_channel_cfgs), mdp.link_dims)
+    out = []
+    for cov in pol.covers:
+        coords = [gains[e].reshape((-1,) + (1,) * m) for e in cov.links]
+        coords += [np.arange(nb).reshape((1,) * (d + 1) + (nb,) + (1,) * (m - 1 - d))
+                   for d in cov.devs]
+        out.append(np.ravel_multi_index(coords, cov.state_dims))
+    return out
+
+
+def localized_rows(pol, mdp, t, s_idx):
+    digits = np.unravel_index(s_idx, mdp.state_shape)
+    out = np.zeros((mdp.m, len(s_idx), max(mdp.act_dims)))
+    for i, (tbl, idx) in enumerate(zip(pol.tables, former_local_index(pol, mdp))):
+        local = idx[tuple(dg if n > 1 else 0 for dg, n in zip(digits, idx.shape))]
+        out[i, :, :tbl[t - 1].shape[1]] = tbl[t - 1][local]
+    return out
+
+
+INDEX_ROWS = {"centralized": centralized_rows, "myopic": myopic_rows, "greedy": greedy_rows,
+              "fixed": fixed_rows, "localized": localized_rows}
+
+
+def check_digit_rows(mdp, pols):
+    """Every policy's rows at every state's digits equal its former index rows, bit for bit."""
+    s_idx = np.arange(mdp.n_states)
+    digits = state_digits(mdp)
+    for name, pol in pols.items():
+        for t in range(1, mdp.horizon + 1):
+            rows = pol.rows(mdp, t, digits)
+            assert rows.dtype == np.float64, name
+            assert np.array_equal(rows, INDEX_ROWS[name](pol, mdp, t, s_idx)), (name, t)
+        if name == "localized":
+            for idx, ref in zip(pol.local_index(mdp), former_local_index(pol, mdp)):
+                assert idx.shape == ref.shape and np.array_equal(idx, ref)
 
 
 def centralized_act(pol, mdp, s_idx, t, rng=None):
@@ -131,7 +203,7 @@ def case(request):
 
 def test_localized_policy_is_stochastic(case):
     mdp, _, pols = case
-    rows = pols["localized"][0].rows(mdp, 1, np.arange(mdp.n_states))
+    rows = pols["localized"][0].rows(mdp, 1, state_digits(mdp))
     assert any(((r > 0.01) & (r < 0.99)).any() for r in rows)
 
 
@@ -158,7 +230,7 @@ def test_rows_are_one_device_major_array_zero_beyond_each_ladder(case, name):
     mdp, _, pols = case
     pol = pols[name][0]
     for t in range(1, mdp.horizon + 1):
-        rows = pol.rows(mdp, t, np.arange(mdp.n_states))
+        rows = pol.rows(mdp, t, state_digits(mdp))
         assert rows.shape == (mdp.m, mdp.n_states, max(mdp.act_dims))
         for d, n_d in enumerate(mdp.act_dims):
             assert rows[d].flags.c_contiguous
@@ -171,12 +243,12 @@ def test_rows_at_a_batch_are_the_conditionals_at_those_states(case, name):
     mdp, _, pols = case
     pol = pols[name][0]
     s_idx = np.random.default_rng(1).integers(0, mdp.n_states, size=17)
-    digits = np.unravel_index(s_idx, mdp.state_shape)
+    at = np.unravel_index(s_idx, mdp.state_shape)
     for t in range(1, mdp.horizon + 1):
         conds = pol.conditionals(mdp, t)
-        for rows, cond in zip(pol.rows(mdp, t, s_idx), conds):
+        for rows, cond in zip(pol.rows(mdp, t, state_digits(mdp, s_idx)), conds):
             full = np.broadcast_to(cond, mdp.state_shape + cond.shape[-1:])
-            assert np.array_equal(rows, full[digits])
+            assert np.array_equal(rows, full[at])
 
 
 @pytest.mark.parametrize("name", ["centralized", "greedy", "myopic", "fixed", "localized"])
