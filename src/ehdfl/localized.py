@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceeded
-from .mdp import contract_leading, link_loss_table, load_artifact, sample_act, save_artifact
+from .mdp import (contract_leading, link_loss_table, load_artifact, on_axis, sample_act,
+                  save_artifact)
 from .topology import k_hop_set
 
 
@@ -77,18 +78,12 @@ def localized_cost_table(mdp, cover: Cover,
     information only: out-of-cover powers take the default level and
     out-of-cover gains the default gain digit.
     """
-    gains = np.unravel_index(np.arange(cover.n_gain_cfgs), cover.link_dims)
-    levels = np.unravel_index(np.arange(cover.n_actions), cover.act_dims)
-
-    def gain(e):
-        k = cover.link_pos.get(e)
-        return mdp.chains[e].levels[defaults.gain if k is None else gains[k][:, None]]
-
-    def power(d):
-        k = cover.dev_pos.get(d)
-        return mdp.power_levels[d][defaults.level if k is None else levels[k][None, :]]
-
-    return link_loss_table(mdp, (cover.n_gain_cfgs, cover.n_actions), power, gain, cover.owner)
+    dims, nl = cover.link_dims + cover.act_dims, len(cover.links)
+    gain = {e: on_axis(mdp.chains[e].levels, k, dims) for e, k in cover.link_pos.items()}
+    power = {d: on_axis(mdp.power_levels[d], nl + k, dims) for d, k in cover.dev_pos.items()}
+    return link_loss_table(mdp, dims, lambda d: power.get(d, mdp.power_levels[d][defaults.level]),
+                           lambda e: gain.get(e, mdp.chains[e].levels[defaults.gain]),
+                           cover.owner).reshape(cover.n_gain_cfgs, cover.n_actions)
 
 
 # ---------------------------------------------------------------------------

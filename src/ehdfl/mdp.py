@@ -11,7 +11,8 @@ over the battery suffix it can fund (energy causality), so infeasible
 `contract_leading`, that consumes the leading axis and appends the new one
 last, so contracting the link axes and then the battery axes rotates an array
 back to canonical layout with no transpose copy. Exact policy evaluation runs
-backward with the same primitive: V_t = c_t + E[V_{t+1}].
+backward with the same primitive: V_t = c_t + E[V_{t+1}]. The cost table's loss
+kernel puts each operand on its own axis, so only its output is full size.
 
 A policy is its per-slot, per-device conditional level rows given the global
 state: `rows(mdp, t, digits)` at an (n, L + m) int array of state digits (gains,
@@ -232,10 +233,10 @@ class GlobalMdp:
 
     @functools.cached_property
     def _cost_table(self) -> np.ndarray:
-        levels = np.unravel_index(np.arange(self.n_actions), self.act_dims)
-        return link_loss_table(self, (self.n_channel_cfgs, self.n_actions),
-                               lambda d: self.power_levels[d][levels[d]][None, :],
-                               lambda e: self.gain_values[e][:, None])
+        dims, L = self.link_dims + self.act_dims, self.n_links
+        return link_loss_table(self, dims, lambda d: on_axis(self.power_levels[d], L + d, dims),
+                               lambda e: on_axis(self.chains[e].levels, e, dims)
+                               ).reshape(self.n_channel_cfgs, self.n_actions)
 
     # ------------------------------------------------------------------
     # scalar model queries
@@ -333,7 +334,9 @@ def link_loss_table(mdp: GlobalMdp, shape, power, gain, owner: int | None = None
     """Sum of w * PER over the ordered pairs, those `owner` transmits on unless None.
 
     power(d) and gain(e) give device d's power and link e's gain, broadcastable
-    to `shape`. Each element sees the same float operations in pair order, so
+    to `shape`. Tables put each operand on its own axis (`on_axis`): a pair's PER
+    spans only its links and devices, and only the weighted sum into the output
+    is full size. Each element sees the same float operations in pair order, so
     tables and samples agree bit for bit. A silent transmitter always loses.
     """
     radio, out = mdp.radio, np.zeros(shape)
@@ -346,6 +349,11 @@ def link_loss_table(mdp: GlobalMdp, shape, power, gain, owner: int | None = None
                 q = 1.0 - np.exp(-radio.phi * acc / (p_tx * gain(e_own)))
             out += w * np.where(p_tx == 0.0, 1.0, q)
     return out
+
+
+def on_axis(v: np.ndarray, k: int, dims) -> np.ndarray:
+    """Vector `v` laid along axis k of an array of len(dims) axes, broadcastable to it."""
+    return v.reshape((-1,) + (1,) * (len(dims) - 1 - k))
 
 
 def battery_row(mdp: GlobalMdp, device: int, b_idx: int, level: int) -> np.ndarray:
@@ -404,9 +412,6 @@ class Solution:
     @property
     def horizon(self) -> int:
         return len(self.tables)
-
-    def value(self, t: int, s_idx: int) -> float:
-        return float(self.values[t - 1][s_idx])
 
     def expected_cost(self, s1) -> float:
         if isinstance(s1, GlobalState):
@@ -744,7 +749,7 @@ def simulate_costs(mdp: GlobalMdp, policy, s1, *, n_samples: int, seed: int) -> 
     digits = np.tile(np.array(s1.gains + s1.batteries, dtype=np.int64), (n_samples, 1))
     gains, bats = digits[:, :L], digits[:, L:]
     use_table = mdp.n_channel_cfgs * mdp.n_actions <= COST_TABLE_ENTRIES
-    cost_tbl = mdp.cost_table() if use_table else None
+    cost_tbl = mdp.cost_table().reshape(mdp.link_dims + mdp.act_dims) if use_table else None
     kernels, devs = _zero_padded(mdp.battery_kernels), np.arange(m)[:, None]
     rng = np.random.default_rng(seed)
     totals = np.zeros(n_samples)
@@ -756,8 +761,7 @@ def simulate_costs(mdp: GlobalMdp, policy, s1, *, n_samples: int, seed: int) -> 
                 k = int(bad.argmax())
                 battery_row(mdp, d, int(bats[k, d]), int(levels[k, d]))
         if use_table:
-            totals += cost_tbl[np.ravel_multi_index(gains.T, mdp.link_dims),
-                               np.ravel_multi_index(levels.T, mdp.act_dims)]
+            totals += cost_tbl[tuple(gains.T) + tuple(levels.T)]
         else:
             totals += sample_costs(mdp, gains, levels)
         gains[:] = step_links(gains, mdp.chains, rng.random((n_samples, L)))
@@ -774,11 +778,11 @@ FORMAT_VERSION = 1
 
 
 def save_artifact(path, meta: dict, manifest_keys, arrays: dict) -> None:
-    """Write `arrays` and the JSON `meta` to <stem>.npz and `manifest_keys` of meta to
-    <stem>.manifest.txt, where `path` is <stem> with or without the .npz suffix."""
+    """Write `arrays` and the JSON `meta`, uncompressed, to <stem>.npz and `manifest_keys`
+    of meta to <stem>.manifest.txt, where `path` is <stem> with or without the .npz suffix."""
     stem = str(path).removesuffix(".npz")
     meta = {"format_version": FORMAT_VERSION, **meta}
-    np.savez_compressed(stem + ".npz", meta=json.dumps(meta, sort_keys=True), **arrays)
+    np.savez(stem + ".npz", meta=json.dumps(meta, sort_keys=True), **arrays)
     with open(stem + ".manifest.txt", "w") as fh:
         for k in manifest_keys:
             fh.write(f"{k}: {meta[k]}\n")
@@ -802,9 +806,10 @@ def save_solution(sol: Solution, path) -> None:
     meta = {"kind": "centralized_solution", "mdp_signature": sol.mdp.signature(),
             "horizon": sol.horizon, "n_states": sol.mdp.n_states,
             "n_actions": sol.mdp.n_actions}
+    tables = np.stack(sol.tables).astype(np.min_scalar_type(sol.mdp.n_actions - 1))
     save_artifact(path, meta, ("format_version", "horizon", "kind", "mdp_signature",
                                "n_actions", "n_states"),
-                  {"values": np.stack(sol.values), "tables": np.stack(sol.tables)})
+                  {"values": np.stack(sol.values), "tables": tables})
 
 
 def load_solution(path, mdp: GlobalMdp) -> Solution:

@@ -1,4 +1,5 @@
 import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from ehdfl.localized import (ExtensionDefaults, build_cover, extension_action_ma
                              save_localized, synthesize)
 from ehdfl.mdp import backward_induction, build_mdp, load_solution, save_solution
 from ehdfl.topology import build_topology, k_hop_set
-from test_mdp import COST_MODELS, cost_model, former_link_loss_table
+from test_mdp import COST_MODELS, cost_model, former_link_loss_table, former_save_artifact
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +492,19 @@ def test_localized_round_trip(tmp_path, pair_policy):
     from ehdfl.mdp import evaluate_policy
     assert evaluate_policy(mdp, back, s1) == pytest.approx(
         evaluate_policy(mdp, pol, s1), abs=1e-15)
+
+
+def test_a_former_localized_policy_file_loads_to_the_same_tables(tmp_path, pair_policy,
+                                                                 monkeypatch):
+    mdp, _, pol = pair_policy
+    monkeypatch.setattr(localized, "save_artifact", former_save_artifact)
+    save_localized(pol, tmp_path / "former.npz")
+    with zipfile.ZipFile(tmp_path / "former.npz") as z:
+        assert {i.compress_type for i in z.infolist()} == {zipfile.ZIP_DEFLATED}
+    back = load_localized(tmp_path / "former.npz", mdp)
+    assert [c.__dict__ for c in back.covers] == [c.__dict__ for c in pol.covers]
+    for ta, tb in zip(pol.tables, back.tables):
+        assert all(np.array_equal(ra, rb) for ra, rb in zip(ta, tb))
 
 
 def test_load_solution_rejects_a_saved_localized_policy(tmp_path, pair_policy):

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -449,9 +451,9 @@ def test_q_row_consistent_with_values(pair):
         for s in range(mdp.n_states):
             row = q_row(sol, t, s)
             assert np.nanmin(row[np.isfinite(row)]) == pytest.approx(
-                sol.value(t, s), abs=1e-12)
+                sol.values[t - 1][s], abs=1e-12)
             assert row[sol.tables[t - 1][s]] == pytest.approx(
-                sol.value(t, s), abs=1e-12)
+                sol.values[t - 1][s], abs=1e-12)
 
 
 def test_ties_resolve_to_lowest_action_index():
@@ -850,6 +852,38 @@ def test_solution_round_trip(tmp_path, pair):
     assert back.expected_cost(s1) == sol.expected_cost(s1)
     assert all((a == b).all() for a, b in zip(back.tables, sol.tables))
     assert (tmp_path / "sol.manifest.txt").exists()
+
+
+def former_save_artifact(path, meta, manifest_keys, arrays):
+    """The former artifact writer: one zlib-compressed npz, no manifest."""
+    meta = {"format_version": mdp_module.FORMAT_VERSION, **meta}
+    np.savez_compressed(path, meta=json.dumps(meta, sort_keys=True), **arrays)
+
+
+def former_save_solution(sol, path):
+    """The former solution file: compressed, argmin tables as int32."""
+    meta = {"kind": "centralized_solution", "mdp_signature": sol.mdp.signature(),
+            "horizon": sol.horizon, "n_states": sol.mdp.n_states, "n_actions": sol.mdp.n_actions}
+    former_save_artifact(path, meta, (), {"values": np.stack(sol.values),
+                                          "tables": np.stack(sol.tables).astype(np.int32)})
+
+
+@pytest.mark.parametrize("name", ["pair", "tiny-a", "capacity-4"])
+def test_new_and_former_solution_files_load_to_the_same_arrays(tmp_path, name):
+    mdp = cost_model(name)
+    sol = backward_induction(mdp)
+    save_solution(sol, tmp_path / "new.npz")
+    former_save_solution(sol, tmp_path / "former.npz")
+    with np.load(tmp_path / "new.npz") as z:
+        assert z["tables"].dtype == np.min_scalar_type(mdp.n_actions - 1)
+    with zipfile.ZipFile(tmp_path / "new.npz") as z:
+        assert {i.compress_type for i in z.infolist()} == {zipfile.ZIP_STORED}
+    for path in ("new.npz", "former.npz"):
+        back = load_solution(tmp_path / path, mdp)
+        for t in range(mdp.horizon):
+            assert np.array_equal(back.values[t], sol.values[t])
+            assert back.tables[t].dtype == np.int32
+            assert np.array_equal(back.tables[t], sol.tables[t])
 
 
 def test_solution_rejects_wrong_model(tmp_path, pair, tiny_a):

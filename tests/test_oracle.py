@@ -215,3 +215,31 @@ def test_kernel_tables_equal_the_former_tables_on_generated_models(model):
     mdp, _ = model
     check_cost_tables(mdp)
     check_localized_cost_tables(mdp)
+
+
+def channel_states(mdp):
+    """One flat state per channel configuration, battery digits varying with it."""
+    c = np.arange(mdp.n_channel_cfgs)
+    return c, c * mdp.n_battery_cfgs + c % mdp.n_battery_cfgs
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_models())
+def test_cost_table_matches_the_scalar_oracle_on_generated_models(model):
+    mdp, _ = model
+    tbl = mdp.cost_table()
+    for c, s in zip(*channel_states(mdp)):
+        for a in range(mdp.n_actions):
+            assert tbl[c, a] == pytest.approx(mdp.one_step_cost(int(s), a), abs=1e-14)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_models())
+def test_device_shares_sum_to_the_one_step_cost_on_generated_models(model):
+    mdp, _ = model
+    for _, s in zip(*channel_states(mdp)):
+        for a in range(mdp.n_actions):
+            parts = sum(mdp.device_cost(int(s), a, d) for d in range(mdp.m))
+            assert abs(mdp.one_step_cost(int(s), a) - parts) <= 1e-12
