@@ -12,9 +12,10 @@ class MyopicCentralPolicy:
 
     Stationary: ignores channel persistence, harvesting, and the horizon. Its
     table is the exact solver's terminal slot, `bellman_slot` without
-    continuation, so it shares the solver's argmin and tie rule (the lowest
-    joint action index wins), and it is refused under the solver's budget
-    check before any cost table is built.
+    continuation, a box prefix-min of the cost table whose ties keep the lower
+    level of each device with equal more significant digits, so it shares the
+    solver's argmin and tie rule (the lowest joint action index wins), and it
+    is refused under the solver's budget check before any cost table is built.
     """
 
     stationary = True

@@ -451,12 +451,27 @@ def bellman_slot(mdp: GlobalMdp, v_next: np.ndarray | None) -> tuple[np.ndarray,
     is scored on exactly the battery configurations where it is feasible.
     Joint actions are scanned in ascending index order and strict improvement
     is required to replace the incumbent, so ties resolve to the lowest index.
-    `v_next=None` means no continuation (V_{T+1} = 0): the psi and kernel
-    contractions are skipped and each action's one-slot cost is compared
-    alone, which makes the slot the myopic argmin.
+
+    `v_next=None` (V_{T+1} = 0) gives the myopic argmin as a box prefix-min: the
+    levels battery b funds are 0..top_d(b), as draw_quanta never falls along a
+    ladder, so V_T(c, b) is the least cost over a <= top(b), a running min along
+    each level axis, devices last to first. Device d's fold compares entries that
+    share a_0..a_{d-1}, so keeping the lower level on ties keeps the lower index.
     """
     link_dims, m, nb, n_a = mdp.link_dims, mdp.m, mdp.energy.n_levels, mdp.n_actions
     shape = tuple(link_dims + mdp.bat_dims)
+    if v_next is None:
+        best = mdp.cost_table().reshape((mdp.n_channel_cfgs,) + tuple(mdp.act_dims)).copy()
+        arg = np.empty(best.shape, dtype=np.int32)
+        arg[...] = np.arange(n_a, dtype=np.int32).reshape(mdp.act_dims)
+        for d in range(m, 0, -1):  # device d - 1's level axis
+            vals, args = np.moveaxis(best, d, 0), np.moveaxis(arg, d, 0)
+            for l in range(1, len(vals)):
+                keep = vals[l - 1] <= vals[l]
+                np.copyto(vals[l], vals[l - 1], where=keep)
+                np.copyto(args[l], args[l - 1], where=keep)
+        at = np.ix_(*[np.searchsorted(dq, np.arange(nb), "right") - 1 for dq in mdp.draw_quanta])
+        return best[(slice(None),) + at].reshape(shape), arg[(slice(None),) + at].reshape(shape)
     kbs, draws = mdp.battery_kernels, [dq.tolist() for dq in mdp.draw_quanta]
     strides = np.cumprod([1] + mdp.act_dims[::-1])[::-1][1:].tolist()  # C-order action strides
     # per joint action: cost over the link axes, broadcast over the battery axes
@@ -466,7 +481,7 @@ def bellman_slot(mdp: GlobalMdp, v_next: np.ndarray | None) -> tuple[np.ndarray,
 
     def descend(d, x, a, view):
         if d == m:  # canonical layout; `view` cuts each battery axis as x's were cut
-            x = cost_a[a] if x is None else np.add(x, cost_a[a], out=x)
+            np.add(x, cost_a[a], out=x)
             incumbent = best[view]
             ok = x < incumbent
             np.copyto(incumbent, x, where=ok)
@@ -474,12 +489,11 @@ def bellman_slot(mdp: GlobalMdp, v_next: np.ndarray | None) -> tuple[np.ndarray,
             return
         for l, q in enumerate(draws[d]):
             if q < nb:  # the level is fundable at batteries q.., so cut the output there
-                y = None if x is None else contract_leading(x, kbs[d][l])[..., q:]
-                descend(d + 1, y, a + l * strides[d], view + (slice(q, None),))
+                descend(d + 1, contract_leading(x, kbs[d][l])[..., q:], a + l * strides[d],
+                        view + (slice(q, None),))
 
-    if v_next is not None:
-        for chain in mdp.chains:  # link axes rotate to the back: (batteries..., links...)
-            v_next = contract_leading(v_next, chain.psi)
+    for chain in mdp.chains:  # link axes rotate to the back: (batteries..., links...)
+        v_next = contract_leading(v_next, chain.psi)
     descend(0, v_next, 0, (slice(None),) * len(link_dims))
     del descend  # break the closure's self-reference so it is freed by refcount, not gc
     if not np.isfinite(best).all():

@@ -59,6 +59,62 @@ def test_masked_softmax_huge_gamma_with_low_infeasible_entry():
     assert p[0, 0] == pytest.approx(1.0)
 
 
+def former_masked_softmax(rows, gamma, feas):
+    """Reference body: reductions over each (n, n_levels) row."""
+    rmin = np.min(np.where(feas, rows, np.inf), axis=1, keepdims=True)
+    z = np.where(feas, rows - rmin, 0.0)
+    w = np.exp(-gamma * z) * feas
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def softmax_cases(seed):
+    """(rows, feas) with 1 to 4 levels; every row has a feasible level, some exactly one."""
+    rng = np.random.default_rng(seed)
+    for nl in (1, 2, 3, 4):
+        for n in (1, 7, 300):
+            rows = rng.normal(scale=rng.choice([0.01, 1.0, 30.0]), size=(n, nl))
+            feas = rng.random((nl, n)) < 0.6
+            feas[rng.integers(nl, size=n), np.arange(n)] = True
+            yield rows, feas.T  # level-major masks, as the synthesis passes them
+            single = np.zeros((n, nl), dtype=bool)
+            single[np.arange(n), rng.integers(nl, size=n)] = True
+            yield rows, single
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_masked_softmax_is_the_former_row_reduction_bit_for_bit(seed):
+    for rows, feas in softmax_cases(seed):
+        for gamma in (0.5, 64.0, 2048.0):
+            p = masked_softmax(rows, gamma, feas)
+            assert p.flags.c_contiguous
+            assert np.array_equal(p, former_masked_softmax(rows, gamma, feas))
+
+
+def test_masked_softmax_adds_the_levels_in_level_order():
+    # w = (1, t, t) with t = exp(-37) < 2**-53: 1 + t rounds to 1, t + t does not,
+    # so a normalizer summed from the top level down gives other bits.
+    for rows in ([[0.0, 37.0, 37.0], [2.0, 39.0, 38.9]], [[0.0, 37.0, 37.0, 37.0]]):
+        r = np.array(rows)
+        f = np.ones(r.shape, dtype=bool)
+        ref = former_masked_softmax(r, 1.0, f)
+        top_down = former_masked_softmax(r[:, ::-1], 1.0, f[:, ::-1])[:, ::-1]
+        assert not np.array_equal(ref, top_down)
+        assert np.array_equal(masked_softmax(r, 1.0, f), ref)
+
+
+@pytest.mark.parametrize("name", ["desk", "ring6-3"])
+def test_synthesis_with_the_former_softmax_gives_the_same_tables(name, monkeypatch):
+    mdp = desk_scenario(horizon=3).mdp if name == "desk" else capacity_pair(3, horizon=2)[0]
+    runs = []
+    for softmax in (localized.masked_softmax, former_masked_softmax):
+        monkeypatch.setattr(localized, "masked_softmax", softmax)
+        runs.append([synthesize(mdp, hops=2, gamma=gamma, rounds=2) for gamma in (0.5, 512.0)])
+    for new, ref in zip(*runs):
+        for tn, tr in zip(new.tables, ref.tables):
+            for a, b in zip(tn, tr):
+                assert np.array_equal(a, b)
+
+
 # ---------------------------------------------------------------------------
 # covers
 # ---------------------------------------------------------------------------
@@ -365,6 +421,16 @@ def test_neighbour_views_match_the_extension_maps(name, hops, defaults):
             assert np.array_equal(full, over_batteries(cj, q[j])[np.ix_(ext_s, ext_p)])
             rows = np.broadcast_to(ctx.pi_views[i][j](pi[j]), ci.state_dims + pi[j].shape[1:])
             assert np.array_equal(rows.reshape(ci.n_states, -1), pi[j][ext_s])
+
+
+@pytest.mark.parametrize("name,hops", ROUND_CASES)
+def test_feasible_rows_read_the_owner_battery_digit(name, hops):
+    ctx, _, _ = random_round_inputs(name, hops, DEFAULTS[0], seed=0)
+    for cov, feas in zip(ctx.covers, ctx.feas_rows):
+        digits = np.unravel_index(np.arange(cov.n_states), cov.state_dims)
+        b = digits[len(cov.links) + cov.dev_pos[cov.owner]]
+        assert np.array_equal(feas, ctx.mdp.feasible_level_masks[cov.owner][:, b].T)
+        assert feas.T.flags.c_contiguous  # level-major, as masked_softmax reads it
 
 
 @pytest.mark.parametrize("defaults", DEFAULTS, ids=["dflt0", "dflt1"])

@@ -1,17 +1,19 @@
 import dataclasses
 import json
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ehdfl.baselines import GreedyPolicy, MyopicCentralPolicy
 from ehdfl.channel import RadioParams
+from ehdfl.config import load_config
 from ehdfl.energy import EnergyParams, HarvestModel
 from ehdfl.errors import BudgetExceeded, CausalityViolation
 from ehdfl.harness import action_feasibility, exhaustive_minimum
-from ehdfl.instances import (DESK_BUDGET, capacity_family, desk_scenario, oracle_instance,
-                             tiny_instances)
+from ehdfl.instances import (DESK_BUDGET, capacity_family, capacity_pair, desk_scenario,
+                             oracle_instance, tiny_instances)
 from ehdfl.localized import LocalizedPolicy, build_cover, synthesize
 from ehdfl import mdp as mdp_module
 from ehdfl.mdp import (GlobalState, backward_expectation, backward_induction, battery_mixes,
@@ -779,6 +781,91 @@ def test_pruned_dp_is_bit_identical_to_the_unpruned_tree(name):
     for t in range(mdp.horizon):
         assert np.array_equal(sol.values[t], values[t])
         assert np.array_equal(sol.tables[t], tables[t])
+
+
+def tree_terminal_slot(mdp):
+    """Reference terminal slot: the energy-pruned tree without continuation.
+
+    Each joint action's one-slot cost is compared alone on the battery
+    configurations that fund it, actions in ascending index order, and strict
+    improvement replaces the incumbent, so ties keep the lowest index.
+    """
+    link_dims, m, nb, n_a = mdp.link_dims, mdp.m, mdp.energy.n_levels, mdp.n_actions
+    shape = tuple(link_dims + mdp.bat_dims)
+    draws = [dq.tolist() for dq in mdp.draw_quanta]
+    strides = np.cumprod([1] + mdp.act_dims[::-1])[::-1][1:].tolist()
+    cost_a = np.ascontiguousarray(mdp.cost_table().T).reshape((n_a,) + tuple(link_dims) + (1,) * m)
+    best = np.full(shape, np.inf)
+    arg = np.zeros(shape, dtype=np.int32)
+
+    def descend(d, a, view):
+        if d == m:
+            incumbent = best[view]
+            ok = cost_a[a] < incumbent
+            np.copyto(incumbent, cost_a[a], where=ok)
+            np.copyto(arg[view], a, where=ok)
+            return
+        for l, q in enumerate(draws[d]):
+            if q < nb:
+                descend(d + 1, a + l * strides[d], view + (slice(q, None),))
+
+    descend(0, 0, (slice(None),) * len(link_dims))
+    return best, arg
+
+
+def ring6(n_levels):
+    """The six-device desk-settings ring of the capacity spot check, at 2 to 4 battery levels."""
+    mdp, _ = capacity_pair(min(n_levels, 3), horizon=2)
+    energy = dataclasses.replace(mdp.energy, b_max=float(n_levels - 1), n_levels=n_levels)
+    return build_mdp(mdp.topo, mdp.radio, energy, mdp.chains, mdp.harvests, mdp.power_levels, 2)
+
+
+TERMINAL_MODELS = {name: (lambda name=name: pinned_instances()[name][0]) for name in PINNED}
+TERMINAL_MODELS.update({
+    "capacity-4": lambda: capacity_family(4)[0],
+    "desk": lambda: desk_scenario(horizon=2).mdp,
+    "ragged": lambda: ragged_line()[0],
+    "ring6-3": lambda: ring6(3),
+    "ring6-4": lambda: ring6(4),
+})
+
+
+def check_terminal_slot(mdp):
+    """The box prefix-min terminal slot equals the tree's values and int32 table bit for bit."""
+    v, arg = mdp_module.bellman_slot(mdp, None)
+    v_ref, arg_ref = tree_terminal_slot(mdp)
+    assert arg.dtype == np.int32 and v.shape == arg.shape == v_ref.shape
+    assert np.array_equal(v, v_ref)
+    assert np.array_equal(arg, arg_ref)
+
+
+def check_draws_rise(mdp):
+    """Fundable levels are a ladder prefix: silence draws nothing and draws never fall."""
+    for dq in mdp.draw_quanta:
+        assert dq[0] == 0 and (np.diff(dq) >= 0).all()
+
+
+@pytest.mark.parametrize("name", sorted(TERMINAL_MODELS))
+def test_terminal_slot_is_the_tree_bit_for_bit(name):
+    mdp = TERMINAL_MODELS[name]()
+    check_draws_rise(mdp)
+    check_terminal_slot(mdp)
+
+
+@pytest.mark.parametrize("high", [2, 3, 6])
+@pytest.mark.parametrize("name", ["desk", "ring6-4", "ragged"])
+def test_terminal_slot_ties_keep_the_lowest_joint_index(name, high):
+    # Integer-valued cost tables tie joint actions everywhere, so a fold that
+    # kept the higher level, or folded devices first to last, picks other actions.
+    mdp = TERMINAL_MODELS[name]()
+    rng = np.random.default_rng(high)
+    mdp.__dict__["_cost_table"] = rng.integers(0, high, mdp.cost_table().shape).astype(float)
+    check_terminal_slot(mdp)
+
+
+def test_shipped_ladders_draw_no_fewer_quanta_as_power_rises():
+    for path in sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json")):
+        check_draws_rise(load_config(path).build_model())
 
 
 @pytest.mark.parametrize("dims", [(2,), (3, 2), (2, 3, 2), (3, 3, 2, 3)])

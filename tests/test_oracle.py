@@ -22,8 +22,9 @@ from ehdfl.instances import oracle_instance, tiny_instances
 from ehdfl.mdp import GlobalState, backward_induction, build_mdp
 from ehdfl.topology import build_topology
 from test_localized import check_localized_cost_tables
-from test_mdp import (check_cost_tables, check_scoped_conditionals, check_scoped_fold,
-                      five_policies, reference_backward_induction)
+from test_mdp import (check_cost_tables, check_draws_rise, check_scoped_conditionals,
+                      check_scoped_fold, check_terminal_slot, five_policies,
+                      reference_backward_induction)
 from test_policy_rows import check_digit_rows
 
 
@@ -182,6 +183,15 @@ def test_pruned_dp_is_bit_identical_to_the_unpruned_tree_on_generated_models(mod
     for t in range(mdp.horizon):
         assert np.array_equal(sol.values[t], values[t])
         assert np.array_equal(sol.tables[t], tables[t])
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_models())
+def test_terminal_slot_is_the_tree_bit_for_bit_on_generated_models(model):
+    # 3-level ladders, levels of zero quanta and levels no battery can fund
+    check_draws_rise(model[0])
+    check_terminal_slot(model[0])
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None,
