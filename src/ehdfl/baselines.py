@@ -57,9 +57,9 @@ class GreedyPolicy:
         return self._hot[np.arange(mdp.m)[:, None], digits[:, mdp.n_links:].T]
 
     def conditionals(self, mdp, t):
-        """Device d's rows read only its battery: (1, ..., nb at axis 1 + d, ..., 1, W)."""
-        hot, m = self._hot, mdp.m
-        return [hot[d].reshape((1,) * (d + 1) + (-1,) + (1,) * (m - 1 - d) + hot.shape[2:])
+        """Device d's rows read only its battery: (1, ..., nb at axis L + d, ..., 1, W)."""
+        hot, L, m = self._hot, mdp.n_links, mdp.m
+        return [hot[d].reshape((1,) * (L + d) + (-1,) + (1,) * (m - 1 - d) + hot.shape[2:])
                 for d in range(m)]
 
     act = sample_act

@@ -337,7 +337,7 @@ def mc_transition_error(mdp, state, levels, *, n_draws: int = 100_000,
     for i in range(mdp.m):
         row = mdp.battery_kernels[i][levels[i], state.batteries[i]]
         bats[:, i] = rng.choice(mdp.energy.n_levels, size=n_draws, p=row)
-    flat = np.ravel_multi_index((*gains.T, *bats.T), mdp.link_dims + mdp.bat_dims)
+    flat = np.ravel_multi_index((*gains.T, *bats.T), mdp.state_shape)
     counts = np.bincount(flat, minlength=mdp.n_states) / n_draws
     worst = 0.0
     for s2, p in model.items():

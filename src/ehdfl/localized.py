@@ -277,7 +277,6 @@ class LocalizedPolicy:
     mdp_signature: str
     defaults: ExtensionDefaults = field(default_factory=ExtensionDefaults)
     _codecs: list = field(default_factory=list, repr=False)
-    _index: list = field(default_factory=list, repr=False)
 
     def codecs(self, mdp):
         """Per device: (digit columns, strides) that ravel its cover's digits (cached)."""
@@ -288,23 +287,6 @@ class LocalizedPolicy:
                 self._codecs.append((np.array(cols, dtype=np.intp), strides))
         return self._codecs
 
-    def local_index(self, mdp):
-        """Per device: its local state index on the canonical state layout (cached).
-
-        Shape (n_channel_cfgs, nb or 1, ..., nb or 1): a battery axis has
-        length nb only for the cover's devices, so the array never spans
-        global states the policy cannot tell apart.
-        """
-        if not self._index:
-            m, nb = mdp.m, mdp.energy.n_levels
-            gains = np.unravel_index(np.arange(mdp.n_channel_cfgs), mdp.link_dims)
-            axes = [g.reshape((-1,) + (1,) * m) for g in gains]
-            axes += [np.arange(nb).reshape((1,) * (d + 1) + (nb,) + (1,) * (m - 1 - d))
-                     for d in range(m)]
-            for cols, strides in self.codecs(mdp):
-                self._index.append(sum(axes[c] * k for c, k in zip(cols, strides)))
-        return self._index
-
     def rows(self, mdp, t: int, digits):
         out = np.zeros((mdp.m, len(digits), max(mdp.act_dims)))
         for i, (tbl, (cols, strides)) in enumerate(zip(self.tables, self.codecs(mdp))):
@@ -312,11 +294,15 @@ class LocalizedPolicy:
         return out
 
     def conditionals(self, mdp, t: int):
-        """Device i's rows over its cover: (n_channel_cfgs, nb on cover devices, W)."""
+        """Device i's table reshaped onto its cover's axes of `state_shape`, length 1 on the
+        others, padded to W. Cover links and devices ascend as the global axes do, so the
+        cover's C-order state index is already that layout: no gather, no transpose."""
         out = []
-        for tbl, idx in zip(self.tables, self.local_index(mdp)):
-            rows = np.zeros(idx.shape + (max(mdp.act_dims),))
-            rows[..., :tbl[t - 1].shape[1]] = tbl[t - 1][idx]
+        for tbl, (cols, _) in zip(self.tables, self.codecs(mdp)):
+            axes = set(cols.tolist())
+            scope = tuple(n if k in axes else 1 for k, n in enumerate(mdp.state_shape))
+            rows = np.zeros(scope + (max(mdp.act_dims),))
+            rows[..., :tbl[t - 1].shape[1]] = tbl[t - 1].reshape(scope + (-1,))
             out.append(rows)
         return out
 

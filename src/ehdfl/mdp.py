@@ -21,8 +21,8 @@ power ladder, zero beyond each device's ladder. Rollouts carry digits and
 sample those rows; `act` (one draw at a flat index) is defined once from them.
 `conditionals(mdp, t)` gives the same rows at every state on each policy's
 own scope: m arrays, each broadcastable to the canonical state layout
-`state_shape + (W,)` = (n_channel_cfgs, nb, ..., nb, W), the flattened link
-digits first and then one axis per battery, with length 1 on every axis the
+`state_shape + (W,)`, one axis per link gain and then one per battery, the
+layout of the solver and of every flat index, with length 1 on every axis the
 device's row does not read. Exact evaluation works on those shapes by
 broadcasting (factored policy evaluation, Koller & Parr, IJCAI 1999): the
 expected cost and the battery mixes are computed only over each scope, and
@@ -123,8 +123,8 @@ class GlobalMdp:
 
     @functools.cached_property
     def state_shape(self) -> tuple[int, ...]:
-        """Canonical state layout: the flattened link digits, then one axis per battery."""
-        return (self.n_channel_cfgs,) + tuple(self.bat_dims)
+        """Canonical state layout: one axis per link gain, then one per battery."""
+        return tuple(self.link_dims + self.bat_dims)
 
     @property
     def n_battery_cfgs(self) -> int:
@@ -153,13 +153,11 @@ class GlobalMdp:
     # ------------------------------------------------------------------
 
     def state_index(self, state: GlobalState) -> int:
-        dims = self.link_dims + self.bat_dims
         coords = list(state.gains) + list(state.batteries)
-        return int(np.ravel_multi_index(coords, dims))
+        return int(np.ravel_multi_index(coords, self.state_shape))
 
     def state_decode(self, idx: int) -> GlobalState:
-        dims = self.link_dims + self.bat_dims
-        coords = np.unravel_index(idx, dims)
+        coords = np.unravel_index(idx, self.state_shape)
         L = self.n_links
         return GlobalState(gains=tuple(int(c) for c in coords[:L]),
                            batteries=tuple(int(c) for c in coords[L:]))
@@ -220,12 +218,6 @@ class GlobalMdp:
                 interf = [(k, self.entity_of(i, k)) for k in self.topo.neighbors[i] if k != j]
                 out.append((i, j, float(self.topo.mixing[i, j]), self.entity_of(i, j), interf))
         return out
-
-    @functools.cached_property
-    def gain_values(self) -> list:
-        """Per link entity: its gain value at every channel configuration, (nc,)."""
-        digits = np.unravel_index(np.arange(self.n_channel_cfgs), self.link_dims)
-        return [chain.levels[g] for chain, g in zip(self.chains, digits)]
 
     def cost_table(self) -> np.ndarray:
         """Expected one-slot cost, shape (n_channel_cfgs, n_actions)."""
@@ -294,12 +286,11 @@ class GlobalMdp:
         size = math.prod(len(b) for b in branches)
         if size > max_support:
             raise BudgetExceeded(f"transition support {size} exceeds {max_support}")
-        dims = self.link_dims + self.bat_dims
         out = {}
         for combo in itertools.product(*branches):
             coords = [c for c, _ in combo]
             prob = float(np.prod([p for _, p in combo]))
-            idx = int(np.ravel_multi_index(coords, dims))
+            idx = int(np.ravel_multi_index(coords, self.state_shape))
             out[idx] = out.get(idx, 0.0) + prob
         return out
 
@@ -459,7 +450,7 @@ def bellman_slot(mdp: GlobalMdp, v_next: np.ndarray | None) -> tuple[np.ndarray,
     share a_0..a_{d-1}, so keeping the lower level on ties keeps the lower index.
     """
     link_dims, m, nb, n_a = mdp.link_dims, mdp.m, mdp.energy.n_levels, mdp.n_actions
-    shape = tuple(link_dims + mdp.bat_dims)
+    shape = mdp.state_shape
     if v_next is None:
         best = mdp.cost_table().reshape((mdp.n_channel_cfgs,) + tuple(mdp.act_dims)).copy()
         arg = np.empty(best.shape, dtype=np.int32)
@@ -545,23 +536,19 @@ def _zero_padded(arrays) -> np.ndarray:
 def sample_act(self, mdp, s_idx: int, t: int, rng=None) -> tuple[int, ...]:
     """Levels at one flat state index, drawn from the policy's rows with rng.random(m).
 
-    One uniform per device, in device order. Without `rng` every device takes
-    its lowest level of positive probability, which for a deterministic
-    policy is its level. The uniforms are drawn even when every row is
-    one-hot, so the generator's stream does not depend on the rows.
+    One uniform per device, in device order, whatever the rows. Without `rng`
+    every device takes its lowest level of positive probability, which for a
+    deterministic policy is its level: the inverse CDF of a one-hot row is the
+    position of its 1.0 for every u.
     """
     u = rng.random((1, mdp.m)) if rng is not None else np.zeros((1, mdp.m))
-    rows = self.rows(mdp, t, np.array([np.unravel_index(s_idx, mdp.link_dims + mdp.bat_dims)]))
-    if np.count_nonzero(rows) == mdp.m == np.count_nonzero(rows == 1.0):
-        # rows sum to 1, so each holds one nonzero entry, 1.0, where the inverse CDF
-        # lands for every u: skip the draw
-        return tuple(rows[:, 0].argmax(1).tolist())
+    rows = self.rows(mdp, t, np.array([np.unravel_index(s_idx, mdp.state_shape)]))
     return tuple(_draw(rows, u, mdp.act_dims)[0].tolist())
 
 
 def table_rows(mdp, table: np.ndarray, digits) -> np.ndarray:
     """One-hot rows of a per-state joint action table at (n, L + m) digits; the only global ravel."""
-    s_idx = np.ravel_multi_index(np.asarray(digits).T, mdp.link_dims + mdp.bat_dims)
+    s_idx = np.ravel_multi_index(np.asarray(digits).T, mdp.state_shape)
     return mdp.action_one_hot.take(table[s_idx], axis=1)
 
 
@@ -596,22 +583,23 @@ def expected_cost_rows(mdp: GlobalMdp, conds) -> np.ndarray:
     `conditionals` returns them, in its first n_levels_d columns, summing to
     1; any columns beyond are zero padding and are not read. The pairwise PER
     expectation factorizes across devices because, given the state, devices
-    draw their levels independently. The survival factors exp(-phi·noise/denom)
-    and exp(-phi·p_k·h_k/denom) depend only on the channel configuration, so
-    they are computed per configuration; each product is formed over the
-    union of its operands' scopes and broadcast into the full output, with
-    the same float operations per state as over the full layout.
+    draw their levels independently. Each link's gain levels lie on its own
+    axis (`on_axis`), as in the cost table, so the survival factors
+    exp(-phi·noise/denom) and exp(-phi·p_k·h_k/denom) span only their links;
+    each product is formed over the union of its operands' scopes and
+    broadcast into the full output, with the same float operations per state
+    as over the full layout.
     """
-    phi, powers, gains = mdp.radio.phi, mdp.power_levels, mdp.gain_values
-    per_cfg = (-1,) + (1,) * mdp.m  # a channel-configuration vector on the state layout
-    out = np.zeros(mdp.state_shape)
+    phi, powers, shape = mdp.radio.phi, mdp.power_levels, mdp.state_shape
+    gains = [on_axis(chain.levels, e, shape) for e, chain in enumerate(mdp.chains)]
+    out = np.zeros(shape)
     for i, j, w, e_own, interf in mdp.ordered_pairs:
         h_own = gains[e_own]
         cond_j = conds[j]
         acc = cond_j[..., 0]  # silent level: guaranteed loss
         for l, pj in enumerate(powers[j][1:], start=1):
             denom = pj * h_own
-            surv = np.exp(-phi * mdp.radio.noise(i) / denom).reshape(per_cfg)
+            surv = np.exp(-phi * mdp.radio.noise(i) / denom)
             for k, e_k in interf:
                 hk = gains[e_k]
                 f = 0.0
@@ -619,8 +607,7 @@ def expected_cost_rows(mdp: GlobalMdp, conds) -> np.ndarray:
                     if pk == 0.0:
                         f = f + conds[k][..., lk]
                     else:
-                        e = np.exp(-phi * pk * hk / denom).reshape(per_cfg)
-                        f = f + conds[k][..., lk] * e
+                        f = f + conds[k][..., lk] * np.exp(-phi * pk * hk / denom)
                 surv = surv * f
             acc = acc + cond_j[..., l] * (1.0 - surv)
         out += w * acc
@@ -635,11 +622,11 @@ def battery_mixes(mdp: GlobalMdp, conds) -> list:
     nb (the kernel reads b_d even where the rows do not) and the next battery
     b' last. One gemm per battery digit b_d.
     """
-    nb = mdp.energy.n_levels
+    L, nb = mdp.n_links, mdp.energy.n_levels
     mixes = []
     for d, kb in enumerate(mdp.battery_kernels):
         cond = conds[d][..., :len(kb)]
-        lead, n_own, tail = cond.shape[:d + 1], cond.shape[d + 1], cond.shape[d + 2:-1]
+        lead, n_own, tail = cond.shape[:L + d], cond.shape[L + d], cond.shape[L + d + 1:-1]
         cond = cond.reshape(math.prod(lead), n_own, math.prod(tail), len(kb))
         mix = np.empty(cond.shape[:1] + (nb,) + cond.shape[2:3] + (nb,))
         for b in range(nb):
@@ -652,16 +639,18 @@ def backward_expectation(mdp: GlobalMdp, v_next: np.ndarray, mixes) -> np.ndarra
     """E[v_next(s') | s] for every state, given the policy's `battery_mixes`.
 
     Contracts the link axes, then folds the next batteries b'_0, ..., b'_{m-1}
-    in turn, each with its device's mix. The running intermediate keeps the
-    state axes (c, b_0, ..., b_{m-1}), at length 1 where no mix folded so far
-    reads them, then the next batteries still to fold, so it is only as wide
-    as the union of the scopes folded so far. Device 0's fold is one gemm
-    per channel configuration; each later fold broadcasts the intermediate
-    and the mix to the union of their scopes and contracts every state's
-    row with einsum. Blocks of channel configurations keep each
-    intermediate at most 2**19 floats.
+    in turn, each with its device's mix, its link axes flattened into one
+    channel axis c (`_flat_links`). The running intermediate keeps the state
+    axes (c, b_0, ..., b_{m-1}), at length 1 where no mix folded so far reads
+    them, then the next batteries still to fold, so it is only as wide as the
+    union of the scopes folded so far. Device 0's fold is one gemm per channel
+    configuration; each later fold broadcasts the intermediate and the mix to
+    the union of their scopes and contracts every state's row with einsum.
+    Blocks of channel configurations keep each intermediate at most 2**19
+    floats.
     """
     nc, nbc, nb, m = mdp.n_channel_cfgs, mdp.n_battery_cfgs, mdp.energy.n_levels, mdp.m
+    mixes = [_flat_links(mdp, mix) for mix in mixes]
     w = v_next.reshape(tuple(mdp.link_dims) + (nbc,))
     for chain in mdp.chains:
         w = contract_leading(w, chain.psi)
@@ -670,7 +659,7 @@ def backward_expectation(mdp: GlobalMdp, v_next: np.ndarray, mixes) -> np.ndarra
     for d, mix in enumerate(mixes):
         scope = tuple(map(max, scope, mix.shape[1:-1]))  # every axis is 1 or full
         width = max(width, math.prod(scope) * nb ** (m - d))
-    out = np.empty(mdp.state_shape)
+    out = np.empty((nc,) + tuple(mdp.bat_dims))
     cb = max(1, 2 ** 19 // width)  # 4 MB blocks: about 20% faster than 16 MB on desk
     for c0 in range(0, nc, cb):
         c1 = min(c0 + cb, nc)
@@ -688,6 +677,15 @@ def backward_expectation(mdp: GlobalMdp, v_next: np.ndarray, mixes) -> np.ndarra
             y = y.reshape(batch + (r,))
         out[c0:c1] = y[..., 0]
     return out.reshape(-1)
+
+
+def _flat_links(mdp: GlobalMdp, x: np.ndarray) -> np.ndarray:
+    """x, on the `state_shape` axes and then trailing axes, with its link axes flattened
+    into one channel axis: a view when x spans every link or none, else a broadcast copy."""
+    links, rest = x.shape[:mdp.n_links], x.shape[mdp.n_links:]
+    if links != tuple(mdp.link_dims) and math.prod(links) > 1:
+        x = _expanded(x, tuple(mdp.link_dims) + rest)
+    return x.reshape((-1,) + rest)
 
 
 def _expanded(x: np.ndarray, shape: tuple) -> np.ndarray:

@@ -18,9 +18,10 @@ from ehdfl.localized import LocalizedPolicy, build_cover, synthesize
 from ehdfl import mdp as mdp_module
 from ehdfl.mdp import (GlobalState, backward_expectation, backward_induction, battery_mixes,
                        build_mdp, contract_leading, evaluate_policy, expected_cost_rows,
-                       load_solution, sample_costs, save_solution, simulate_costs)
+                       load_solution, on_axis, sample_costs, save_solution, simulate_costs)
 from ehdfl.topology import build_topology
-from test_policy_rows import FixedLevelsPolicy, check_digit_rows, ragged_line, state_digits
+from test_policy_rows import (FixedLevelsPolicy, check_digit_rows, former_conditionals,
+                              former_state_shape, ragged_line, state_digits)
 
 
 def state_rows(mdp, conds):
@@ -51,13 +52,48 @@ def propagate(mdp, rho, conds):
     return r.reshape(mdp.n_states)
 
 
+def former_gain_values(mdp):
+    """The former `GlobalMdp.gain_values`: per link, its gain at every channel configuration."""
+    digits = np.unravel_index(np.arange(mdp.n_channel_cfgs), mdp.link_dims)
+    return [chain.levels[g] for chain, g in zip(mdp.chains, digits)]
+
+
+def former_expected_cost_rows(mdp, conds):
+    """The former body: conds broadcastable to `former_state_shape` + (W,), every survival
+    factor computed per channel configuration and reshaped onto the flattened channel axis."""
+    phi, powers, gains = mdp.radio.phi, mdp.power_levels, former_gain_values(mdp)
+    per_cfg = (-1,) + (1,) * mdp.m  # a channel-configuration vector on the state layout
+    out = np.zeros(former_state_shape(mdp))
+    for i, j, w, e_own, interf in mdp.ordered_pairs:
+        h_own = gains[e_own]
+        cond_j = conds[j]
+        acc = cond_j[..., 0]  # silent level: guaranteed loss
+        for l, pj in enumerate(powers[j][1:], start=1):
+            denom = pj * h_own
+            surv = np.exp(-phi * mdp.radio.noise(i) / denom).reshape(per_cfg)
+            for k, e_k in interf:
+                hk = gains[e_k]
+                f = 0.0
+                for lk, pk in enumerate(powers[k]):
+                    if pk == 0.0:
+                        f = f + conds[k][..., lk]
+                    else:
+                        e = np.exp(-phi * pk * hk / denom).reshape(per_cfg)
+                        f = f + conds[k][..., lk] * e
+                surv = surv * f
+            acc = acc + cond_j[..., l] * (1.0 - surv)
+        out += w * acc
+    return out.reshape(-1)
+
+
 def per_state_expected_cost_rows(mdp, conds):
     """Reference body: survival factors recomputed over every state, from (n_states, W) rows."""
     n_s = mdp.n_states
     phi = mdp.radio.phi
+    gain_values = former_gain_values(mdp)
     out = np.zeros(n_s)
     for i, j, w, e_own, interf in mdp.ordered_pairs:
-        h_own = np.repeat(mdp.gain_values[e_own], mdp.n_battery_cfgs)
+        h_own = np.repeat(gain_values[e_own], mdp.n_battery_cfgs)
         cond_j = conds[j]
         acc = cond_j[:, 0].copy()  # silent level: guaranteed loss
         for l in range(1, mdp.act_dims[j]):
@@ -65,7 +101,7 @@ def per_state_expected_cost_rows(mdp, conds):
             denom = pj * h_own
             surv = np.exp(-phi * mdp.radio.noise(i) / denom)
             for k, e_k in interf:
-                hk = np.repeat(mdp.gain_values[e_k], mdp.n_battery_cfgs)
+                hk = np.repeat(gain_values[e_k], mdp.n_battery_cfgs)
                 f = np.zeros(n_s)
                 for lk in range(mdp.act_dims[k]):
                     pk = mdp.power_levels[k][lk]
@@ -257,8 +293,10 @@ def test_index_codec_agrees_with_state_and_action_decode(name):
         covers = [build_cover(mdp, i, hops) for i in range(mdp.m)]
         pol = LocalizedPolicy(hops=hops, gamma=1.0, rounds=0, covers=covers, tables=[],
                               mdp_signature=mdp.signature())
-        views += zip(covers, (np.broadcast_to(idx, mdp.state_shape).reshape(-1)
-                              for idx in pol.local_index(mdp)))
+        views += zip(covers, (state_digits(mdp)[:, cols] @ strides
+                              for cols, strides in pol.codecs(mdp)))
+    gains = [np.broadcast_to(on_axis(chain.levels, e, mdp.state_shape), mdp.state_shape)
+             .reshape(-1) for e, chain in enumerate(mdp.chains)]  # as expected_cost_rows lays them
     feas = action_feasibility(mdp)
     for s in range(mdp.n_states):
         state = mdp.state_decode(s)
@@ -266,7 +304,7 @@ def test_index_codec_agrees_with_state_and_action_decode(name):
             coords = [state.gains[e] for e in cov.links] + [state.batteries[d] for d in cov.devs]
             assert proj[s] == np.ravel_multi_index(coords, cov.state_dims)
         for e, chain in enumerate(mdp.chains):
-            assert mdp.gain_values[e][s // nbc] == chain.levels[state.gains[e]]
+            assert gains[e][s] == chain.levels[state.gains[e]]
         for a in range(mdp.n_actions):
             fits = [mdp.feasible_level_masks[d][l, state.batteries[d]]
                     for d, l in enumerate(mdp.action_decode(a))]
@@ -334,7 +372,7 @@ def former_link_loss_table(radio, receiver, w, p_tx, g_own, interferers):
 
 def former_cost_table(mdp):
     """The former cost table: one per-link table per ordered pair, summed in pair order."""
-    gv = mdp.gain_values
+    gv = former_gain_values(mdp)
     levels = np.unravel_index(np.arange(mdp.n_actions), mdp.act_dims)
     pv = [lv[digit] for lv, digit in zip(mdp.power_levels, levels)]
     cost = np.zeros((mdp.n_channel_cfgs, mdp.n_actions))
@@ -645,14 +683,16 @@ def random_localized(mdp, hops, seed=0):
 
 def scope_shape(mdp, name, pol, d):
     """The state axes device d's conditionals of policy type `name` must span."""
-    m, nb = mdp.m, mdp.energy.n_levels
+    L, m, nb = mdp.n_links, mdp.m, mdp.energy.n_levels
     if name in ("centralized", "myopic"):
         return mdp.state_shape
     if name == "fixed":
-        return (1,) * (m + 1)
+        return (1,) * (L + m)
     if name == "greedy":
-        return (1,) * (d + 1) + (nb,) + (1,) * (m - 1 - d)
-    return (mdp.n_channel_cfgs,) + tuple(nb if j in pol.covers[d].devs else 1 for j in range(m))
+        return (1,) * (L + d) + (nb,) + (1,) * (m - 1 - d)
+    cov = pol.covers[d]
+    return (tuple(n if e in cov.links else 1 for e, n in enumerate(mdp.link_dims))
+            + tuple(nb if j in cov.devs else 1 for j in range(m)))
 
 
 def check_scoped_conditionals(mdp, policies):
@@ -684,6 +724,38 @@ def check_scoped_fold(mdp, policies, seed=0):
             got = backward_expectation(mdp, v_next, mixes)
             ref = per_state_backward_expectation(mdp, v_next, ref_mixes)
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0, err_msg=name)
+
+
+def former_layout_conditionals(mdp, pol, t):
+    """A policy's rows on `former_state_shape`: the former gather for a LocalizedPolicy,
+    else its rows at every state's digits."""
+    if isinstance(pol, LocalizedPolicy):
+        return former_conditionals(pol, mdp, t)
+    return [r.reshape(former_state_shape(mdp) + r.shape[-1:])
+            for r in pol.rows(mdp, t, state_digits(mdp))]
+
+
+def layout_policies(mdp):
+    """`five_policies` and random hops-0 and hops-2 policies: covers over part of the links."""
+    return {**five_policies(mdp), "localized-0": random_localized(mdp, 0, seed=1),
+            "localized-2": random_localized(mdp, 2, seed=2)}
+
+
+def check_former_layout(mdp, policies):
+    """Broadcast to every state, a LocalizedPolicy's conditionals equal the former gather,
+    and every policy's expected_cost_rows equals the former body on the former layout,
+    bit for bit."""
+    for name, pol in policies.items():
+        for t in (1, mdp.horizon):
+            conds = pol.conditionals(mdp, t)
+            former = former_layout_conditionals(mdp, pol, t)
+            if isinstance(pol, LocalizedPolicy):
+                for d, (cond, ref) in enumerate(zip(conds, former)):
+                    full = np.broadcast_to(ref, former_state_shape(mdp) + ref.shape[-1:])
+                    assert np.array_equal(state_rows(mdp, [cond])[0],
+                                          full.reshape(mdp.n_states, -1)), (name, t, d)
+            assert np.array_equal(expected_cost_rows(mdp, conds),
+                                  former_expected_cost_rows(mdp, former)), (name, t)
 
 
 def scoped_case(name):
@@ -1001,3 +1073,10 @@ def test_sizes_do_not_wrap_on_a_64_device_ring():
         backward_induction(mdp)
     with pytest.raises(BudgetExceeded, match=str(2 ** 128 * m * 2)):
         evaluate_policy(mdp, GreedyPolicy(mdp), GlobalState(gains=(0,) * m, batteries=(1,) * m))
+
+
+@pytest.mark.parametrize("name", PINNED + ["capacity-4", "ragged", "desk", "ring6-3"])
+def test_conditionals_and_cost_rows_equal_the_former_layout_at_every_state(name):
+    # desk and ring6-3 at T = 2; the ragged line's 2- and 3-state chains expose a link axis swap
+    mdp = TERMINAL_MODELS[name]()
+    check_former_layout(mdp, layout_policies(mdp))

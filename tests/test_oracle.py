@@ -19,12 +19,12 @@ from ehdfl.channel import ChannelChain, RadioParams
 from ehdfl.energy import EnergyParams, HarvestModel
 from ehdfl.harness import action_feasibility, exhaustive_minimum
 from ehdfl.instances import oracle_instance, tiny_instances
-from ehdfl.mdp import GlobalState, backward_induction, build_mdp
+from ehdfl.mdp import GlobalState, backward_induction, build_mdp, evaluate_policy
 from ehdfl.topology import build_topology
 from test_localized import check_localized_cost_tables
-from test_mdp import (check_cost_tables, check_draws_rise, check_scoped_conditionals,
-                      check_scoped_fold, check_terminal_slot, five_policies,
-                      reference_backward_induction)
+from test_mdp import (check_cost_tables, check_draws_rise, check_former_layout,
+                      check_scoped_conditionals, check_scoped_fold, check_terminal_slot,
+                      five_policies, layout_policies, reference_backward_induction)
 from test_policy_rows import check_digit_rows
 
 
@@ -208,6 +208,27 @@ def test_scoped_conditionals_broadcast_to_the_rows_on_generated_models(model):
 def test_scoped_fold_matches_the_per_state_reference_on_generated_models(model):
     mdp, _ = model
     check_scoped_fold(mdp, five_policies(mdp))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_models())
+def test_conditionals_and_cost_rows_equal_the_former_layout_on_generated_models(model):
+    mdp, _ = model
+    check_former_layout(mdp, layout_policies(mdp))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_models())
+def test_evaluating_the_solution_policy_gives_the_solution_values_on_generated_models(model):
+    # the full-scope path of exact evaluation, at every state
+    mdp, _ = model
+    sol = backward_induction(mdp)
+    pol = sol.as_policy()
+    for s in range(mdp.n_states):
+        ref = sol.values[0][s]
+        assert abs(evaluate_policy(mdp, pol, s) - ref) <= 1e-12 * ref, s
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None,

@@ -38,7 +38,7 @@ class FixedLevelsPolicy:
 
     def conditionals(self, mdp, t):
         """Rows that read no state: length 1 on every state axis."""
-        return self.rows(mdp, t, [0]).reshape((mdp.m,) + (1,) * (mdp.m + 1) + (-1,))
+        return self.rows(mdp, t, [0]).reshape((mdp.m,) + (1,) * len(mdp.state_shape) + (-1,))
 
     act = sample_act
 
@@ -47,6 +47,12 @@ def state_digits(mdp, s_idx=None):
     """(n, L + m) state digits of flat state indices, every state by default."""
     s_idx = np.arange(mdp.n_states) if s_idx is None else np.asarray(s_idx)
     return np.stack(np.unravel_index(s_idx, mdp.link_dims + mdp.bat_dims), axis=-1)
+
+
+def former_state_shape(mdp):
+    """The former canonical layout: every link flattened into one channel axis, then one
+    axis per battery. It ravels to the same flat state index as `state_shape`."""
+    return (mdp.n_channel_cfgs,) + tuple(mdp.bat_dims)
 
 
 # Former index-based `rows` bodies: (policy, mdp, t, flat state indices) -> (m, n, W).
@@ -75,7 +81,7 @@ def fixed_rows(pol, mdp, t, s_idx):
 
 
 def former_local_index(pol, mdp):
-    """Per device: its local state index on the canonical layout, by np.ravel_multi_index."""
+    """Per device: its local state index on the former layout, by np.ravel_multi_index."""
     m, nb = mdp.m, mdp.energy.n_levels
     gains = np.unravel_index(np.arange(mdp.n_channel_cfgs), mdp.link_dims)
     out = []
@@ -87,8 +93,19 @@ def former_local_index(pol, mdp):
     return out
 
 
+def former_conditionals(pol, mdp, t):
+    """The former gather: device i's rows over its cover on the former layout,
+    (n_channel_cfgs, nb on cover devices, W)."""
+    out = []
+    for tbl, idx in zip(pol.tables, former_local_index(pol, mdp)):
+        rows = np.zeros(idx.shape + (max(mdp.act_dims),))
+        rows[..., :tbl[t - 1].shape[1]] = tbl[t - 1][idx]
+        out.append(rows)
+    return out
+
+
 def localized_rows(pol, mdp, t, s_idx):
-    digits = np.unravel_index(s_idx, mdp.state_shape)
+    digits = np.unravel_index(s_idx, former_state_shape(mdp))
     out = np.zeros((mdp.m, len(s_idx), max(mdp.act_dims)))
     for i, (tbl, idx) in enumerate(zip(pol.tables, former_local_index(pol, mdp))):
         local = idx[tuple(dg if n > 1 else 0 for dg, n in zip(digits, idx.shape))]
@@ -109,9 +126,6 @@ def check_digit_rows(mdp, pols):
             rows = pol.rows(mdp, t, digits)
             assert rows.dtype == np.float64, name
             assert np.array_equal(rows, INDEX_ROWS[name](pol, mdp, t, s_idx)), (name, t)
-        if name == "localized":
-            for idx, ref in zip(pol.local_index(mdp), former_local_index(pol, mdp)):
-                assert idx.shape == ref.shape and np.array_equal(idx, ref)
 
 
 def centralized_act(pol, mdp, s_idx, t, rng=None):
