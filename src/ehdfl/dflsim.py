@@ -54,11 +54,6 @@ def apply_gossip(models, deltas, beta, zeta, mixing, neighbors):
     return out
 
 
-METRICS_HEADER = ("slot", "grad_norm_sq_avg_model", "consensus", "global_loss",
-                  "device_loss", "opt_gap", "energy_spent_total", "packets_sent",
-                  "packets_dropped")
-
-
 @dataclass
 class DflRun:
     """Trajectory record of the seeds of one `run_training` call.
@@ -91,20 +86,6 @@ class DflRun:
     def __getitem__(self, k: int) -> DflRun:
         return DflRun(self.horizon, self.m,
                       *(getattr(self, f.name)[k] for f in fields(self)[2:]))
-
-    def time_avg_grad_sq(self) -> float:
-        return float(np.mean(self.grad_norm_sq))
-
-    def csv_rows(self):
-        """Yield (header, rows) for the per-slot metrics file of a one-seed record."""
-        header = list(METRICS_HEADER)
-        rows = []
-        for t in range(self.horizon):
-            rows.append([t + 1, self.grad_norm_sq[t], self.consensus[t],
-                         self.global_loss[t], self.device_loss[t], self.opt_gap[t],
-                         self.energy_spent[t], int(self.packets_sent[t]),
-                         int(self.packets_dropped[t])])
-        return header, rows
 
 
 def run_training(mdp: GlobalMdp, task, policy, *, seeds, eta: float,

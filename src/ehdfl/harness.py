@@ -19,13 +19,17 @@ import numpy as np
 from .baselines import GreedyPolicy
 from .boundlab import contraction_study
 from .config import ExperimentConfig
-from .dflsim import METRICS_HEADER, convergence_bound, run_training
+from .dflsim import DflRun, convergence_bound, run_training
 from .errors import BudgetExceeded, ConfigError
 from .localized import save_localized
 from .mdp import (GlobalState, backward_induction, check_eval_budget, evaluate_policy,
                   save_solution, simulate_costs)
 
-# Header line of every CSV the harness writes; metrics_seed<s>.csv takes dflsim.METRICS_HEADER.
+# Header line of each metrics_seed<s>.csv, one row per slot of that seed's training record.
+METRICS_HEADER = ("slot", "grad_norm_sq_avg_model", "consensus", "global_loss",
+                  "device_loss", "opt_gap", "energy_spent_total", "packets_sent",
+                  "packets_dropped")
+# Header line of every other CSV the harness writes.
 HEADERS = {
     "solve_summary.csv": ("policy", "n_states", "n_actions", "horizon", "expected_cost"),
     "evaluate.csv": ("policy", "expected_cost", "mc_mean", "mc_stderr", "mc_samples",
@@ -83,32 +87,17 @@ def _pool_map(fn, tasks, jobs: int):
 # ---------------------------------------------------------------------------
 
 def _train_worker(args):
-    """One result per seed of a chunk, from one lockstep `run_training` call."""
+    """One chunk's record, from one lockstep `run_training` call."""
     mdp, task, policy, seeds, eta, s1 = args
-    lockstep = run_training(mdp, task, policy, seeds=seeds, eta=eta, s1=s1)
-    return [_seed_result(seed, lockstep[k]) for k, seed in enumerate(seeds)]
+    return run_training(mdp, task, policy, seeds=seeds, eta=eta, s1=s1)
 
 
-def _seed_result(seed, run) -> dict:
-    header, rows = run.csv_rows()
-    return {
-        "seed": seed, "header": header, "rows": rows,
-        "final_global": float(run.global_loss[-1]),
-        "final_device": float(run.device_loss[-1]),
-        "final_consensus": float(run.consensus[-1]),
-        "final_opt_gap": float(run.opt_gap[-1]),
-        "energy": float(run.energy_spent.sum()),
-        "sent": int(run.packets_sent.sum()),
-        "dropped": int(run.packets_dropped.sum()),
-        "time_avg_grad": float(run.time_avg_grad_sq()) if run.horizon else 0.0,
-    }
-
-
-def _train_seeds(config: ExperimentConfig, mdp, policy, s1, jobs: int) -> list:
-    """One result per config seed, on the config's task and step size, in seed order.
+def _train_seeds(config: ExperimentConfig, mdp, policy, s1, jobs: int) -> DflRun:
+    """One `DflRun` over the config seeds, on the config's task and step size, in seed order.
 
     `jobs` splits the seeds into that many contiguous chunks, one `_train_worker`
-    call each; a seed's record does not depend on the chunk it runs in.
+    call each, whose records are joined along the seed axis in chunk order; a
+    seed's record does not depend on the chunk it runs in.
     """
     task = config.build_task()
     eta = config.step_size(task)
@@ -116,7 +105,11 @@ def _train_seeds(config: ExperimentConfig, mdp, policy, s1, jobs: int) -> list:
     n = max(1, min(jobs, len(seeds)))
     chunks = [seeds[k * len(seeds) // n:(k + 1) * len(seeds) // n] for k in range(n)]
     parts = _pool_map(_train_worker, [(mdp, task, policy, c, eta, s1) for c in chunks], jobs)
-    return [res for part in parts for res in part]
+    if len(parts) == 1:
+        return parts[0]
+    return dataclasses.replace(parts[0], **{
+        f.name: np.concatenate([getattr(p, f.name) for p in parts])
+        for f in dataclasses.fields(DflRun)[2:]})
 
 
 def _mc_worker(args):
@@ -125,14 +118,12 @@ def _mc_worker(args):
 
 
 def _mean_stderr(vals) -> tuple[float, float]:
-    """Mean and population standard error, std(ddof=0) / sqrt(n); (mean, 0) for n <= 1.
+    """Mean and population standard error, std(ddof=0) / sqrt(n); (mean, 0.0) for one value.
 
     The `stderr` columns of summary.csv, evaluate.csv (mc_stderr over seed
     means), final_vs_battery.csv and hops_table.csv all use this estimator.
     """
     arr = np.asarray(vals, dtype=float)
-    if arr.size <= 1:
-        return float(arr.mean()) if arr.size else 0.0, 0.0
     return float(arr.mean()), float(arr.std(ddof=0) / np.sqrt(arr.size))
 
 
@@ -216,33 +207,26 @@ def _run_train(config: ExperimentConfig, out: Path, jobs: int,
     name = policy_name or config.policy_name
     mdp = config.build_model()
     s1 = config.start_state(mdp)
-    results = _train_seeds(config, mdp, config.build_policy(mdp, name), s1, jobs)
-    for res in results:
-        write_csv(out / f"metrics_seed{res['seed']}.csv", res["header"], res["rows"],
+    run = _train_seeds(config, mdp, config.build_policy(mdp, name), s1, jobs)
+    T = run.horizon
+    for k, seed in enumerate(config.seeds):
+        write_csv(out / f"metrics_seed{seed}.csv", METRICS_HEADER,
+                  zip(range(1, T + 1), run.grad_norm_sq[k], run.consensus[k, :T],
+                      run.global_loss[k, :T], run.device_loss[k, :T], run.opt_gap[k, :T],
+                      run.energy_spent[k], run.packets_sent[k], run.packets_dropped[k]),
                   config.hash)
-    final_rows = []
-    for key in ("final_global", "final_device", "final_consensus", "final_opt_gap",
-                "energy", "sent", "dropped", "time_avg_grad"):
-        mean, se = _mean_stderr([r[key] for r in results])
-        final_rows.append([key, mean, se, len(results)])
-    _emit(out, "summary.csv", final_rows, config.hash)
-    _write_slot_means(config, out, results)
-
-
-def _write_slot_means(config: ExperimentConfig, out: Path, results) -> None:
-    """Plot data: per-slot metric means across seeds for the trained policy."""
-    rows = []
-    if results and results[0]["rows"]:
-        header = results[0]["header"]
-        cols = {h: k for k, h in enumerate(header)}
-        n_slots = len(results[0]["rows"])
-        for t in range(n_slots):
-            row = [t + 1]
-            for metric in ("global_loss", "device_loss", "consensus",
-                           "grad_norm_sq_avg_model"):
-                row.append(float(np.mean([r["rows"][t][cols[metric]] for r in results])))
-            rows.append(row)
-    _emit(out, "metric_vs_slots.csv", rows, config.hash)
+    # Statistics over seeds reduce one 1-D column at a time: mean(axis=0) adds in another order.
+    finals = {"final_global": run.global_loss[:, -1], "final_device": run.device_loss[:, -1],
+              "final_consensus": run.consensus[:, -1], "final_opt_gap": run.opt_gap[:, -1],
+              "energy": run.energy_spent.sum(axis=1), "sent": run.packets_sent.sum(axis=1),
+              "dropped": run.packets_dropped.sum(axis=1),
+              "time_avg_grad": run.grad_norm_sq.mean(axis=1)}
+    _emit(out, "summary.csv", [[key, *_mean_stderr(col), len(col)] for key, col in finals.items()],
+          config.hash)
+    slot_cols = (run.global_loss, run.device_loss, run.consensus, run.grad_norm_sq)
+    _emit(out, "metric_vs_slots.csv",
+          [[t + 1, *(float(np.mean(col[:, t])) for col in slot_cols)] for t in range(T)],
+          config.hash)
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +278,8 @@ def _sweep_capacity(config: ExperimentConfig, out: Path, values, jobs: int) -> N
         j_star = sol.expected_cost(s1)
         loss_mean, loss_se = "", ""
         if config.sweep_train:
-            results = _train_seeds(config, mdp, config.build_policy(mdp), s1, jobs)
-            loss_mean, loss_se = _mean_stderr([r["final_device"] for r in results])
+            run = _train_seeds(config, mdp, config.build_policy(mdp), s1, jobs)
+            loss_mean, loss_se = _mean_stderr(run.device_loss[:, -1])
         rows.append([n_levels, mdp.energy.b_max, j_star, loss_mean, loss_se])
     _emit(out, "final_vs_battery.csv", rows, config.hash)
 
@@ -308,9 +292,9 @@ def _sweep_hops(config: ExperimentConfig, out: Path, values, jobs: int) -> None:
     for hops in values:
         policy = config.build_policy(mdp, "decentralized_pi", hops=hops)
         j = evaluate_policy(mdp, policy, s1, budget=config.budget)
-        results = _train_seeds(config, mdp, policy, s1, jobs)
-        loss_mean, loss_se = _mean_stderr([r["final_device"] for r in results])
-        rows.append([hops, j, loss_mean, loss_se, len(results)])
+        run = _train_seeds(config, mdp, policy, s1, jobs)
+        loss_mean, loss_se = _mean_stderr(run.device_loss[:, -1])
+        rows.append([hops, j, loss_mean, loss_se, len(config.seeds)])
     _emit(out, "hops_table.csv", rows, config.hash)
 
 

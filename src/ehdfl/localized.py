@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceeded
-from .mdp import (contract_leading, link_loss_table, load_artifact, on_axis, sample_act,
-                  save_artifact)
+from .mdp import (contract_leading, count_text, link_loss_table, load_artifact, on_axis,
+                  sample_act, save_artifact)
 from .topology import k_hop_set
 
 
@@ -132,8 +132,8 @@ class _SynthContext:
         self.covers = [build_cover(mdp, i, hops) for i in range(mdp.m)]
         for cov in self.covers:
             if cov.n_states * cov.n_actions > table_budget:
-                raise BudgetExceeded(
-                    f"cover of device {cov.owner} needs {cov.n_states}x{cov.n_actions} table entries")
+                raise BudgetExceeded(f"cover of device {cov.owner} needs {count_text(cov.n_states)}"
+                                     f"x{count_text(cov.n_actions)} table entries")
         self.cost_tables = [localized_cost_table(mdp, c, defaults) for c in self.covers]
         self.views = [{j: _digit_view(ci, self.covers[j], defaults, True) for j in ci.devs}
                       for ci in self.covers]
@@ -152,24 +152,21 @@ class _SynthContext:
 def _digit_view(ci: Cover, cj: Cover, defaults: ExtensionDefaults, actions: bool):
     """View recipe of a cover-j table on cover i's digit axes (see _SynthContext).
 
-    Digits i lacks are fixed at the extension default by basic indexing, the rest
-    transposed into i's order, and i's digits j lacks inserted as new axes. With
-    actions=True the table is a Q table (gain digits, then action digits); with
-    actions=False a policy table (state digits, then device j's levels last).
+    Digits i lacks are fixed at the extension default by basic indexing, and i's
+    digits j lacks are inserted as new axes. Both covers list links and devices
+    ascending, so the digits j keeps are already in i's order. With actions=True
+    the table is a Q table (gain digits, then action digits); with actions=False
+    a policy table (state digits, then device j's levels last).
     """
-    def keys(c):
-        if actions:
-            return [("l", e) for e in c.links] + [("a", d) for d in c.devs]
-        return [("l", e) for e in c.links] + [("b", d) for d in c.devs] + [("levels", None)]
-
-    ki, kj = keys(ci), keys(cj)
-    fill = {"l": defaults.gain, "b": defaults.battery, "a": defaults.level}
+    for own, other in ((ci.link_pos, cj.link_pos), (ci.dev_pos, cj.dev_pos)):
+        assert [x for x in other if x in own] == [x for x in own if x in other]
+    fill = defaults.level if actions else defaults.battery
+    index = (tuple(slice(None) if e in ci.link_pos else defaults.gain for e in cj.links)
+             + tuple(slice(None) if d in ci.dev_pos else fill for d in cj.devs))
+    expand = (tuple(slice(None) if e in cj.link_pos else None for e in ci.links)
+              + tuple(slice(None) if d in cj.dev_pos else None for d in ci.devs))
     shape = cj.link_dims + cj.act_dims if actions else cj.state_dims + (-1,)
-    index = tuple(slice(None) if k in ki else fill[k[0]] for k in kj)
-    kept = [k for k in kj if k in ki]
-    perm = [kept.index(k) for k in ki if k in kept]
-    expand = tuple(slice(None) if k in kept else None for k in ki)
-    return lambda tbl: tbl.reshape(shape)[index].transpose(perm)[expand]
+    return lambda tbl: tbl.reshape(shape)[index][expand]
 
 
 def extension_state_map(ci: Cover, cj: Cover, defaults: ExtensionDefaults) -> np.ndarray:

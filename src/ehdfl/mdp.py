@@ -91,11 +91,13 @@ class GlobalMdp:
         self.chains = link_chains(self.chains, len(self.entities))
         if len(self.harvests) != m or len(self.power_levels) != m:
             raise ValueError("need one harvest model and one power ladder per device")
-        for chain in self.chains:
+        for chain in {id(c): c for c in self.chains}.values():  # a shared chain once
             chain.validate()
         self._entity_index = {e: k for k, e in enumerate(self.entities)}
         self.power_levels = [power_ladder(lv) for lv in self.power_levels]
-        self.harvest_quanta = [hv.quanta(self.energy)[0] for hv in self.harvests]
+        distinct = {id(hv): hv for hv in self.harvests}  # and a shared harvest snapped once
+        snapped = {k: hv.quanta(self.energy)[0] for k, hv in distinct.items()}
+        self.harvest_quanta = [snapped[id(hv)] for hv in self.harvests]
 
     @property
     def m(self) -> int:
@@ -285,7 +287,7 @@ class GlobalMdp:
             branches.append([(b, row[b]) for b in np.nonzero(row)[0]])
         size = math.prod(len(b) for b in branches)
         if size > max_support:
-            raise BudgetExceeded(f"transition support {size} exceeds {max_support}")
+            raise BudgetExceeded(f"transition support {count_text(size)} exceeds {max_support}")
         out = {}
         for combo in itertools.product(*branches):
             coords = [c for c, _ in combo]
@@ -422,12 +424,18 @@ def contract_leading(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return np.dot(x.reshape(x.shape[0], -1).T, mat.T).reshape(x.shape[1:] + (mat.shape[0],))
 
 
+def count_text(n: int) -> str:
+    """A count for a message: its digits up to 100 of them, else the power of two at or
+    below it, so a size past Python's int-to-str digit limit still prints."""
+    return str(n) if n < 10 ** 100 else f"at least 2^{n.bit_length() - 1}"
+
+
 def check_dp_budget(mdp: GlobalMdp, budget: int) -> None:
     """Raise BudgetExceeded when one slot of the DP, n_states * n_actions, exceeds budget."""
     size = mdp.n_states * mdp.n_actions
     if size > budget:
         raise BudgetExceeded(
-            f"state-action product {size} exceeds budget {budget}; "
+            f"state-action product {count_text(size)} exceeds budget {count_text(budget)}; "
             "raise the budget explicitly if this size is intended")
 
 
@@ -702,8 +710,8 @@ def check_eval_budget(mdp: GlobalMdp, budget: int) -> None:
     size = mdp.n_states * mdp.m * max(mdp.act_dims)
     if size > budget:
         raise BudgetExceeded(
-            f"exact evaluation needs {size} level-row entries (states x devices x levels), "
-            f"over the budget {budget}")
+            f"exact evaluation needs {count_text(size)} level-row entries "
+            f"(states x devices x levels), over the budget {count_text(budget)}")
 
 
 def evaluate_policy(mdp: GlobalMdp, policy, s1, *, budget: int = DEFAULT_BUDGET) -> float:

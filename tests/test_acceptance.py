@@ -183,7 +183,7 @@ def test_c07_measured_rate_never_exceeds_the_certificate(report):
     for r in runs:
         bound = convergence_bound(consts, lam, m, horizon, float(r.opt_gap[0]),
                                   r.beta, r.per, mdp.topo.mixing)
-        margins.append(bound.total - r.time_avg_grad_sq())
+        margins.append(bound.total - float(np.mean(r.grad_norm_sq)))
         all_participate = all_participate and bool((r.beta == 1).all())
 
     lossless = run_training(mdp, task, GreedyPolicy(mdp), seeds=[0], eta=eta,

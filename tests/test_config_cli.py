@@ -1,4 +1,5 @@
 """Config validation, canonical hashing, and the command-line front end."""
+import dataclasses
 import json
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ehdfl import harness
 from ehdfl.config import _stationary, canonical_hash, load_config, parse_config
 from ehdfl.errors import ConfigError
 from ehdfl.harness import _train_seeds, run_experiment
@@ -434,9 +436,25 @@ def test_train_seeds_are_identical_across_jobs(policy):
     mdp = cfg.build_model()
     pol, s1 = cfg.build_policy(mdp), cfg.start_state(mdp)
     one, two = (_train_seeds(cfg, mdp, pol, s1, jobs) for jobs in (1, 2))
-    assert [r["seed"] for r in one] == seeds
-    assert one == two
-    assert one[1] == one[3]
+    assert one.global_loss.shape[0] == len(seeds)
+    for f in dataclasses.fields(one)[2:]:
+        a, b = getattr(one, f.name), getattr(two, f.name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+        assert np.array_equal(a[1], a[3]), f.name
+
+
+def test_train_seeds_returns_the_one_chunk_record_itself(monkeypatch):
+    made, original = [], harness.run_training
+
+    def run_training(*args, **kwargs):
+        made.append(original(*args, **kwargs))
+        return made[-1]
+
+    cfg = parse_config(base_raw(seeds=[3, 5], horizon=2))
+    mdp = cfg.build_model()
+    monkeypatch.setattr(harness, "run_training", run_training)
+    run = _train_seeds(cfg, mdp, cfg.build_policy(mdp, "greedy"), cfg.start_state(mdp), 1)
+    assert len(made) == 1 and run is made[0]
 
 
 @pytest.mark.parametrize("policy", ["greedy", "decentralized_pi"])
@@ -473,6 +491,23 @@ def test_size_ladder_exits_0_or_quickly_3_and_trains_a_64_device_ring(tmp_path):
                 codes[m, kind, name] = code
     assert codes[64, "train", "greedy"] == codes[64, "train", "decentralized_pi"] == 0
     assert codes[9, "evaluate", "greedy"] == 0
+
+
+def test_budget_messages_past_the_int_digit_limit_exit_3_quickly(tmp_path, capsys):
+    # 8^m state-action pairs and 4^m * 2m row entries: past Python's 4,300-digit
+    # int-to-str limit from m of about 4,800 and 7,100.
+    from ehdfl.cli import main
+    raw = json.loads(DESK8.read_text())
+    del raw["s1"]
+    for m, args in ((5_000, ["solve", "--policy", "centralized_pi"]), (20_000, ["evaluate"])):
+        raw["topology"] = {"kind": "ring", "m": m}
+        cfg = _write(tmp_path, raw, f"ring{m}.json")
+        start = time.perf_counter()
+        assert main(args + ["--config", str(cfg), "--out", str(tmp_path / str(m))]) == 3
+        assert time.perf_counter() - start < 2.0, m
+        err = capsys.readouterr().err
+        assert "2^" in err, err
+        assert len(err) < 200, err
 
 
 def test_oversized_exact_evaluation_is_refused_before_any_synthesis(tmp_path, monkeypatch):

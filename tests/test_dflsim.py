@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 from ehdfl.baselines import GreedyPolicy
-from ehdfl.channel import packet_error_rate
-from ehdfl.dflsim import (METRICS_HEADER, DflRun, convergence_bound, local_sgd,
-                          run_training)
-from ehdfl.energy import battery_step
+from ehdfl.channel import ChannelChain, RadioParams, packet_error_rate
+from ehdfl.dflsim import DflRun, convergence_bound, local_sgd, run_training
+from ehdfl.energy import EnergyParams, HarvestModel, battery_step
 from ehdfl.instances import fullinfo_instance, tiny_instances
 from ehdfl.learning import LearnConsts, QuadraticTask, make_logistic_task, make_quadratic_task
-from ehdfl.mdp import GlobalState
+from ehdfl.mdp import GlobalState, build_mdp
+from ehdfl.topology import build_topology
 
 
 class FormerTask:
@@ -370,9 +370,6 @@ def test_zero_horizon_records_only_the_initial_point(tiny_a, task3):
     assert run.global_loss.shape == (1,)
     assert run.global_loss[0] == pytest.approx(task3.global_loss(np.zeros(task3.dim)))
     assert run.grad_norm_sq.shape == (0,)
-    header, rows = run.csv_rows()
-    assert header == list(METRICS_HEADER)
-    assert rows == []
 
 
 def test_bookkeeping_matches_the_model(tiny_a, task3):
@@ -415,6 +412,48 @@ def test_bookkeeping_matches_the_model(tiny_a, task3):
     for t in range(run.horizon):
         g = task3.global_grad(run.wbar[t])
         assert run.grad_norm_sq[t] == pytest.approx(float(g @ g), rel=1e-12)
+
+
+class UniformFeasiblePolicy:
+    """Every level the battery funds, equally likely, so every (battery, level) cell is visited."""
+
+    def rows(self, mdp, t, digits):
+        b = digits[:, mdp.n_links:]
+        feas = np.stack([mdp.feasible_level_masks[i][:, b[:, i]].T for i in range(mdp.m)])
+        return feas / feas.sum(axis=-1, keepdims=True)
+
+
+def test_recorded_battery_steps_follow_the_mdp_battery_kernels():
+    # Four battery levels, a level drawing each of 0-3 quanta and a three-point harvest,
+    # so a wrong spend or harvest moves a transition off its kernel row's support.
+    m = 5
+    energy = EnergyParams(k_steps=1, cpu_freq=1.0, cycles_per_sample=0.0, batch_size=1,
+                          tau=1.0, b_max=3.0, n_levels=4)
+    chain = ChannelChain(levels=np.array([0.05, 2.5]), steady=np.array([0.5, 0.5]),
+                         psi=np.array([[0.8, 0.2], [0.2, 0.8]]))
+    harvest = HarvestModel(support=np.array([0.0, 1.0, 2.0]), probs=np.array([0.5, 0.3, 0.2]))
+    mdp = build_mdp(build_topology("ring", m), RadioParams(0.5, (0.3,) * m, 1.0), energy,
+                    chain, harvest, power_levels=[0.0, 1.0, 2.0, 3.0], horizon=60)
+    assert [d.tolist() for d in mdp.draw_quanta] == [[0, 1, 2, 3]] * m
+    run = run_training(mdp, make_quadratic_task(m, 4, 8, seed=1), UniformFeasiblePolicy(),
+                       seeds=list(range(40)), eta=0.05)
+    quanta = np.rint(run.batteries / energy.quantum).astype(int)
+    assert np.array_equal(quanta * energy.quantum, run.batteries)
+    b, b_next = quanta[:, :-1].ravel(), quanta[:, 1:].ravel()
+    level = run.actions.ravel()
+    kernel = mdp.battery_kernels[0]
+    assert all(np.array_equal(k, kernel) for k in mdp.battery_kernels)
+    assert mdp.feasible_level_masks[0][level, b].all()
+    assert (kernel[level, b, b_next] > 0).all()
+
+    counts = np.zeros(kernel.shape)
+    np.add.at(counts, (level, b, b_next), 1)
+    n = counts.sum(axis=-1)
+    checked = n >= 200
+    assert checked.sum() >= 6
+    p, freq = kernel[checked], counts[checked] / n[checked][:, None]
+    se = np.sqrt(p * (1 - p) / n[checked][:, None])
+    assert (np.abs(freq - p) <= 5 * se + 1e-12).all()
 
 
 # ---------------------------------------------------------------------------

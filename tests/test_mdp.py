@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ehdfl.baselines import GreedyPolicy, MyopicCentralPolicy
-from ehdfl.channel import RadioParams
+from ehdfl.channel import ChannelChain, RadioParams
 from ehdfl.config import load_config
 from ehdfl.energy import EnergyParams, HarvestModel
 from ehdfl.errors import BudgetExceeded, CausalityViolation
@@ -1080,3 +1080,29 @@ def test_conditionals_and_cost_rows_equal_the_former_layout_at_every_state(name)
     # desk and ring6-3 at T = 2; the ragged line's 2- and 3-state chains expose a link axis swap
     mdp = TERMINAL_MODELS[name]()
     check_former_layout(mdp, layout_policies(mdp))
+
+
+def test_budget_counts_print_their_digits_then_a_power_of_two():
+    assert mdp_module.count_text(10 ** 100 - 1) == "9" * 100
+    assert mdp_module.count_text(2 ** 400) == "at least 2^400"
+    assert mdp_module.count_text(3 * 8 ** 5000) == "at least 2^15001"
+
+
+def test_a_shared_chain_is_validated_once_and_a_shared_harvest_snapped_once(monkeypatch):
+    mdp = desk_scenario(horizon=2).mdp
+    calls = []
+    validate, quanta = ChannelChain.validate, HarvestModel.quanta
+    monkeypatch.setattr(ChannelChain, "validate",
+                        lambda self: calls.append("validate") or validate(self))
+    monkeypatch.setattr(HarvestModel, "quanta",
+                        lambda self, params: calls.append("quanta") or quanta(self, params))
+    again = dataclasses.replace(mdp)
+    assert sorted(calls) == ["quanta", "validate"]
+    assert len({id(c) for c in again.chains}) == 1 and len(again.chains) == 8
+    for got, want in zip(again.harvest_quanta, mdp.harvest_quanta):
+        assert np.array_equal(got, want)
+    assert all(np.array_equal(k1, k2) for k1, k2 in zip(again.battery_kernels,
+                                                         mdp.battery_kernels))
+    bad = dataclasses.replace(mdp.chains[0], psi=np.array([[0.8, 0.3], [0.2, 0.8]]))
+    with pytest.raises(ValueError, match="psi rows must sum to 1"):
+        dataclasses.replace(mdp, chains=[mdp.chains[0]] * 4 + [bad] * 4)
