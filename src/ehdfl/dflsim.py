@@ -64,7 +64,6 @@ class DflRun:
     """
 
     horizon: int
-    m: int
     wbar: np.ndarray           # (S, T+1, d) average model at slot starts, then final
     consensus: np.ndarray      # (S, T+1) sum_i ||w_i - wbar||^2
     grad_norm_sq: np.ndarray   # (S, T) ||grad F(wbar_t)||^2 at slot starts
@@ -84,8 +83,7 @@ class DflRun:
     deltas: np.ndarray         # (S, T, m, d) local updates if recorded, else (S, 0, m, d)
 
     def __getitem__(self, k: int) -> DflRun:
-        return DflRun(self.horizon, self.m,
-                      *(getattr(self, f.name)[k] for f in fields(self)[2:]))
+        return DflRun(self.horizon, *(getattr(self, f.name)[k] for f in fields(self)[1:]))
 
 
 def run_training(mdp: GlobalMdp, task, policy, *, seeds, eta: float,
@@ -137,7 +135,7 @@ def run_training(mdp: GlobalMdp, task, policy, *, seeds, eta: float,
     recorded = horizon if record_models else 0
 
     rec = DflRun(
-        horizon=horizon, m=m,
+        horizon=horizon,
         wbar=np.zeros((n_seeds, horizon + 1, d)),
         consensus=np.zeros((n_seeds, horizon + 1)),
         grad_norm_sq=np.zeros((n_seeds, horizon)),

@@ -22,8 +22,8 @@ from .config import ExperimentConfig
 from .dflsim import DflRun, convergence_bound, run_training
 from .errors import BudgetExceeded, ConfigError
 from .localized import save_localized
-from .mdp import (GlobalState, backward_induction, check_eval_budget, evaluate_policy,
-                  save_solution, simulate_costs)
+from .mdp import (GlobalState, backward_induction, check_eval_budget, count_text,
+                  evaluate_policy, save_solution, simulate_costs)
 
 # Header line of each metrics_seed<s>.csv, one row per slot of that seed's training record.
 METRICS_HEADER = ("slot", "grad_norm_sq_avg_model", "consensus", "global_loss",
@@ -109,7 +109,7 @@ def _train_seeds(config: ExperimentConfig, mdp, policy, s1, jobs: int) -> DflRun
         return parts[0]
     return dataclasses.replace(parts[0], **{
         f.name: np.concatenate([getattr(p, f.name) for p in parts])
-        for f in dataclasses.fields(DflRun)[2:]})
+        for f in dataclasses.fields(DflRun)[1:]})
 
 
 def _mc_worker(args):
@@ -133,66 +133,72 @@ def _mean_stderr(vals) -> tuple[float, float]:
 
 def run_experiment(config: ExperimentConfig, kind: str, *, jobs: int = 1,
                    policy_name: str | None = None) -> Path:
-    """Run one experiment kind and return the artifact directory."""
+    """Run one experiment kind and return the artifact directory.
+
+    The one place a command's model, start state and policy name are made: each
+    runner gets them as `(mdp, s1, name)`, and a command that trains has its
+    record's size checked here, before any policy is built.
+    """
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if kind == "sweep" and config.sweep_raw is None:
         raise ConfigError(["sweep: config has no 'sweep' section"])
+    key = config.sweep_raw["axis"] if kind == "sweep" else kind
     if config.horizon == 0 and kind in ("solve", "evaluate", "train", "sweep"):
-        _write_empty(config, out, kind)
+        _write_empty(config, out, key)
         return out
-    if kind == "solve":
-        _run_solve(config, out, policy_name)
-    elif kind == "evaluate":
-        _run_evaluate(config, out, jobs, policy_name)
-    elif kind == "train":
-        _run_train(config, out, jobs, policy_name)
-    elif kind == "sweep":
-        _run_sweep(config, out, jobs)
-    elif kind == "verify":
-        ok = verify_suite(out, config_hash=config.hash)
-        if not ok:
+    if kind == "verify":
+        if not verify_suite(out, config_hash=config.hash):
             raise ConfigError(["verify: one or more checks failed; see verify.csv"])
-    else:
+        return out
+    if kind not in ("solve", "evaluate", "train", "sweep"):
         raise ConfigError([f"kind: unknown experiment kind {kind!r}"])
+    mdp = config.build_model()
+    s1 = config.start_state(mdp)
+    if key in ("train", "hops") or key == "capacity" and config.sweep_train:
+        size = len(config.seeds) * config.horizon * mdp.m ** 2  # `DflRun.per`, (S, T, m, m)
+        if size > config.budget:
+            raise BudgetExceeded(
+                f"training record needs {count_text(size)} link entries "
+                f"(seeds x slots x devices^2), over the budget {count_text(config.budget)}")
+    RUNNERS[key](config, out, jobs, mdp, s1, policy_name or config.policy_name)
     return out
 
 
-def _write_empty(config: ExperimentConfig, out: Path, kind: str) -> None:
+def _write_empty(config: ExperimentConfig, out: Path, key: str) -> None:
     """Zero-slot run: every file the kind would produce, headers only."""
-    if kind == "train":
+    if key == "train":
         for s in config.seeds:
             write_csv(out / f"metrics_seed{s}.csv", METRICS_HEADER, [], config.hash)
-    for name in OUTPUTS[config.sweep_raw["axis"] if kind == "sweep" else kind]:
+    for name in OUTPUTS[key]:
         _emit(out, name, [], config.hash)
 
 
-def _run_solve(config: ExperimentConfig, out: Path, policy_name: str | None) -> None:
-    name = policy_name or config.policy_name
-    mdp = config.build_model()
-    s1 = config.start_state(mdp)
+def _exact_cost(config: ExperimentConfig, mdp, s1, name: str, *, hops: int | None = None,
+                artifact: Path | None = None):
+    """The named policy and its exact cost from s1. Exact evaluation's size is checked
+    before the policy is built, so an oversized model never waits on a synthesis; a
+    decentralized policy is saved to `artifact` when one is given."""
+    check_eval_budget(mdp, config.budget)
+    policy = config.build_policy(mdp, name, hops=hops)
+    if artifact is not None and name == "decentralized_pi":
+        save_localized(policy, artifact)
+    return policy, evaluate_policy(mdp, policy, s1, budget=config.budget)
+
+
+def _run_solve(config: ExperimentConfig, out: Path, jobs: int, mdp, s1, name: str) -> None:
     if name == "centralized_pi":
         sol = backward_induction(mdp, budget=config.budget)
         save_solution(sol, out / "policy_centralized.npz")
         j = sol.expected_cost(s1)
     else:
-        check_eval_budget(mdp, config.budget)
-        pol = config.build_policy(mdp, name)
-        if name == "decentralized_pi":
-            save_localized(pol, out / "policy_decentralized.npz")
-        j = evaluate_policy(mdp, pol, s1, budget=config.budget)
+        j = _exact_cost(config, mdp, s1, name, artifact=out / "policy_decentralized.npz")[1]
     _emit(out, "solve_summary.csv", [[name, mdp.n_states, mdp.n_actions, mdp.horizon, j]],
           config.hash)
 
 
-def _run_evaluate(config: ExperimentConfig, out: Path, jobs: int,
-                  policy_name: str | None) -> None:
-    name = policy_name or config.policy_name
-    mdp = config.build_model()
-    s1 = config.start_state(mdp)
-    check_eval_budget(mdp, config.budget)
-    policy = config.build_policy(mdp, name)
-    j_exact = evaluate_policy(mdp, policy, s1, budget=config.budget)
+def _run_evaluate(config: ExperimentConfig, out: Path, jobs: int, mdp, s1, name: str) -> None:
+    policy, j_exact = _exact_cost(config, mdp, s1, name)
     n_samples = config.mc_samples
     draws = _pool_map(_mc_worker, [(mdp, policy, s1, s, n_samples)
                                    for s in config.seeds], jobs)
@@ -202,11 +208,7 @@ def _run_evaluate(config: ExperimentConfig, out: Path, jobs: int,
           config.hash)
 
 
-def _run_train(config: ExperimentConfig, out: Path, jobs: int,
-               policy_name: str | None) -> None:
-    name = policy_name or config.policy_name
-    mdp = config.build_model()
-    s1 = config.start_state(mdp)
+def _run_train(config: ExperimentConfig, out: Path, jobs: int, mdp, s1, name: str) -> None:
     run = _train_seeds(config, mdp, config.build_policy(mdp, name), s1, jobs)
     T = run.horizon
     for k, seed in enumerate(config.seeds):
@@ -230,25 +232,14 @@ def _run_train(config: ExperimentConfig, out: Path, jobs: int,
 
 
 # ---------------------------------------------------------------------------
-# sweeps
+# sweeps (they ignore `name`: rounds and hops synthesize, capacity trains the config policy)
 # ---------------------------------------------------------------------------
 
-def _run_sweep(config: ExperimentConfig, out: Path, jobs: int) -> None:
-    axis = config.sweep_raw["axis"]
-    values = config.sweep_raw["values"]
-    if axis == "rounds":
-        _sweep_rounds(config, out, values)
-    elif axis == "capacity":
-        _sweep_capacity(config, out, values, jobs)
-    else:
-        _sweep_hops(config, out, values, jobs)
-
-
-def _sweep_rounds(config: ExperimentConfig, out: Path, values) -> None:
+def _sweep_rounds(config: ExperimentConfig, out: Path, jobs: int, mdp, s1, name: str) -> None:
     """Synthesis-gap decay: one synthesis pass, snapshot every requested round."""
-    mdp = config.build_model()
+    values = config.sweep_raw["values"]
     report = contraction_study(mdp, hops=config.hops, gamma=config.gamma, rounds=max(values),
-                               s1=config.start_state(mdp), defaults=config.extension_defaults,
+                               s1=s1, defaults=config.extension_defaults,
                                declared=config.declared, budget=config.budget)
     fit = report.fit
     d_analytic = "" if report.d_bound is None else report.d_bound
@@ -258,44 +249,37 @@ def _sweep_rounds(config: ExperimentConfig, out: Path, values) -> None:
     _emit(out, "final_vs_rounds.csv", rows, config.hash)
 
 
-def _capacity_model(config: ExperimentConfig, n_levels: int):
-    """Same instance with the battery grown by whole quanta (quantum fixed)."""
-    mdp = config.build_model()
-    energy = dataclasses.replace(mdp.energy, b_max=mdp.energy.quantum * (n_levels - 1),
-                                 n_levels=n_levels)
-    mdp = dataclasses.replace(mdp, energy=energy)
-    s1_base = config.start_state(mdp)
-    s1 = GlobalState(gains=s1_base.gains,
-                     batteries=tuple(n_levels - 1 for _ in range(mdp.m)))
-    return mdp, s1
-
-
-def _sweep_capacity(config: ExperimentConfig, out: Path, values, jobs: int) -> None:
+def _sweep_capacity(config: ExperimentConfig, out: Path, jobs: int, mdp, s1, name: str) -> None:
+    """The same instance with the battery grown by whole quanta (quantum fixed), started full."""
     rows = []
-    for n_levels in values:
-        mdp, s1 = _capacity_model(config, n_levels)
-        sol = backward_induction(mdp, budget=config.budget)
-        j_star = sol.expected_cost(s1)
+    for n_levels in config.sweep_raw["values"]:
+        energy = dataclasses.replace(mdp.energy, b_max=mdp.energy.quantum * (n_levels - 1),
+                                     n_levels=n_levels)
+        grown = dataclasses.replace(mdp, energy=energy)
+        full = GlobalState(gains=s1.gains, batteries=(n_levels - 1,) * mdp.m)
+        sol = backward_induction(grown, budget=config.budget)
+        j_star = sol.expected_cost(full)
         loss_mean, loss_se = "", ""
         if config.sweep_train:
-            run = _train_seeds(config, mdp, config.build_policy(mdp), s1, jobs)
+            run = _train_seeds(config, grown, config.build_policy(grown), full, jobs)
             loss_mean, loss_se = _mean_stderr(run.device_loss[:, -1])
-        rows.append([n_levels, mdp.energy.b_max, j_star, loss_mean, loss_se])
+        rows.append([n_levels, energy.b_max, j_star, loss_mean, loss_se])
     _emit(out, "final_vs_battery.csv", rows, config.hash)
 
 
-def _sweep_hops(config: ExperimentConfig, out: Path, values, jobs: int) -> None:
-    mdp = config.build_model()
-    s1 = config.start_state(mdp)
-    check_eval_budget(mdp, config.budget)
+def _sweep_hops(config: ExperimentConfig, out: Path, jobs: int, mdp, s1, name: str) -> None:
     rows = []
-    for hops in values:
-        policy = config.build_policy(mdp, "decentralized_pi", hops=hops)
-        j = evaluate_policy(mdp, policy, s1, budget=config.budget)
+    for hops in config.sweep_raw["values"]:
+        policy, j = _exact_cost(config, mdp, s1, "decentralized_pi", hops=hops)
         run = _train_seeds(config, mdp, policy, s1, jobs)
         loss_mean, loss_se = _mean_stderr(run.device_loss[:, -1])
         rows.append([hops, j, loss_mean, loss_se, len(config.seeds)])
     _emit(out, "hops_table.csv", rows, config.hash)
+
+
+# Each command's runner, keyed like OUTPUTS: by kind, and a sweep by its axis.
+RUNNERS = {"solve": _run_solve, "evaluate": _run_evaluate, "train": _run_train,
+           "rounds": _sweep_rounds, "capacity": _sweep_capacity, "hops": _sweep_hops}
 
 
 # ---------------------------------------------------------------------------

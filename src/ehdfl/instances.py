@@ -29,7 +29,8 @@ DESK_BUDGET = 20_000_000
 
 
 def _chain(lo: float, hi: float, stay: float) -> ChannelChain:
-    psi = np.array([[stay, 1.0 - stay], [1.0 - stay, stay]])
+    move = round(1.0 - stay, 12)  # the decimal a config writes, not 1 ulp off it
+    psi = np.array([[stay, move], [move, stay]])
     return ChannelChain(levels=np.array([lo, hi]), steady=np.array([0.5, 0.5]), psi=psi)
 
 

@@ -437,7 +437,7 @@ def test_train_seeds_are_identical_across_jobs(policy):
     pol, s1 = cfg.build_policy(mdp), cfg.start_state(mdp)
     one, two = (_train_seeds(cfg, mdp, pol, s1, jobs) for jobs in (1, 2))
     assert one.global_loss.shape[0] == len(seeds)
-    for f in dataclasses.fields(one)[2:]:
+    for f in dataclasses.fields(one)[1:]:
         a, b = getattr(one, f.name), getattr(two, f.name)
         assert a.dtype == b.dtype and np.array_equal(a, b), f.name
         assert np.array_equal(a[1], a[3]), f.name
@@ -491,6 +491,59 @@ def test_size_ladder_exits_0_or_quickly_3_and_trains_a_64_device_ring(tmp_path):
                 codes[m, kind, name] = code
     assert codes[64, "train", "greedy"] == codes[64, "train", "decentralized_pi"] == 0
     assert codes[9, "evaluate", "greedy"] == 0
+
+
+@pytest.mark.parametrize("policy", ["greedy", "decentralized_pi"])
+def test_oversized_training_record_exits_3_before_any_policy_is_built(tmp_path, monkeypatch,
+                                                                       capsys, policy):
+    # desk8's 20 seeds x 40 slots on a 4,000-device ring: a 95 GiB packet-error record, and a
+    # hops-2 synthesis on 4,000 devices before it, unless the record is refused first.
+    from ehdfl.cli import main
+    from ehdfl.config import ExperimentConfig
+
+    def no_policy(*args, **kwargs):
+        raise AssertionError("policy built")
+
+    monkeypatch.setattr(ExperimentConfig, "build_policy", no_policy)
+    raw = json.loads(DESK8.read_text())
+    del raw["s1"]
+    raw["topology"] = {"kind": "ring", "m": 4_000}
+    cfg = _write(tmp_path, raw)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code = main(["train", "--config", str(cfg), "--policy", policy,
+                     "--out", str(tmp_path / "out")])
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "training record needs 12800000000 link entries" in capsys.readouterr().err
+    assert seconds < 2.0
+    assert peak < 100e6
+
+
+@pytest.mark.parametrize("name, kind, train", [("desk8.json", "train", True),
+                                               ("desk8_hops.json", "sweep", True),
+                                               ("capacity.json", "sweep", True),
+                                               ("capacity.json", "sweep", False)])
+def test_every_command_that_trains_checks_its_record_first(tmp_path, capsys, name, kind, train):
+    # One entry under the record's seeds x T x m^2: every exact size is over budget too,
+    # so the record check is seen only if it runs first, and only where the command trains.
+    # At exactly the budget it passes (train then runs; each sweep stops at an exact size).
+    from ehdfl.cli import main
+    raw = json.loads((DESK8.parent / name).read_text())
+    if "sweep" in raw:
+        raw["sweep"]["train"] = train
+    size = len(raw["seeds"]) * raw["horizon"] * raw["topology"]["m"] ** 2
+    for budget, refused in ((size - 1, train), (size, False)):
+        raw["budget"] = budget
+        cfg = _write(tmp_path, raw, name)
+        code = main([kind, "--config", str(cfg), "--policy", "greedy",
+                     "--out", str(tmp_path / "out")])
+        assert code == (0 if kind == "train" and budget == size else 3), budget
+        assert ("training record needs" in capsys.readouterr().err) == refused, budget
 
 
 def test_budget_messages_past_the_int_digit_limit_exit_3_quickly(tmp_path, capsys):

@@ -456,6 +456,23 @@ def test_recorded_battery_steps_follow_the_mdp_battery_kernels():
     assert (np.abs(freq - p) <= 5 * se + 1e-12).all()
 
 
+@pytest.mark.parametrize("name", ["centralized_pi", "myopic_central", "greedy", "dec1", "dec2"])
+def test_recorded_link_costs_average_to_the_exact_policy_cost(desk, desk_policies,
+                                                              desk_exact_j, name):
+    # The MDP's slot cost read off a training record: sum over ordered pairs of
+    # w_ij * (per_ij if j transmits, else 1). Its seed mean over T slots is a Monte Carlo
+    # estimate of the exact cost, drawn by the co-simulation's own battery, harvest,
+    # channel and packet-error code rather than the MDP's kernels.
+    task = desk.build_task()
+    run = run_training(desk.mdp, task, desk_policies[name], seeds=list(range(200)),
+                       eta=desk.step_size(task), s1=desk.s1)
+    w = desk.mdp.topo.mixing * (1 - np.eye(desk.mdp.m))
+    priced = np.where(run.beta[:, :, None, :] > 0, run.per, 1.0)
+    costs = np.einsum("ij,stij->s", w, priced)
+    se = costs.std(ddof=1) / np.sqrt(costs.size)
+    assert abs(costs.mean() - desk_exact_j[name]) <= 5 * se, (costs.mean(), se)
+
+
 # ---------------------------------------------------------------------------
 # rate certificate
 # ---------------------------------------------------------------------------
