@@ -32,7 +32,11 @@ class RadioParams:
             raise ValueError("sigma2 must be positive")
         object.__setattr__(self, "_noise", tuple(s.tolist()))
 
-    def noise(self, i: int) -> float:
+    def noise(self, i):
+        """sigma_i^2 at device i; an array of them at an int array of devices."""
+        if np.ndim(i):
+            s = np.asarray(self._noise)
+            return s[np.asarray(i)] if len(s) > 1 else np.full(np.shape(i), s[0])
         return self._noise[0] if len(self._noise) == 1 else self._noise[i]
 
 
@@ -183,28 +187,48 @@ def step_links(state: np.ndarray, chains, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def packet_error_rate(p, gains, topo, radio: RadioParams, i: int, j: int) -> float:
+def packet_error_rate(p, gains, topo, radio: RadioParams, i, j) -> float | np.ndarray:
     """PER on the directed link j -> i under the exponential waterfall model.
 
     q = 1 - exp(-phi * (interference_at_i + sigma_i^2) / (p_j * h_ij)), where
     the interference sums p_k * h_ik over i's other neighbors k. A silent
-    transmitter (p_j = 0) is a guaranteed loss, q = 1.
+    transmitter (p_j <= 0) is a guaranteed loss, q = 1.
 
     Args:
-        p: per-device power vector.
-        gains: (m, m) gain array indexed [receiver, transmitter].
+        p: power vectors, (..., m).
+        gains: gain arrays, (..., m, m), indexed [receiver, transmitter].
         topo: Topology (interferers are i's one-hop neighbors except j).
         radio: RadioParams.
-        i: receiver. j: transmitter.
-    """
-    pj = float(p[j])
-    if pj <= 0.0:
-        return 1.0
-    h = float(gains[i, j])
-    interf = 0.0
-    for k in topo.neighbors[i]:
-        if k != j:
-            interf += float(p[k]) * float(gains[i, k])
-    x = radio.phi * (interf + radio.noise(i)) / (pj * h)
-    return 1.0 - math.exp(-x)
+        i: receiver. j: transmitter. Ints for one link, or equal-length int
+            sequences for one PER per link along a new last axis.
 
+    Returns:
+        One PER per leading index (and link), a float for one link at one
+        sample. Every element takes the float steps the one-link rule takes, in
+        its order: interference summed from 0.0 over i's neighbors in order,
+        then noise, then the ratio, then `math.exp` one element at a time,
+        since `np.exp` differs from it in the last bit on some inputs.
+    """
+    p, gains = np.asarray(p, dtype=float), np.asarray(gains, dtype=float)
+    rx, tx = np.atleast_1d(i), np.atleast_1d(j)
+    m = p.shape[-1]
+    # p_k * h_ik at receiver i and device k, flat at i * (m + 1) + k; the zero at k = m is
+    # what a link's padded interferer slots read, and adding 0.0 leaves a sum's bits
+    pg = p[..., None, :] * gains
+    terms = np.zeros(pg.shape[:-1] + (m + 1,))
+    terms[..., :m] = pg
+    terms = terms.reshape(terms.shape[:-2] + (-1,))
+    row = rx * (m + 1)
+    hits = terms[..., row[:, None] + topo.interferers[rx, tx]]  # (..., links, slots)
+    interf = 0.0
+    for c in range(hits.shape[-1]):  # each link's interferers in neighbor order
+        interf = interf + hits[..., c]
+    den = terms[..., row + tx]  # p_j * h_ij
+    p_tx = p[..., tx]
+    # a silent transmitter (p_j <= 0) keeps x = inf, so exp(-x) = 0 and q = 1
+    x = np.divide(radio.phi * (interf + radio.noise(rx)), den, out=np.full(den.shape, np.inf),
+                  where=p_tx > 0.0)
+    q = 1.0 - np.array([math.exp(-v) for v in x.ravel().tolist()]).reshape(x.shape)
+    if np.ndim(i) == 0:
+        q = q[..., 0]
+    return float(q) if q.ndim == 0 else q

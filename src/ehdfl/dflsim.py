@@ -127,7 +127,7 @@ def run_training(mdp: GlobalMdp, task, policy, *, seeds, eta: float,
 
     pair_rx, pair_tx = np.array([(i, j) for i in range(m) for j in sorted(topo.neighbors[i])],
                                 dtype=np.int64).reshape(-1, 2).T
-    ladders, draws = _zero_padded(mdp.power_levels), _zero_padded(mdp.draw_quanta).astype(int)
+    draws = _zero_padded(mdp.draw_quanta).astype(int)
     devs, seed_rows = np.arange(m), np.arange(n_seeds)[:, None]
     gains = np.tile(np.asarray(s1.gains, dtype=np.int64), (n_seeds, 1))
     quanta = np.tile(np.asarray(s1.batteries, dtype=np.int64), (n_seeds, 1))
@@ -173,7 +173,7 @@ def run_training(mdp: GlobalMdp, task, policy, *, seeds, eta: float,
 
         levels = rec.actions[:, t] = _draw(policy.rows(mdp, t + 1, np.hstack([gains, quanta])),
                                            pol_u[:, t], mdp.act_dims)
-        powers = ladders[devs, levels]
+        powers = mdp.powers_of(levels)
         beta = powers > 0
         rec.beta[:, t] = beta
 
@@ -196,14 +196,10 @@ def run_training(mdp: GlobalMdp, task, policy, *, seeds, eta: float,
         u = [rng.random(n + n_links) for rng, n in zip(rng_chan, n_active.tolist())]
         offsets = np.cumsum([0] + [len(x) for x in u])[:-1, None]
         u = np.concatenate(u) if u else np.zeros(0)
-        gain_mat = np.zeros((n_seeds, m, m))
-        for e, (a, b) in enumerate(mdp.entities):
-            gain_mat[:, a, b] = gain_mat[:, b, a] = mdp.chains[e].levels[gains[:, e]]
-        q = np.full(active.shape, 0.0 if per_override is None else float(per_override))
-        if per_override is None:
-            for k, p in zip(*np.nonzero(active)):
-                q[k, p] = packet_error_rate(powers[k], gain_mat[k], topo, radio,
-                                            pair_rx[p], pair_tx[p])
+        if per_override is None:  # every seed and pair at once; only the active ones are read
+            q = packet_error_rate(powers, mdp.gain_matrix(gains), topo, radio, pair_rx, pair_tx)
+        else:
+            q = np.full(active.shape, float(per_override))
         # an active link's uniform sits at its rank among the seed's active links
         ok = u[offsets + np.cumsum(active, axis=1) - 1] >= q
         rec.per[seed_rows, t, pair_rx, pair_tx] = np.where(active, q, 0.0)

@@ -64,6 +64,7 @@ def write_csv(path: Path, header, rows, config_hash: str) -> None:
     lines = [f"# config {config_hash}", ",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(x) for x in row))
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -139,8 +140,7 @@ def run_experiment(config: ExperimentConfig, kind: str, *, jobs: int = 1,
     runner gets them as `(mdp, s1, name)`, and a command that trains has its
     record's size checked here, before any policy is built.
     """
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(config.out_dir)  # made by the first file written into it
     if kind == "sweep" and config.sweep_raw is None:
         raise ConfigError(["sweep: config has no 'sweep' section"])
     key = config.sweep_raw["axis"] if kind == "sweep" else kind
@@ -360,6 +360,18 @@ def _bound_per_term() -> float:
     return abs(bound.terms[5])
 
 
+def _decomposition_error(mdp) -> float:
+    """Largest |one-slot cost - sum of the device shares| over 1000 random (state, action) pairs.
+
+    The pairs are drawn from `default_rng(0)` as a state, then an action, pair by
+    pair; the shares are summed in device order from 0, as `sum()` adds them.
+    """
+    states, actions = np.random.default_rng(0).integers(
+        [mdp.n_states, mdp.n_actions], size=(1000, 2)).T
+    parts = sum(mdp.one_step_costs(states, actions, i) for i in range(mdp.m))
+    return float(np.abs(mdp.one_step_costs(states, actions) - parts).max(initial=0.0))
+
+
 def verify_suite(out: Path | None = None, *, config_hash: str = "builtin") -> bool:
     """Deterministic oracle and invariant checks on the pinned instances."""
     from .instances import capacity_family, oracle_instance, tiny_instances
@@ -373,16 +385,8 @@ def verify_suite(out: Path | None = None, *, config_hash: str = "builtin") -> bo
         err = abs(j_dp - j_enum)
         checks.append((f"exact-oracle-{name}", err, 1e-9, err <= 1e-9))
 
-    inst = insts["tiny-a"]
-    mdp = inst.mdp
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(1000):
-        s = int(rng.integers(mdp.n_states))
-        a = int(rng.integers(mdp.n_actions))
-        total = mdp.one_step_cost(s, a)
-        parts = sum(mdp.device_cost(s, a, i) for i in range(mdp.m))
-        worst = max(worst, abs(total - parts))
+    mdp = insts["tiny-a"].mdp
+    worst = _decomposition_error(mdp)
     checks.append(("cost-decomposition", worst, 1e-12, worst <= 1e-12))
 
     worst = 0.0
@@ -404,7 +408,6 @@ def verify_suite(out: Path | None = None, *, config_hash: str = "builtin") -> bo
 
     ok = all(c[-1] for c in checks)
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
         _emit(out, "verify.csv", [list(c) for c in checks], config_hash)
     for name, value, threshold, passed in checks:
         print(f"{'PASS' if passed else 'FAIL'} {name}: {value:.3e} (tol {threshold:g})")
@@ -430,35 +433,36 @@ def exhaustive_minimum(mdp, s1) -> float:
     Enumerating full Markov policies is hopeless even on toy models, but the
     cost from a fixed start state only depends on choices at states actually
     reachable from it; enumerating those assignments is exhaustive for this
-    start state. Each (state, action) pair's cost and transition come from the
-    scalar model queries once, and every assignment reuses them.
+    start state. Each (state, action) pair is priced once: the costs of a
+    slot's new pairs in one batched query, their transitions one by one; every
+    assignment reuses them.
     """
     feas = action_feasibility(mdp)  # (n_actions, n_battery_cfgs)
     nbc = mdp.n_battery_cfgs
-    steps: dict[tuple[int, int], tuple[float, dict]] = {}
+    cost: dict[tuple[int, int], float] = {}
+    trans: dict[tuple[int, int], dict] = {}
 
     def acts(s):
         return np.nonzero(feas[:, s % nbc])[0]
 
-    def step(s, a):
-        if (s, a) not in steps:
-            steps[(s, a)] = (mdp.one_step_cost(s, a), mdp.transition(s, a))
-        return steps[(s, a)]
+    def price(states):
+        new = [(s, int(a)) for s in sorted(states) for a in acts(s) if (s, int(a)) not in cost]
+        if new:
+            cost.update(zip(new, mdp.one_step_costs(*np.array(new).T).tolist()))
+            trans.update((sa, mdp.transition(*sa)) for sa in new)
 
     s0 = mdp.state_index(s1)
     reach = [{s0}]
     for _ in range(1, mdp.horizon):
-        nxt = set()
-        for s in reach[-1]:
-            for a in acts(s):
-                nxt |= set(step(int(s), int(a))[1])
-        reach.append(nxt)
+        price(reach[-1])
+        reach.append(set().union(*(trans[(s, int(a))] for s in reach[-1] for a in acts(s))))
     slots = [(t, s) for t, states in enumerate(reach) for s in sorted(states)]
     choices = [acts(s) for _, s in slots]
     n_assign = math.prod(len(c) for c in choices)
     if n_assign > 400_000:
         raise ValueError(f"instance too large for exhaustive enumeration "
                          f"({n_assign} assignments)")
+    price(reach[-1])
     pos = {ts: k for k, ts in enumerate(slots)}
     last = mdp.horizon - 1
     best = np.inf
@@ -468,10 +472,10 @@ def exhaustive_minimum(mdp, s1) -> float:
         for t in range(mdp.horizon):
             nxt: dict[int, float] = {}
             for s, p in rho.items():
-                cost, trans = step(s, int(assign[pos[(t, s)]]))
-                total += p * cost
+                sa = (s, int(assign[pos[(t, s)]]))
+                total += p * cost[sa]
                 if t < last:  # the last slot's next states are never read
-                    for s2, q in trans.items():
+                    for s2, q in trans[sa].items():
                         nxt[s2] = nxt.get(s2, 0.0) + p * q
             rho = nxt
         best = min(best, total)

@@ -45,6 +45,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -168,11 +169,22 @@ class GlobalMdp:
         return tuple(int(x) for x in np.unravel_index(a, self.act_dims))
 
     def powers_of(self, levels) -> np.ndarray:
-        return np.array([self.power_levels[d][l] for d, l in enumerate(levels)])
+        """Per-device powers at level digits, (..., m) to (..., m)."""
+        return self._ladders[np.arange(self.m), np.asarray(levels)]
 
     # ------------------------------------------------------------------
     # cached factored model pieces
     # ------------------------------------------------------------------
+
+    @functools.cached_property
+    def _ladders(self) -> np.ndarray:
+        """(m, W): each device's power ladder, zero-padded to the longest."""
+        return _zero_padded(self.power_levels)
+
+    @functools.cached_property
+    def _gain_ladders(self) -> np.ndarray:
+        """(L, W): each link's gain ladder, zero-padded to the longest."""
+        return _zero_padded([np.asarray(c.levels, dtype=float) for c in self.chains])
 
     @functools.cached_property
     def draw_quanta(self):
@@ -233,14 +245,15 @@ class GlobalMdp:
                                ).reshape(self.n_channel_cfgs, self.n_actions)
 
     # ------------------------------------------------------------------
-    # scalar model queries
+    # model queries, at one sample or over leading sample axes
     # ------------------------------------------------------------------
 
     def gain_matrix(self, gains) -> np.ndarray:
-        """(m, m) symmetric array of link gains at per-link gain digits; 0 off the links."""
-        mat = np.zeros((self.m, self.m))
-        for e, (a, b) in enumerate(self.entities):
-            mat[a, b] = mat[b, a] = self.chains[e].levels[gains[e]]
+        """Symmetric (..., m, m) link gains at per-link gain digits (..., L); 0 off the links."""
+        gains = np.asarray(gains)
+        a, b = np.array(self.entities, dtype=np.int64).reshape(-1, 2).T
+        mat = np.zeros(gains.shape[:-1] + (self.m, self.m))
+        mat[..., a, b] = mat[..., b, a] = self._gain_ladders[np.arange(self.n_links), gains]
         return mat
 
     def decoded(self, state, levels) -> tuple[GlobalState, tuple[int, ...]]:
@@ -251,20 +264,23 @@ class GlobalMdp:
             levels = self.action_decode(int(levels))
         return state, levels
 
-    def _link_loss(self, state, levels, device: int | None) -> float:
-        """Sum of w * PER over the ordered pairs, those `device` transmits on unless None."""
-        state, levels = self.decoded(state, levels)
-        g = self.gain_matrix(state.gains)
-        p = self.powers_of(levels)
-        total = 0.0
-        for i, j, w, _, _ in self.ordered_pairs:
-            if device is None or j == device:
-                total += w * packet_error_rate(p, g, self.topo, self.radio, i, j)
+    def _link_loss(self, gains, levels, device: int | None) -> np.ndarray:
+        """Sum of w * PER over the ordered pairs, those `device` transmits on unless None,
+        at gain digits (..., L) and level digits (..., m); each sample's sum runs in pair
+        order from 0.0, as one scalar query's does."""
+        own = [pair for pair in self.ordered_pairs if device is None or pair[1] == device]
+        rx, tx = np.array([pair[:2] for pair in own], dtype=np.int64).reshape(-1, 2).T
+        q = packet_error_rate(self.powers_of(levels), self.gain_matrix(gains), self.topo,
+                              self.radio, rx, tx)
+        total = np.zeros(q.shape[:-1])
+        for c, (_, _, w, _, _) in enumerate(own):
+            total += w * q[..., c]
         return total
 
     def one_step_cost(self, state, levels) -> float:
         """Mixing-weighted sum of packet error rates for one (state, action)."""
-        return self._link_loss(state, levels, None)
+        state, levels = self.decoded(state, levels)
+        return float(self._link_loss(state.gains, levels, None))
 
     def device_cost(self, state, levels, device: int) -> float:
         """Share of the one-slot cost charged to `device`'s own transmissions.
@@ -273,7 +289,15 @@ class GlobalMdp:
         expected loss on its outgoing links, the quantity its own power level
         controls most directly.
         """
-        return self._link_loss(state, levels, device)
+        state, levels = self.decoded(state, levels)
+        return float(self._link_loss(state.gains, levels, device))
+
+    def one_step_costs(self, states, actions, device: int | None = None) -> np.ndarray:
+        """`one_step_cost`, or `device_cost` given `device`, at n flat state and joint
+        action indices: (n,), each entry the float its scalar query returns."""
+        digits = np.stack(np.unravel_index(np.asarray(states), self.state_shape), axis=-1)
+        levels = np.stack(np.unravel_index(np.asarray(actions), self.act_dims), axis=-1)
+        return self._link_loss(digits[..., :self.n_links], levels, device)
 
     def transition(self, state, levels, max_support: int = 1_000_000) -> dict:
         """Explicit next-state distribution {flat index: prob} (small instances)."""
@@ -802,6 +826,7 @@ def save_artifact(path, meta: dict, manifest_keys, arrays: dict) -> None:
     of meta to <stem>.manifest.txt, where `path` is <stem> with or without the .npz suffix."""
     stem = str(path).removesuffix(".npz")
     meta = {"format_version": FORMAT_VERSION, **meta}
+    Path(stem).parent.mkdir(parents=True, exist_ok=True)
     np.savez(stem + ".npz", meta=json.dumps(meta, sort_keys=True), **arrays)
     with open(stem + ".manifest.txt", "w") as fh:
         for k in manifest_keys:

@@ -53,6 +53,18 @@ class Topology:
             raise ValueError(f"spectral lambda must be < 1, got {lam}")
         return lam
 
+    @functools.cached_property
+    def interferers(self) -> np.ndarray:
+        """(m, m, max degree) int: at [i, j], i's neighbors other than j in order,
+        padded with m; the interferers of a packet on the link j -> i."""
+        width = max(map(len, self.neighbors), default=0)
+        out = np.full((self.m, self.m, width), self.m, dtype=np.int64)
+        for i, nbrs in enumerate(self.neighbors):
+            for j in range(self.m):
+                others = [k for k in nbrs if k != j]
+                out[i, j, :len(others)] = others
+        return out
+
     def degree(self, i: int) -> int:
         return len(self.neighbors[i])
 

@@ -1,5 +1,14 @@
+"""Channel chains, the link step, and the packet error rule.
+
+`former_packet_error_rate` is the one-link body the batched rule replaced, kept
+as the reference it must equal element for element.
+"""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ehdfl.channel import (ChannelChain, RadioParams, build_chain_from_crossing,
                            identity_chain, packet_error_rate, rayleigh_chain,
@@ -123,3 +132,60 @@ def test_per_closed_form_no_interference():
     p, g, phi, sig = 2.0, 1.0, 1.0, 0.5
     q = packet_error_rate(np.array([p, 0.0, 0.0]), gains, topo, radio, 1, 0)
     assert np.isclose(q, 1.0 - np.exp(-phi * sig / (p * g)), atol=1e-12)
+
+
+def former_packet_error_rate(p, gains, topo, radio, i, j):
+    """The former scalar PER of link j -> i, in Python floats."""
+    pj = float(p[j])
+    if pj <= 0.0:
+        return 1.0
+    h = float(gains[i, j])
+    interf = 0.0
+    for k in topo.neighbors[i]:
+        if k != j:
+            interf += float(p[k]) * float(gains[i, k])
+    x = radio.phi * (interf + radio.noise(i)) / (pj * h)
+    return 1.0 - math.exp(-x)
+
+
+POSITIVE = st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def per_cases(draw):
+    """A topology, a radio with per-device noise, and n power vectors and gain arrays."""
+    kind, m = draw(st.sampled_from([("line", 2), ("line", 4), ("ring", 3), ("ring", 5),
+                                    ("complete", 3), ("complete", 4)]))
+    topo = build_topology(kind, m)
+    sigma2 = draw(st.one_of(POSITIVE, st.tuples(*[POSITIVE] * m)))  # shared or per device
+    radio = RadioParams(draw(POSITIVE), sigma2, 1.0)
+    n = draw(st.integers(1, 6))
+    powers = draw(st.lists(st.one_of(st.just(0.0), POSITIVE), min_size=n * m,
+                           max_size=n * m))  # silent transmitters included
+    gains = draw(st.lists(POSITIVE, min_size=n * m * m, max_size=n * m * m))
+    return topo, radio, np.reshape(powers, (n, m)), np.reshape(gains, (n, m, m))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(per_cases())
+def test_batched_per_equals_the_former_scalar_rule_element_for_element(case):
+    topo, radio, p, g = case
+    for i in range(topo.m):
+        for j in topo.neighbors[i]:
+            batch = packet_error_rate(p, g, topo, radio, i, j)
+            assert batch.shape == (len(p),)
+            for k in range(len(p)):
+                want = former_packet_error_rate(p[k], g[k], topo, radio, i, j)
+                one = packet_error_rate(p[k], g[k], topo, radio, i, j)
+                assert type(one) is float
+                assert batch[k] == want and one == want
+            if len(p) > 1:  # and over more than one leading axis
+                q2 = packet_error_rate(p[None, :2], g[None, :2], topo, radio, i, j)
+                assert q2.shape == (1, 2) and np.array_equal(q2[0], batch[:2])
+    rx, tx = np.array([(i, j) for i in range(topo.m) for j in topo.neighbors[i]]).T
+    links = packet_error_rate(p, g, topo, radio, rx, tx)  # every link in one call
+    assert links.shape == (len(p), len(rx))
+    for c, (i, j) in enumerate(zip(rx.tolist(), tx.tolist())):
+        want = [former_packet_error_rate(p[k], g[k], topo, radio, i, j) for k in range(len(p))]
+        assert np.array_equal(links[:, c], want)
+    assert np.array_equal(packet_error_rate(p[0], g[0], topo, radio, rx, tx), links[0])

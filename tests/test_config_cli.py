@@ -324,6 +324,18 @@ def test_cli_budget_exceeded_exits_3(tmp_path):
     res = _cli("solve", "--config", str(cfg))
     assert res.returncode == 3
     assert "error:" in res.stderr and "10" in res.stderr
+    assert not (tmp_path / "solve").exists()  # refused inside the runner, before a write
+
+
+def test_refused_runs_leave_no_artifact_directory(tmp_path, capsys):
+    from ehdfl.cli import main
+    cfg = _write(tmp_path, base_raw(out_dir=str(tmp_path / "out")))
+    assert main(["sweep", "--config", str(cfg)]) == 2  # no sweep section
+    with pytest.raises(ConfigError, match="unknown experiment kind"):
+        run_experiment(load_config(cfg), "bogus")
+    assert not (tmp_path / "out").exists()
+    assert main(["verify", "--config", str(cfg)]) == 0  # made once there is a file to write
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["verify.csv"]
 
 
 def test_cli_exact_evaluation_of_an_oversized_model_exits_3_before_building_rows(tmp_path):
@@ -522,6 +534,7 @@ def test_oversized_training_record_exits_3_before_any_policy_is_built(tmp_path, 
     assert "training record needs 12800000000 link entries" in capsys.readouterr().err
     assert seconds < 2.0
     assert peak < 100e6
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("name, kind, train", [("desk8.json", "train", True),

@@ -4,7 +4,8 @@
 reference the lockstep `run_training` must match bit for bit. It runs on the
 former one-model helpers below: the task methods before they took a batch
 axis, `local_sgd`, `apply_gossip`, `step_links` drawing from its generator,
-and harvests drawn by `Generator.choice`.
+harvests drawn by `Generator.choice`, and the scalar packet error rule of
+`test_channel`.
 """
 from types import SimpleNamespace
 
@@ -19,6 +20,7 @@ from ehdfl.instances import fullinfo_instance, tiny_instances
 from ehdfl.learning import LearnConsts, QuadraticTask, make_logistic_task, make_quadratic_task
 from ehdfl.mdp import GlobalState, build_mdp
 from ehdfl.topology import build_topology
+from test_channel import former_packet_error_rate
 
 
 class FormerTask:
@@ -153,7 +155,7 @@ def reference_training(mdp, task, policy, *, seed, eta, horizon=None, per_overri
             for j in sorted(topo.neighbors[i]):
                 if not beta[j]:
                     continue
-                q = packet_error_rate(powers, gain_mat, topo, radio, i, j)
+                q = former_packet_error_rate(powers, gain_mat, topo, radio, i, j)
                 if per_override is not None:
                     q = float(per_override)
                 rec.per[t, i, j] = q

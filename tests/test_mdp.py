@@ -11,7 +11,7 @@ from ehdfl.channel import ChannelChain, RadioParams
 from ehdfl.config import load_config
 from ehdfl.energy import EnergyParams, HarvestModel
 from ehdfl.errors import BudgetExceeded, CausalityViolation
-from ehdfl.harness import action_feasibility, exhaustive_minimum
+from ehdfl.harness import _decomposition_error, action_feasibility, exhaustive_minimum
 from ehdfl.instances import (DESK_BUDGET, capacity_family, capacity_pair, desk_scenario,
                              oracle_instance, tiny_instances)
 from ehdfl.localized import LocalizedPolicy, build_cover, synthesize
@@ -20,6 +20,7 @@ from ehdfl.mdp import (GlobalState, backward_expectation, backward_induction, ba
                        build_mdp, contract_leading, evaluate_policy, expected_cost_rows,
                        load_solution, on_axis, sample_costs, save_solution, simulate_costs)
 from ehdfl.topology import build_topology
+from test_channel import former_packet_error_rate
 from test_policy_rows import (FixedLevelsPolicy, check_digit_rows, former_conditionals,
                               former_state_shape, ragged_line, state_digits)
 
@@ -430,6 +431,77 @@ def test_device_cost_decomposition(which, pair, tiny_a):
         total = mdp.one_step_cost(s, a)
         parts = sum(mdp.device_cost(s, a, i) for i in range(mdp.m))
         assert abs(total - parts) <= 1e-12
+
+
+def former_link_loss(mdp, state, levels, device):
+    """The former scalar `GlobalMdp._link_loss`: one (state, action), one PER per link."""
+    state, levels = mdp.decoded(state, levels)
+    g = np.zeros((mdp.m, mdp.m))
+    for e, (a, b) in enumerate(mdp.entities):
+        g[a, b] = g[b, a] = mdp.chains[e].levels[state.gains[e]]
+    p = np.array([mdp.power_levels[d][l] for d, l in enumerate(levels)])
+    total = 0.0
+    for i, j, w, _, _ in mdp.ordered_pairs:
+        if device is None or j == device:
+            total += w * former_packet_error_rate(p, g, mdp.topo, mdp.radio, i, j)
+    return total
+
+
+def check_scalar_queries(mdp, states, actions):
+    """one_step_cost and device_cost at each pair equal the former scalar link loss, and
+    one_step_costs over all the pairs equals them element for element."""
+    want = {d: [former_link_loss(mdp, int(s), int(a), d) for s, a in zip(states, actions)]
+            for d in [None, *range(mdp.m)]}
+    for k, (s, a) in enumerate(zip(states, actions)):
+        assert mdp.one_step_cost(int(s), int(a)) == want[None][k]
+        for d in range(mdp.m):
+            assert mdp.device_cost(int(s), int(a), d) == want[d][k]
+    state = mdp.state_decode(int(states[0]))  # decoded arguments take the same path
+    assert mdp.one_step_cost(state, mdp.action_decode(int(actions[0]))) == want[None][0]
+    for d, costs in want.items():
+        batch = mdp.one_step_costs(states, actions, d)
+        assert batch.shape == (len(states),) and np.array_equal(batch, costs)
+
+
+@pytest.mark.parametrize("name, n_pairs", [("tiny-a", 500), ("tiny-c", 500), ("pair", 500),
+                                           ("desk", 600)])
+def test_scalar_and_batched_queries_equal_the_former_link_loss(name, n_pairs):
+    mdp = desk_scenario(horizon=2).mdp if name == "desk" else (
+        oracle_instance()[0] if name == "pair" else tiny_instances()[name].mdp)
+    rng = np.random.default_rng(7)
+    check_scalar_queries(mdp, rng.integers(mdp.n_states, size=n_pairs),
+                         rng.integers(mdp.n_actions, size=n_pairs))
+
+
+def former_decomposition_check(mdp):
+    """verify_suite's former cost-decomposition loop: its value and the pairs it drew."""
+    rng = np.random.default_rng(0)
+    worst, pairs = 0.0, []
+    for _ in range(1000):
+        s = int(rng.integers(mdp.n_states))
+        a = int(rng.integers(mdp.n_actions))
+        pairs.append((s, a))
+        total = former_link_loss(mdp, s, a, None)
+        parts = sum(former_link_loss(mdp, s, a, i) for i in range(mdp.m))
+        worst = max(worst, abs(total - parts))
+    return worst, pairs
+
+
+@pytest.mark.parametrize("name", ["tiny-a", "tiny-b", "tiny-c"])
+def test_decomposition_check_is_the_former_scalar_loop_bit_for_bit(name, monkeypatch):
+    mdp = tiny_instances()[name].mdp
+    worst, pairs = former_decomposition_check(mdp)
+    drawn = []
+
+    def recorded(states, actions, device=None, _fn=mdp.one_step_costs):
+        drawn.append(np.stack([states, actions], axis=-1))
+        return _fn(states, actions, device)
+
+    monkeypatch.setattr(mdp, "one_step_costs", recorded)
+    assert _decomposition_error(mdp) == worst
+    assert len(drawn) == mdp.m + 1
+    for d in drawn:  # the same pairs, drawn in the former interleaved order
+        assert np.array_equal(d, pairs)
 
 
 def dict_backward_induction(mdp):

@@ -2,9 +2,10 @@
 with the exact DP on generated models, where the energy-pruned DP also
 matches the unpruned tree bit for bit.
 
-`exhaustive_minimum` memoizes each pair's scalar cost and transition. The
-enumeration it used to run, querying the model on every assignment, is kept
-here as the reference that the memoized oracle must match float for float.
+`exhaustive_minimum` prices each pair once, its cost in one batched query per
+slot. The enumeration it used to run, querying the model on every assignment,
+is kept here as the reference that the memoized oracle must match float for
+float.
 """
 import itertools
 import math
@@ -23,8 +24,9 @@ from ehdfl.mdp import GlobalState, backward_induction, build_mdp, evaluate_polic
 from ehdfl.topology import build_topology
 from test_localized import check_localized_cost_tables
 from test_mdp import (check_cost_tables, check_draws_rise, check_former_layout,
-                      check_scoped_conditionals, check_scoped_fold, check_terminal_slot,
-                      five_policies, layout_policies, reference_backward_induction)
+                      check_scalar_queries, check_scoped_conditionals, check_scoped_fold,
+                      check_terminal_slot, five_policies, layout_policies,
+                      reference_backward_induction)
 from test_policy_rows import check_digit_rows
 
 
@@ -75,16 +77,24 @@ def test_oracle_queries_each_pair_once_and_matches_the_unmemoized_enumeration(
         name, monkeypatch):
     mdp, s1 = oracle_cases()[name]
     ref = unmemoized_minimum(mdp, s1)
-    calls = {"one_step_cost": Counter(), "transition": Counter()}
-    for method, counter in calls.items():
-        def counted(s, a, _fn=getattr(mdp, method), _counter=counter):
-            _counter[(int(s), int(a))] += 1
-            return _fn(s, a)
-        monkeypatch.setattr(mdp, method, counted)
+    costed, stepped, batches = Counter(), Counter(), []
+
+    def one_step_costs(states, actions, _fn=mdp.one_step_costs):
+        batches.append(len(states))
+        costed.update(zip(np.asarray(states).tolist(), np.asarray(actions).tolist()))
+        return _fn(states, actions)
+
+    def transition(s, a, _fn=mdp.transition):
+        stepped[(int(s), int(a))] += 1
+        return _fn(s, a)
+
+    monkeypatch.setattr(mdp, "one_step_costs", one_step_costs)
+    monkeypatch.setattr(mdp, "transition", transition)
     assert exhaustive_minimum(mdp, s1) == ref
-    for counter in calls.values():
+    for counter in (costed, stepped):
         assert counter and max(counter.values()) == 1
-    assert set(calls["transition"]) == set(calls["one_step_cost"])
+    assert set(stepped) == set(costed)
+    assert len(batches) <= mdp.horizon  # at most one batched cost query per slot
 
 
 def binding_instance():
@@ -274,3 +284,13 @@ def test_device_shares_sum_to_the_one_step_cost_on_generated_models(model):
         for a in range(mdp.n_actions):
             parts = sum(mdp.device_cost(int(s), a, d) for d in range(mdp.m))
             assert abs(mdp.one_step_cost(int(s), a) - parts) <= 1e-12
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_models())
+def test_scalar_and_batched_queries_equal_the_former_link_loss_on_generated_models(model):
+    mdp, _ = model
+    _, s = channel_states(mdp)
+    a = np.arange(mdp.n_actions)
+    check_scalar_queries(mdp, np.repeat(s, len(a)), np.tile(a, len(s)))  # every action at each
