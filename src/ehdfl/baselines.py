@@ -47,10 +47,7 @@ class GreedyPolicy:
     stationary = True
 
     def __init__(self, mdp):
-        nb = mdp.energy.n_levels
-        top = [[np.nonzero(feas[:, b])[0].max() for b in range(nb)]
-               for feas in mdp.feasible_level_masks]  # (m, nb) highest feasible level
-        self._hot = np.eye(max(mdp.act_dims))[top]  # (m, nb, W)
+        self._hot = np.eye(max(mdp.act_dims))[mdp.top_levels]  # (m, nb, W)
 
     def rows(self, mdp, t, digits):
         """Device d's row is hot[d, b] at its battery digit b; no table over states is built."""

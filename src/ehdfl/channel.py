@@ -166,6 +166,25 @@ def rayleigh_chain(n_levels: int, doppler_hz: float, tau: float,
     return build_chain_from_crossing(levels, steady, crossing, tau)
 
 
+def zero_padded(arrays) -> np.ndarray:
+    """Arrays of one rank stacked on a new leading axis, zero-padded to the largest shape."""
+    out = np.zeros((len(arrays),) + tuple(map(max, zip(*(a.shape for a in arrays)))))
+    for k, a in enumerate(arrays):
+        out[(k,) + tuple(map(slice, a.shape))] = a
+    return out
+
+
+def inverse_cdf(rows: np.ndarray, u: np.ndarray, widths) -> np.ndarray:
+    """(n, k) indices by inverse CDF, the one sampler of gains, levels and batteries:
+    rows is (k, n, W) probabilities, u is (n, k). Row j of item i holds widths[j]
+    entries, zero-padded to W. Per row the count of cumsum(row) <= u, clipped to the
+    last index, which is searchsorted(cumsum(row), u, side="right"); a padded entry
+    can only count when u reaches the row's total, and then the clip discards it.
+    """
+    counts = (np.cumsum(rows, axis=2) <= u.T[:, :, None]).sum(axis=2)
+    return np.minimum(counts.T, np.subtract(widths, 1))
+
+
 def step_links(state: np.ndarray, chains, u: np.ndarray) -> np.ndarray:
     """Advance every link's gain index one slot.
 
@@ -175,16 +194,12 @@ def step_links(state: np.ndarray, chains, u: np.ndarray) -> np.ndarray:
         chains: matching sequence of ChannelChain.
         u: uniforms in [0, 1) of the same shape, one per run and link.
 
-    Each next index is searchsorted(cumsum(psi row), u, side="right"), the
-    count of CDF entries <= u, clipped to the last level against cumsum
-    rounding at 1.0.
+    Each next index is `inverse_cdf` on the link's psi row at its gain index.
     """
-    state = np.asarray(state)
-    out = np.empty_like(state)
-    for k, chain in enumerate(chains):
-        cdf = np.cumsum(chain.psi[state[..., k]], axis=-1)
-        out[..., k] = np.minimum((cdf <= u[..., k, None]).sum(-1), chain.n - 1)
-    return out
+    flat = np.reshape(state, (-1, len(chains)))
+    rows = zero_padded([c.psi for c in chains])[np.arange(len(chains))[:, None], flat.T]
+    out = inverse_cdf(rows, np.reshape(u, flat.shape), [c.n for c in chains])
+    return out.reshape(np.shape(state))
 
 
 def packet_error_rate(p, gains, topo, radio: RadioParams, i, j) -> float | np.ndarray:

@@ -5,9 +5,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import packet_error_rate, step_links
-from .errors import CausalityViolation
-from .mdp import GlobalMdp, GlobalState, _draw, _zero_padded
+from .channel import inverse_cdf, packet_error_rate, step_links, zero_padded
+from .energy import battery_step
+from .mdp import GlobalMdp, GlobalState
 
 # Sub-stream roles under the run seed; per-device streams spawn as (role, device).
 _ROLE_POLICY = 0
@@ -127,7 +127,7 @@ def run_training(mdp: GlobalMdp, task, policy, *, seeds, eta: float,
 
     pair_rx, pair_tx = np.array([(i, j) for i in range(m) for j in sorted(topo.neighbors[i])],
                                 dtype=np.int64).reshape(-1, 2).T
-    draws = _zero_padded(mdp.draw_quanta).astype(int)
+    draws = zero_padded(mdp.draw_quanta).astype(int)
     devs, seed_rows = np.arange(m), np.arange(n_seeds)[:, None]
     gains = np.tile(np.asarray(s1.gains, dtype=np.int64), (n_seeds, 1))
     quanta = np.tile(np.asarray(s1.batteries, dtype=np.int64), (n_seeds, 1))
@@ -171,8 +171,8 @@ def run_training(mdp: GlobalMdp, task, policy, *, seeds, eta: float,
         log_point(t)
         rec.grad_norm_sq[:, t] = np.sum(task.global_grad(rec.wbar[:, t]) ** 2, axis=-1)
 
-        levels = rec.actions[:, t] = _draw(policy.rows(mdp, t + 1, np.hstack([gains, quanta])),
-                                           pol_u[:, t], mdp.act_dims)
+        levels = rec.actions[:, t] = inverse_cdf(
+            policy.rows(mdp, t + 1, np.hstack([gains, quanta])), pol_u[:, t], mdp.act_dims)
         powers = mdp.powers_of(levels)
         beta = powers > 0
         rec.beta[:, t] = beta
@@ -214,11 +214,7 @@ def run_training(mdp: GlobalMdp, task, policy, *, seeds, eta: float,
         spend = draws[devs, levels]
         for i in range(m):
             rec.energy_spent[:, t] += spend[:, i] * energy.quantum
-        if (spend > quanta).any():
-            k, i = np.argwhere(spend > quanta)[0]
-            raise CausalityViolation(f"seed {seeds[k]}: device {i} spends {spend[k, i]} "
-                                     f"quanta from a battery of {quanta[k, i]}")
-        quanta = np.minimum(quanta - spend + harvest[:, t], energy.n_levels - 1)
+        quanta = battery_step(quanta, spend, harvest[:, t], energy)
         gains = step_links(gains, mdp.chains, u[offsets + n_active[:, None]
                                                 + np.arange(n_links)])
 

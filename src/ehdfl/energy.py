@@ -2,8 +2,8 @@
 
 All energies live on a uniform grid of battery quanta (spacing = capacity
 divided by level count minus one). Quantization is round-half-up, and battery
-arithmetic is done on integer quanta, so the model's battery kernel rows
-(`GlobalMdp.battery_kernels`) are exact.
+arithmetic is done on integer quanta by `battery_step`, so the model's battery
+kernel rows (`GlobalMdp.battery_kernels`) are exact.
 """
 from __future__ import annotations
 
@@ -70,16 +70,17 @@ class EnergyParams:
         return int(np.floor(x / self.quantum + 0.5))
 
 
-def battery_step(b: float, e: float, u: float, params: EnergyParams) -> float:
-    """Next battery level: clamp(b - e + u) at capacity.
+def battery_step(b, spend, harvest, params: EnergyParams) -> np.ndarray:
+    """Next battery quanta min(b - spend + harvest, n_levels - 1), elementwise over
+    broadcastable int arrays: the one battery rule of training and the battery kernels.
 
-    Raises CausalityViolation if e exceeds b (on the quanta grid).
+    Raises CausalityViolation at the first index where a spend exceeds its battery.
     """
-    bq, eq, uq = params.to_quanta(b), params.to_quanta(e), params.to_quanta(u)
-    if eq > bq:
-        raise CausalityViolation(f"spend {e} exceeds battery {b}")
-    nq = min(bq - eq + uq, params.n_levels - 1)
-    return nq * params.quantum
+    b, spend = np.broadcast_arrays(b, spend)
+    if (spend > b).any():
+        at = tuple(np.argwhere(spend > b)[0].tolist())
+        raise CausalityViolation(f"index {at}: spend of {spend[at]} quanta exceeds battery {b[at]}")
+    return np.minimum(b - spend + harvest, params.n_levels - 1)
 
 
 @dataclass(frozen=True, eq=False)

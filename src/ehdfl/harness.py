@@ -12,13 +12,14 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import os
 from pathlib import Path
 
 import numpy as np
 
 from .baselines import GreedyPolicy
 from .boundlab import contraction_study
-from .config import ExperimentConfig
+from .config import POLICY_NAMES, ExperimentConfig
 from .dflsim import DflRun, convergence_bound, run_training
 from .errors import BudgetExceeded, ConfigError
 from .localized import save_localized
@@ -138,8 +139,12 @@ def run_experiment(config: ExperimentConfig, kind: str, *, jobs: int = 1,
 
     The one place a command's model, start state and policy name are made: each
     runner gets them as `(mdp, s1, name)`, and a command that trains has its
-    record's size checked here, before any policy is built.
+    record's size checked here, before any policy is built. An unknown `--policy`
+    is refused before anything, and `jobs` is capped at the usable CPUs.
     """
+    if policy_name is not None and policy_name not in POLICY_NAMES:
+        raise ConfigError([f"--policy: {policy_name!r} not one of {POLICY_NAMES}"])
+    jobs = min(jobs, len(os.sched_getaffinity(0)))
     out = Path(config.out_dir)  # made by the first file written into it
     if kind == "sweep" and config.sweep_raw is None:
         raise ConfigError(["sweep: config has no 'sweep' section"])
@@ -232,7 +237,7 @@ def _run_train(config: ExperimentConfig, out: Path, jobs: int, mdp, s1, name: st
 
 
 # ---------------------------------------------------------------------------
-# sweeps (they ignore `name`: rounds and hops synthesize, capacity trains the config policy)
+# sweeps (rounds and hops synthesize `decentralized_pi`; capacity trains the named policy)
 # ---------------------------------------------------------------------------
 
 def _sweep_rounds(config: ExperimentConfig, out: Path, jobs: int, mdp, s1, name: str) -> None:
@@ -261,7 +266,7 @@ def _sweep_capacity(config: ExperimentConfig, out: Path, jobs: int, mdp, s1, nam
         j_star = sol.expected_cost(full)
         loss_mean, loss_se = "", ""
         if config.sweep_train:
-            run = _train_seeds(config, grown, config.build_policy(grown), full, jobs)
+            run = _train_seeds(config, grown, config.build_policy(grown, name), full, jobs)
             loss_mean, loss_se = _mean_stderr(run.device_loss[:, -1])
         rows.append([n_levels, energy.b_max, j_star, loss_mean, loss_se])
     _emit(out, "final_vs_battery.csv", rows, config.hash)

@@ -49,8 +49,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ChannelChain, RadioParams, packet_error_rate, step_links
-from .energy import EnergyParams, HarvestModel
+from .channel import (ChannelChain, RadioParams, inverse_cdf, packet_error_rate, step_links,
+                      zero_padded)
+from .energy import EnergyParams, HarvestModel, battery_step
 from .errors import BudgetExceeded, CausalityViolation
 
 DEFAULT_BUDGET = 10_000_000
@@ -179,12 +180,12 @@ class GlobalMdp:
     @functools.cached_property
     def _ladders(self) -> np.ndarray:
         """(m, W): each device's power ladder, zero-padded to the longest."""
-        return _zero_padded(self.power_levels)
+        return zero_padded(self.power_levels)
 
     @functools.cached_property
     def _gain_ladders(self) -> np.ndarray:
         """(L, W): each link's gain ladder, zero-padded to the longest."""
-        return _zero_padded([np.asarray(c.levels, dtype=float) for c in self.chains])
+        return zero_padded([np.asarray(c.levels, dtype=float) for c in self.chains])
 
     @functools.cached_property
     def draw_quanta(self):
@@ -194,21 +195,19 @@ class GlobalMdp:
 
     @functools.cached_property
     def battery_kernels(self):
-        """Per device: array (n_levels_d, nb, nb); infeasible rows are identity filler."""
+        """Per device: (n_levels_d, nb, nb), each fundable row `battery_step`'s pushforward
+        under the harvest law, summed in harvest order (a zero-padded harvest adds +0.0,
+        keeping the bits); the other rows are identity filler, never selectable."""
         nb = self.energy.n_levels
-        out = []
-        for d, draws in enumerate(self.draw_quanta):
-            uq, pr = self.harvest_quanta[d], self.harvests[d].probs
-            ks = np.zeros((len(draws), nb, nb))
-            for l, eq in enumerate(draws):
-                for b in range(nb):
-                    if eq > b:
-                        ks[l, b, b] = 1.0  # never selectable, placeholder row
-                        continue
-                    for amount, prob in zip(uq, pr):
-                        ks[l, b, min(b - eq + amount, nb - 1)] += prob
-            out.append(ks)
-        return out
+        draws = zero_padded(self.draw_quanta).astype(np.int64)
+        fundable = np.arange(nb) >= draws[..., None]  # (m, W, nb), every device at once
+        ks = np.where(fundable[..., None], 0.0, np.eye(nb))
+        d, lv, b = np.nonzero(fundable)
+        harvest = zero_padded(self.harvest_quanta).astype(np.int64)[d]
+        nxt = battery_step(b[:, None], draws[d, lv, None], harvest, self.energy)
+        probs = zero_padded([hv.probs for hv in self.harvests])[d]
+        np.add.at(ks, (d[:, None], lv[:, None], b[:, None], nxt), probs)
+        return [ks[k, :len(dq)] for k, dq in enumerate(self.draw_quanta)]
 
     @functools.cached_property
     def action_one_hot(self) -> np.ndarray:
@@ -222,6 +221,12 @@ class GlobalMdp:
     def feasible_level_masks(self):
         """Per device: bool (n_levels_d, nb), True where the level fits the battery."""
         return [np.arange(self.energy.n_levels) >= draws[:, None] for draws in self.draw_quanta]
+
+    @functools.cached_property
+    def top_levels(self) -> np.ndarray:
+        """(m, nb): the highest level each battery funds, its count of fundable levels
+        less one, as draw_quanta never falls along a ladder."""
+        return np.array([feas.sum(axis=0) - 1 for feas in self.feasible_level_masks])
 
     @functools.cached_property
     def ordered_pairs(self):
@@ -493,7 +498,7 @@ def bellman_slot(mdp: GlobalMdp, v_next: np.ndarray | None) -> tuple[np.ndarray,
                 keep = vals[l - 1] <= vals[l]
                 np.copyto(vals[l], vals[l - 1], where=keep)
                 np.copyto(args[l], args[l - 1], where=keep)
-        at = np.ix_(*[np.searchsorted(dq, np.arange(nb), "right") - 1 for dq in mdp.draw_quanta])
+        at = np.ix_(*mdp.top_levels)
         return best[(slice(None),) + at].reshape(shape), arg[(slice(None),) + at].reshape(shape)
     kbs, draws = mdp.battery_kernels, [dq.tolist() for dq in mdp.draw_quanta]
     strides = np.cumprod([1] + mdp.act_dims[::-1])[::-1][1:].tolist()  # C-order action strides
@@ -545,26 +550,6 @@ def backward_induction(mdp: GlobalMdp, *, budget: int = DEFAULT_BUDGET) -> Solut
 # policies: per-device conditional rows, one draw rule
 # ---------------------------------------------------------------------------
 
-def _draw(rows: np.ndarray, u: np.ndarray, widths) -> np.ndarray:
-    """(n, k) indices by inverse CDF: rows is (k, n, W) probabilities, u is (n, k).
-
-    Row j of item i holds widths[j] entries, zero-padded to W. Per row the
-    count of cumsum(row) <= u, clipped to the last index, which is
-    searchsorted(cumsum(row), u, side="right"); a padded entry can only count
-    when u reaches the row's total, and then the clip discards it.
-    """
-    counts = (np.cumsum(rows, axis=2) <= u.T[:, :, None]).sum(axis=2)
-    return np.minimum(counts.T, np.subtract(widths, 1))
-
-
-def _zero_padded(arrays) -> np.ndarray:
-    """Arrays of one rank stacked on a new leading axis, zero-padded to the largest shape."""
-    out = np.zeros((len(arrays),) + tuple(np.max([a.shape for a in arrays], axis=0)))
-    for k, a in enumerate(arrays):
-        out[(k,) + tuple(map(slice, a.shape))] = a
-    return out
-
-
 def sample_act(self, mdp, s_idx: int, t: int, rng=None) -> tuple[int, ...]:
     """Levels at one flat state index, drawn from the policy's rows with rng.random(m).
 
@@ -575,7 +560,7 @@ def sample_act(self, mdp, s_idx: int, t: int, rng=None) -> tuple[int, ...]:
     """
     u = rng.random((1, mdp.m)) if rng is not None else np.zeros((1, mdp.m))
     rows = self.rows(mdp, t, np.array([np.unravel_index(s_idx, mdp.state_shape)]))
-    return tuple(_draw(rows, u, mdp.act_dims)[0].tolist())
+    return tuple(inverse_cdf(rows, u, mdp.act_dims)[0].tolist())
 
 
 def table_rows(mdp, table: np.ndarray, digits) -> np.ndarray:
@@ -794,11 +779,11 @@ def simulate_costs(mdp: GlobalMdp, policy, s1, *, n_samples: int, seed: int) -> 
     gains, bats = digits[:, :L], digits[:, L:]
     use_table = mdp.n_channel_cfgs * mdp.n_actions <= COST_TABLE_ENTRIES
     cost_tbl = mdp.cost_table().reshape(mdp.link_dims + mdp.act_dims) if use_table else None
-    kernels, devs = _zero_padded(mdp.battery_kernels), np.arange(m)[:, None]
+    kernels, devs = zero_padded(mdp.battery_kernels), np.arange(m)[:, None]
     rng = np.random.default_rng(seed)
     totals = np.zeros(n_samples)
     for t in range(1, mdp.horizon + 1):
-        levels = _draw(policy.rows(mdp, t, digits), rng.random((n_samples, m)), mdp.act_dims)
+        levels = inverse_cdf(policy.rows(mdp, t, digits), rng.random((n_samples, m)), mdp.act_dims)
         for d, mask in enumerate(mdp.feasible_level_masks):
             bad = ~mask[levels[:, d], bats[:, d]]
             if bad.any():  # battery_row raises with the first offender's details
@@ -809,8 +794,8 @@ def simulate_costs(mdp: GlobalMdp, policy, s1, *, n_samples: int, seed: int) -> 
         else:
             totals += sample_costs(mdp, gains, levels)
         gains[:] = step_links(gains, mdp.chains, rng.random((n_samples, L)))
-        bats[:] = _draw(kernels[devs, levels.T, bats.T], rng.random((n_samples, m)),
-                        mdp.bat_dims)
+        bats[:] = inverse_cdf(kernels[devs, levels.T, bats.T], rng.random((n_samples, m)),
+                              mdp.bat_dims)
     return totals
 
 

@@ -1,7 +1,8 @@
 """Channel chains, the link step, and the packet error rule.
 
-`former_packet_error_rate` is the one-link body the batched rule replaced, kept
-as the reference it must equal element for element.
+`former_packet_error_rate` is the one-link body the batched rule replaced, and
+`former_step_links` the per-link loop `step_links` replaced; each is kept as
+the reference its replacement must equal element for element.
 """
 import math
 
@@ -89,6 +90,51 @@ def test_step_links_on_a_batch_is_each_run_stepped_alone():
         for e, chain in enumerate(chains):
             want = np.searchsorted(np.cumsum(chain.psi[state[k, e]]), u[k, e], side="right")
             assert batch[k, e] == min(want, chain.n - 1)
+
+
+def former_step_links(state, chains, u):
+    """The former link step: one cumsum per link over its psi rows at the state."""
+    state = np.asarray(state)
+    out = np.empty_like(state)
+    for k, chain in enumerate(chains):
+        cdf = np.cumsum(chain.psi[state[..., k]], axis=-1)
+        out[..., k] = np.minimum((cdf <= u[..., k, None]).sum(-1), chain.n - 1)
+    return out
+
+
+@st.composite
+def link_steps(draw):
+    """1 to 4 chains of 1 to 3 levels, Rayleigh or with rows of small integer weights
+    (whose cumsums may end off 1.0), n states and uniforms, some of them on a CDF entry."""
+    chains = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 3))
+        if draw(st.booleans()):
+            chains.append(rayleigh_chain(n, doppler_hz=draw(st.sampled_from([10.0, 40.0])),
+                                         tau=1e-3))
+            continue
+        w = np.array(draw(st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n)),
+                     dtype=float).reshape(n, n)
+        w[w.sum(axis=1) == 0, 0] = 1.0
+        chains.append(ChannelChain(levels=np.arange(1.0, n + 1), steady=np.full(n, 1.0 / n),
+                                   psi=w / w.sum(axis=1, keepdims=True)))
+    n = draw(st.integers(1, 6))
+    state = np.array([[draw(st.integers(0, c.n - 1)) for c in chains] for _ in range(n)])
+    u = np.empty(state.shape)
+    for k, e in np.ndindex(state.shape):
+        cdf = np.cumsum(chains[e].psi[state[k, e]])
+        u[k, e] = draw(st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                                 st.sampled_from([0.0, np.nextafter(1.0, 0.0)] + cdf.tolist())))
+    return chains, state, np.minimum(u, np.nextafter(1.0, 0.0))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(link_steps())
+def test_step_links_equals_the_former_per_link_loop_on_generated_chains(case):
+    chains, state, u = case
+    assert np.array_equal(step_links(state, chains, u), former_step_links(state, chains, u))
+    assert np.array_equal(step_links(state[0], chains, u[0]),
+                          former_step_links(state[0], chains, u[0]))
 
 
 def _pair_setup():

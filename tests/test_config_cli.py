@@ -505,6 +505,90 @@ def test_size_ladder_exits_0_or_quickly_3_and_trains_a_64_device_ring(tmp_path):
     assert codes[9, "evaluate", "greedy"] == 0
 
 
+@pytest.mark.parametrize("kind", ["sweep", "train", "verify"])
+def test_unknown_policy_override_exits_2_before_a_model_is_built(tmp_path, monkeypatch, capsys,
+                                                                 kind):
+    from ehdfl.cli import main
+    from ehdfl.config import ExperimentConfig
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("model built")
+
+    monkeypatch.setattr(ExperimentConfig, "build_model", no_model)
+    cfg = DESK8.parent / "tiny_rounds.json"
+    assert main([kind, "--config", str(cfg), "--policy", "bogus",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "error: --policy: 'bogus' not one of" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_capacity_sweep_trains_the_policy_it_is_given(tmp_path, monkeypatch):
+    from ehdfl.baselines import GreedyPolicy
+    from ehdfl.cli import main
+    trained, original = [], harness._train_seeds
+
+    def record(config, mdp, policy, s1, jobs):
+        trained.append(type(policy))
+        return original(config, mdp, policy, s1, jobs)
+
+    monkeypatch.setattr(harness, "_train_seeds", record)
+    raw = json.loads((DESK8.parent / "capacity.json").read_text())
+    assert raw["policy"]["name"] != "greedy"
+    flag = tmp_path / "flag"
+    assert main(["sweep", "--config", str(_write(tmp_path, raw)), "--policy", "greedy",
+                 "--out", str(flag)]) == 0
+    assert trained == [GreedyPolicy] * len(raw["sweep"]["values"])
+    raw["policy"]["name"] = "greedy"  # the same sweep with greedy named in the config
+    named = tmp_path / "named"
+    assert main(["sweep", "--config", str(_write(tmp_path, raw)), "--out", str(named)]) == 0
+    body = [(d / "final_vs_battery.csv").read_text().split("\n", 1)[1] for d in (flag, named)]
+    assert body[0] == body[1]  # all but the config hash line
+
+
+class RecordingPool:
+    """A stand-in process pool that maps in this process and records its worker count."""
+
+    workers = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("kind", ["evaluate", "train"])
+def test_jobs_are_capped_at_the_usable_cpus(tmp_path, monkeypatch, kind):
+    import concurrent.futures
+    import os
+    monkeypatch.setattr(RecordingPool, "workers", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3})
+    chunks, original = [], harness.run_training
+
+    def run_training(*args, **kwargs):
+        chunks.append(list(kwargs["seeds"]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_training", run_training)
+    outs = []
+    for jobs in (500, 1):
+        outs.append(tmp_path / f"jobs{jobs}")
+        cfg = parse_config(base_raw(out_dir=str(outs[-1]), seeds=list(range(6)),
+                                    mc_samples=20))
+        run_experiment(cfg, kind, jobs=jobs)
+    assert RecordingPool.workers == [2]
+    if kind == "train":
+        assert chunks == [[0, 1, 2], [3, 4, 5], list(range(6))]
+    assert _csv_bytes(outs[0]) == _csv_bytes(outs[1])
+
+
 @pytest.mark.parametrize("policy", ["greedy", "decentralized_pi"])
 def test_oversized_training_record_exits_3_before_any_policy_is_built(tmp_path, monkeypatch,
                                                                        capsys, policy):

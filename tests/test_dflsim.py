@@ -4,8 +4,8 @@
 reference the lockstep `run_training` must match bit for bit. It runs on the
 former one-model helpers below: the task methods before they took a batch
 axis, `local_sgd`, `apply_gossip`, `step_links` drawing from its generator,
-harvests drawn by `Generator.choice`, and the scalar packet error rule of
-`test_channel`.
+harvests drawn by `Generator.choice`, the scalar packet error rule of
+`test_channel` and the joule battery rule of `test_energy`.
 """
 from types import SimpleNamespace
 
@@ -15,12 +15,14 @@ import pytest
 from ehdfl.baselines import GreedyPolicy
 from ehdfl.channel import ChannelChain, RadioParams, packet_error_rate
 from ehdfl.dflsim import DflRun, convergence_bound, local_sgd, run_training
-from ehdfl.energy import EnergyParams, HarvestModel, battery_step
+from ehdfl.energy import EnergyParams, HarvestModel
+from ehdfl.errors import CausalityViolation
 from ehdfl.instances import fullinfo_instance, tiny_instances
 from ehdfl.learning import LearnConsts, QuadraticTask, make_logistic_task, make_quadratic_task
 from ehdfl.mdp import GlobalState, build_mdp
 from ehdfl.topology import build_topology
 from test_channel import former_packet_error_rate
+from test_energy import former_battery_step
 
 
 class FormerTask:
@@ -169,7 +171,7 @@ def reference_training(mdp, task, policy, *, seed, eta, horizon=None, per_overri
             rec.energy_spent[t] += e_i
             hv = mdp.harvests[i]
             u = hv.support[rng_harv[i].choice(len(hv.support), p=hv.probs)]
-            bats_j[i] = battery_step(bats_j[i], e_i, u, energy)
+            bats_j[i] = former_battery_step(bats_j[i], e_i, u, energy)
         gains = _former_step_links(gains, mdp.chains, rng_chan)
 
     rec.batteries[horizon] = bats_j
@@ -456,6 +458,30 @@ def test_recorded_battery_steps_follow_the_mdp_battery_kernels():
     p, freq = kernel[checked], counts[checked] / n[checked][:, None]
     se = np.sqrt(p * (1 - p) / n[checked][:, None])
     assert (np.abs(freq - p) <= 5 * se + 1e-12).all()
+
+
+class TopLevelPolicy:
+    """Every device at its top level whatever its battery."""
+
+    def rows(self, mdp, t, digits):
+        w = max(mdp.act_dims)
+        return np.broadcast_to(np.eye(w)[-1], (mdp.m, len(digits), w))
+
+
+def test_training_refuses_a_spend_past_the_battery_at_its_seed_row_and_device():
+    m = 3
+    energy = EnergyParams(k_steps=1, cpu_freq=1.0, cycles_per_sample=0.0, batch_size=1,
+                          tau=1.0, b_max=3.0, n_levels=4)
+    mdp = build_mdp(build_topology("ring", m), RadioParams(0.5, (0.3,) * m, 1.0), energy,
+                    ChannelChain(levels=np.array([1.0]), steady=np.array([1.0]),
+                                 psi=np.array([[1.0]])),
+                    HarvestModel(support=np.array([0.0]), probs=np.array([1.0])),
+                    power_levels=[0.0, 3.0], horizon=3)
+    start = GlobalState(gains=(0,) * m, batteries=(3, 3, 2))  # device 2 cannot fund slot 1
+    with pytest.raises(CausalityViolation,
+                       match=r"index \(0, 2\): spend of 3 quanta exceeds battery 2"):
+        run_training(mdp, make_quadratic_task(m, 2, 4, seed=0), TopLevelPolicy(),
+                     seeds=[7, 8], eta=0.05, s1=start)
 
 
 @pytest.mark.parametrize("name", ["centralized_pi", "myopic_central", "greedy", "dec1", "dec2"])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ehdfl.channel import RadioParams, identity_chain
 from ehdfl.energy import (EnergyParams, HarvestModel, battery_step, point_harvest,
@@ -53,22 +55,48 @@ def test_energy_consumed_components():
     assert params.compute_energy() > 0.0
 
 
+def former_battery_step(b: float, e: float, u: float, params: EnergyParams) -> float:
+    """The former joule battery rule: clamp(b - e + u) at capacity on the quanta grid.
+
+    Raises CausalityViolation if e exceeds b (on the quanta grid).
+    """
+    bq, eq, uq = params.to_quanta(b), params.to_quanta(e), params.to_quanta(u)
+    if eq > bq:
+        raise CausalityViolation(f"spend {e} exceeds battery {b}")
+    nq = min(bq - eq + uq, params.n_levels - 1)
+    return nq * params.quantum
+
+
 def test_battery_step_clips_at_capacity():
     params = _params()
-    b = battery_step(3.0, 0.0, 5.0, params)
-    assert b == 4.0
+    assert battery_step(3, 0, 5, params) == 4
+    assert former_battery_step(3.0, 0.0, 5.0, params) == 4.0
 
 
 def test_battery_step_never_negative():
     params = _params()
-    b = battery_step(1.0, 1.0, 0.0, params)
-    assert b == 0.0
+    assert battery_step(1, 1, 0, params) == 0
+    assert former_battery_step(1.0, 1.0, 0.0, params) == 0.0
 
 
 def test_causality_guard():
     params = _params()
     with pytest.raises(CausalityViolation):
-        battery_step(0.0, 1.0, 0.0, params)
+        battery_step(0, 1, 0, params)
+    with pytest.raises(CausalityViolation):
+        former_battery_step(0.0, 1.0, 0.0, params)
+
+
+def test_battery_step_names_the_first_index_that_overspends():
+    params = _params()
+    b = np.array([[4, 0, 2], [1, 0, 3]])
+    spend = np.array([[1, 0, 3], [2, 1, 1]])
+    with pytest.raises(CausalityViolation,
+                       match=r"index \(0, 2\): spend of 3 quanta exceeds battery 2"):
+        battery_step(b, spend, 0, params)
+    ok = np.minimum(b, spend)
+    assert np.array_equal(battery_step(b, ok, np.array([0, 1, 4]), params),
+                          np.minimum(b - ok + [0, 1, 4], 4))
 
 
 def test_feasible_actions_shrink_with_battery():
@@ -143,3 +171,75 @@ def test_solar_support_snaps_to_grid():
     uq, pr = hv.quanta(params)
     assert (uq == np.round(uq)).all()
     assert pr.sum() == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# the one battery rule against the former loops, on generated models
+# ---------------------------------------------------------------------------
+
+def former_battery_kernels(mdp):
+    """The former kernel loop: per device (n_levels_d, nb, nb), identity filler where
+    a level is not fundable, each fundable entry summed in harvest order."""
+    nb = mdp.energy.n_levels
+    out = []
+    for d, draws in enumerate(mdp.draw_quanta):
+        uq, pr = mdp.harvest_quanta[d], mdp.harvests[d].probs
+        ks = np.zeros((len(draws), nb, nb))
+        for l, eq in enumerate(draws):
+            for b in range(nb):
+                if eq > b:
+                    ks[l, b, b] = 1.0
+                    continue
+                for amount, prob in zip(uq, pr):
+                    ks[l, b, min(b - eq + amount, nb - 1)] += prob
+        out.append(ks)
+    return out
+
+
+@st.composite
+def battery_models(draw):
+    """2 or 3 devices on a line, 2 to 6 battery levels of one joule each, ragged ladders
+    with levels of zero quanta and levels past capacity, and harvests of up to three
+    points, some past capacity."""
+    m, nb = draw(st.integers(2, 3)), draw(st.integers(2, 6))
+    params = _params(cycles_per_sample=draw(st.sampled_from([0.0, 0.5])), batch_size=1,
+                     k_steps=1, b_max=float(nb - 1), n_levels=nb)
+    powers = [0.4] + [float(k) for k in range(1, nb + 2)]
+    ladders, harvests = [], []
+    for _ in range(m):
+        ladders.append([0.0] + sorted(draw(st.sets(st.sampled_from(powers), max_size=4))))
+        support = sorted(draw(st.sets(st.integers(0, nb + 1), min_size=1, max_size=3)))
+        weights = np.array(draw(st.lists(st.integers(1, 3), min_size=len(support),
+                                         max_size=len(support))), dtype=float)
+        harvests.append(HarvestModel(support=np.array(support, dtype=float),
+                                     probs=weights / weights.sum()))
+    return build_mdp(build_topology("line", m), RadioParams(1.0, 1.0, 1.0), params,
+                     identity_chain([1.0]), harvests, power_levels=ladders, horizon=1)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(battery_models())
+def test_battery_kernels_and_top_levels_equal_the_former_loops_on_generated_models(mdp):
+    for got, want in zip(mdp.battery_kernels, former_battery_kernels(mdp), strict=True):
+        assert np.array_equal(got, want)
+    tops = [[np.nonzero(feas[:, b])[0].max() for b in range(mdp.energy.n_levels)]
+            for feas in mdp.feasible_level_masks]
+    assert np.array_equal(mdp.top_levels, tops)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.integers(2, 6), st.data())
+def test_battery_step_is_the_former_joule_rule_on_the_quanta_grid(nb, data):
+    params = _params(b_max=float(nb - 1), n_levels=nb)
+    b, e, u = np.meshgrid(np.arange(nb), np.arange(nb + 2), np.arange(nb + 2), indexing="ij")
+    fundable = e <= b
+    got = battery_step(b[fundable], e[fundable], u[fundable], params)
+    want = [former_battery_step(*map(float, x), params) / params.quantum
+            for x in zip(b[fundable], e[fundable], u[fundable])]
+    assert np.array_equal(got, want)
+    k = data.draw(st.integers(0, int((~fundable).sum()) - 1))
+    bad = tuple(x[~fundable][k] for x in (b, e, u))
+    with pytest.raises(CausalityViolation):
+        former_battery_step(*map(float, bad), params)
+    with pytest.raises(CausalityViolation, match=r"index \(0,\)"):
+        battery_step(*(np.array([x]) for x in bad), params)
