@@ -211,11 +211,12 @@ def packet_error_rate(p, gains, topo, radio: RadioParams, i, j) -> float | np.nd
 
     Args:
         p: power vectors, (..., m).
-        gains: gain arrays, (..., m, m), indexed [receiver, transmitter].
-        topo: Topology (interferers are i's one-hop neighbors except j).
+        gains: per-edge gains, (..., E), one per undirected edge in `topo.edges` order.
+        topo: Topology; its link table gives each link's edge and interfering neighbors.
         radio: RadioParams.
         i: receiver. j: transmitter. Ints for one link, or equal-length int
-            sequences for one PER per link along a new last axis.
+            sequences for one PER per link along a new last axis; a pair that is not
+            a link of `topo` raises ValueError.
 
     Returns:
         One PER per leading index (and link), a float for one link at one
@@ -225,21 +226,20 @@ def packet_error_rate(p, gains, topo, radio: RadioParams, i, j) -> float | np.nd
         since `np.exp` differs from it in the last bit on some inputs.
     """
     p, gains = np.asarray(p, dtype=float), np.asarray(gains, dtype=float)
-    rx, tx = np.atleast_1d(i), np.atleast_1d(j)
-    m = p.shape[-1]
-    # p_k * h_ik at receiver i and device k, flat at i * (m + 1) + k; the zero at k = m is
-    # what a link's padded interferer slots read, and adding 0.0 leaves a sum's bits
-    pg = p[..., None, :] * gains
-    terms = np.zeros(pg.shape[:-1] + (m + 1,))
-    terms[..., :m] = pg
-    terms = terms.reshape(terms.shape[:-2] + (-1,))
-    row = rx * (m + 1)
-    hits = terms[..., row[:, None] + topo.interferers[rx, tx]]  # (..., links, slots)
+    rx, tx, links = np.atleast_1d(i), np.atleast_1d(j), topo.links
+    keys = links.tx * topo.m + links.rx  # transmitter-major, so ascending
+    row = np.minimum(np.searchsorted(keys, tx * topo.m + rx), len(keys) - 1)
+    bad = (links.rx[row] != rx) | (links.tx[row] != tx)  # also a device outside 0..m-1
+    if bad.any():
+        raise ValueError(f"{tx[bad][0]} -> {rx[bad][0]} is not a link")
+    # a padded slot reads device m and edge E, both 0.0, and adding 0.0 leaves a sum's bits
+    hits = _zero_padded_last(p)[..., links.others[row]] * _zero_padded_last(gains)[
+        ..., links.other_edges[row]]
     interf = 0.0
-    for c in range(hits.shape[-1]):  # each link's interferers in neighbor order
+    for c in range(hits.shape[-1]):  # each link's interfering neighbors in order
         interf = interf + hits[..., c]
-    den = terms[..., row + tx]  # p_j * h_ij
     p_tx = p[..., tx]
+    den = p_tx * gains[..., links.edge[row]]  # p_j * h_ij
     # a silent transmitter (p_j <= 0) keeps x = inf, so exp(-x) = 0 and q = 1
     x = np.divide(radio.phi * (interf + radio.noise(rx)), den, out=np.full(den.shape, np.inf),
                   where=p_tx > 0.0)
@@ -247,3 +247,8 @@ def packet_error_rate(p, gains, topo, radio: RadioParams, i, j) -> float | np.nd
     if np.ndim(i) == 0:
         q = q[..., 0]
     return float(q) if q.ndim == 0 else q
+
+
+def _zero_padded_last(a: np.ndarray) -> np.ndarray:
+    """`a` with a 0.0 appended along its last axis."""
+    return np.concatenate([a, np.zeros(a.shape[:-1] + (1,))], axis=-1)

@@ -7,9 +7,9 @@ the harvests and the power ladder. Their rules (``link_chains`` and
 ``power_ladder`` are the ones ``GlobalMdp`` runs too) are reported under the
 config key that broke them. Every other value is kept typed, with its default
 applied. Every problem is reported at once (``ConfigError.items``), so a bad
-file needs one round-trip to fix, not ten. ``build_model`` only assembles the
-kept parts; the other builders turn them into the task and policy objects the
-harness runs.
+file needs one round-trip to fix, not ten, except a topology over ``budget``, which
+raises ``BudgetExceeded`` before it is built. ``build_model`` only assembles the kept
+parts; the other builders turn them into the task and policy objects the harness runs.
 
 The slot length ``tau`` appears once, under ``channel``, and feeds both the
 radio and the energy accounting; the two subsystems can never disagree on it.
@@ -28,9 +28,9 @@ import numpy as np
 from .boundlab import temperature_cap
 from .channel import ChannelChain, RadioParams
 from .energy import EnergyParams, HarvestModel, point_harvest
-from .errors import ConfigError
+from .errors import BudgetExceeded, ConfigError
 from .localized import ExtensionDefaults
-from .mdp import (DEFAULT_BUDGET, GlobalMdp, GlobalState, build_mdp, link_chains,
+from .mdp import (DEFAULT_BUDGET, GlobalMdp, GlobalState, build_mdp, count_text, link_chains,
                   power_ladder)
 from .topology import Topology, build_topology
 
@@ -226,6 +226,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     pos_int = {"integer": True, "ok": lambda v: v >= 1, "what": "an integer >= 1"}
     positive = {"ok": lambda v: v > 0, "what": "a positive number"}
 
+    budget = number(raw, "budget", DEFAULT_BUDGET, True, lambda v: v > 0, "a positive integer")
     topo_sec = section("topology", {})
     before = len(issues)
     kind = topo_sec.get("kind", "ring")
@@ -236,7 +237,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if seed is not None:
         seed = number(topo_sec, "topology.seed", **nonneg_int)
     topo = None
-    if len(issues) == before:
+    if len(issues) == before and budget is not None:
+        # devices and the edges the kind fixes; a random geometric graph's count as none
+        size = m + {"line": m - 1, "ring": m, "complete": m * (m - 1) // 2}.get(kind, 0)
+        if size > budget:
+            raise BudgetExceeded(f"topology: {count_text(size)} devices and edges, over the "
+                                 f"budget {count_text(budget)}")
         topo = make("topology", lambda: build_topology(kind, m, seed=seed))
 
     chan = section("channel", {})
@@ -329,7 +335,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
     mc_samples = number(raw, "mc_samples", 1000, **pos_int)
 
     seeds = digits(raw, "seeds")
-    budget = number(raw, "budget", DEFAULT_BUDGET, True, lambda v: v > 0, "a positive integer")
 
     n_levels = energy.n_levels if energy is not None else None
     s1_raw = section("s1", None)

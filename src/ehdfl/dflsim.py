@@ -87,9 +87,9 @@ class DflRun:
 
 
 def run_training(mdp: GlobalMdp, task, policy, *, seeds, eta: float,
-                 horizon: int | None = None, per_override: float | None = None,
+                 per_override: float | None = None,
                  s1: GlobalState | None = None, record_models: bool = False) -> DflRun:
-    """Co-simulate the radio process and decentralized training for T slots, every seed at once.
+    """Co-simulate radio and decentralized training for the model's T slots, every seed at once.
 
     Every device starts from the zero model and takes full-batch local steps.
     per_override, when given, replaces every link's packet-error probability
@@ -103,14 +103,14 @@ def run_training(mdp: GlobalMdp, task, policy, *, seeds, eta: float,
     seed's state digits; its channel stream gives random(n_active + L), the first
     n_active for the packet outcomes of the directed links with an active
     transmitter, in ascending (receiver, transmitter) order, the last L for
-    the link step; each harvest stream gives one uniform.
+    the link step; each harvest stream gives one uniform, drawn through `inverse_cdf` on
+    the device's harvest law.
 
     Raises:
         CausalityViolation: when the policy picks a level the battery cannot fund.
     """
     topo, radio, energy = mdp.topo, mdp.radio, mdp.energy
-    m, n_links, n_seeds = topo.m, mdp.n_links, len(seeds)
-    horizon = mdp.horizon if horizon is None else horizon
+    m, n_links, n_seeds, horizon = topo.m, mdp.n_links, len(seeds), mdp.horizon
     s1 = mdp.default_start if s1 is None else s1
     d = task.dim
 
@@ -118,15 +118,16 @@ def run_training(mdp: GlobalMdp, task, policy, *, seeds, eta: float,
     # uniforms are drawn up front; channel draws depend on who transmits.
     pol_u = np.array([_stream(s, _ROLE_POLICY).random((horizon, m))
                       for s in seeds]).reshape(n_seeds, horizon, m)
-    harvest = np.zeros((n_seeds, horizon, m), dtype=np.int64)
-    for i, (hv, amounts) in enumerate(zip(mdp.harvests, mdp.harvest_quanta)):
-        for k, s in enumerate(seeds):
-            u = _stream(s, _ROLE_HARVEST, i).random(horizon)
-            harvest[k, :, i] = amounts[hv.cdf.searchsorted(u, side="right")]
+    harvest_u = np.array([[_stream(s, _ROLE_HARVEST, i).random(horizon) for s in seeds]
+                          for i in range(m)]).reshape(m, -1).T  # (S * T, m)
+    picks = inverse_cdf(zero_padded([hv.probs for hv in mdp.harvests])[:, None], harvest_u,
+                        [len(hv.probs) for hv in mdp.harvests])
+    harvest = zero_padded(mdp.harvest_quanta).astype(np.int64)[np.arange(m), picks].reshape(
+        n_seeds, horizon, m)
     rng_chan = [_stream(s, _ROLE_CHANNEL) for s in seeds]
 
-    pair_rx, pair_tx = np.array([(i, j) for i in range(m) for j in sorted(topo.neighbors[i])],
-                                dtype=np.int64).reshape(-1, 2).T
+    receiver_major = np.lexsort((topo.links.tx, topo.links.rx))
+    pair_rx, pair_tx = topo.links.rx[receiver_major], topo.links.tx[receiver_major]
     draws = zero_padded(mdp.draw_quanta).astype(int)
     devs, seed_rows = np.arange(m), np.arange(n_seeds)[:, None]
     gains = np.tile(np.asarray(s1.gains, dtype=np.int64), (n_seeds, 1))
@@ -197,7 +198,7 @@ def run_training(mdp: GlobalMdp, task, policy, *, seeds, eta: float,
         offsets = np.cumsum([0] + [len(x) for x in u])[:-1, None]
         u = np.concatenate(u) if u else np.zeros(0)
         if per_override is None:  # every seed and pair at once; only the active ones are read
-            q = packet_error_rate(powers, mdp.gain_matrix(gains), topo, radio, pair_rx, pair_tx)
+            q = packet_error_rate(powers, mdp.gains_of(gains), topo, radio, pair_rx, pair_tx)
         else:
             q = np.full(active.shape, float(per_override))
         # an active link's uniform sits at its rank among the seed's active links

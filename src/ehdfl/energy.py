@@ -101,8 +101,6 @@ class HarvestModel:
             raise ValueError("probs must be a distribution")
         object.__setattr__(self, "support", s)
         object.__setattr__(self, "probs", pr)
-        cdf = pr.cumsum()
-        object.__setattr__(self, "cdf", cdf / cdf[-1])  # Generator.choice's normalized CDF
 
     def quanta(self, params: EnergyParams) -> tuple[np.ndarray, np.ndarray]:
         """Support snapped to quanta; rejects amounts that are not multiples."""

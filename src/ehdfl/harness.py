@@ -327,11 +327,10 @@ def _gossip_replay_error() -> float:
     from .learning import make_quadratic_task
 
     inst = tiny_instances()["tiny-a"]
-    mdp = inst.mdp
+    mdp = dataclasses.replace(inst.mdp, horizon=8)
     task = make_quadratic_task(mdp.m, 6, 12, heterogeneity=1.5, seed=3)
     run = run_training(mdp, task, GreedyPolicy(mdp), seeds=[11], eta=0.1,
-                       horizon=8, per_override=0.0, s1=inst.s1,
-                       record_models=True)[0]
+                       per_override=0.0, s1=inst.s1, record_models=True)[0]
     mixing, neighbors = mdp.topo.mixing, mdp.topo.neighbors
     models = [w.copy() for w in run.models[0]]
     worst = 0.0

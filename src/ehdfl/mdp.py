@@ -78,7 +78,6 @@ class GlobalMdp:
     harvests: list
     power_levels: list
     horizon: int
-    entities: list = field(init=False)
     harvest_quanta: list = field(init=False)  # per device: its harvest support in quanta
 
     # ------------------------------------------------------------------
@@ -89,13 +88,11 @@ class GlobalMdp:
         m = self.topo.m
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        self.entities = [tuple(e) for e in self.topo.edges]
-        self.chains = link_chains(self.chains, len(self.entities))
+        self.chains = link_chains(self.chains, len(self.topo.edges))
         if len(self.harvests) != m or len(self.power_levels) != m:
             raise ValueError("need one harvest model and one power ladder per device")
         for chain in {id(c): c for c in self.chains}.values():  # a shared chain once
             chain.validate()
-        self._entity_index = {e: k for k, e in enumerate(self.entities)}
         self.power_levels = [power_ladder(lv) for lv in self.power_levels]
         distinct = {id(hv): hv for hv in self.harvests}  # and a shared harvest snapped once
         snapped = {k: hv.quanta(self.energy)[0] for k, hv in distinct.items()}
@@ -107,7 +104,7 @@ class GlobalMdp:
 
     @property
     def n_links(self) -> int:
-        return len(self.entities)
+        return len(self.topo.edges)
 
     @property
     def link_dims(self) -> list[int]:
@@ -148,10 +145,6 @@ class GlobalMdp:
         return GlobalState(gains=tuple(int(np.argmax(c.steady)) for c in self.chains),
                            batteries=(self.energy.n_levels - 1,) * self.m)
 
-    def entity_of(self, receiver: int, transmitter: int) -> int:
-        """Link entity index carrying the gain between `receiver` and `transmitter`."""
-        return self._entity_index[(min(receiver, transmitter), max(receiver, transmitter))]
-
     # ------------------------------------------------------------------
     # state and action indexing
     # ------------------------------------------------------------------
@@ -172,6 +165,10 @@ class GlobalMdp:
     def powers_of(self, levels) -> np.ndarray:
         """Per-device powers at level digits, (..., m) to (..., m)."""
         return self._ladders[np.arange(self.m), np.asarray(levels)]
+
+    def gains_of(self, digits) -> np.ndarray:
+        """Per-link gains at gain digits, (..., L) to (..., L), links in `topo.edges` order."""
+        return self._gain_ladders[np.arange(self.n_links), np.asarray(digits)]
 
     # ------------------------------------------------------------------
     # cached factored model pieces
@@ -230,13 +227,11 @@ class GlobalMdp:
 
     @functools.cached_property
     def ordered_pairs(self):
-        """All (receiver, transmitter, weight, own entity, [(interferer, entity), ...])."""
-        out = []
-        for j in range(self.m):
-            for i in self.topo.neighbors[j]:
-                interf = [(k, self.entity_of(i, k)) for k in self.topo.neighbors[i] if k != j]
-                out.append((i, j, float(self.topo.mixing[i, j]), self.entity_of(i, j), interf))
-        return out
+        """All (receiver, transmitter, weight, own link, [(other neighbor, link), ...]), one
+        per row of the topology's link table, in its order."""
+        lk, mix = self.topo.links, self.topo.mixing
+        return [(i, j, float(mix[i, j]), e, [(k, e_k) for k, e_k in zip(ks, es) if k < self.m])
+                for i, j, e, ks, es in zip(*(a.tolist() for a in lk))]
 
     def cost_table(self) -> np.ndarray:
         """Expected one-slot cost, shape (n_channel_cfgs, n_actions)."""
@@ -253,14 +248,6 @@ class GlobalMdp:
     # model queries, at one sample or over leading sample axes
     # ------------------------------------------------------------------
 
-    def gain_matrix(self, gains) -> np.ndarray:
-        """Symmetric (..., m, m) link gains at per-link gain digits (..., L); 0 off the links."""
-        gains = np.asarray(gains)
-        a, b = np.array(self.entities, dtype=np.int64).reshape(-1, 2).T
-        mat = np.zeros(gains.shape[:-1] + (self.m, self.m))
-        mat[..., a, b] = mat[..., b, a] = self._gain_ladders[np.arange(self.n_links), gains]
-        return mat
-
     def decoded(self, state, levels) -> tuple[GlobalState, tuple[int, ...]]:
         """(state, levels) with a flat state or joint action index decoded."""
         if isinstance(state, (int, np.integer)):
@@ -275,7 +262,7 @@ class GlobalMdp:
         order from 0.0, as one scalar query's does."""
         own = [pair for pair in self.ordered_pairs if device is None or pair[1] == device]
         rx, tx = np.array([pair[:2] for pair in own], dtype=np.int64).reshape(-1, 2).T
-        q = packet_error_rate(self.powers_of(levels), self.gain_matrix(gains), self.topo,
+        q = packet_error_rate(self.powers_of(levels), self.gains_of(gains), self.topo,
                               self.radio, rx, tx)
         total = np.zeros(q.shape[:-1])
         for c, (_, _, w, _, _) in enumerate(own):
@@ -334,7 +321,7 @@ class GlobalMdp:
             "m": self.m,
             "edges": [list(e) for e in self.topo.edges],
             "mixing": np.round(self.topo.mixing, 12).tolist(),
-            "entities": [list(e) for e in self.entities],
+            "entities": [list(e) for e in self.topo.edges],  # one link per edge
             # retired model knobs, kept as their only values so saved files' hashes still match
             "reciprocal": True,
             "chains": [[np.round(c.levels, 12).tolist(), np.round(c.psi, 12).tolist()]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,24 +55,39 @@ class Topology:
         return lam
 
     @functools.cached_property
-    def interferers(self) -> np.ndarray:
-        """(m, m, max degree) int: at [i, j], i's neighbors other than j in order,
-        padded with m; the interferers of a packet on the link j -> i."""
-        width = max(map(len, self.neighbors), default=0)
-        out = np.full((self.m, self.m, width), self.m, dtype=np.int64)
-        for i, nbrs in enumerate(self.neighbors):
-            for j in range(self.m):
-                others = [k for k in nbrs if k != j]
-                out[i, j, :len(others)] = others
-        return out
+    def links(self) -> LinkTable:
+        """Every directed link j -> i, j ascending, then i among j's sorted neighbors (the
+        order the link-loss sums run in, and ascending in j * m + i), built in
+        O(m + sum of degree^2)."""
+        edge = {e: k for k, e in enumerate(self.edges)}
+        pad = [self.m] * (max(map(len, self.neighbors)) - 1)
+        rows = [(i, j, ([k for k in self.neighbors[i] if k != j] + pad)[:len(pad)])
+                for j in range(self.m) for i in self.neighbors[j]]  # the interference rule
+        rx, tx = np.array([r[:2] for r in rows], dtype=np.int64).T
+        others = np.array([r[2] for r in rows], dtype=np.int64).reshape(len(rows), len(pad))
+        edge_of = np.vectorize(lambda a, b: edge.get((min(a, b), max(a, b)), len(edge)),
+                               otypes=[np.int64])
+        return LinkTable(rx, tx, edge_of(rx, tx), others, edge_of(rx[:, None], others))
 
     def degree(self, i: int) -> int:
         return len(self.neighbors[i])
 
     @property
     def diameter(self) -> int:
-        dist = _all_pairs_hops(self.m, self.neighbors)
-        return int(dist.max())
+        return max(_depth(self.neighbors, s) for s in range(self.m))
+
+
+class LinkTable(NamedTuple):
+    """`Topology.links`, one row per directed link j -> i: its receiver, transmitter and
+    index in `Topology.edges`, (P,) each, and its interfering neighbors (i's other
+    neighbors, in order) and the edges they reach i on, (P, D) each, padded with m and
+    len(edges), D the largest degree less one."""
+
+    rx: np.ndarray
+    tx: np.ndarray
+    edge: np.ndarray
+    others: np.ndarray
+    other_edges: np.ndarray
 
 
 def metropolis_weights(m: int, edges) -> np.ndarray:
@@ -79,15 +95,10 @@ def metropolis_weights(m: int, edges) -> np.ndarray:
 
     a_ij = 1 / (1 + max(deg_i, deg_j)) on edges, a_ii soaks up the rest.
     """
-    deg = np.zeros(m, dtype=int)
-    for i, j in edges:
-        deg[i] += 1
-        deg[j] += 1
+    deg = np.bincount(np.array(edges, dtype=np.int64).ravel(), minlength=m)
     a = np.zeros((m, m))
     for i, j in edges:
-        w = 1.0 / (1.0 + max(deg[i], deg[j]))
-        a[i, j] = w
-        a[j, i] = w
+        a[i, j] = a[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
     for i in range(m):
         a[i, i] = 1.0 - a[i].sum()
     return a
@@ -125,22 +136,15 @@ def k_hop_set(neighbors, i: int, hops: int) -> tuple[int, ...]:
     return tuple(sorted(seen))
 
 
-def _all_pairs_hops(m: int, neighbors) -> np.ndarray:
-    dist = np.full((m, m), -1, dtype=int)
-    for s in range(m):
-        dist[s, s] = 0
-        frontier = [s]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for v in neighbors[u]:
-                    if dist[s, v] < 0:
-                        dist[s, v] = d
-                        nxt.append(v)
-            frontier = nxt
-    return dist
+def _depth(neighbors, s: int) -> int:
+    """Hops from s to the farthest device it reaches, by breadth-first search."""
+    seen, frontier, depth = {s}, {s}, 0
+    while True:
+        frontier = {v for u in frontier for v in neighbors[u]} - seen
+        if not frontier:
+            return depth
+        seen |= frontier
+        depth += 1
 
 
 def is_connected(m: int, edges) -> bool:

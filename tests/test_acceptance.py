@@ -3,6 +3,7 @@
 Each test prints one `C<n> PASS/FAIL` line through the terminal reporter, then
 asserts, so a full run always shows the per-criterion scoreboard.
 """
+import dataclasses
 import json
 import subprocess
 import sys
@@ -130,13 +131,12 @@ def test_c05_full_information_cover_reaches_the_optimum(report):
 
 def test_c06_lossless_run_replays_bit_for_bit(report):
     inst = tiny_instances()["tiny-a"]
-    mdp = inst.mdp
-    task = make_quadratic_task(mdp.m, 6, 12, heterogeneity=1.5, seed=3)
     eta = 0.1
     horizon = 50
+    mdp = dataclasses.replace(inst.mdp, horizon=horizon)
+    task = make_quadratic_task(mdp.m, 6, 12, heterogeneity=1.5, seed=3)
     run = run_training(mdp, task, GreedyPolicy(mdp), seeds=[11], eta=eta,
-                       horizon=horizon, per_override=0.0, record_models=True,
-                       s1=inst.s1)[0]
+                       per_override=0.0, record_models=True, s1=inst.s1)[0]
     mixing, neighbors = mdp.topo.mixing, mdp.topo.neighbors
     models = [np.zeros(task.dim) for _ in range(mdp.m)]
     exact = (run.beta == 1).all() and int(run.packets_dropped.sum()) == 0
@@ -166,13 +166,12 @@ def test_c06_lossless_run_replays_bit_for_bit(report):
 
 def test_c07_measured_rate_never_exceeds_the_certificate(report):
     inst = tiny_instances()["tiny-a"]
-    mdp = inst.mdp
-    m, horizon = mdp.m, 50
+    mdp = dataclasses.replace(inst.mdp, horizon=50)
+    m, horizon = mdp.m, mdp.horizon
     task = make_quadratic_task(m, 6, 12, heterogeneity=1.5, seed=3)
     lip = task.lipschitz()
     eta = prescribed_eta(lip, m, mdp.energy.k_steps, horizon)
-    lockstep = run_training(mdp, task, GreedyPolicy(mdp), seeds=SEEDS, eta=eta,
-                            horizon=horizon, s1=inst.s1)
+    lockstep = run_training(mdp, task, GreedyPolicy(mdp), seeds=SEEDS, eta=eta, s1=inst.s1)
     runs = [lockstep[k] for k in range(len(SEEDS))]
     consts = certify_consts(task, eta=eta, k_steps=mdp.energy.k_steps,
                             trajectory_sup_sq=max(r.sup_grad_sq for r in runs),
@@ -187,7 +186,7 @@ def test_c07_measured_rate_never_exceeds_the_certificate(report):
         all_participate = all_participate and bool((r.beta == 1).all())
 
     lossless = run_training(mdp, task, GreedyPolicy(mdp), seeds=[0], eta=eta,
-                            horizon=horizon, per_override=0.0, s1=inst.s1)[0]
+                            per_override=0.0, s1=inst.s1)[0]
     clean = convergence_bound(consts, lam, m, horizon,
                               float(lossless.opt_gap[0]), lossless.beta,
                               lossless.per, mdp.topo.mixing)

@@ -1,8 +1,9 @@
 """Channel chains, the link step, and the packet error rule.
 
-`former_packet_error_rate` is the one-link body the batched rule replaced, and
-`former_step_links` the per-link loop `step_links` replaced; each is kept as
-the reference its replacement must equal element for element.
+`former_packet_error_rate` is the one-link body the batched rule replaced, on
+the former dense (m, m) gain layout that `dense_gains` builds from per-edge
+gains, and `former_step_links` the per-link loop `step_links` replaced; each is
+kept as the reference its replacement must equal element for element.
 """
 import math
 
@@ -140,7 +141,7 @@ def test_step_links_equals_the_former_per_link_loop_on_generated_chains(case):
 def _pair_setup():
     topo = build_topology("line", 3)
     radio = RadioParams(1.0, (0.5, 0.5, 0.5), 1.0)
-    gains = np.full((3, 3), 1.0)
+    gains = np.ones(len(topo.edges))
     return topo, radio, gains
 
 
@@ -181,7 +182,8 @@ def test_per_closed_form_no_interference():
 
 
 def former_packet_error_rate(p, gains, topo, radio, i, j):
-    """The former scalar PER of link j -> i, in Python floats."""
+    """The former scalar PER of link j -> i, in Python floats, on (m, m) gains
+    indexed [receiver, transmitter]."""
     pj = float(p[j])
     if pj <= 0.0:
         return 1.0
@@ -194,44 +196,81 @@ def former_packet_error_rate(p, gains, topo, radio, i, j):
     return 1.0 - math.exp(-x)
 
 
+def dense_gains(topo, gains):
+    """Per-edge gains (..., E) in the former (..., m, m) layout: symmetric, 0 off the links."""
+    gains = np.asarray(gains, dtype=float)
+    a, b = np.array(topo.edges, dtype=np.int64).reshape(-1, 2).T
+    mat = np.zeros(gains.shape[:-1] + (topo.m, topo.m))
+    mat[..., a, b] = mat[..., b, a] = gains
+    return mat
+
+
 POSITIVE = st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
+def graphs(draw, max_m=11):
+    """A ring, line, complete or random geometric graph of 2 to max_m devices."""
+    kind = draw(st.sampled_from(["ring", "line", "complete", "random_geometric"]))
+    return build_topology(kind, draw(st.integers(2, max_m)), seed=draw(st.integers(0, 99)))
+
+
+@st.composite
 def per_cases(draw):
-    """A topology, a radio with per-device noise, and n power vectors and gain arrays."""
-    kind, m = draw(st.sampled_from([("line", 2), ("line", 4), ("ring", 3), ("ring", 5),
-                                    ("complete", 3), ("complete", 4)]))
-    topo = build_topology(kind, m)
+    """A graph, a radio with per-device noise, and n power vectors and per-edge gains."""
+    topo = draw(graphs())
+    m, n_edges = topo.m, len(topo.edges)
     sigma2 = draw(st.one_of(POSITIVE, st.tuples(*[POSITIVE] * m)))  # shared or per device
     radio = RadioParams(draw(POSITIVE), sigma2, 1.0)
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 4))
     powers = draw(st.lists(st.one_of(st.just(0.0), POSITIVE), min_size=n * m,
                            max_size=n * m))  # silent transmitters included
-    gains = draw(st.lists(POSITIVE, min_size=n * m * m, max_size=n * m * m))
-    return topo, radio, np.reshape(powers, (n, m)), np.reshape(gains, (n, m, m))
+    gains = draw(st.lists(POSITIVE, min_size=n * n_edges, max_size=n * n_edges))
+    links = [(i, j) for i in range(m) for j in topo.neighbors[i]]
+    order = draw(st.permutations(range(len(links))))
+    return topo, radio, np.reshape(powers, (n, m)), np.reshape(gains, (n, n_edges)), [
+        links[c] for c in order]
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(per_cases())
 def test_batched_per_equals_the_former_scalar_rule_element_for_element(case):
-    topo, radio, p, g = case
-    for i in range(topo.m):
-        for j in topo.neighbors[i]:
-            batch = packet_error_rate(p, g, topo, radio, i, j)
-            assert batch.shape == (len(p),)
-            for k in range(len(p)):
-                want = former_packet_error_rate(p[k], g[k], topo, radio, i, j)
-                one = packet_error_rate(p[k], g[k], topo, radio, i, j)
-                assert type(one) is float
-                assert batch[k] == want and one == want
-            if len(p) > 1:  # and over more than one leading axis
-                q2 = packet_error_rate(p[None, :2], g[None, :2], topo, radio, i, j)
-                assert q2.shape == (1, 2) and np.array_equal(q2[0], batch[:2])
-    rx, tx = np.array([(i, j) for i in range(topo.m) for j in topo.neighbors[i]]).T
-    links = packet_error_rate(p, g, topo, radio, rx, tx)  # every link in one call
-    assert links.shape == (len(p), len(rx))
-    for c, (i, j) in enumerate(zip(rx.tolist(), tx.tolist())):
-        want = [former_packet_error_rate(p[k], g[k], topo, radio, i, j) for k in range(len(p))]
-        assert np.array_equal(links[:, c], want)
-    assert np.array_equal(packet_error_rate(p[0], g[0], topo, radio, rx, tx), links[0])
+    topo, radio, p, g, links = case
+    dense = dense_gains(topo, g)
+    want = np.array([[former_packet_error_rate(p[k], dense[k], topo, radio, i, j)
+                      for i, j in links] for k in range(len(p))])
+    rx, tx = np.array(links).T
+    batch = packet_error_rate(p, g, topo, radio, rx, tx)  # every link, in any order, in one call
+    assert batch.shape == want.shape and np.array_equal(batch, want)
+    assert np.array_equal(packet_error_rate(p[0], g[0], topo, radio, rx, tx), want[0])
+    assert np.array_equal(packet_error_rate(p[None, :2], g[None, :2], topo, radio, rx, tx),
+                          want[None, :2])  # over more than one leading axis
+    for c, (i, j) in enumerate(links[:3]):
+        one = packet_error_rate(p, g, topo, radio, i, j)
+        assert one.shape == (len(p),) and np.array_equal(one, want[:, c])
+        scalar = packet_error_rate(p[0], g[0], topo, radio, i, j)
+        assert type(scalar) is float and scalar == want[0, c]
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(graphs(), st.data())
+def test_per_on_a_pair_that_is_not_a_link_raises(topo, data):
+    pairs = [(i, j) for i in range(topo.m) for j in range(topo.m) if j not in topo.neighbors[i]]
+    i, j = data.draw(st.sampled_from(pairs))  # i == j is never a link
+    radio, p, g = RadioParams(1.0, 1.0, 1.0), np.ones(topo.m), np.ones(len(topo.edges))
+    with pytest.raises(ValueError, match="not a link"):
+        packet_error_rate(p, g, topo, radio, i, j)
+    rx, tx = np.array([topo.neighbors[0][0], i]), np.array([0, j])  # one link, one not
+    with pytest.raises(ValueError, match="not a link"):
+        packet_error_rate(p, g, topo, radio, rx, tx)
+
+
+def test_per_on_a_line_refuses_the_pair_past_the_middle_device():
+    # A 3-device line has no link 0 -> 2; its former dense rule divided by that pair's
+    # zero gain and returned 1.0. Receiver 3 is no device, though 0 * 3 + 3 is the key
+    # of the link 1 -> 0.
+    topo, radio, gains = _pair_setup()
+    with pytest.raises(ValueError, match="0 -> 2 is not a link"):
+        packet_error_rate(np.ones(3), gains, topo, radio, 2, 0)
+    with pytest.raises(ValueError, match="0 -> 3 is not a link"):
+        packet_error_rate(np.ones(3), gains, topo, radio, [0, 3], [1, 0])

@@ -12,7 +12,7 @@ import pytest
 
 from ehdfl import harness
 from ehdfl.config import _stationary, canonical_hash, load_config, parse_config
-from ehdfl.errors import ConfigError
+from ehdfl.errors import BudgetExceeded, ConfigError
 from ehdfl.harness import _train_seeds, run_experiment
 
 DESK8 = Path(__file__).resolve().parents[1] / "configs" / "desk8.json"
@@ -658,6 +658,25 @@ def test_budget_messages_past_the_int_digit_limit_exit_3_quickly(tmp_path, capsy
         err = capsys.readouterr().err
         assert "2^" in err, err
         assert len(err) < 200, err
+
+
+@pytest.mark.parametrize("kind,m", [("ring", 10 ** 7), ("ring", 10 ** 30), ("complete", 10 ** 4)])
+def test_oversized_topology_exits_3_before_it_is_built(tmp_path, capsys, kind, m):
+    # Building these ran out of memory or time (exit 1 after 28 s at a ring of 10^7); the
+    # devices plus the edges the kind fixes are counted against the budget first, here
+    # the default of 10^7 entries.
+    from ehdfl.cli import main
+    raw = json.loads(DESK8.read_text())
+    del raw["s1"], raw["budget"]
+    raw["topology"] = {"kind": kind, "m": m}
+    cfg = _write(tmp_path, raw)
+    start = time.perf_counter()
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert time.perf_counter() - start < 2.0
+    assert "devices and edges, over the budget" in capsys.readouterr().err
+    with pytest.raises(BudgetExceeded):
+        parse_config(raw)
+    assert not (tmp_path / "out").exists()
 
 
 def test_oversized_exact_evaluation_is_refused_before_any_synthesis(tmp_path, monkeypatch):

@@ -7,6 +7,8 @@ axis, `local_sgd`, `apply_gossip`, `step_links` drawing from its generator,
 harvests drawn by `Generator.choice`, the scalar packet error rule of
 `test_channel` and the joule battery rule of `test_energy`.
 """
+import copy
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,7 +23,7 @@ from ehdfl.instances import fullinfo_instance, tiny_instances
 from ehdfl.learning import LearnConsts, QuadraticTask, make_logistic_task, make_quadratic_task
 from ehdfl.mdp import GlobalState, build_mdp
 from ehdfl.topology import build_topology
-from test_channel import former_packet_error_rate
+from test_channel import dense_gains, former_packet_error_rate
 from test_energy import former_battery_step
 
 
@@ -97,13 +99,22 @@ def _stream(seed, *key):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
 
 
-def reference_training(mdp, task, policy, *, seed, eta, horizon=None, per_override=None,
-                       s1=None, record_models=False):
+def with_horizon(mdp, horizon):
+    """`mdp` over `horizon` slots. GlobalMdp refuses to build a zero horizon, so that one
+    is set on a copy; training then records only the start point."""
+    if horizon:
+        return dataclasses.replace(mdp, horizon=horizon)
+    short = copy.copy(mdp)
+    short.horizon = 0
+    return short
+
+
+def reference_training(mdp, task, policy, *, seed, eta, per_override=None, s1=None,
+                       record_models=False):
     """One seed's co-simulation, slot by slot and device by device, through `policy.act`."""
     task = FormerTask(task)
     topo, radio, energy, draw_quanta = mdp.topo, mdp.radio, mdp.energy, mdp.draw_quanta
-    m = topo.m
-    horizon = mdp.horizon if horizon is None else horizon
+    m, horizon = topo.m, mdp.horizon
     s1 = mdp.default_start if s1 is None else s1
     rng_pol, rng_chan = _stream(seed, 0), _stream(seed, 1)
     rng_harv = [_stream(seed, 2, i) for i in range(m)]
@@ -151,7 +162,7 @@ def reference_training(mdp, task, policy, *, seed, eta, horizon=None, per_overri
         if record_models:
             rec.models.append([w.copy() for w in models])
             rec.deltas.append([dw.copy() for dw in deltas])
-        gain_mat = mdp.gain_matrix(gains)
+        gain_mat = dense_gains(topo, [mdp.chains[e].levels[g] for e, g in enumerate(gains)])
         zeta = np.zeros((m, m))
         for i in range(m):
             for j in sorted(topo.neighbors[i]):
@@ -265,25 +276,24 @@ def test_lockstep_training_matches_the_reference_on_the_desk_ring(desk, desk_pol
     task = desk.build_task()
     eta = desk.step_size(task)
     seeds = [0, 5, 2, 5]
-    kw = dict(eta=eta, s1=desk.s1, horizon=6, record_models=True)
-    run = run_training(desk.mdp, task, desk_policies[name], seeds=seeds, **kw)
+    mdp, kw = with_horizon(desk.mdp, 6), dict(eta=eta, s1=desk.s1, record_models=True)
+    run = run_training(mdp, task, desk_policies[name], seeds=seeds, **kw)
     for k, seed in enumerate(seeds):
-        ref = reference_training(desk.mdp, task, desk_policies[name], seed=seed, **kw)
+        ref = reference_training(mdp, task, desk_policies[name], seed=seed, **kw)
         assert_same_record(run[k], ref, with_models=True)
 
 
 def test_run_training_deterministic_given_seed(tiny_a, task3):
-    kw = dict(seeds=[5], eta=0.1, horizon=20)
-    ra = run_training(tiny_a.mdp, task3, GreedyPolicy(tiny_a.mdp), **kw)[0]
-    rb = run_training(tiny_a.mdp, task3, GreedyPolicy(tiny_a.mdp), **kw)[0]
+    mdp, kw = with_horizon(tiny_a.mdp, 20), dict(seeds=[5], eta=0.1)
+    ra = run_training(mdp, task3, GreedyPolicy(mdp), **kw)[0]
+    rb = run_training(mdp, task3, GreedyPolicy(mdp), **kw)[0]
     np.testing.assert_array_equal(ra.wbar, rb.wbar)
     np.testing.assert_array_equal(ra.per, rb.per)
     np.testing.assert_array_equal(ra.packets_dropped, rb.packets_dropped)
     for wa, wb in zip(ra.final_models, rb.final_models):
         np.testing.assert_array_equal(wa, wb)
 
-    rc = run_training(tiny_a.mdp, task3, GreedyPolicy(tiny_a.mdp), seeds=[6],
-                      eta=0.1, horizon=20)[0]
+    rc = run_training(mdp, task3, GreedyPolicy(mdp), seeds=[6], eta=0.1)[0]
     assert (not np.array_equal(ra.packets_dropped, rc.packets_dropped)
             or not np.array_equal(ra.wbar, rc.wbar))
 
@@ -291,11 +301,11 @@ def test_run_training_deterministic_given_seed(tiny_a, task3):
 def test_gossip_matches_independent_recursion(tiny_a, task3):
     # Lossless links and full participation: replay the whole trajectory with
     # nothing but the task, the mixing matrix, and the neighbor lists.
-    mdp = tiny_a.mdp
     eta = 0.1
     horizon = 8
+    mdp = with_horizon(tiny_a.mdp, horizon)
     run = run_training(mdp, task3, GreedyPolicy(mdp), seeds=[11], eta=eta,
-                       horizon=horizon, per_override=0.0, record_models=True)[0]
+                       per_override=0.0, record_models=True)[0]
     assert int(run.packets_dropped.sum()) == 0
     assert (run.beta == 1).all()
 
@@ -324,11 +334,11 @@ def test_gossip_matches_independent_recursion(tiny_a, task3):
 
 
 def test_total_packet_loss_leaves_only_self_updates(tiny_a, task3):
-    mdp = tiny_a.mdp
     eta = 0.1
     horizon = 6
+    mdp = with_horizon(tiny_a.mdp, horizon)
     run = run_training(mdp, task3, GreedyPolicy(mdp), seeds=[2], eta=eta,
-                       horizon=horizon, per_override=1.0)[0]
+                       per_override=1.0)[0]
     assert int(run.packets_dropped.sum()) == int(run.packets_sent.sum())
 
     mixing = mdp.topo.mixing
@@ -347,14 +357,13 @@ def test_identical_devices_stay_in_consensus():
     # Complete graph, identical local datasets, lossless links: every device
     # runs the same computation, so consensus stays exactly zero and the
     # average model follows plain gradient descent.
-    inst = fullinfo_instance()
-    mdp = inst.mdp
     base = make_quadratic_task(1, 5, 20, heterogeneity=0.0, seed=9)
     task = QuadraticTask(a_mats=[base.a_mats[0]] * 3, b_vecs=[base.b_vecs[0]] * 3)
     eta = 0.1
     horizon = 10
+    mdp = with_horizon(fullinfo_instance().mdp, horizon)
     run = run_training(mdp, task, GreedyPolicy(mdp), seeds=[1], eta=eta,
-                       horizon=horizon, per_override=0.0)[0]
+                       per_override=0.0)[0]
     # The mixing diagonal comes from a subtraction, so it can differ from the
     # off-diagonal weights by one ulp; consensus is zero up to that noise.
     assert (run.consensus <= 1e-28).all()
@@ -369,17 +378,16 @@ def test_identical_devices_stay_in_consensus():
 
 
 def test_zero_horizon_records_only_the_initial_point(tiny_a, task3):
-    run = run_training(tiny_a.mdp, task3, GreedyPolicy(tiny_a.mdp), seeds=[0],
-                       eta=0.1, horizon=0)[0]
+    mdp = with_horizon(tiny_a.mdp, 0)
+    run = run_training(mdp, task3, GreedyPolicy(mdp), seeds=[0], eta=0.1)[0]
     assert run.global_loss.shape == (1,)
     assert run.global_loss[0] == pytest.approx(task3.global_loss(np.zeros(task3.dim)))
     assert run.grad_norm_sq.shape == (0,)
 
 
 def test_bookkeeping_matches_the_model(tiny_a, task3):
-    mdp = tiny_a.mdp
-    run = run_training(mdp, task3, GreedyPolicy(mdp), seeds=[4], eta=0.1, horizon=5,
-                       s1=tiny_a.s1)[0]
+    mdp = with_horizon(tiny_a.mdp, 5)
+    run = run_training(mdp, task3, GreedyPolicy(mdp), seeds=[4], eta=0.1, s1=tiny_a.s1)[0]
     topo, energy = mdp.topo, mdp.energy
 
     # Directed sends: one per (receiver, transmitter) neighbor pair with an
@@ -397,17 +405,14 @@ def test_bookkeeping_matches_the_model(tiny_a, task3):
                                   np.full_like(run.batteries, energy.quantum))
 
     # Recorded error probabilities match the closed form on the frozen gains.
-    gain_mat = np.zeros((mdp.m, mdp.m))
     inst_gains = tiny_instances()["tiny-a"].s1.gains
-    for e, (a, b) in enumerate(mdp.entities):
-        g = mdp.chains[e].levels[inst_gains[e]]
-        gain_mat[a, b] = gain_mat[b, a] = g
+    edge_gains = [mdp.chains[e].levels[g] for e, g in enumerate(inst_gains)]
     powers = mdp.powers_of(tuple(run.actions[0]))
     for t in range(run.horizon):
         for i in range(mdp.m):
             for j in range(mdp.m):
                 if j in topo.neighbors[i] and run.beta[t, j]:
-                    q = packet_error_rate(powers, gain_mat, topo, mdp.radio, i, j)
+                    q = packet_error_rate(powers, edge_gains, topo, mdp.radio, i, j)
                     assert run.per[t, i, j] == pytest.approx(q, abs=1e-15)
                 else:
                     assert run.per[t, i, j] == 0.0

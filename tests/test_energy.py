@@ -1,14 +1,21 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ehdfl.channel import RadioParams, identity_chain
+from ehdfl.channel import RadioParams, identity_chain, inverse_cdf
+from ehdfl.config import load_config
 from ehdfl.energy import (EnergyParams, HarvestModel, battery_step, point_harvest,
                           solar_harvest_support)
 from ehdfl.errors import CausalityViolation
+from ehdfl.instances import (capacity_family, capacity_pair, desk_scenario, fullinfo_instance,
+                             oracle_instance, tiny_instances)
 from ehdfl.mdp import build_mdp
 from ehdfl.topology import build_topology
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _params(**kw):
@@ -124,10 +131,40 @@ def test_harvest_off_grid_rejected():
         hv.quanta(params)
 
 
+def harvest_index(hv, u):
+    """Support indices at uniforms u, as the training co-simulation draws harvests:
+    `inverse_cdf` on the law's probabilities."""
+    return inverse_cdf(hv.probs[None, None], np.reshape(u, (-1, 1)), [len(hv.probs)])[:, 0]
+
+
+def former_harvest_index(hv, u):
+    """The former harvest draw: searchsorted, right side, on the CDF divided by its last
+    entry, as `Generator.choice` draws."""
+    cdf = hv.probs.cumsum()
+    return (cdf / cdf[-1]).searchsorted(u, side="right")
+
+
 def harvest_draws(hv, rng, size):
-    """Harvest amounts drawn by inverse CDF on `hv.cdf`, one uniform each, as the
-    training co-simulation draws them."""
-    return hv.support[hv.cdf.searchsorted(rng.random(size), side="right")]
+    """Harvest amounts at `size` uniforms, one each."""
+    return hv.support[harvest_index(hv, rng.random(size))]
+
+
+def shipped_harvest_laws():
+    """Every harvest law of the shipped configs and of the built-in instances."""
+    mdps = [load_config(p).build_model() for p in sorted(CONFIGS.glob("*.json"))]
+    mdps += [inst.mdp for inst in tiny_instances().values()]
+    mdps += [oracle_instance()[0], fullinfo_instance().mdp, desk_scenario(horizon=1).mdp,
+             capacity_family(2)[0], capacity_pair(3, horizon=1)[0]]
+    return list({id(hv): hv for mdp in mdps for hv in mdp.harvests}.values())
+
+
+def test_harvest_draws_equal_the_former_normalized_cdf_rule_on_every_shipped_law():
+    for hv in shipped_harvest_laws():
+        cdf = hv.probs.cumsum()
+        edges = [np.nextafter(c, d) for c in cdf for d in (0.0, 2.0)] + cdf.tolist()
+        u = np.unique(np.concatenate([np.linspace(0.0, 1.0, 1001)[:-1], edges]))
+        u = u[u < 1.0]  # each CDF entry below 1, and the floats either side of it
+        assert np.array_equal(harvest_index(hv, u), former_harvest_index(hv, u))
 
 
 def test_point_harvest_mean_and_sample():

@@ -244,7 +244,8 @@ def test_truncated_cover_defaults_control_outsiders():
     quiet = cost_entry(mdp, cov, gd, (top,), ExtensionDefaults())
     expected = 0.0
     for r in mdp.topo.neighbors[0]:
-        g = mdp.chains[mdp.entity_of(r, 0)].levels[state.gains[mdp.entity_of(r, 0)]]
+        e = mdp.topo.edges.index((0, r))
+        g = mdp.chains[e].levels[state.gains[e]]
         w = float(mdp.topo.mixing[r, 0])
         expected += w * (1.0 - np.exp(-phi * mdp.radio.noise(r) / (p0 * g)))
     assert quiet == pytest.approx(expected, abs=1e-12)

@@ -20,7 +20,7 @@ from ehdfl.mdp import (GlobalState, backward_expectation, backward_induction, ba
                        build_mdp, contract_leading, evaluate_policy, expected_cost_rows,
                        load_solution, on_axis, sample_costs, save_solution, simulate_costs)
 from ehdfl.topology import build_topology
-from test_channel import former_packet_error_rate
+from test_channel import dense_gains, former_packet_error_rate
 from test_policy_rows import (FixedLevelsPolicy, check_digit_rows, former_conditionals,
                               former_state_shape, ragged_line, state_digits)
 
@@ -436,9 +436,7 @@ def test_device_cost_decomposition(which, pair, tiny_a):
 def former_link_loss(mdp, state, levels, device):
     """The former scalar `GlobalMdp._link_loss`: one (state, action), one PER per link."""
     state, levels = mdp.decoded(state, levels)
-    g = np.zeros((mdp.m, mdp.m))
-    for e, (a, b) in enumerate(mdp.entities):
-        g[a, b] = g[b, a] = mdp.chains[e].levels[state.gains[e]]
+    g = dense_gains(mdp.topo, [chain.levels[k] for chain, k in zip(mdp.chains, state.gains)])
     p = np.array([mdp.power_levels[d][l] for d, l in enumerate(levels)])
     total = 0.0
     for i, j, w, _, _ in mdp.ordered_pairs:

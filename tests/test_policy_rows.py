@@ -20,7 +20,7 @@ from ehdfl.localized import synthesize
 from ehdfl.mdp import GlobalState, backward_induction, build_mdp, sample_act
 from ehdfl.topology import build_topology
 
-from test_dflsim import assert_same_record, reference_training
+from test_dflsim import assert_same_record, reference_training, with_horizon
 
 
 class FixedLevelsPolicy:
@@ -270,11 +270,12 @@ def test_training_records_are_bit_identical_to_the_former_act(case, name):
     mdp, s1, pols = case
     pol, body = pols[name]
     task = make_quadratic_task(mdp.m, 4, 8, heterogeneity=1.0, seed=3)
-    horizon = 1 if name == "fixed" else None  # a fixed transmitter may run dry after slot 1
-    new = run_training(mdp, task, pol, seeds=range(5), eta=0.05, s1=s1, horizon=horizon)
+    if name == "fixed":  # a fixed transmitter may run dry after slot 1
+        mdp = with_horizon(mdp, 1)
+    new = run_training(mdp, task, pol, seeds=range(5), eta=0.05, s1=s1)
     for seed in range(5):
         ref = reference_training(mdp, task, ReferenceAct(pol, body), seed=seed, eta=0.05,
-                                 s1=s1, horizon=horizon)
+                                 s1=s1)
         assert_same_record(new[seed], ref)
 
 
@@ -289,21 +290,20 @@ def test_lockstep_training_is_bit_identical_to_the_per_seed_reference(case, name
     make = make_quadratic_task if task_kind == "quadratic" else make_logistic_task
     task = make(mdp.m, 4, 8, heterogeneity=1.0, seed=5)
     for seeds in ([3, 0, 7, 3, 12], [9]):
-        for horizon in (0, 1, mdp.horizon):
+        for run_mdp in (with_horizon(mdp, 0), with_horizon(mdp, 1), mdp):
             for per_override in (None, 0.0):
-                kw = dict(eta=0.3, s1=s1, horizon=horizon, per_override=per_override,
-                          record_models=True)
+                kw = dict(eta=0.3, s1=s1, per_override=per_override, record_models=True)
                 refs = []
                 for seed in seeds:
                     try:
-                        refs.append(reference_training(mdp, task, pol, seed=seed, **kw))
+                        refs.append(reference_training(run_mdp, task, pol, seed=seed, **kw))
                     except CausalityViolation:  # the fixed levels drain a battery
                         refs = None
                         break
                 if refs is None:
                     with pytest.raises(CausalityViolation):
-                        run_training(mdp, task, pol, seeds=seeds, **kw)
+                        run_training(run_mdp, task, pol, seeds=seeds, **kw)
                     continue
-                run = run_training(mdp, task, pol, seeds=seeds, **kw)
+                run = run_training(run_mdp, task, pol, seeds=seeds, **kw)
                 for k, ref in enumerate(refs):
                     assert_same_record(run[k], ref, with_models=True)

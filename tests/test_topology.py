@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from ehdfl.channel import RadioParams, packet_error_rate
 from ehdfl.instances import (capacity_family, desk_scenario, fullinfo_instance,
                              oracle_instance, tiny_instances)
 from ehdfl.topology import (build_topology, from_edges, is_connected, k_hop_set,
                             metropolis_weights, spectral_lambda)
+from test_channel import graphs
 
 
 @pytest.mark.parametrize("kind,m", [("ring", 8), ("complete", 3), ("line", 5)])
@@ -105,3 +110,45 @@ def test_lazy_products_equal_the_eager_ones(name):
     assert np.array_equal(topo.mixing, a)
     assert topo.lam == spectral_lambda(a)
     assert topo.mixing is topo.mixing  # computed once
+
+
+def brute_force_links(topo):
+    """Each directed link j -> i, j ascending, then i among j's neighbors: (i, j, its
+    edge, i's other neighbors in order, their edges)."""
+    edge = {e: k for k, e in enumerate(topo.edges)}
+    rows = []
+    for j in range(topo.m):
+        for i in topo.neighbors[j]:
+            others = [k for k in topo.neighbors[i] if k != j]
+            rows.append((i, j, edge[min(i, j), max(i, j)], others,
+                         [edge[min(i, k), max(i, k)] for k in others]))
+    return rows
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(graphs(max_m=14))
+def test_link_table_equals_a_brute_force_build(topo):
+    lk, want = topo.links, brute_force_links(topo)
+    width = max(map(len, topo.neighbors)) - 1
+    assert lk.rx.tolist() == [r[0] for r in want] and lk.tx.tolist() == [r[1] for r in want]
+    assert lk.edge.tolist() == [r[2] for r in want]
+    assert lk.others.tolist() == [r[3] + [topo.m] * (width - len(r[3])) for r in want]
+    assert lk.other_edges.tolist() == [r[4] + [len(topo.edges)] * (width - len(r[4]))
+                                            for r in want]
+    assert (np.diff(lk.tx * topo.m + lk.rx) > 0).all()  # the key PER searches on
+    assert topo.links is lk  # built once
+
+
+def test_link_table_and_per_over_every_link_of_a_4096_ring_stay_small():
+    # One (m, m) float array alone is 128 MiB at this size.
+    topo = build_topology("ring", 4096)
+    rng = np.random.default_rng(0)
+    p, g = rng.random(topo.m), rng.random(len(topo.edges))
+    tracemalloc.start()
+    try:
+        lk = topo.links
+        q = packet_error_rate(p, g, topo, RadioParams(1.0, 1.0, 1.0), lk.rx, lk.tx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert q.shape == (2 * topo.m,) and peak < 16 * 2 ** 20
