@@ -185,21 +185,23 @@ def inverse_cdf(rows: np.ndarray, u: np.ndarray, widths) -> np.ndarray:
     return np.minimum(counts.T, np.subtract(widths, 1))
 
 
-def step_links(state: np.ndarray, chains, u: np.ndarray) -> np.ndarray:
+def step_links(state: np.ndarray, psi: np.ndarray, widths, u: np.ndarray) -> np.ndarray:
     """Advance every link's gain index one slot.
 
     Args:
         state: integer array (..., n_links) of current gain indices, the last
             axis one per link entity; leading axes index independent runs.
-        chains: matching sequence of ChannelChain.
+        psi: (n_links, W, W) the links' transition matrices zero-padded to the
+            widest, `zero_padded([c.psi for c in chains])`, built once per model
+            (`GlobalMdp.psi_stack`).
+        widths: each link's number of gain levels.
         u: uniforms in [0, 1) of the same shape, one per run and link.
 
     Each next index is `inverse_cdf` on the link's psi row at its gain index.
     """
-    flat = np.reshape(state, (-1, len(chains)))
-    rows = zero_padded([c.psi for c in chains])[np.arange(len(chains))[:, None], flat.T]
-    out = inverse_cdf(rows, np.reshape(u, flat.shape), [c.n for c in chains])
-    return out.reshape(np.shape(state))
+    flat = np.reshape(state, (-1, len(psi)))
+    rows = psi[np.arange(len(psi))[:, None], flat.T]
+    return inverse_cdf(rows, np.reshape(u, flat.shape), widths).reshape(np.shape(state))
 
 
 def packet_error_rate(p, gains, topo, radio: RadioParams, i, j) -> float | np.ndarray:

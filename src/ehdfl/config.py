@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -100,9 +100,21 @@ class ExperimentConfig:
         return self.s1 if self.s1 is not None else mdp.default_start
 
     def build_task(self):
+        """The learning task; ConfigError when its data, smoothness or optimum are not finite."""
         from .learning import make_logistic_task, make_quadratic_task
         make = make_quadratic_task if self.task_kind == "quadratic" else make_logistic_task
-        return make(self.m, **self.task_args)
+        with np.errstate(all="ignore"):
+            task = make(self.m, **self.task_args)
+            data = [np.asarray(getattr(task, f.name), dtype=float) for f in fields(task)]
+            try:
+                finite = (all(np.isfinite(a).all() for a in data)
+                          and math.isfinite(task.lipschitz()) and math.isfinite(task.f_star))
+            except np.linalg.LinAlgError:
+                finite = False
+        if not finite:
+            raise ConfigError([f"task: heterogeneity {self.task_args['heterogeneity']:g} and scale "
+                               f"{self.task_args.get('scale', 1.0):g} give non-finite task data"])
+        return task
 
     def step_size(self, task) -> float:
         return self.eta if self.eta is not None else 0.3 / task.lipschitz()

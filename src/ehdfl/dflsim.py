@@ -216,8 +216,8 @@ def run_training(mdp: GlobalMdp, task, policy, *, seeds, eta: float,
         for i in range(m):
             rec.energy_spent[:, t] += spend[:, i] * energy.quantum
         quanta = battery_step(quanta, spend, harvest[:, t], energy)
-        gains = step_links(gains, mdp.chains, u[offsets + n_active[:, None]
-                                                + np.arange(n_links)])
+        gains = step_links(gains, mdp.psi_stack, mdp.link_dims,
+                           u[offsets + n_active[:, None] + np.arange(n_links)])
 
     rec.batteries[:, horizon] = quanta * energy.quantum
     log_point(horizon)

@@ -216,24 +216,35 @@ def _run_evaluate(config: ExperimentConfig, out: Path, jobs: int, mdp, s1, name:
 def _run_train(config: ExperimentConfig, out: Path, jobs: int, mdp, s1, name: str) -> None:
     run = _train_seeds(config, mdp, config.build_policy(mdp, name), s1, jobs)
     T = run.horizon
-    for k, seed in enumerate(config.seeds):
-        write_csv(out / f"metrics_seed{seed}.csv", METRICS_HEADER,
-                  zip(range(1, T + 1), run.grad_norm_sq[k], run.consensus[k, :T],
-                      run.global_loss[k, :T], run.device_loss[k, :T], run.opt_gap[k, :T],
-                      run.energy_spent[k], run.packets_sent[k], run.packets_dropped[k]),
-                  config.hash)
+    files = {f"metrics_seed{seed}.csv": (METRICS_HEADER, list(zip(
+        range(1, T + 1), run.grad_norm_sq[k], run.consensus[k, :T], run.global_loss[k, :T],
+        run.device_loss[k, :T], run.opt_gap[k, :T], run.energy_spent[k], run.packets_sent[k],
+        run.packets_dropped[k]))) for k, seed in enumerate(config.seeds)}
     # Statistics over seeds reduce one 1-D column at a time: mean(axis=0) adds in another order.
     finals = {"final_global": run.global_loss[:, -1], "final_device": run.device_loss[:, -1],
               "final_consensus": run.consensus[:, -1], "final_opt_gap": run.opt_gap[:, -1],
               "energy": run.energy_spent.sum(axis=1), "sent": run.packets_sent.sum(axis=1),
               "dropped": run.packets_dropped.sum(axis=1),
               "time_avg_grad": run.grad_norm_sq.mean(axis=1)}
-    _emit(out, "summary.csv", [[key, *_mean_stderr(col), len(col)] for key, col in finals.items()],
-          config.hash)
+    files["summary.csv"] = (HEADERS["summary.csv"],
+                            [[key, *_mean_stderr(col), len(col)] for key, col in finals.items()])
     slot_cols = (run.global_loss, run.device_loss, run.consensus, run.grad_norm_sq)
-    _emit(out, "metric_vs_slots.csv",
-          [[t + 1, *(float(np.mean(col[:, t])) for col in slot_cols)] for t in range(T)],
-          config.hash)
+    files["metric_vs_slots.csv"] = (
+        HEADERS["metric_vs_slots.csv"],
+        [[t + 1, *(float(np.mean(col[:, t])) for col in slot_cols)] for t in range(T)])
+    for fname, (header, rows) in files.items():  # every file checked before any is written
+        _refuse_non_finite(fname, header, rows)
+    for fname, (header, rows) in files.items():
+        write_csv(out / fname, header, rows, config.hash)
+
+
+def _refuse_non_finite(name: str, header, rows) -> None:
+    """ConfigError at a training file's first non-finite float: the task overflowed."""
+    for row in rows:
+        for col, x in zip(header, row):
+            if isinstance(x, float) and not math.isfinite(x):
+                raise ConfigError([f"task: training wrote {x} to {name}, column {col}; "
+                                   "the task data are too large for floats"])
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +280,7 @@ def _sweep_capacity(config: ExperimentConfig, out: Path, jobs: int, mdp, s1, nam
             run = _train_seeds(config, grown, config.build_policy(grown, name), full, jobs)
             loss_mean, loss_se = _mean_stderr(run.device_loss[:, -1])
         rows.append([n_levels, energy.b_max, j_star, loss_mean, loss_se])
+    _refuse_non_finite("final_vs_battery.csv", HEADERS["final_vs_battery.csv"], rows)
     _emit(out, "final_vs_battery.csv", rows, config.hash)
 
 
@@ -279,6 +291,7 @@ def _sweep_hops(config: ExperimentConfig, out: Path, jobs: int, mdp, s1, name: s
         run = _train_seeds(config, mdp, policy, s1, jobs)
         loss_mean, loss_se = _mean_stderr(run.device_loss[:, -1])
         rows.append([hops, j, loss_mean, loss_se, len(config.seeds)])
+    _refuse_non_finite("hops_table.csv", HEADERS["hops_table.csv"], rows)
     _emit(out, "hops_table.csv", rows, config.hash)
 
 

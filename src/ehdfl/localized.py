@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,6 +110,16 @@ def localized_backward_layer(mdp, cover: Cover, q_next: np.ndarray,
 # synthesis context: neighbour table views, feasibility rows
 # ---------------------------------------------------------------------------
 
+class _FoldPlan(NamedTuple):
+    """How _expected_own_rows folds one cover's neighbours (see _SynthContext)."""
+
+    q_axes: tuple  # (gains, member actions) -> action-major, the owner's action first
+    folds: tuple  # (neighbour, running scope shape), last cover position first
+    rows_axes: tuple  # policy rows on the cover state axes -> permuted state axes, levels
+    out_axes: tuple  # (levels, cover state axes) -> (levels, permuted state axes)
+    out_scope: tuple  # the last fold's scope, length 1 on the axes no fold reads
+
+
 class _SynthContext:
     """Covers, cost tables, feasibility rows and neighbour views of one synthesis.
 
@@ -118,11 +129,21 @@ class _SynthContext:
     and without the battery digits Q does not depend on. pi_views[i][j] maps a
     policy table of device j, (n_states_j, n_levels_j), to cover i's state digit
     axes, keeping its trailing level axis. Digits of cover i that cover j lacks
-    are length-1 axes. The budget is checked on the covers alone, before any
-    table is built. It counts states x actions, within about 4x of the largest
-    table: Q holds gain configurations x actions, but _expected_own_rows builds
-    an intermediate of states x actions / 4 on the shipped models (16,384 of
-    65,536 entries on the desk ring at hops 2).
+    are length-1 axes.
+
+    fold_plans[i] lays out _expected_own_rows for cover i. Neighbours fold from
+    the last cover position to the first, on the cover's state axes permuted so
+    that each fold's running scope is a trailing block: links innermost (Q spans
+    them from the start), then batteries outward in the order the folds first
+    read them (the digits _digit_view keeps of each neighbour's cover), and the
+    axes no fold reads outermost. Every product then runs over a contiguous inner
+    loop at least n_gain_cfgs long.
+
+    The budget is checked on the covers alone, before any table is built. It
+    counts states x actions, within about 4x of the largest table: Q holds gain
+    configurations x actions, but _expected_own_rows builds an intermediate of
+    states x actions / 4 on the shipped models (16,384 of 65,536 entries on the
+    desk ring at hops 2).
     """
 
     def __init__(self, mdp, hops, gamma, defaults, table_budget):
@@ -140,6 +161,25 @@ class _SynthContext:
         self.pi_views = [{j: _digit_view(ci, self.covers[j], defaults, False) for j in ci.devs}
                          for ci in self.covers]
         self.feas_rows = [self._feasible_rows(c) for c in self.covers]
+        self.fold_plans = [self._fold_plan(c) for c in self.covers]
+
+    def _fold_plan(self, cover):
+        nl, own, ns = len(cover.links), cover.dev_pos[cover.owner], len(cover.state_dims)
+        read, folds = [], []  # battery axes in the order the folds first read them
+        for pos in range(len(cover.devs) - 1, -1, -1):
+            if pos != own:
+                cj = self.covers[cover.devs[pos]]
+                read += [nl + k for k, d in enumerate(cover.devs)
+                         if d in cj.dev_pos and nl + k not in read]
+                folds.append((cover.devs[pos], len(read)))
+        perm = [a for a in range(nl, ns) if a not in read] + read[::-1] + list(range(nl))
+        dims = tuple(cover.state_dims[a] for a in perm)
+        acts = [own] + [k for k in range(len(cover.devs)) if k != own]
+        return _FoldPlan(q_axes=tuple(1 + k for k in acts) + (0,),
+                         folds=tuple((d, dims[ns - nl - n:]) for d, n in folds),
+                         rows_axes=tuple(perm) + (ns,),
+                         out_axes=(0,) + tuple(1 + a for a in perm),
+                         out_scope=(1,) * (ns - nl - len(read)) + dims[ns - nl - len(read):])
 
     def _feasible_rows(self, cover):
         pos = len(cover.links) + cover.dev_pos[cover.owner]  # the owner's battery digit
@@ -223,22 +263,33 @@ def _init_policy(ctx: _SynthContext, i: int, q1: np.ndarray) -> np.ndarray:
     return masked_softmax(_state_rows(cov, rows), ctx.gamma, ctx.feas_rows[i])
 
 
+def _fold_level_rows(x: np.ndarray, rows: np.ndarray, scope) -> np.ndarray:
+    """sum_l x[..., l, :] * rows[..., l] in level order, on a fold's running scope.
+
+    x is (..., n_levels, n_in), its n_in entries the scope's trailing axes; rows is a
+    view of shape scope + (n_levels,), length 1 where the neighbour lacks an axis. Each
+    level's rows are copied contiguous on the scope, so every product runs over n_in."""
+    level = np.empty(scope)
+    level[...] = rows[..., 0]
+    row = level.reshape(-1, x.shape[-1])
+    acc = np.multiply(x[..., 0, None, :], row, order="C")  # "K" would follow x's strides
+    for l in range(1, rows.shape[-1]):  # level order keeps the sums bit-identical
+        level[...] = rows[..., l]
+        acc += x[..., l, None, :] * row
+    return acc.reshape(acc.shape[:-2] + (-1,))
+
+
 def _expected_own_rows(ctx: _SynthContext, i: int, q_i: np.ndarray, policies) -> np.ndarray:
-    """E over cover neighbors' policies of Q_i, leaving own action free."""
-    cov = ctx.covers[i]
-    ns = len(cov.state_dims)
-    x = q_i.reshape(cov.link_dims + (1,) * len(cov.devs) + tuple(cov.act_dims))
-    for pos in range(len(cov.devs) - 1, -1, -1):
-        d = cov.devs[pos]
-        if d == i:
-            continue
-        rows = ctx.pi_views[i][d](policies[d])  # i's state axes, then d's levels
-        lead, tail = (slice(None),) * (ns + pos), (None,) * (x.ndim - ns - 1)
-        acc = x[lead + (0,)] * rows[(..., 0) + tail]
-        for l in range(1, cov.act_dims[pos]):  # level order keeps the sums bit-identical
-            acc += x[lead + (l,)] * rows[(..., l) + tail]
-        x = acc
-    return _state_rows(cov, x)  # neighbour rows may leave battery axes at length 1
+    """E over cover neighbors' policies of Q_i, leaving own action free: (n_states, nl_own),
+    the transpose of C-order level-major rows, as masked_softmax reads them."""
+    cov, plan = ctx.covers[i], ctx.fold_plans[i]
+    x = np.ascontiguousarray(q_i.reshape(cov.n_gain_cfgs, *cov.act_dims).transpose(plan.q_axes))
+    for d, scope in plan.folds:
+        rows = ctx.pi_views[i][d](policies[d]).transpose(plan.rows_axes)
+        x = _fold_level_rows(x, rows.reshape(rows.shape[-1 - len(scope):]), scope)
+    out = np.empty((len(x),) + cov.state_dims)  # axes no fold reads broadcast
+    out.transpose(plan.out_axes)[...] = x.reshape((len(x),) + plan.out_scope)
+    return out.reshape(len(x), cov.n_states).T
 
 
 def _improve_round(ctx: _SynthContext, q_list, pi_list):

@@ -185,6 +185,11 @@ class GlobalMdp:
         return zero_padded([np.asarray(c.levels, dtype=float) for c in self.chains])
 
     @functools.cached_property
+    def psi_stack(self) -> np.ndarray:
+        """(L, W, W): each link's transition matrix, zero-padded to the widest chain."""
+        return zero_padded([c.psi for c in self.chains])
+
+    @functools.cached_property
     def draw_quanta(self):
         """Per device: int (n_levels_d,), the battery quanta one slot at each level draws."""
         e = self.energy
@@ -780,7 +785,7 @@ def simulate_costs(mdp: GlobalMdp, policy, s1, *, n_samples: int, seed: int) -> 
             totals += cost_tbl[tuple(gains.T) + tuple(levels.T)]
         else:
             totals += sample_costs(mdp, gains, levels)
-        gains[:] = step_links(gains, mdp.chains, rng.random((n_samples, L)))
+        gains[:] = step_links(gains, mdp.psi_stack, mdp.link_dims, rng.random((n_samples, L)))
         bats[:] = inverse_cdf(kernels[devs, levels.T, bats.T], rng.random((n_samples, m)),
                               mdp.bat_dims)
     return totals

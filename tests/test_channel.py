@@ -2,8 +2,9 @@
 
 `former_packet_error_rate` is the one-link body the batched rule replaced, on
 the former dense (m, m) gain layout that `dense_gains` builds from per-edge
-gains, and `former_step_links` the per-link loop `step_links` replaced; each is
-kept as the reference its replacement must equal element for element.
+gains, `former_step_links` the per-link loop `step_links` replaced, and
+`padded_step_links` the step that zero-padded the psi stack on every call; each
+is kept as the reference its replacement must equal element for element.
 """
 import math
 
@@ -13,9 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ehdfl.channel import (ChannelChain, RadioParams, build_chain_from_crossing,
-                           identity_chain, packet_error_rate, rayleigh_chain,
-                           step_links)
+                           identity_chain, inverse_cdf, packet_error_rate, rayleigh_chain,
+                           step_links, zero_padded)
 from ehdfl.topology import build_topology
+
+from test_energy import shipped_models
+
+
+def step(state, chains, u):
+    """step_links on a psi stack built for this call."""
+    return step_links(state, zero_padded([c.psi for c in chains]), [c.n for c in chains], u)
 
 
 def test_radio_params_validation():
@@ -62,7 +70,7 @@ def test_identity_chain_freezes_state():
     rng = np.random.default_rng(0)
     state = np.array([1])
     for _ in range(10):
-        state = step_links(state, [chain], rng.random(1))
+        state = step(state, [chain], rng.random(1))
     assert state[0] == 1
 
 
@@ -74,7 +82,7 @@ def test_step_links_marginals_match_psi():
     hits = 0
     n = 20000
     for _ in range(n):
-        hits += step_links(np.array([0]), [chain], rng.random(1))[0]
+        hits += step(np.array([0]), [chain], rng.random(1))[0]
     assert abs(hits / n - 0.3) < 0.01
 
 
@@ -85,9 +93,9 @@ def test_step_links_on_a_batch_is_each_run_stepped_alone():
     state = np.stack([rng.integers(0, c.n, size=50) for c in chains], axis=1)
     u = rng.random(state.shape)
     u[:5] = [0.0, 0.0, np.nextafter(1.0, 0.0)]  # the edges of the inverse CDF
-    batch = step_links(state, chains, u)
+    batch = step(state, chains, u)
     for k in range(len(state)):
-        assert np.array_equal(batch[k], step_links(state[k], chains, u[k]))
+        assert np.array_equal(batch[k], step(state[k], chains, u[k]))
         for e, chain in enumerate(chains):
             want = np.searchsorted(np.cumsum(chain.psi[state[k, e]]), u[k, e], side="right")
             assert batch[k, e] == min(want, chain.n - 1)
@@ -101,6 +109,26 @@ def former_step_links(state, chains, u):
         cdf = np.cumsum(chain.psi[state[..., k]], axis=-1)
         out[..., k] = np.minimum((cdf <= u[..., k, None]).sum(-1), chain.n - 1)
     return out
+
+
+def padded_step_links(state, chains, u):
+    """The former link step, which zero-padded the chains' psi stack on every call."""
+    flat = np.reshape(state, (-1, len(chains)))
+    rows = zero_padded([c.psi for c in chains])[np.arange(len(chains))[:, None], flat.T]
+    out = inverse_cdf(rows, np.reshape(u, flat.shape), [c.n for c in chains])
+    return out.reshape(np.shape(state))
+
+
+def test_step_links_on_the_model_stack_equals_the_per_call_padding_on_shipped_chains():
+    rng = np.random.default_rng(7)
+    for mdp in shipped_models():
+        assert mdp.psi_stack is mdp.psi_stack  # built once per model
+        state = np.stack([rng.integers(0, c.n, size=200) for c in mdp.chains], axis=1)
+        u = rng.random(state.shape)
+        u[:3] = [[0.0], [np.nextafter(1.0, 0.0)], [0.5]]  # the edges of the inverse CDF
+        for s, v in ((state, u), (state[0], u[0])):
+            assert np.array_equal(step_links(s, mdp.psi_stack, mdp.link_dims, v),
+                                  padded_step_links(s, mdp.chains, v))
 
 
 @st.composite
@@ -133,9 +161,8 @@ def link_steps(draw):
 @given(link_steps())
 def test_step_links_equals_the_former_per_link_loop_on_generated_chains(case):
     chains, state, u = case
-    assert np.array_equal(step_links(state, chains, u), former_step_links(state, chains, u))
-    assert np.array_equal(step_links(state[0], chains, u[0]),
-                          former_step_links(state[0], chains, u[0]))
+    assert np.array_equal(step(state, chains, u), former_step_links(state, chains, u))
+    assert np.array_equal(step(state[0], chains, u[0]), former_step_links(state[0], chains, u[0]))
 
 
 def _pair_setup():

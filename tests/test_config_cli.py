@@ -697,3 +697,33 @@ def test_oversized_exact_evaluation_is_refused_before_any_synthesis(tmp_path, mo
         start = time.perf_counter()
         assert main([kind, "--config", str(cfg), "--out", str(tmp_path / kind)]) == 3, kind
         assert time.perf_counter() - start < 2.0, kind
+
+
+@pytest.mark.parametrize("heterogeneity, refused_by", [(1e308, "give non-finite task data"),
+                                                        (1e150, "training wrote inf")])
+def test_training_on_overflowing_task_data_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                                       heterogeneity, refused_by):
+    # 1e308 makes the task targets infinite, and build_task refuses them; 1e150 keeps the
+    # data finite but squares past the float range in the seed statistics of summary.csv.
+    from ehdfl.cli import main
+    raw = json.loads(DESK8.read_text())
+    raw.update(horizon=2, seeds=[0, 1])
+    raw["task"]["heterogeneity"] = heterogeneity
+    cfg = _write(tmp_path, raw)
+    if heterogeneity == 1e308:
+        with pytest.raises(ConfigError, match=refused_by):
+            load_config(cfg).build_task()
+    with np.errstate(all="ignore"):
+        code = main(["train", "--config", str(cfg), "--policy", "greedy",
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert refused_by in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_build_task_refuses_overflowing_scale_and_keeps_finite_tasks():
+    with pytest.raises(ConfigError, match="scale 1e\\+200"):
+        parse_config(base_raw(task={"kind": "quadratic", "scale": 1e200})).build_task()
+    for kind in ("quadratic", "logistic"):
+        task = parse_config(base_raw(task={"kind": kind, "heterogeneity": 1e150})).build_task()
+        assert np.isfinite(task.f_star)

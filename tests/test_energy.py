@@ -149,13 +149,17 @@ def harvest_draws(hv, rng, size):
     return hv.support[harvest_index(hv, rng.random(size))]
 
 
-def shipped_harvest_laws():
-    """Every harvest law of the shipped configs and of the built-in instances."""
+def shipped_models():
+    """The models of the shipped configs and of the built-in instances."""
     mdps = [load_config(p).build_model() for p in sorted(CONFIGS.glob("*.json"))]
     mdps += [inst.mdp for inst in tiny_instances().values()]
-    mdps += [oracle_instance()[0], fullinfo_instance().mdp, desk_scenario(horizon=1).mdp,
-             capacity_family(2)[0], capacity_pair(3, horizon=1)[0]]
-    return list({id(hv): hv for mdp in mdps for hv in mdp.harvests}.values())
+    return mdps + [oracle_instance()[0], fullinfo_instance().mdp, desk_scenario(horizon=1).mdp,
+                   capacity_family(2)[0], capacity_pair(3, horizon=1)[0]]
+
+
+def shipped_harvest_laws():
+    """Every harvest law of the shipped configs and of the built-in instances."""
+    return list({id(hv): hv for mdp in shipped_models() for hv in mdp.harvests}.values())
 
 
 def test_harvest_draws_equal_the_former_normalized_cdf_rule_on_every_shipped_law():

@@ -1,8 +1,12 @@
+import math
 import tracemalloc
 import zipfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from ehdfl import localized
 from ehdfl.channel import ChannelChain, RadioParams
@@ -464,6 +468,98 @@ def test_synthesis_is_bit_identical_with_the_gather_rounds(name, hops, monkeypat
         for tn, tr in zip(new.tables, ref.tables):
             for a, b in zip(tn, tr):
                 assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# neighbour expectation: fold-ordered kernel against the cover-order fold
+# ---------------------------------------------------------------------------
+
+def former_expected_own_rows(ctx, i, q_i, policies):
+    """The former kernel: neighbours folded on cover-order axes, the action axis innermost."""
+    cov = ctx.covers[i]
+    ns = len(cov.state_dims)
+    x = q_i.reshape(cov.link_dims + (1,) * len(cov.devs) + tuple(cov.act_dims))
+    for pos in range(len(cov.devs) - 1, -1, -1):
+        d = cov.devs[pos]
+        if d == i:
+            continue
+        rows = ctx.pi_views[i][d](policies[d])  # i's state axes, then d's levels
+        lead, tail = (slice(None),) * (ns + pos), (None,) * (x.ndim - ns - 1)
+        acc = x[lead + (0,)] * rows[(..., 0) + tail]
+        for l in range(1, cov.act_dims[pos]):  # level order keeps the sums bit-identical
+            acc += x[lead + (l,)] * rows[(..., l) + tail]
+        x = acc
+    return localized._state_rows(cov, x)  # neighbour rows may leave battery axes at length 1
+
+
+TWO_LEVELS = ChannelChain(levels=np.array([0.1, 0.8]), steady=np.array([0.4, 0.6]),
+                          psi=np.array([[0.55, 0.45], [0.3, 0.7]]))
+ONE_LEVEL = ChannelChain(levels=np.array([0.5]), steady=np.array([1.0]), psi=np.array([[1.0]]))
+CASE_ENTRIES = 1 << 17  # largest cover states x actions a generated case may have
+
+
+@st.composite
+def expectation_cases(draw):
+    """A model on a ring, line, complete or random-geometric graph of 2-7 devices with 2-4
+    battery levels and 2-3 power levels per device, hops 0-3, extension defaults, and random
+    Q tables and policy rows. Under the zero gain default the links in every cover may have
+    one gain level, which keeps dense graphs within CASE_ENTRIES per cover."""
+    kind = draw(st.sampled_from(["ring", "line", "complete", "random_geometric"]))
+    m, hops = 7 - draw(st.integers(0, 5)), 3 - draw(st.integers(0, 3))  # large first
+    defaults = draw(st.sampled_from(DEFAULTS))
+    topo = build_topology(kind, m, seed=draw(st.integers(0, 9)))
+    members = [set(k_hop_set(topo.neighbors, i, hops)) for i in range(m)]
+    thin = defaults.gain == 0 and draw(st.booleans())
+    chains = [ONE_LEVEL if thin and all(a in c or b in c for c in members) else TWO_LEVELS
+              for a, b in topo.edges]
+    n_levels = draw(st.integers(2, 4))
+    ladders = [[0.0, 1.0] + draw(st.sampled_from([[], [2.0]])) for _ in range(m)]
+    assume(max(math.prod(chains[e].n for e, (a, b) in enumerate(topo.edges) if a in c or b in c)
+               * math.prod(n_levels * len(ladders[d]) for d in c) for c in members)
+           <= CASE_ENTRIES)
+    energy = EnergyParams(k_steps=1, cpu_freq=1.0, cycles_per_sample=0.0, batch_size=1,
+                          tau=1.0, b_max=float(n_levels - 1), n_levels=n_levels)
+    mdp = build_mdp(topo, RadioParams(0.8, (0.3,) * m, 1.0), energy, chains,
+                    HarvestModel(support=np.array([0.0, 1.0]), probs=np.array([0.6, 0.4])),
+                    ladders, 1)
+    ctx = localized._SynthContext(mdp, hops, draw(st.sampled_from([0.5, 512.0])), defaults,
+                                  CASE_ENTRIES)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q = [rng.random((c.n_gain_cfgs, c.n_actions)) for c in ctx.covers]
+    pi = [rng.dirichlet(np.ones(c.act_dims[c.dev_pos[c.owner]]), size=c.n_states)
+          for c in ctx.covers]
+    return ctx, q, pi
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(expectation_cases())
+def test_expectation_and_round_equal_the_former_kernel_and_the_gathers_on_generated_models(case):
+    ctx, q, pi = case
+    ext_s = [{j: extension_state_map(ci, ctx.covers[j], ctx.defaults) for j in ci.devs}
+             for ci in ctx.covers]
+    for i, cov in enumerate(ctx.covers):
+        new = localized._expected_own_rows(ctx, i, q[i], pi)
+        assert np.array_equal(new, former_expected_own_rows(ctx, i, q[i], pi))
+        assert np.array_equal(new, gather_expected_own_rows(ctx, i, over_batteries(cov, q[i]),
+                                                            pi, ext_s))
+    got = localized._improve_round(ctx, q, pi)
+    with mock.patch.object(localized, "_expected_own_rows", former_expected_own_rows):
+        former = localized._improve_round(ctx, q, pi)
+    for ref in (former, gather_improve_round(ctx, q, pi)):
+        for new, old in zip(got, ref):
+            for a, b in zip(new, old):
+                assert np.array_equal(a, b)
+
+
+def test_desk_hops_3_synthesis_equals_the_former_kernel(monkeypatch):
+    mdp = desk_scenario(horizon=2).mdp
+    new = synthesize(mdp, hops=3, gamma=512.0, rounds=1)
+    monkeypatch.setattr(localized, "_expected_own_rows", former_expected_own_rows)
+    ref = synthesize(mdp, hops=3, gamma=512.0, rounds=1)
+    for tn, tr in zip(new.tables, ref.tables):
+        for a, b in zip(tn, tr):
+            assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
