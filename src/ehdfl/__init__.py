@@ -17,7 +17,7 @@ from .channel import (ChannelChain, RadioParams, build_chain_from_crossing,
                       identity_chain, packet_error_rate, rayleigh_chain)
 from .config import ExperimentConfig, canonical_hash, load_config, parse_config
 from .dflsim import (DflRun, Theorem1Bound, apply_gossip, convergence_bound,
-                     local_sgd, run_training)
+                     gossip_passes, local_sgd, run_training)
 from .energy import (EnergyParams, HarvestModel, battery_step, point_harvest,
                      solar_harvest_support)
 from .errors import BudgetExceeded, CausalityViolation, ConfigError
@@ -43,7 +43,7 @@ __all__ = [
     "backward_induction", "battery_step", "build_chain_from_crossing",
     "build_mdp", "build_topology", "canonical_hash", "certify_consts",
     "contraction_coefficient", "contraction_study", "convergence_bound",
-    "evaluate_policy", "fit_rate", "gap_curve",
+    "evaluate_policy", "fit_rate", "gap_curve", "gossip_passes",
     "hetero_const", "identity_chain", "load_config", "load_localized",
     "load_solution", "local_sgd", "make_logistic_task", "make_quadratic_task",
     "packet_error_rate", "parse_config", "point_harvest", "prescribed_eta",

@@ -34,23 +34,32 @@ def local_sgd(task, i: int, w, *, k_steps: int, eta: float):
     return w, sup_sq
 
 
-def apply_gossip(models, deltas, beta, zeta, mixing, neighbors):
+def gossip_passes(topo) -> list:
+    """`apply_gossip`'s passes: pass r holds each device's r-th contribution in ascending j,
+    self included, as (receivers, transmitters, rows, weights); row P + i is i's own."""
+    lk, own = topo.links, np.arange(topo.m)
+    rx, tx = np.concatenate([lk.rx, own]), np.concatenate([lk.tx, own])
+    order = np.lexsort((tx, rx))
+    rank = np.arange(len(order)) - np.searchsorted(rx[order], rx[order])
+    weight = np.concatenate([lk.weight, topo.self_weights])
+    return [(rx[at], tx[at], at, weight[at]) for at in (order[rank == r]
+                                                       for r in range(rank.max() + 1))]
+
+
+def apply_gossip(models, deltas, beta, delivered, passes):
     """One aggregation slot over (S, m, d) models and deltas; returns the new models.
 
-    Device i adds a_ij * zeta_ij * delta_j for every transmitting neighbor
-    (beta (S, m), zeta (S, m, m) receiver-major) and a_ii * delta_i for itself.
-    Contributions accumulate in ascending j order (self included at its sorted
-    position) so a reference recursion written the same way matches bit for
-    bit: pass r adds every device's r-th contribution at once.
+    Device i adds a_ij * delta_j for every transmitting neighbor whose packet arrived
+    (beta (S, m), delivered (S, P) on the link table's rows) and a_ii * delta_i for
+    itself, in ascending j order (self included), so a reference recursion written the
+    same way matches bit for bit: pass r of `gossip_passes` adds every device's r-th.
     """
-    order = [sorted(set(neighbors[i]) | {i}) for i in range(models.shape[1])]
+    heard = np.concatenate([delivered, np.ones(beta.shape, dtype=bool)], axis=1)
     out = models.copy()
-    for r in range(max(map(len, order))):
-        rx = np.array([i for i, js in enumerate(order) if r < len(js)])
-        tx = np.array([order[i][r] for i in rx])
-        gate = (beta[:, tx] != 0) & ((zeta[:, rx, tx] != 0.0) | (rx == tx))
+    for rx, tx, row, weight in passes:
+        gate = (beta[:, tx] != 0) & heard[:, row]
         acc = out[:, rx]
-        out[:, rx] = np.where(gate[..., None], acc + mixing[rx, tx, None] * deltas[:, tx], acc)
+        out[:, rx] = np.where(gate[..., None], acc + weight[:, None] * deltas[:, tx], acc)
     return out
 
 
@@ -74,7 +83,7 @@ class DflRun:
     packets_sent: np.ndarray   # (S, T) int
     packets_dropped: np.ndarray  # (S, T) int
     beta: np.ndarray           # (S, T, m) participation indicators
-    per: np.ndarray            # (S, T, m, m) q for receiver i <- transmitter j, 0 elsewhere
+    per: np.ndarray            # (S, T, P) q on each link of `topo.links`, 0 if its tx is silent
     actions: np.ndarray        # (S, T, m) chosen level indices
     batteries: np.ndarray      # (S, T+1, m) joules at slot starts
     sup_grad_sq: np.ndarray    # (S,) max squared stochastic-gradient norm seen
@@ -101,10 +110,9 @@ def run_training(mdp: GlobalMdp, task, policy, *, seeds, eta: float,
     policy, channel and per-device harvest streams. Each slot, a seed's policy
     stream gives random(m) for the levels, drawn from the policy's rows at the
     seed's state digits; its channel stream gives random(n_active + L), the first
-    n_active for the packet outcomes of the directed links with an active
-    transmitter, in ascending (receiver, transmitter) order, the last L for
-    the link step; each harvest stream gives one uniform, drawn through `inverse_cdf` on
-    the device's harvest law.
+    n_active for the packet outcomes of the links with an active transmitter, in
+    ascending (receiver, transmitter) order, the last L for the link step; each harvest
+    stream gives one uniform, drawn through `inverse_cdf` on the device's harvest law.
 
     Raises:
         CausalityViolation: when the policy picks a level the battery cannot fund.
@@ -126,35 +134,27 @@ def run_training(mdp: GlobalMdp, task, policy, *, seeds, eta: float,
         n_seeds, horizon, m)
     rng_chan = [_stream(s, _ROLE_CHANNEL) for s in seeds]
 
-    receiver_major = np.lexsort((topo.links.tx, topo.links.rx))
-    pair_rx, pair_tx = topo.links.rx[receiver_major], topo.links.tx[receiver_major]
+    links, passes = topo.links, gossip_passes(topo)
+    receiver_major = np.lexsort((links.tx, links.rx))  # the channel stream's draw order
+    unpermute = np.argsort(receiver_major)
     draws = zero_padded(mdp.draw_quanta).astype(int)
-    devs, seed_rows = np.arange(m), np.arange(n_seeds)[:, None]
     gains = np.tile(np.asarray(s1.gains, dtype=np.int64), (n_seeds, 1))
     quanta = np.tile(np.asarray(s1.batteries, dtype=np.int64), (n_seeds, 1))
     models = np.zeros((n_seeds, m, d))
     recorded = horizon if record_models else 0
 
+    def zeros(*shape, dtype=float):
+        return np.zeros((n_seeds, *shape), dtype=dtype)
+
     rec = DflRun(
-        horizon=horizon,
-        wbar=np.zeros((n_seeds, horizon + 1, d)),
-        consensus=np.zeros((n_seeds, horizon + 1)),
-        grad_norm_sq=np.zeros((n_seeds, horizon)),
-        global_loss=np.zeros((n_seeds, horizon + 1)),
-        device_loss=np.zeros((n_seeds, horizon + 1)),
-        opt_gap=np.zeros((n_seeds, horizon + 1)),
-        energy_spent=np.zeros((n_seeds, horizon)),
-        packets_sent=np.zeros((n_seeds, horizon), dtype=np.int64),
-        packets_dropped=np.zeros((n_seeds, horizon), dtype=np.int64),
-        beta=np.zeros((n_seeds, horizon, m), dtype=np.int64),
-        per=np.zeros((n_seeds, horizon, m, m)),
-        actions=np.zeros((n_seeds, horizon, m), dtype=np.int64),
-        batteries=np.zeros((n_seeds, horizon + 1, m)),
-        sup_grad_sq=np.zeros(n_seeds),
-        final_models=models,
-        models=np.zeros((n_seeds, recorded, m, d)),
-        deltas=np.zeros((n_seeds, recorded, m, d)),
-    )
+        horizon, wbar=zeros(horizon + 1, d), consensus=zeros(horizon + 1),
+        grad_norm_sq=zeros(horizon), global_loss=zeros(horizon + 1),
+        device_loss=zeros(horizon + 1), opt_gap=zeros(horizon + 1), energy_spent=zeros(horizon),
+        packets_sent=zeros(horizon, dtype=np.int64), packets_dropped=zeros(horizon, dtype=np.int64),
+        beta=zeros(horizon, m, dtype=np.int64), per=zeros(horizon, len(links.rx)),
+        actions=zeros(horizon, m, dtype=np.int64), batteries=zeros(horizon + 1, m),
+        sup_grad_sq=zeros(), final_models=models, models=zeros(recorded, m, d),
+        deltas=zeros(recorded, m, d))
     f_star = task.f_star
 
     def log_point(row: int) -> None:
@@ -192,27 +192,26 @@ def run_training(mdp: GlobalMdp, task, policy, *, seeds, eta: float,
             rec.models[:, t], rec.deltas[:, t] = models, deltas
 
         # Packet outcomes on the directed links with an active transmitter.
-        active = beta[:, pair_tx]
+        active = beta[:, links.tx]
         n_active = active.sum(axis=1)
         u = [rng.random(n + n_links) for rng, n in zip(rng_chan, n_active.tolist())]
         offsets = np.cumsum([0] + [len(x) for x in u])[:-1, None]
         u = np.concatenate(u) if u else np.zeros(0)
-        if per_override is None:  # every seed and pair at once; only the active ones are read
-            q = packet_error_rate(powers, mdp.gains_of(gains), topo, radio, pair_rx, pair_tx)
+        if per_override is None:  # every seed and link at once; only the active ones are read
+            q = packet_error_rate(powers, mdp.gains_of(gains), topo, radio, links.rx, links.tx)
         else:
             q = np.full(active.shape, float(per_override))
-        # an active link's uniform sits at its rank among the seed's active links
-        ok = u[offsets + np.cumsum(active, axis=1) - 1] >= q
-        rec.per[seed_rows, t, pair_rx, pair_tx] = np.where(active, q, 0.0)
-        zeta = np.zeros((n_seeds, m, m))
-        zeta[seed_rows, pair_rx, pair_tx] = active & ok
+        # an active link's uniform sits at its receiver-major rank among the seed's active links
+        rank = np.cumsum(active[:, receiver_major], axis=1)[:, unpermute] - 1
+        ok = u[offsets + rank] >= q
+        rec.per[:, t] = np.where(active, q, 0.0)
         rec.packets_sent[:, t] = n_active
         rec.packets_dropped[:, t] = (active & ~ok).sum(axis=1)
 
-        models = apply_gossip(models, deltas, beta, zeta, topo.mixing, topo.neighbors)
+        models = apply_gossip(models, deltas, beta, active & ok, passes)
 
         # Energy bookkeeping and exogenous processes.
-        spend = draws[devs, levels]
+        spend = draws[np.arange(m), levels]
         for i in range(m):
             rec.energy_spent[:, t] += spend[:, i] * energy.quantum
         quanta = battery_step(quanta, spend, harvest[:, t], energy)
@@ -232,22 +231,19 @@ class Theorem1Bound:
     eta: float
 
 
-def convergence_bound(consts, lam: float, m: int, horizon: int, f_gap: float,
-                      beta, per, mixing) -> Theorem1Bound:
+def convergence_bound(consts, lam: float, topo, horizon: int, f_gap: float,
+                      beta, per) -> Theorem1Bound:
     """Six-term rate certificate for the time-averaged squared gradient norm.
 
     f_gap is the initial optimality gap F(wbar_1) - F*. beta is (T, m) and per
-    is (T, m, m) with per[t, i, j] the error probability on receiver i's link
-    from transmitter j (rows for non-neighbors are ignored via mixing zeros).
-    The last term runs over all ordered pairs i != j; for non-neighbors the
-    mixing weight is zero, so each such pair contributes (1 - beta_j).
+    is (T, P), per[t, p] the error probability on link p of `topo.links`. The
+    last term runs over all ordered pairs i != j: the links, each weighted by
+    its a_ij, and the m - 1 - deg j non-neighbors of each transmitter j, whose
+    zero weight leaves (1 - beta_j) each.
     """
-    lip, k = consts.lipschitz, consts.k_steps
-    g2 = consts.grad_bound ** 2
-    c1 = consts.c1
-    t_hor = float(horizon)
+    lip, k, m, lk = consts.lipschitz, consts.k_steps, topo.m, topo.links
+    g2, c1, t_hor = consts.grad_bound ** 2, consts.c1, float(horizon)
     beta = np.asarray(beta, dtype=float)
-    per = np.asarray(per, dtype=float)
 
     term1 = 256.0 * lip * f_gap / np.sqrt(m * t_hor)
     term2 = np.sqrt(m) * c1 / (2.0 * k * np.sqrt(t_hor))
@@ -255,15 +251,10 @@ def convergence_bound(consts, lam: float, m: int, horizon: int, f_gap: float,
     term4 = np.sqrt(m) * (c1 + 4.0 * k * g2) / (128.0 * (1.0 - lam) * k * t_hor ** 1.5)
     term5 = m * (c1 + 4.0 * k * g2) / (128.0 ** 2 * (1.0 - lam) * k * t_hor ** 2)
 
-    acc = 0.0
-    for t in range(int(t_hor)):
-        for j in range(m):
-            for i in range(m):
-                if i == j:
-                    continue
-                acc += ((m - 1) * mixing[i, j] * per[t, i, j] - 1.0) * beta[t, j] + 1.0
+    on_links = ((m - 1) * lk.weight * per - 1.0) * beta[:, lk.tx] + 1.0
+    off_links = (m - 1 - np.bincount(lk.tx, minlength=m)) * (1.0 - beta)
+    acc = float(on_links.sum() + off_links.sum())
     term6 = 4.0 * (k * lip + np.sqrt(k)) * g2 / ((m - 1) * k * t_hor) * acc
 
-    terms = (float(term1), float(term2), float(term3), float(term4), float(term5),
-             float(term6))
+    terms = tuple(map(float, (term1, term2, term3, term4, term5, term6)))
     return Theorem1Bound(terms=terms, total=float(sum(terms)), eta=consts.eta)

@@ -25,6 +25,7 @@ from .errors import BudgetExceeded, ConfigError
 from .localized import save_localized
 from .mdp import (GlobalState, backward_induction, check_eval_budget, count_text,
                   evaluate_policy, save_solution, simulate_costs)
+from .topology import build_topology
 
 # Header line of each metrics_seed<s>.csv, one row per slot of that seed's training record.
 METRICS_HEADER = ("slot", "grad_norm_sq_avg_model", "consensus", "global_loss",
@@ -126,7 +127,8 @@ def _mean_stderr(vals) -> tuple[float, float]:
     means), final_vs_battery.csv and hops_table.csv all use this estimator.
     """
     arr = np.asarray(vals, dtype=float)
-    return float(arr.mean()), float(arr.std(ddof=0) / np.sqrt(arr.size))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused later
+        return float(arr.mean()), float(arr.std(ddof=0) / np.sqrt(arr.size))
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +141,7 @@ def run_experiment(config: ExperimentConfig, kind: str, *, jobs: int = 1,
 
     The one place a command's model, start state and policy name are made: each
     runner gets them as `(mdp, s1, name)`, and a command that trains has its
-    record's size checked here, before any policy is built. An unknown `--policy`
+    device-loss work checked here, before any policy is built. An unknown `--policy`
     is refused before anything, and `jobs` is capped at the usable CPUs.
     """
     if policy_name is not None and policy_name not in POLICY_NAMES:
@@ -161,10 +163,11 @@ def run_experiment(config: ExperimentConfig, kind: str, *, jobs: int = 1,
     mdp = config.build_model()
     s1 = config.start_state(mdp)
     if key in ("train", "hops") or key == "capacity" and config.sweep_train:
-        size = len(config.seeds) * config.horizon * mdp.m ** 2  # `DflRun.per`, (S, T, m, m)
+        # the device-loss metric: m (m + 1) local losses per seed per logged slot
+        size = len(config.seeds) * config.horizon * mdp.m ** 2
         if size > config.budget:
             raise BudgetExceeded(
-                f"training record needs {count_text(size)} link entries "
+                f"training needs {count_text(size)} device-loss evaluations "
                 f"(seeds x slots x devices^2), over the budget {count_text(config.budget)}")
     RUNNERS[key](config, out, jobs, mdp, s1, policy_name or config.policy_name)
     return out
@@ -370,10 +373,9 @@ def _bound_per_term() -> float:
     m, horizon = 4, 25
     consts = LearnConsts(lipschitz=1.0, sigma_l=0.0, sigma_g=0.5,
                          grad_bound=1.0, eta=0.01, k_steps=2)
-    mixing = np.full((m, m), 1.0 / m)
-    bound = convergence_bound(consts, 0.5, m, horizon, 1.0,
-                              np.ones((horizon, m)), np.zeros((horizon, m, m)),
-                              mixing)
+    topo = build_topology("complete", m)  # Metropolis weights 1/m
+    bound = convergence_bound(consts, 0.5, topo, horizon, 1.0, np.ones((horizon, m)),
+                              np.zeros((horizon, len(topo.links.rx))))
     return abs(bound.terms[5])
 
 

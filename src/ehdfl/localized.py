@@ -82,9 +82,10 @@ def localized_cost_table(mdp, cover: Cover,
     dims, nl = cover.link_dims + cover.act_dims, len(cover.links)
     gain = {e: on_axis(mdp.chains[e].levels, k, dims) for e, k in cover.link_pos.items()}
     power = {d: on_axis(mdp.power_levels[d], nl + k, dims) for d, k in cover.dev_pos.items()}
-    return link_loss_table(mdp, dims, lambda d: power.get(d, mdp.power_levels[d][defaults.level]),
-                           lambda e: gain.get(e, mdp.chains[e].levels[defaults.gain]),
-                           cover.owner).reshape(cover.n_gain_cfgs, cover.n_actions)
+    return link_loss_table(  # a default is read only for an out-of-cover device or link
+        mdp, dims, lambda d: power[d] if d in power else mdp.power_levels[d][defaults.level],
+        lambda e: gain[e] if e in gain else mdp.chains[e].levels[defaults.gain],
+        cover.owner).reshape(cover.n_gain_cfgs, cover.n_actions)
 
 
 # ---------------------------------------------------------------------------

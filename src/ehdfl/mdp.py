@@ -91,12 +91,9 @@ class GlobalMdp:
         self.chains = link_chains(self.chains, len(self.topo.edges))
         if len(self.harvests) != m or len(self.power_levels) != m:
             raise ValueError("need one harvest model and one power ladder per device")
-        for chain in {id(c): c for c in self.chains}.values():  # a shared chain once
-            chain.validate()
-        self.power_levels = [power_ladder(lv) for lv in self.power_levels]
-        distinct = {id(hv): hv for hv in self.harvests}  # and a shared harvest snapped once
-        snapped = {k: hv.quanta(self.energy)[0] for k, hv in distinct.items()}
-        self.harvest_quanta = [snapped[id(hv)] for hv in self.harvests]
+        once_each(ChannelChain.validate, self.chains)
+        self.power_levels = once_each(power_ladder, self.power_levels)
+        self.harvest_quanta = once_each(lambda hv: hv.quanta(self.energy)[0], self.harvests)
 
     @property
     def m(self) -> int:
@@ -142,8 +139,8 @@ class GlobalMdp:
     @property
     def default_start(self) -> GlobalState:
         """Each link's likeliest gain (argmax of its steady law), every battery full."""
-        return GlobalState(gains=tuple(int(np.argmax(c.steady)) for c in self.chains),
-                           batteries=(self.energy.n_levels - 1,) * self.m)
+        gains = once_each(lambda c: int(np.argmax(c.steady)), self.chains)
+        return GlobalState(gains=tuple(gains), batteries=(self.energy.n_levels - 1,) * self.m)
 
     # ------------------------------------------------------------------
     # state and action indexing
@@ -234,9 +231,8 @@ class GlobalMdp:
     def ordered_pairs(self):
         """All (receiver, transmitter, weight, own link, [(other neighbor, link), ...]), one
         per row of the topology's link table, in its order."""
-        lk, mix = self.topo.links, self.topo.mixing
-        return [(i, j, float(mix[i, j]), e, [(k, e_k) for k, e_k in zip(ks, es) if k < self.m])
-                for i, j, e, ks, es in zip(*(a.tolist() for a in lk))]
+        return [(i, j, w, e, [(k, e_k) for k, e_k in zip(ks, es) if k < self.m])
+                for i, j, e, ks, es, w in zip(*(a.tolist() for a in self.topo.links))]
 
     def cost_table(self) -> np.ndarray:
         """Expected one-slot cost, shape (n_channel_cfgs, n_actions)."""
@@ -387,6 +383,12 @@ def link_chains(chains, n_links: int) -> list:
     if len(chains) != n_links:
         raise ValueError(f"need one chain or one per link ({n_links}), got {len(chains)}")
     return chains
+
+
+def once_each(f, objs) -> list:
+    """[f(o) for o in objs], f called once per distinct object, such as a shared ladder."""
+    done = {k: f(o) for k, o in {id(o): o for o in objs}.items()}
+    return [done[id(o)] for o in objs]
 
 
 def power_ladder(levels) -> np.ndarray:

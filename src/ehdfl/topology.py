@@ -3,7 +3,8 @@
 Devices sit on an undirected connected graph. Gossip weights follow the
 Metropolis-Hastings rule, which yields a symmetric doubly stochastic mixing
 matrix with a strictly positive diagonal, hence a spectral quantity
-lambda = max(|lambda_2|, |lambda_m|) < 1 on any connected graph.
+lambda = max(|lambda_2|, |lambda_m|) < 1 on any connected graph. The weights
+live on the directed-link table with every other per-pair quantity.
 """
 from __future__ import annotations
 
@@ -16,18 +17,18 @@ import numpy as np
 
 @dataclass(frozen=True, eq=False)
 class Topology:
-    """Immutable graph bundle: edges, neighbor sets, mixing weights, hop sets.
+    """Immutable graph bundle: edges, neighbor sets, link table and weights, hop sets.
 
-    Building one costs O(m + edges). The dense products, ``mixing`` and
-    ``lam``, are computed on first read and their invariants checked there;
-    parsing a config reads neither, while the cost table, training and
-    ``GlobalMdp.signature`` do.
+    Building one costs O(m + edges). The link table and self weights are built and
+    checked together on first read, in O(m + sum of degree^2) time and O(m) extra memory.
 
     Attributes:
         m: device count.
         edges: undirected edges as sorted (i, j) pairs with i < j.
         neighbors: tuple of sorted one-hop neighbor tuples (excluding self).
-        mixing: (m, m) symmetric doubly stochastic Metropolis weights.
+        links: `LinkTable`, every directed link with its Metropolis weight a_ij.
+        self_weights: (m,) Metropolis self weights a_ii.
+        mixing: (m, m) dense scatter of the weights, for `lam`, the model signature and tests.
         lam: max(|lambda_2|, |lambda_m|) of the mixing matrix.
     """
 
@@ -35,16 +36,18 @@ class Topology:
     edges: tuple[tuple[int, int], ...]
     neighbors: tuple[tuple[int, ...], ...]
 
+    @property
+    def links(self) -> LinkTable:
+        return self._weighted[0]
+
+    @property
+    def self_weights(self) -> np.ndarray:
+        return self._weighted[1]
+
     @functools.cached_property
     def mixing(self) -> np.ndarray:
-        a = metropolis_weights(self.m, self.edges)
-        if (not np.allclose(a.sum(axis=0), 1.0, atol=1e-12)
-                or not np.allclose(a.sum(axis=1), 1.0, atol=1e-12)):
-            raise ValueError("mixing matrix is not doubly stochastic")
-        if (a < -1e-15).any():
-            raise ValueError("mixing matrix has negative entries")
-        if (np.diag(a) <= 0).any():
-            raise ValueError("mixing matrix diagonal must be positive")
+        a = np.diag(self.self_weights)
+        a[self.links.rx, self.links.tx] = self.links.weight
         return a
 
     @functools.cached_property
@@ -55,22 +58,37 @@ class Topology:
         return lam
 
     @functools.cached_property
-    def links(self) -> LinkTable:
-        """Every directed link j -> i, j ascending, then i among j's sorted neighbors (the
-        order the link-loss sums run in, and ascending in j * m + i), built in
-        O(m + sum of degree^2)."""
-        edge = {e: k for k, e in enumerate(self.edges)}
-        pad = [self.m] * (max(map(len, self.neighbors)) - 1)
+    def _weighted(self) -> tuple[LinkTable, np.ndarray]:
+        """The link table and the self weights, both checked."""
+        m, edge = self.m, {e: k for k, e in enumerate(self.edges)}
+        pad = [m] * (max(map(len, self.neighbors)) - 1)
         rows = [(i, j, ([k for k in self.neighbors[i] if k != j] + pad)[:len(pad)])
-                for j in range(self.m) for i in self.neighbors[j]]  # the interference rule
+                for j in range(m) for i in self.neighbors[j]]  # the interference rule
         rx, tx = np.array([r[:2] for r in rows], dtype=np.int64).T
         others = np.array([r[2] for r in rows], dtype=np.int64).reshape(len(rows), len(pad))
         edge_of = np.vectorize(lambda a, b: edge.get((min(a, b), max(a, b)), len(edge)),
                                otypes=[np.int64])
-        return LinkTable(rx, tx, edge_of(rx, tx), others, edge_of(rx[:, None], others))
-
-    def degree(self, i: int) -> int:
-        return len(self.neighbors[i])
+        deg = np.array(list(map(len, self.neighbors)), dtype=np.int64)
+        weight = 1.0 / (1.0 + np.maximum(deg[rx], deg[tx]))  # a_ij, Metropolis-Hastings
+        # a_ii = 1 - (row i).sum() of the dense matrix, numpy's pairwise sum: a running sum
+        # from 0.0 groups one or two weights the same way, a wider row is summed as that row
+        total = np.bincount(tx, weight, minlength=m)
+        start, row = np.searchsorted(tx, np.arange(m + 1)), np.zeros(m)
+        for i in np.flatnonzero(deg > 2).tolist():
+            cols = rx[start[i]:start[i + 1]]  # i's neighbors; a_ij = a_ji
+            row[cols] = weight[start[i]:start[i + 1]]
+            total[i] = row.sum()
+            row[cols] = 0.0
+        own = 1.0 - total
+        for axis in (rx, tx):  # row and column sums
+            if not np.allclose(own + np.bincount(axis, weight, minlength=m), 1.0, atol=1e-12):
+                raise ValueError("mixing matrix is not doubly stochastic")
+        if (weight < -1e-15).any() or (own < -1e-15).any():
+            raise ValueError("mixing matrix has negative entries")
+        if (own <= 0).any():
+            raise ValueError("mixing matrix diagonal must be positive")
+        return LinkTable(rx, tx, edge_of(rx, tx), others, edge_of(rx[:, None], others),
+                         weight), own
 
     @property
     def diameter(self) -> int:
@@ -78,37 +96,23 @@ class Topology:
 
 
 class LinkTable(NamedTuple):
-    """`Topology.links`, one row per directed link j -> i: its receiver, transmitter and
-    index in `Topology.edges`, (P,) each, and its interfering neighbors (i's other
-    neighbors, in order) and the edges they reach i on, (P, D) each, padded with m and
-    len(edges), D the largest degree less one."""
+    """`Topology.links`, one row per directed link j -> i, j ascending, then i among j's
+    sorted neighbors (ascending in j * m + i; the order of link-loss sums and of every
+    per-link array, such as `DflRun.per`): its receiver, transmitter, index in
+    `Topology.edges` and weight 1 / (1 + max(deg_i, deg_j)), (P,) each, and its interfering
+    neighbors (i's other neighbors, in order) and the edges they reach i on, (P, D) each,
+    padded with m and len(edges), D the largest degree less one."""
 
     rx: np.ndarray
     tx: np.ndarray
     edge: np.ndarray
     others: np.ndarray
     other_edges: np.ndarray
-
-
-def metropolis_weights(m: int, edges) -> np.ndarray:
-    """Metropolis-Hastings mixing matrix for an undirected graph.
-
-    a_ij = 1 / (1 + max(deg_i, deg_j)) on edges, a_ii soaks up the rest.
-    """
-    deg = np.bincount(np.array(edges, dtype=np.int64).ravel(), minlength=m)
-    a = np.zeros((m, m))
-    for i, j in edges:
-        a[i, j] = a[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
-    for i in range(m):
-        a[i, i] = 1.0 - a[i].sum()
-    return a
+    weight: np.ndarray
 
 
 def spectral_lambda(a: np.ndarray) -> float:
     """max(|lambda_2|, |lambda_m|) for a symmetric stochastic matrix."""
-    m = a.shape[0]
-    if m == 1:
-        return 0.0
     vals = np.linalg.eigvalsh(a)  # ascending
     return float(max(abs(vals[-2]), abs(vals[0])))
 

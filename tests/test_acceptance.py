@@ -180,16 +180,16 @@ def test_c07_measured_rate_never_exceeds_the_certificate(report):
     margins = []
     all_participate = True
     for r in runs:
-        bound = convergence_bound(consts, lam, m, horizon, float(r.opt_gap[0]),
-                                  r.beta, r.per, mdp.topo.mixing)
+        bound = convergence_bound(consts, lam, mdp.topo, horizon, float(r.opt_gap[0]),
+                                  r.beta, r.per)
         margins.append(bound.total - float(np.mean(r.grad_norm_sq)))
         all_participate = all_participate and bool((r.beta == 1).all())
 
     lossless = run_training(mdp, task, GreedyPolicy(mdp), seeds=[0], eta=eta,
                             per_override=0.0, s1=inst.s1)[0]
-    clean = convergence_bound(consts, lam, m, horizon,
+    clean = convergence_bound(consts, lam, mdp.topo, horizon,
                               float(lossless.opt_gap[0]), lossless.beta,
-                              lossless.per, mdp.topo.mixing)
+                              lossless.per)
     ok = (min(margins) >= 0.0 and all_participate and clean.terms[5] == 0.0)
     report(f"C7 {'PASS' if ok else 'FAIL'}: {len(runs)} seeds, min bound margin "
            f"{min(margins):.3e}, lossless last term {clean.terms[5]!r}")

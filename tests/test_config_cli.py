@@ -592,8 +592,8 @@ def test_jobs_are_capped_at_the_usable_cpus(tmp_path, monkeypatch, kind):
 @pytest.mark.parametrize("policy", ["greedy", "decentralized_pi"])
 def test_oversized_training_record_exits_3_before_any_policy_is_built(tmp_path, monkeypatch,
                                                                        capsys, policy):
-    # desk8's 20 seeds x 40 slots on a 4,000-device ring: a 95 GiB packet-error record, and a
-    # hops-2 synthesis on 4,000 devices before it, unless the record is refused first.
+    # desk8's 20 seeds x 40 slots on a 4,000-device ring: 1.28e10 device-loss evaluations, and
+    # a hops-2 synthesis on 4,000 devices before them, unless the training check refuses first.
     from ehdfl.cli import main
     from ehdfl.config import ExperimentConfig
 
@@ -615,7 +615,7 @@ def test_oversized_training_record_exits_3_before_any_policy_is_built(tmp_path, 
     finally:
         tracemalloc.stop()
     assert code == 3
-    assert "training record needs 12800000000 link entries" in capsys.readouterr().err
+    assert "training needs 12800000000 device-loss evaluations" in capsys.readouterr().err
     assert seconds < 2.0
     assert peak < 100e6
     assert not (tmp_path / "out").exists()
@@ -626,8 +626,8 @@ def test_oversized_training_record_exits_3_before_any_policy_is_built(tmp_path, 
                                                ("capacity.json", "sweep", True),
                                                ("capacity.json", "sweep", False)])
 def test_every_command_that_trains_checks_its_record_first(tmp_path, capsys, name, kind, train):
-    # One entry under the record's seeds x T x m^2: every exact size is over budget too,
-    # so the record check is seen only if it runs first, and only where the command trains.
+    # One entry under the training check's seeds x T x m^2: every exact size is over budget
+    # too, so the check is seen only if it runs first, and only where the command trains.
     # At exactly the budget it passes (train then runs; each sweep stops at an exact size).
     from ehdfl.cli import main
     raw = json.loads((DESK8.parent / name).read_text())
@@ -640,7 +640,7 @@ def test_every_command_that_trains_checks_its_record_first(tmp_path, capsys, nam
         code = main([kind, "--config", str(cfg), "--policy", "greedy",
                      "--out", str(tmp_path / "out")])
         assert code == (0 if kind == "train" and budget == size else 3), budget
-        assert ("training record needs" in capsys.readouterr().err) == refused, budget
+        assert ("training needs" in capsys.readouterr().err) == refused, budget
 
 
 def test_budget_messages_past_the_int_digit_limit_exit_3_quickly(tmp_path, capsys):
@@ -719,6 +719,28 @@ def test_training_on_overflowing_task_data_exits_2_and_writes_nothing(tmp_path, 
     assert code == 2
     assert refused_by in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_a_train_refused_for_non_finite_output_prints_only_its_error_line(tmp_path):
+    # The seed statistics square past the float range; the refusal reports the value, so
+    # numpy's overflow warning from the standard deviation is not printed before it.
+    raw = json.loads(DESK8.read_text())
+    raw.update(horizon=2, seeds=[0, 1])
+    raw["task"]["heterogeneity"] = 1e150
+    res = _cli("train", "--config", str(_write(tmp_path, raw)), "--policy", "greedy",
+               "--out", str(tmp_path / "out"))
+    assert res.returncode == 2
+    assert res.stderr.splitlines() == [
+        "error: task: training wrote inf to summary.csv, column stderr; "
+        "the task data are too large for floats"]
+
+
+def test_seed_statistics_of_finite_values_are_the_plain_formula():
+    vals = np.random.default_rng(0).normal(size=7) * 1e3
+    with np.errstate(all="raise"):
+        mean, se = harness._mean_stderr(vals)
+    assert (mean, se) == (float(vals.mean()), float(vals.std(ddof=0) / np.sqrt(7)))
+    assert harness._mean_stderr([2.5]) == (2.5, 0.0)
 
 
 def test_build_task_refuses_overflowing_scale_and_keeps_finite_tasks():

@@ -9,21 +9,29 @@ harvests drawn by `Generator.choice`, the scalar packet error rule of
 """
 import copy
 import dataclasses
+import json
+import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ehdfl.baselines import GreedyPolicy
 from ehdfl.channel import ChannelChain, RadioParams, packet_error_rate
-from ehdfl.dflsim import DflRun, convergence_bound, local_sgd, run_training
+from ehdfl.config import parse_config
+from ehdfl.dflsim import (DflRun, apply_gossip, convergence_bound, gossip_passes, local_sgd,
+                          run_training)
 from ehdfl.energy import EnergyParams, HarvestModel
 from ehdfl.errors import CausalityViolation
 from ehdfl.instances import fullinfo_instance, tiny_instances
 from ehdfl.learning import LearnConsts, QuadraticTask, make_logistic_task, make_quadratic_task
+from ehdfl.localized import build_cover, localized_cost_table
 from ehdfl.mdp import GlobalState, build_mdp
 from ehdfl.topology import build_topology
-from test_channel import dense_gains, former_packet_error_rate
+from test_channel import dense_gains, former_packet_error_rate, graphs
 from test_energy import former_battery_step
 
 
@@ -193,6 +201,13 @@ def reference_training(mdp, task, policy, *, seed, eta, per_override=None, s1=No
     return rec
 
 
+def on_links(ref, topo):
+    """A reference record with its dense (T, m, m) error record read at the link table's
+    rows, the layout of `DflRun.per`."""
+    ref.per = ref.per[:, topo.links.rx, topo.links.tx]
+    return ref
+
+
 RECORD_FIELDS = tuple(f for f in DflRun.__dataclass_fields__ if f not in ("models", "deltas"))
 
 
@@ -280,7 +295,26 @@ def test_lockstep_training_matches_the_reference_on_the_desk_ring(desk, desk_pol
     run = run_training(mdp, task, desk_policies[name], seeds=seeds, **kw)
     for k, seed in enumerate(seeds):
         ref = reference_training(mdp, task, desk_policies[name], seed=seed, **kw)
-        assert_same_record(run[k], ref, with_models=True)
+        assert_same_record(run[k], on_links(ref, mdp.topo), with_models=True)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(graphs(max_m=12), st.integers(0, 2 ** 32 - 1))
+def test_gossip_on_the_link_table_equals_the_former_dense_gate(topo, seed):
+    # Random participation and deliveries on any graph: each seed's models equal the former
+    # one-device recursion over the dense gate and mixing matrix, bit for bit.
+    rng = np.random.default_rng(seed)
+    n_seeds, m, d, lk = 3, topo.m, 5, topo.links
+    models, deltas = rng.normal(size=(2, n_seeds, m, d))
+    beta = (rng.random((n_seeds, m)) < 0.7).astype(np.int64)
+    delivered = rng.random((n_seeds, len(lk.rx))) < 0.6
+    got = apply_gossip(models, deltas, beta, delivered, gossip_passes(topo))
+    for s in range(n_seeds):
+        zeta = np.zeros((m, m))
+        zeta[lk.rx, lk.tx] = delivered[s]
+        want = _former_apply_gossip(models[s], deltas[s], beta[s], zeta, topo.mixing,
+                                    topo.neighbors)
+        assert np.array_equal(got[s], np.array(want))
 
 
 def test_run_training_deterministic_given_seed(tiny_a, task3):
@@ -404,23 +438,55 @@ def test_bookkeeping_matches_the_model(tiny_a, task3):
     np.testing.assert_array_equal(run.batteries,
                                   np.full_like(run.batteries, energy.quantum))
 
-    # Recorded error probabilities match the closed form on the frozen gains.
+    # Recorded error probabilities match the closed form on the frozen gains, one per
+    # row of the link table.
     inst_gains = tiny_instances()["tiny-a"].s1.gains
     edge_gains = [mdp.chains[e].levels[g] for e, g in enumerate(inst_gains)]
     powers = mdp.powers_of(tuple(run.actions[0]))
+    assert run.per.shape == (run.horizon, len(topo.links.rx))
     for t in range(run.horizon):
-        for i in range(mdp.m):
-            for j in range(mdp.m):
-                if j in topo.neighbors[i] and run.beta[t, j]:
-                    q = packet_error_rate(powers, edge_gains, topo, mdp.radio, i, j)
-                    assert run.per[t, i, j] == pytest.approx(q, abs=1e-15)
-                else:
-                    assert run.per[t, i, j] == 0.0
+        for p, (i, j) in enumerate(zip(topo.links.rx.tolist(), topo.links.tx.tolist())):
+            if run.beta[t, j]:
+                q = packet_error_rate(powers, edge_gains, topo, mdp.radio, i, j)
+                assert run.per[t, p] == pytest.approx(q, abs=1e-15)
+            else:
+                assert run.per[t, p] == 0.0
 
     # Logged gradient norms are taken at the recorded average models.
     for t in range(run.horizon):
         g = task3.global_grad(run.wbar[t])
         assert run.grad_norm_sq[t] == pytest.approx(float(g @ g), rel=1e-12)
+
+
+def test_training_on_a_1024_device_ring_builds_no_dense_array():
+    # CI's ring copy of desk8 (T = 2, 4 seeds, greedy). Its record, packet gate and gossip
+    # weights live on the 2,048 links; one (m, m) float array alone is 8 MiB here.
+    raw = json.loads((Path(__file__).resolve().parents[1] / "configs" / "desk8.json").read_text())
+    del raw["s1"]
+    raw.update(topology={"kind": "ring", "m": 1024}, horizon=2, seeds=[0, 1, 2, 3])
+    cfg = parse_config(raw)
+    mdp, task = cfg.build_model(), cfg.build_task()
+    policy, s1, eta = GreedyPolicy(mdp), cfg.start_state(mdp), cfg.step_size(task)
+    tracemalloc.start()
+    try:
+        run = run_training(mdp, task, policy, seeds=cfg.seeds, eta=eta, s1=s1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.per.shape == (4, 2, 2048)
+    assert peak < 8 * 2 ** 20, peak
+    assert "mixing" not in vars(mdp.topo)
+
+
+def test_training_and_the_cost_paths_read_no_dense_mixing_matrix(task3):
+    mdp = with_horizon(tiny_instances()["tiny-a"].mdp, 3)  # a topology no test has read
+    run_training(mdp, task3, GreedyPolicy(mdp), seeds=[0, 1], eta=0.1)
+    mdp.cost_table()
+    for i in range(mdp.m):
+        localized_cost_table(mdp, build_cover(mdp, i, 1))
+    assert "mixing" not in vars(mdp.topo)
+    assert [w for _, _, w, _, _ in mdp.ordered_pairs] == [
+        mdp.topo.mixing[i, j] for i, j, _, _, _ in mdp.ordered_pairs]
 
 
 class UniformFeasiblePolicy:
@@ -499,9 +565,9 @@ def test_recorded_link_costs_average_to_the_exact_policy_cost(desk, desk_policie
     task = desk.build_task()
     run = run_training(desk.mdp, task, desk_policies[name], seeds=list(range(200)),
                        eta=desk.step_size(task), s1=desk.s1)
-    w = desk.mdp.topo.mixing * (1 - np.eye(desk.mdp.m))
-    priced = np.where(run.beta[:, :, None, :] > 0, run.per, 1.0)
-    costs = np.einsum("ij,stij->s", w, priced)
+    lk = desk.mdp.topo.links
+    priced = np.where(run.beta[:, :, lk.tx] > 0, run.per, 1.0)
+    costs = np.einsum("p,stp->s", lk.weight, priced)
     se = costs.std(ddof=1) / np.sqrt(costs.size)
     assert abs(costs.mean() - desk_exact_j[name]) <= 5 * se, (costs.mean(), se)
 
@@ -515,12 +581,66 @@ def _consts():
                        eta=0.01, k_steps=2)
 
 
+def former_convergence_bound(consts, lam, m, horizon, f_gap, beta, per, mixing):
+    """The former certificate: term 6 a loop over every slot and ordered pair, per
+    (T, m, m) with per[t, i, j] on receiver i's link from transmitter j, and the dense
+    mixing matrix zeroing the non-neighbors' error terms."""
+    lip, k = consts.lipschitz, consts.k_steps
+    g2 = consts.grad_bound ** 2
+    c1 = consts.c1
+    t_hor = float(horizon)
+    beta = np.asarray(beta, dtype=float)
+    per = np.asarray(per, dtype=float)
+
+    term1 = 256.0 * lip * f_gap / np.sqrt(m * t_hor)
+    term2 = np.sqrt(m) * c1 / (2.0 * k * np.sqrt(t_hor))
+    term3 = m * c1 / (256.0 * k * t_hor)
+    term4 = np.sqrt(m) * (c1 + 4.0 * k * g2) / (128.0 * (1.0 - lam) * k * t_hor ** 1.5)
+    term5 = m * (c1 + 4.0 * k * g2) / (128.0 ** 2 * (1.0 - lam) * k * t_hor ** 2)
+
+    acc = 0.0
+    for t in range(int(t_hor)):
+        for j in range(m):
+            for i in range(m):
+                if i == j:
+                    continue
+                acc += ((m - 1) * mixing[i, j] * per[t, i, j] - 1.0) * beta[t, j] + 1.0
+    term6 = 4.0 * (k * lip + np.sqrt(k)) * g2 / ((m - 1) * k * t_hor) * acc
+    return (float(term1), float(term2), float(term3), float(term4), float(term5),
+            float(term6))
+
+
+def dense_per(topo, per):
+    """Per-link (T, P) error probabilities in the former (T, m, m) layout, 0 off the links."""
+    out = np.zeros(per.shape[:-1] + (topo.m, topo.m))
+    out[..., topo.links.rx, topo.links.tx] = per
+    return out
+
+
+@pytest.mark.parametrize("kind,m", [("ring", 9), ("line", 6), ("complete", 5),
+                                    ("random_geometric", 12), ("ring", 2)])
+def test_bound_equals_the_former_pair_loop(kind, m):
+    # Terms 1-5 bit for bit; term 6 sums the links, then the non-neighbors in closed form,
+    # so only its rounding moves.
+    topo = build_topology(kind, m, seed=2)
+    rng = np.random.default_rng(m)
+    for t_hor in (1, 7):
+        beta = (rng.random((t_hor, m)) < 0.6).astype(float)
+        per = rng.random((t_hor, len(topo.links.rx)))
+        got = convergence_bound(_consts(), 0.3, topo, t_hor, 1.7, beta, per)
+        want = former_convergence_bound(_consts(), 0.3, m, t_hor, 1.7, beta,
+                                        dense_per(topo, per), topo.mixing)
+        assert got.terms[:5] == want[:5]
+        assert got.terms[5] == pytest.approx(want[5], rel=1e-12, abs=0.0)
+        assert got.total == sum(got.terms)
+
+
 def test_bound_last_term_vanishes_when_lossless_and_everyone_talks():
     m, t_hor = 4, 6
+    topo = build_topology("complete", m)
     beta = np.ones((t_hor, m))
-    per = np.zeros((t_hor, m, m))
-    mixing = np.full((m, m), 1.0 / m)
-    bound = convergence_bound(_consts(), 0.5, m, t_hor, 1.0, beta, per, mixing)
+    per = np.zeros((t_hor, len(topo.links.rx)))
+    bound = convergence_bound(_consts(), 0.5, topo, t_hor, 1.0, beta, per)
     assert bound.terms[5] == 0.0
     assert bound.total == pytest.approx(sum(bound.terms[:5]), rel=1e-15)
 
@@ -528,11 +648,11 @@ def test_bound_last_term_vanishes_when_lossless_and_everyone_talks():
 def test_bound_last_term_closed_form_when_nobody_talks():
     m, t_hor = 4, 6
     consts = _consts()
+    topo = build_topology("complete", m)
     beta = np.zeros((t_hor, m))
     rng = np.random.default_rng(0)
-    per = rng.random((t_hor, m, m))
-    mixing = np.full((m, m), 1.0 / m)
-    bound = convergence_bound(consts, 0.5, m, t_hor, 1.0, beta, per, mixing)
+    per = rng.random((t_hor, len(topo.links.rx)))
+    bound = convergence_bound(consts, 0.5, topo, t_hor, 1.0, beta, per)
     k, lip = consts.k_steps, consts.lipschitz
     g2 = consts.grad_bound ** 2
     expected = 4.0 * (k * lip + np.sqrt(k)) * g2 * m / k
@@ -541,11 +661,12 @@ def test_bound_last_term_closed_form_when_nobody_talks():
 
 def test_bound_penalizes_packet_loss():
     m, t_hor = 3, 5
+    topo = build_topology("complete", m)
     beta = np.ones((t_hor, m))
-    mixing = np.full((m, m), 1.0 / m)
-    lossless = convergence_bound(_consts(), 0.5, m, t_hor, 1.0, beta,
-                                 np.zeros((t_hor, m, m)), mixing)
-    lossy = convergence_bound(_consts(), 0.5, m, t_hor, 1.0, beta,
-                              np.full((t_hor, m, m), 0.5), mixing)
+    n_links = len(topo.links.rx)
+    lossless = convergence_bound(_consts(), 0.5, topo, t_hor, 1.0, beta,
+                                 np.zeros((t_hor, n_links)))
+    lossy = convergence_bound(_consts(), 0.5, topo, t_hor, 1.0, beta,
+                              np.full((t_hor, n_links), 0.5))
     assert lossy.terms[5] > lossless.terms[5]
     assert lossy.total > lossless.total

@@ -116,7 +116,7 @@ def test_desk_scenario_fits_the_shipped_budget():
     desk = desk_scenario()
     mdp = desk.mdp
     assert mdp.m == 8
-    assert all(mdp.topo.degree(i) == 2 for i in range(8))  # ring
+    assert all(len(mdp.topo.neighbors[i]) == 2 for i in range(8))  # ring
     assert mdp.horizon == 40
     assert mdp.n_states * mdp.n_actions <= desk.budget == DESK_BUDGET
     task = desk.build_task()
@@ -144,7 +144,7 @@ def test_capacity_pair_is_a_six_ring():
     for n in (2, 3):
         mdp, s1 = capacity_pair(n, horizon=5)
         assert mdp.m == 6 and mdp.horizon == 5
-        assert all(mdp.topo.degree(i) == 2 for i in range(6))
+        assert all(len(mdp.topo.neighbors[i]) == 2 for i in range(6))
         assert mdp.energy.quantum == 1.0
         assert s1.batteries == (n - 1,) * 6
     with pytest.raises(ValueError):

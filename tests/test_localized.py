@@ -195,6 +195,29 @@ def test_localized_cost_table_equals_the_former_closure_loop(name):
     check_localized_cost_tables(cost_model(name))
 
 
+def test_defaults_outside_every_ladder_are_never_read_for_in_cover_coordinates():
+    # A one-level chain has no gain digit 1 and a two-level ladder no level 2; at hops 1 on
+    # a triangle every cover holds every device and link, so the cost tables use neither
+    # default. (The synthesis starts the other cover members at the default level.)
+    m = 3
+    energy = EnergyParams(k_steps=1, cpu_freq=1.0, cycles_per_sample=0.0, batch_size=1,
+                          tau=1.0, b_max=1.0, n_levels=2)
+    mdp = build_mdp(build_topology("complete", m), RadioParams(0.5, 0.3, 1.0), energy,
+                    ChannelChain(levels=np.array([1.5]), steady=np.array([1.0]),
+                                 psi=np.array([[1.0]])),
+                    HarvestModel(support=np.array([0.0, 1.0]), probs=np.array([0.5, 0.5])),
+                    power_levels=[0.0, 1.0], horizon=2)
+    unused = ExtensionDefaults(gain=1, level=2)
+    for i in range(m):
+        cov = build_cover(mdp, i, 1)
+        assert np.array_equal(localized_cost_table(mdp, cov, unused),
+                              localized_cost_table(mdp, cov, ExtensionDefaults()))
+    got = synthesize(mdp, hops=1, gamma=4.0, rounds=2, defaults=ExtensionDefaults(gain=1))
+    want = synthesize(mdp, hops=1, gamma=4.0, rounds=2)
+    assert all(np.array_equal(a, b) for tg, tw in zip(got.tables, want.tables)
+               for a, b in zip(tg, tw))
+
+
 def test_full_cover_localized_cost_matches_device_share():
     # When the cover sees everything, the localized cost equals the share of
     # the global cost billed to the owner's own transmissions, and the shares

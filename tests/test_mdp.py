@@ -1176,3 +1176,24 @@ def test_a_shared_chain_is_validated_once_and_a_shared_harvest_snapped_once(monk
     bad = dataclasses.replace(mdp.chains[0], psi=np.array([[0.8, 0.3], [0.2, 0.8]]))
     with pytest.raises(ValueError, match="psi rows must sum to 1"):
         dataclasses.replace(mdp, chains=[mdp.chains[0]] * 4 + [bad] * 4)
+
+
+def test_a_shared_ladder_is_checked_once_and_a_shared_chain_read_once_for_the_start(
+        monkeypatch):
+    mdp = desk_scenario(horizon=2).mdp
+    calls = []
+    ladder, argmax = mdp_module.power_ladder, np.argmax
+    monkeypatch.setattr(mdp_module, "power_ladder",
+                        lambda lv: calls.append("ladder") or ladder(lv))
+    again = dataclasses.replace(mdp)
+    assert calls == ["ladder"] and len(again.power_levels) == 8
+    assert all(np.array_equal(got, want) for got, want in zip(again.power_levels,
+                                                              mdp.power_levels))
+    start = mdp.default_start
+    monkeypatch.setattr(np, "argmax", lambda a: calls.append("argmax") or argmax(a))
+    assert again.default_start == start
+    assert calls == ["ladder", "argmax"]
+    two = dataclasses.replace(mdp, power_levels=[mdp.power_levels[0]] * 7 + [[0.0, 2.0]])
+    assert calls.count("ladder") == 3 and two.power_levels[7].tolist() == [0.0, 2.0]
+    with pytest.raises(ValueError, match="need levels rising strictly from 0.0"):
+        dataclasses.replace(mdp, power_levels=[mdp.power_levels[0]] * 7 + [[0.0, 0.0]])

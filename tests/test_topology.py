@@ -7,9 +7,28 @@ from hypothesis import given, settings
 from ehdfl.channel import RadioParams, packet_error_rate
 from ehdfl.instances import (capacity_family, desk_scenario, fullinfo_instance,
                              oracle_instance, tiny_instances)
-from ehdfl.topology import (build_topology, from_edges, is_connected, k_hop_set,
-                            metropolis_weights, spectral_lambda)
+from ehdfl.topology import build_topology, from_edges, is_connected, k_hop_set, spectral_lambda
 from test_channel import graphs
+
+
+def former_metropolis_weights(m, edges):
+    """The former dense builder: a_ij = 1 / (1 + max(deg_i, deg_j)) on edges, and a_ii
+    soaks up the rest of row i, summed by numpy over the whole dense row."""
+    deg = np.bincount(np.array(edges, dtype=np.int64).ravel(), minlength=m)
+    a = np.zeros((m, m))
+    for i, j in edges:
+        a[i, j] = a[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
+    for i in range(m):
+        a[i, i] = 1.0 - a[i].sum()
+    return a
+
+
+def scattered_weights(topo):
+    """The link table's weights and the self weights scattered to a dense (m, m) array."""
+    a = np.zeros((topo.m, topo.m))
+    a[topo.links.rx, topo.links.tx] = topo.links.weight
+    a[np.diag_indices(topo.m)] = topo.self_weights
+    return a
 
 
 @pytest.mark.parametrize("kind,m", [("ring", 8), ("complete", 3), ("line", 5)])
@@ -25,7 +44,7 @@ def test_mixing_is_symmetric_doubly_stochastic(kind, m):
 def test_ring_structure():
     topo = build_topology("ring", 6)
     assert len(topo.edges) == 6
-    assert all(topo.degree(i) == 2 for i in range(6))
+    assert all(len(topo.neighbors[i]) == 2 for i in range(6))
     assert topo.diameter == 3
 
 
@@ -37,7 +56,7 @@ def test_complete_has_all_pairs():
 
 def test_line_endpoints():
     topo = build_topology("line", 4)
-    assert topo.degree(0) == 1 and topo.degree(3) == 1
+    assert len(topo.neighbors[0]) == 1 and len(topo.neighbors[3]) == 1
     assert topo.diameter == 3
 
 
@@ -106,10 +125,37 @@ def test_lazy_products_equal_the_eager_ones(name):
     # and its spectral lambda, bit for bit.
     topo = pinned_topologies()[name]
     assert "mixing" not in vars(topo) and "lam" not in vars(topo)
-    a = metropolis_weights(topo.m, topo.edges)
+    a = former_metropolis_weights(topo.m, topo.edges)
+    assert np.array_equal(scattered_weights(topo), a)
+    assert "mixing" not in vars(topo)  # the weights are built without it
     assert np.array_equal(topo.mixing, a)
     assert topo.lam == spectral_lambda(a)
     assert topo.mixing is topo.mixing  # computed once
+
+
+@pytest.mark.parametrize("kind", ["line", "ring", "complete", "random_geometric"])
+def test_link_and_self_weights_equal_the_former_dense_builder(kind):
+    # A self weight is 1 - numpy's pairwise sum over a dense row, whose grouping of three
+    # or more weights differs from a running sum; every size from 2 to 64 devices.
+    for m in range(2, 65):
+        for seed in (range(4) if kind == "random_geometric" else (None,)):
+            topo = build_topology(kind, m, seed=seed)
+            assert np.array_equal(scattered_weights(topo),
+                                  former_metropolis_weights(m, topo.edges)), (m, seed)
+
+
+def test_weights_of_a_4096_device_circulant_graph_stay_small():
+    # Degree 4 everywhere, so every self weight takes the dense-row sum, one row at a time;
+    # one (m, m) float array alone is 128 MiB at this size.
+    m = 4096
+    topo = from_edges(m, [(i, (i + k) % m) for i in range(m) for k in (1, 2)])
+    tracemalloc.start()
+    try:
+        own = topo.self_weights
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (own == 1.0 - 4 * (1.0 / 5.0)).all() and peak < 16 * 2 ** 20
 
 
 def brute_force_links(topo):
@@ -148,6 +194,7 @@ def test_link_table_and_per_over_every_link_of_a_4096_ring_stay_small():
     try:
         lk = topo.links
         q = packet_error_rate(p, g, topo, RadioParams(1.0, 1.0, 1.0), lk.rx, lk.tx)
+        assert (topo.self_weights == 1.0 - (1.0 / 3.0 + 1.0 / 3.0)).all()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
