@@ -204,12 +204,17 @@ def step_links(state: np.ndarray, psi: np.ndarray, widths, u: np.ndarray) -> np.
     return inverse_cdf(rows, np.reshape(u, flat.shape), widths).reshape(np.shape(state))
 
 
-def packet_error_rate(p, gains, topo, radio: RadioParams, i, j) -> float | np.ndarray:
-    """PER on the directed link j -> i under the exponential waterfall model.
+def waterfall(phi: float, acc, p_tx, h) -> np.ndarray:
+    """The packet error rule, q = 1 - exp(-phi * acc / (p_tx * h)), 1 where p_tx == 0 (a
+    silent transmitter always loses). acc is the receiver's noise plus each interferer's
+    p_k * h_k, added in neighbor order; the operands broadcast."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = 1.0 - np.exp(-phi * acc / (p_tx * h))
+    return np.where(p_tx == 0.0, 1.0, q)
 
-    q = 1 - exp(-phi * (interference_at_i + sigma_i^2) / (p_j * h_ij)), where
-    the interference sums p_k * h_ik over i's other neighbors k. A silent
-    transmitter (p_j <= 0) is a guaranteed loss, q = 1.
+
+def packet_error_rate(p, gains, topo, radio: RadioParams, i, j) -> float | np.ndarray:
+    """PER on the directed link j -> i, `waterfall` at i's noise and interference.
 
     Args:
         p: power vectors, (..., m).
@@ -221,11 +226,8 @@ def packet_error_rate(p, gains, topo, radio: RadioParams, i, j) -> float | np.nd
             a link of `topo` raises ValueError.
 
     Returns:
-        One PER per leading index (and link), a float for one link at one
-        sample. Every element takes the float steps the one-link rule takes, in
-        its order: interference summed from 0.0 over i's neighbors in order,
-        then noise, then the ratio, then `math.exp` one element at a time,
-        since `np.exp` differs from it in the last bit on some inputs.
+        One PER per leading index (and link), a float for one link at one sample,
+        each the float the loss kernel (`mdp.link_loss_table`) prices that link at.
     """
     p, gains = np.asarray(p, dtype=float), np.asarray(gains, dtype=float)
     rx, tx, links = np.atleast_1d(i), np.atleast_1d(j), topo.links
@@ -237,15 +239,10 @@ def packet_error_rate(p, gains, topo, radio: RadioParams, i, j) -> float | np.nd
     # a padded slot reads device m and edge E, both 0.0, and adding 0.0 leaves a sum's bits
     hits = _zero_padded_last(p)[..., links.others[row]] * _zero_padded_last(gains)[
         ..., links.other_edges[row]]
-    interf = 0.0
+    acc = radio.noise(rx)
     for c in range(hits.shape[-1]):  # each link's interfering neighbors in order
-        interf = interf + hits[..., c]
-    p_tx = p[..., tx]
-    den = p_tx * gains[..., links.edge[row]]  # p_j * h_ij
-    # a silent transmitter (p_j <= 0) keeps x = inf, so exp(-x) = 0 and q = 1
-    x = np.divide(radio.phi * (interf + radio.noise(rx)), den, out=np.full(den.shape, np.inf),
-                  where=p_tx > 0.0)
-    q = 1.0 - np.array([math.exp(-v) for v in x.ravel().tolist()]).reshape(x.shape)
+        acc = acc + hits[..., c]
+    q = waterfall(radio.phi, acc, p[..., tx], gains[..., links.edge[row]])
     if np.ndim(i) == 0:
         q = q[..., 0]
     return float(q) if q.ndim == 0 else q

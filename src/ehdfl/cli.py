@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import load_config
+from .config import parse_config, read_config
 from .errors import BudgetExceeded, ConfigError
 from .harness import run_experiment, verify_suite
 
@@ -44,15 +44,13 @@ def main(argv=None) -> int:
             out = Path(args.out) if args.out else None
             return 0 if verify_suite(out) else 2
 
-        config = load_config(args.config)
-        if args.seed is not None or args.out is not None:
-            from .config import parse_config
-            raw = dict(config.raw)
+        raw = read_config(args.config)
+        if isinstance(raw, dict):  # parse_config refuses anything else
             if args.seed is not None:
                 raw["seeds"] = [args.seed]
             if args.out is not None:
                 raw["out_dir"] = args.out
-            config = parse_config(raw)
+        config = parse_config(raw)
         for w in config.warnings:
             print(f"warning: {w}", file=sys.stderr)
         out = run_experiment(config, args.kind, jobs=args.jobs,

@@ -181,13 +181,16 @@ def _harvest_from(spec: dict) -> HarvestModel:
 # validation
 # ---------------------------------------------------------------------------
 
-def load_config(path) -> ExperimentConfig:
-    text = Path(path).read_text()
+def read_config(path):
+    """The JSON value of a config file, unparsed."""
     try:
-        raw = json.loads(text)
+        return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError([f"file: not valid JSON ({exc})"]) from exc
-    return parse_config(raw)
+
+
+def load_config(path) -> ExperimentConfig:
+    return parse_config(read_config(path))
 
 
 def parse_config(raw: dict) -> ExperimentConfig:

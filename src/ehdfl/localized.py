@@ -60,7 +60,8 @@ class Cover:
 
 def build_cover(mdp, owner: int, hops: int) -> Cover:
     devs = k_hop_set(mdp.topo.neighbors, owner, hops)
-    links = tuple(e for e, (a, b) in enumerate(mdp.topo.edges) if a in devs or b in devs)
+    edge = mdp.topo.links.edge  # the edges each cover device transmits on
+    links = tuple(sorted({e for d in devs for e in edge[mdp.topo.out_links(d)].tolist()}))
     return Cover(owner=owner, hops=hops, devs=tuple(devs), links=links,
                  link_dims=tuple(mdp.chains[e].n for e in links),
                  bat_dims=tuple(mdp.energy.n_levels for _ in devs),

@@ -49,8 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import (ChannelChain, RadioParams, inverse_cdf, packet_error_rate, step_links,
-                      zero_padded)
+from .channel import ChannelChain, RadioParams, inverse_cdf, step_links, waterfall, zero_padded
 from .energy import EnergyParams, HarvestModel, battery_step
 from .errors import BudgetExceeded, CausalityViolation
 
@@ -257,23 +256,10 @@ class GlobalMdp:
             levels = self.action_decode(int(levels))
         return state, levels
 
-    def _link_loss(self, gains, levels, device: int | None) -> np.ndarray:
-        """Sum of w * PER over the ordered pairs, those `device` transmits on unless None,
-        at gain digits (..., L) and level digits (..., m); each sample's sum runs in pair
-        order from 0.0, as one scalar query's does."""
-        own = [pair for pair in self.ordered_pairs if device is None or pair[1] == device]
-        rx, tx = np.array([pair[:2] for pair in own], dtype=np.int64).reshape(-1, 2).T
-        q = packet_error_rate(self.powers_of(levels), self.gains_of(gains), self.topo,
-                              self.radio, rx, tx)
-        total = np.zeros(q.shape[:-1])
-        for c, (_, _, w, _, _) in enumerate(own):
-            total += w * q[..., c]
-        return total
-
     def one_step_cost(self, state, levels) -> float:
         """Mixing-weighted sum of packet error rates for one (state, action)."""
         state, levels = self.decoded(state, levels)
-        return float(self._link_loss(state.gains, levels, None))
+        return float(sample_costs(self, np.array([state.gains]), np.array([levels]))[0])
 
     def device_cost(self, state, levels, device: int) -> float:
         """Share of the one-slot cost charged to `device`'s own transmissions.
@@ -283,14 +269,14 @@ class GlobalMdp:
         controls most directly.
         """
         state, levels = self.decoded(state, levels)
-        return float(self._link_loss(state.gains, levels, device))
+        return float(sample_costs(self, np.array([state.gains]), np.array([levels]), device)[0])
 
     def one_step_costs(self, states, actions, device: int | None = None) -> np.ndarray:
         """`one_step_cost`, or `device_cost` given `device`, at n flat state and joint
         action indices: (n,), each entry the float its scalar query returns."""
         digits = np.stack(np.unravel_index(np.asarray(states), self.state_shape), axis=-1)
         levels = np.stack(np.unravel_index(np.asarray(actions), self.act_dims), axis=-1)
-        return self._link_loss(digits[..., :self.n_links], levels, device)
+        return sample_costs(self, digits[:, :self.n_links], levels, device)
 
     def transition(self, state, levels, max_support: int = 1_000_000) -> dict:
         """Explicit next-state distribution {flat index: prob} (small instances)."""
@@ -347,17 +333,15 @@ def link_loss_table(mdp: GlobalMdp, shape, power, gain, owner: int | None = None
     to `shape`. Tables put each operand on its own axis (`on_axis`): a pair's PER
     spans only its links and devices, and only the weighted sum into the output
     is full size. Each element sees the same float operations in pair order, so
-    tables and samples agree bit for bit. A silent transmitter always loses.
+    tables and samples agree bit for bit.
     """
-    radio, out = mdp.radio, np.zeros(shape)
-    for i, j, w, e_own, interf in mdp.ordered_pairs:
-        if owner is None or j == owner:
-            acc, p_tx = radio.noise(i), power(j)
-            for k, e_k in interf:
-                acc = acc + power(k) * gain(e_k)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                q = 1.0 - np.exp(-radio.phi * acc / (p_tx * gain(e_own)))
-            out += w * np.where(p_tx == 0.0, 1.0, q)
+    pairs = mdp.ordered_pairs if owner is None else mdp.ordered_pairs[mdp.topo.out_links(owner)]
+    out = np.zeros(shape)
+    for i, j, w, e_own, interf in pairs:
+        acc = mdp.radio.noise(i)
+        for k, e_k in interf:
+            acc = acc + power(k) * gain(e_k)
+        out += w * waterfall(mdp.radio.phi, acc, power(j), gain(e_own))
     return out
 
 
@@ -747,10 +731,11 @@ def evaluate_policy(mdp: GlobalMdp, policy, s1, *, budget: int = DEFAULT_BUDGET)
     return float(v[mdp.state_index(s1) if isinstance(s1, GlobalState) else int(s1)])
 
 
-def sample_costs(mdp: GlobalMdp, gains, levels) -> np.ndarray:
-    """One-slot cost of each of n samples at (n, L) gain and (n, m) level digits."""
+def sample_costs(mdp: GlobalMdp, gains, levels, device: int | None = None) -> np.ndarray:
+    """One-slot cost of each of n samples at (n, L) gain and (n, m) level digits, or
+    `device`'s share of it; every cost query of the model prices through here."""
     return link_loss_table(mdp, len(gains), lambda d: mdp.power_levels[d][levels[:, d]],
-                           lambda e: mdp.chains[e].levels[gains[:, e]])
+                           lambda e: mdp.chains[e].levels[gains[:, e]], device)
 
 
 def simulate_costs(mdp: GlobalMdp, policy, s1, *, n_samples: int, seed: int) -> np.ndarray:

@@ -9,6 +9,7 @@ live on the directed-link table with every other per-pair quantity.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -20,7 +21,8 @@ class Topology:
     """Immutable graph bundle: edges, neighbor sets, link table and weights, hop sets.
 
     Building one costs O(m + edges). The link table and self weights are built and
-    checked together on first read, in O(m + sum of degree^2) time and O(m) extra memory.
+    checked together on first read, by array operations of the size of the table's
+    padded (P, D) interferer arrays.
 
     Attributes:
         m: device count.
@@ -57,23 +59,31 @@ class Topology:
             raise ValueError(f"spectral lambda must be < 1, got {lam}")
         return lam
 
+    def out_links(self, j: int) -> slice:
+        """The rows of `links` that device j transmits on, one block as the table is
+        transmitter-major."""
+        return slice(*np.searchsorted(self.links.tx, [j, j + 1]).tolist())
+
     @functools.cached_property
     def _weighted(self) -> tuple[LinkTable, np.ndarray]:
         """The link table and the self weights, both checked."""
-        m, edge = self.m, {e: k for k, e in enumerate(self.edges)}
-        pad = [m] * (max(map(len, self.neighbors)) - 1)
-        rows = [(i, j, ([k for k in self.neighbors[i] if k != j] + pad)[:len(pad)])
-                for j in range(m) for i in self.neighbors[j]]  # the interference rule
-        rx, tx = np.array([r[:2] for r in rows], dtype=np.int64).T
-        others = np.array([r[2] for r in rows], dtype=np.int64).reshape(len(rows), len(pad))
-        edge_of = np.vectorize(lambda a, b: edge.get((min(a, b), max(a, b)), len(edge)),
-                               otypes=[np.int64])
-        deg = np.array(list(map(len, self.neighbors)), dtype=np.int64)
+        m, deg = self.m, np.fromiter(map(len, self.neighbors), np.int64, self.m)
+        tx = np.repeat(np.arange(m), deg)  # rows j ascending, then i among j's neighbors
+        rx = np.fromiter(itertools.chain.from_iterable(self.neighbors), np.int64, len(tx))
+        a, b = np.array(self.edges, dtype=np.int64).T
+        edge = np.searchsorted(a * m + b, np.minimum(rx, tx) * m + np.maximum(rx, tx))
+        # the interference rule: i's neighbor row (and edge row) less j, padded with m (and E)
+        start = np.searchsorted(tx, np.arange(m + 1))
+        col = np.arange(len(tx)) - start[tx]  # each link's place in its transmitter's row
+        nbr, nbr_edge = np.full((m, deg.max()), m), np.full((m, deg.max()), len(self.edges))
+        nbr[tx, col], nbr_edge[tx, col] = rx, edge
+        others = nbr[rx]
+        keep = others != tx[:, None]  # exactly one entry per row is j
+        others, other_edges = (x[keep].reshape(len(tx), -1) for x in (others, nbr_edge[rx]))
         weight = 1.0 / (1.0 + np.maximum(deg[rx], deg[tx]))  # a_ij, Metropolis-Hastings
         # a_ii = 1 - (row i).sum() of the dense matrix, numpy's pairwise sum: a running sum
         # from 0.0 groups one or two weights the same way, a wider row is summed as that row
-        total = np.bincount(tx, weight, minlength=m)
-        start, row = np.searchsorted(tx, np.arange(m + 1)), np.zeros(m)
+        total, row = np.bincount(tx, weight, minlength=m), np.zeros(m)
         for i in np.flatnonzero(deg > 2).tolist():
             cols = rx[start[i]:start[i + 1]]  # i's neighbors; a_ij = a_ji
             row[cols] = weight[start[i]:start[i + 1]]
@@ -87,8 +97,7 @@ class Topology:
             raise ValueError("mixing matrix has negative entries")
         if (own <= 0).any():
             raise ValueError("mixing matrix diagonal must be positive")
-        return LinkTable(rx, tx, edge_of(rx, tx), others, edge_of(rx[:, None], others),
-                         weight), own
+        return LinkTable(rx, tx, edge, others, other_edges, weight), own
 
     @property
     def diameter(self) -> int:

@@ -1,12 +1,13 @@
 """Channel chains, the link step, and the packet error rule.
 
-`former_packet_error_rate` is the one-link body the batched rule replaced, on
-the former dense (m, m) gain layout that `dense_gains` builds from per-edge
-gains, `former_step_links` the per-link loop `step_links` replaced, and
+`reference_packet_error_rate` is the one-link rule in the loss kernel's float
+steps, on the former dense (m, m) gain layout that `dense_gains` builds from
+per-edge gains, `former_step_links` the per-link loop `step_links` replaced, and
 `padded_step_links` the step that zero-padded the psi stack on every call; each
 is kept as the reference its replacement must equal element for element.
 """
-import math
+
+import copy
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 from ehdfl.channel import (ChannelChain, RadioParams, build_chain_from_crossing,
                            identity_chain, inverse_cdf, packet_error_rate, rayleigh_chain,
                            step_links, zero_padded)
+from ehdfl.energy import EnergyParams, HarvestModel
+from ehdfl.mdp import build_mdp, sample_costs
 from ehdfl.topology import build_topology
 
 from test_energy import shipped_models
@@ -208,19 +211,18 @@ def test_per_closed_form_no_interference():
     assert np.isclose(q, 1.0 - np.exp(-phi * sig / (p * g)), atol=1e-12)
 
 
-def former_packet_error_rate(p, gains, topo, radio, i, j):
-    """The former scalar PER of link j -> i, in Python floats, on (m, m) gains
-    indexed [receiver, transmitter]."""
+def reference_packet_error_rate(p, gains, topo, radio, i, j):
+    """The PER of link j -> i one Python float at a time, on (m, m) gains indexed
+    [receiver, transmitter], in the loss kernel's steps: i's noise, plus each other
+    neighbor's p_k * h_ik in order, then `np.exp` of -phi * acc / (p_j * h_ij)."""
     pj = float(p[j])
-    if pj <= 0.0:
+    if pj == 0.0:
         return 1.0
-    h = float(gains[i, j])
-    interf = 0.0
+    acc = radio.noise(i)
     for k in topo.neighbors[i]:
         if k != j:
-            interf += float(p[k]) * float(gains[i, k])
-    x = radio.phi * (interf + radio.noise(i)) / (pj * h)
-    return 1.0 - math.exp(-x)
+            acc = acc + float(p[k]) * float(gains[i, k])
+    return float(1.0 - np.exp(-radio.phi * acc / (pj * float(gains[i, j]))))
 
 
 def dense_gains(topo, gains):
@@ -264,7 +266,7 @@ def per_cases(draw):
 def test_batched_per_equals_the_former_scalar_rule_element_for_element(case):
     topo, radio, p, g, links = case
     dense = dense_gains(topo, g)
-    want = np.array([[former_packet_error_rate(p[k], dense[k], topo, radio, i, j)
+    want = np.array([[reference_packet_error_rate(p[k], dense[k], topo, radio, i, j)
                       for i, j in links] for k in range(len(p))])
     rx, tx = np.array(links).T
     batch = packet_error_rate(p, g, topo, radio, rx, tx)  # every link, in any order, in one call
@@ -277,6 +279,47 @@ def test_batched_per_equals_the_former_scalar_rule_element_for_element(case):
         assert one.shape == (len(p),) and np.array_equal(one, want[:, c])
         scalar = packet_error_rate(p[0], g[0], topo, radio, i, j)
         assert type(scalar) is float and scalar == want[0, c]
+
+
+@st.composite
+def ragged_samples(draw):
+    """A model on a ring, line, complete or random geometric graph of 2 to 8 devices, each
+    link's gain ladder 1-3 levels long and each device's power ladder 2-4 levels long, and
+    n gain and level digit samples."""
+    topo = draw(graphs(max_m=8))
+    m, n = topo.m, draw(st.integers(1, 6))
+
+    def ladder(lo, hi):
+        return sorted(draw(st.sets(POSITIVE, min_size=lo, max_size=hi)))
+
+    chains = [identity_chain(ladder(1, 3)) for _ in topo.edges]
+    sigma2 = draw(st.one_of(POSITIVE, st.tuples(*[POSITIVE] * m)))
+    energy = EnergyParams(k_steps=1, cpu_freq=1.0, cycles_per_sample=0.0, batch_size=1,
+                          tau=1.0, b_max=1.0, n_levels=2)
+    mdp = build_mdp(topo, RadioParams(draw(POSITIVE), sigma2, 1.0), energy, chains,
+                    HarvestModel(support=np.array([0.0]), probs=np.array([1.0])),
+                    [[0.0] + ladder(1, 3) for _ in range(m)], 1)
+
+    def digits(dims):
+        return np.array([[draw(st.integers(0, k - 1)) for k in dims] for _ in range(n)])
+
+    return mdp, digits(mdp.link_dims), digits(mdp.act_dims)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(ragged_samples())
+def test_per_of_every_link_equals_the_loss_kernels_on_generated_models(case):
+    # Training prices links through packet_error_rate, the cost paths through the loss
+    # kernel; a model whose one ordered pair weighs 1.0 makes the kernel return that q.
+    mdp, gains, levels = case
+    lk = mdp.topo.links
+    q = packet_error_rate(mdp.powers_of(levels), mdp.gains_of(gains), mdp.topo, mdp.radio,
+                          lk.rx, lk.tx)
+    assert q.shape == (len(gains), len(lk.rx))
+    for c, (i, j, _, e, interf) in enumerate(mdp.ordered_pairs):
+        one = copy.copy(mdp)
+        vars(one)["ordered_pairs"] = [(i, j, 1.0, e, interf)]
+        assert np.array_equal(sample_costs(one, gains, levels), q[:, c]), (i, j)
 
 
 @settings(max_examples=50, derandomize=True, database=None, deadline=None)

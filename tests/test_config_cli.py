@@ -422,6 +422,25 @@ def test_cli_seed_and_out_overrides(tmp_path):
     assert not (tmp_path / "ignored").exists()
 
 
+def test_cli_overrides_parse_the_config_once_and_warn_once(tmp_path, capsys, monkeypatch):
+    from ehdfl import cli
+    calls = []
+
+    def counted(raw, _fn=cli.parse_config):
+        calls.append(raw)
+        return _fn(raw)
+
+    monkeypatch.setattr(cli, "parse_config", counted)
+    out = tmp_path / "override"
+    cfg = _write(tmp_path, base_raw(out_dir=str(tmp_path / "ignored"), power_levels=[0.0, 0.4]))
+    assert cli.main(["train", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 0
+    assert len(calls) == 1 and calls[0]["seeds"] == [7] and calls[0]["out_dir"] == str(out)
+    warnings = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning:")]
+    assert warnings and len(warnings) == len(set(warnings)), warnings
+    assert any("snaps" in w for w in warnings)
+    assert (out / "metrics_seed7.csv").exists() and not (tmp_path / "ignored").exists()
+
+
 def test_cli_runs_are_byte_identical_across_jobs(tmp_path):
     dirs = [tmp_path / f"d{k}" for k in range(3)]
     raw = base_raw(seeds=[1, 2, 3], horizon=6)

@@ -31,7 +31,7 @@ from ehdfl.learning import LearnConsts, QuadraticTask, make_logistic_task, make_
 from ehdfl.localized import build_cover, localized_cost_table
 from ehdfl.mdp import GlobalState, build_mdp
 from ehdfl.topology import build_topology
-from test_channel import dense_gains, former_packet_error_rate, graphs
+from test_channel import dense_gains, graphs, reference_packet_error_rate
 from test_energy import former_battery_step
 
 
@@ -176,7 +176,7 @@ def reference_training(mdp, task, policy, *, seed, eta, per_override=None, s1=No
             for j in sorted(topo.neighbors[i]):
                 if not beta[j]:
                     continue
-                q = former_packet_error_rate(powers, gain_mat, topo, radio, i, j)
+                q = reference_packet_error_rate(powers, gain_mat, topo, radio, i, j)
                 if per_override is not None:
                     q = float(per_override)
                 rec.per[t, i, j] = q

@@ -21,6 +21,7 @@ from ehdfl.localized import (ExtensionDefaults, build_cover, extension_action_ma
                              save_localized, synthesize)
 from ehdfl.mdp import backward_induction, build_mdp, load_solution, save_solution
 from ehdfl.topology import build_topology, k_hop_set
+from test_channel import graphs
 from test_mdp import COST_MODELS, cost_model, former_link_loss_table, former_save_artifact
 
 
@@ -142,6 +143,22 @@ def test_cover_devs_match_k_hop_set():
     for i in range(mdp.m):
         for h in (0, 1, 2):
             assert build_cover(mdp, i, h).devs == k_hop_set(mdp.topo.neighbors, i, h)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(graphs(max_m=14))
+def test_cover_links_equal_the_former_edge_scan_on_generated_graphs(topo):
+    energy = EnergyParams(k_steps=1, cpu_freq=1.0, cycles_per_sample=0.0, batch_size=1,
+                          tau=1.0, b_max=1.0, n_levels=2)
+    mdp = build_mdp(topo, RadioParams(0.5, 0.3, 1.0), energy, TWO_LEVELS,
+                    HarvestModel(support=np.array([0.0]), probs=np.array([1.0])),
+                    power_levels=[0.0, 1.0], horizon=1)
+    for i in range(topo.m):
+        for h in (0, 1, 2, 3):
+            cov = build_cover(mdp, i, h)
+            assert type(cov.links) is tuple and all(type(e) is int for e in cov.links)
+            assert cov.links == tuple(e for e, (a, b) in enumerate(topo.edges)
+                                      if a in cov.devs or b in cov.devs)  # the former scan
 
 
 # ---------------------------------------------------------------------------

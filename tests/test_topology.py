@@ -185,6 +185,29 @@ def test_link_table_equals_a_brute_force_build(topo):
     assert topo.links is lk  # built once
 
 
+def former_link_table(topo):
+    """The former list builder of the link table: per-link Python interferer lists and an
+    edge lookup through a dict, called element by element."""
+    m, edge = topo.m, {e: k for k, e in enumerate(topo.edges)}
+    pad = [m] * (max(map(len, topo.neighbors)) - 1)
+    rows = [(i, j, ([k for k in topo.neighbors[i] if k != j] + pad)[:len(pad)])
+            for j in range(m) for i in topo.neighbors[j]]
+    rx, tx = np.array([r[:2] for r in rows], dtype=np.int64).T
+    others = np.array([r[2] for r in rows], dtype=np.int64).reshape(len(rows), len(pad))
+    edge_of = np.vectorize(lambda a, b: edge.get((min(a, b), max(a, b)), len(edge)),
+                           otypes=[np.int64])
+    return rx, tx, edge_of(rx, tx), others, edge_of(rx[:, None], others)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(graphs(max_m=39))
+def test_link_table_equals_the_former_list_builder(topo):
+    lk = topo.links
+    for got, want in zip(lk, former_link_table(topo)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(scattered_weights(topo), former_metropolis_weights(topo.m, topo.edges))
+
+
 def test_link_table_and_per_over_every_link_of_a_4096_ring_stay_small():
     # One (m, m) float array alone is 128 MiB at this size.
     topo = build_topology("ring", 4096)
