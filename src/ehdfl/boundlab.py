@@ -87,7 +87,7 @@ def contraction_coefficient(gamma: float, m: int, lipschitz: float,
 def temperature_cap(m: int, lipschitz: float, grad_bound: float,
                     n_joint_actions: int) -> float:
     """Largest gamma with a certified contraction, i.e. where D reaches 1."""
-    return 1.0 / (32.0 * m * (lipschitz + 1.0) * grad_bound ** 2 * n_joint_actions ** 2)
+    return 1.0 / contraction_coefficient(1.0, m, lipschitz, grad_bound, n_joint_actions)
 
 
 @dataclass(frozen=True)

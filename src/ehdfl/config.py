@@ -28,9 +28,9 @@ import numpy as np
 from .boundlab import temperature_cap
 from .channel import ChannelChain, RadioParams
 from .energy import EnergyParams, HarvestModel, point_harvest
-from .errors import BudgetExceeded, ConfigError
+from .errors import ConfigError
 from .localized import ExtensionDefaults
-from .mdp import (DEFAULT_BUDGET, GlobalMdp, GlobalState, build_mdp, count_text, link_chains,
+from .mdp import (DEFAULT_BUDGET, GlobalMdp, GlobalState, build_mdp, check_size, link_chains,
                   power_ladder)
 from .topology import Topology, build_topology
 
@@ -255,9 +255,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if len(issues) == before and budget is not None:
         # devices and the edges the kind fixes; a random geometric graph's count as none
         size = m + {"line": m - 1, "ring": m, "complete": m * (m - 1) // 2}.get(kind, 0)
-        if size > budget:
-            raise BudgetExceeded(f"topology: {count_text(size)} devices and edges, over the "
-                                 f"budget {count_text(budget)}")
+        check_size("topology", size, budget, "devices and edges")
         topo = make("topology", lambda: build_topology(kind, m, seed=seed))
 
     chan = section("channel", {})

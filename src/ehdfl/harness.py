@@ -21,9 +21,9 @@ from .baselines import GreedyPolicy
 from .boundlab import contraction_study
 from .config import POLICY_NAMES, ExperimentConfig
 from .dflsim import DflRun, convergence_bound, run_training
-from .errors import BudgetExceeded, ConfigError
+from .errors import ConfigError
 from .localized import save_localized
-from .mdp import (GlobalState, backward_induction, check_eval_budget, count_text,
+from .mdp import (GlobalState, backward_induction, check_eval_budget, check_size,
                   evaluate_policy, save_solution, simulate_costs)
 from .topology import build_topology
 
@@ -164,11 +164,8 @@ def run_experiment(config: ExperimentConfig, kind: str, *, jobs: int = 1,
     s1 = config.start_state(mdp)
     if key in ("train", "hops") or key == "capacity" and config.sweep_train:
         # the device-loss metric: m (m + 1) local losses per seed per logged slot
-        size = len(config.seeds) * config.horizon * mdp.m ** 2
-        if size > config.budget:
-            raise BudgetExceeded(
-                f"training needs {count_text(size)} device-loss evaluations "
-                f"(seeds x slots x devices^2), over the budget {count_text(config.budget)}")
+        check_size("training", len(config.seeds) * config.horizon * mdp.m ** 2, config.budget,
+                   "device-loss evaluations (seeds x slots x devices^2)")
     RUNNERS[key](config, out, jobs, mdp, s1, policy_name or config.policy_name)
     return out
 
@@ -436,8 +433,8 @@ def verify_suite(out: Path | None = None, *, config_hash: str = "builtin") -> bo
 def action_feasibility(mdp) -> np.ndarray:
     """Bool (n_actions, n_battery_cfgs): joint action feasible at battery config."""
     na, nbc = mdp.n_actions, mdp.n_battery_cfgs
-    if na * nbc > 200_000_000:
-        raise BudgetExceeded(f"action feasibility table too large ({na}x{nbc})")
+    check_size("action feasibility", na * nbc, 200_000_000,
+               "table entries (actions x battery configurations)")
     levels = np.unravel_index(np.arange(na), mdp.act_dims)
     bats = np.unravel_index(np.arange(nbc), mdp.bat_dims)
     feas = np.ones((na, nbc), dtype=bool)
@@ -477,10 +474,8 @@ def exhaustive_minimum(mdp, s1) -> float:
         reach.append(set().union(*(trans[(s, int(a))] for s in reach[-1] for a in acts(s))))
     slots = [(t, s) for t, states in enumerate(reach) for s in sorted(states)]
     choices = [acts(s) for _, s in slots]
-    n_assign = math.prod(len(c) for c in choices)
-    if n_assign > 400_000:
-        raise ValueError(f"instance too large for exhaustive enumeration "
-                         f"({n_assign} assignments)")
+    check_size("exhaustive enumeration", math.prod(len(c) for c in choices), 400_000,
+               "assignments (one action per reachable slot and state)")
     price(reach[-1])
     pos = {ts: k for k, ts in enumerate(slots)}
     last = mdp.horizon - 1

@@ -23,8 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BudgetExceeded
-from .mdp import (contract_leading, count_text, link_loss_table, load_artifact, on_axis,
+from .mdp import (check_size, contract_leading, link_loss_table, load_artifact, on_axis,
                   sample_act, save_artifact)
 from .topology import k_hop_set
 
@@ -154,9 +153,8 @@ class _SynthContext:
         self.defaults = defaults
         self.covers = [build_cover(mdp, i, hops) for i in range(mdp.m)]
         for cov in self.covers:
-            if cov.n_states * cov.n_actions > table_budget:
-                raise BudgetExceeded(f"cover of device {cov.owner} needs {count_text(cov.n_states)}"
-                                     f"x{count_text(cov.n_actions)} table entries")
+            check_size(f"cover of device {cov.owner}", cov.n_states * cov.n_actions, table_budget,
+                       "table entries (states x actions)")
         self.cost_tables = [localized_cost_table(mdp, c, defaults) for c in self.covers]
         self.views = [{j: _digit_view(ci, self.covers[j], defaults, True) for j in ci.devs}
                       for ci in self.covers]

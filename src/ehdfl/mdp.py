@@ -56,6 +56,8 @@ from .errors import BudgetExceeded, CausalityViolation
 DEFAULT_BUDGET = 10_000_000
 # Monte Carlo reads slot costs from the cost table up to this many entries, else per sample
 COST_TABLE_ENTRIES = 50_000_000
+# GlobalMdp.transition refuses a next-state distribution with a larger support
+TRANSITION_SUPPORT = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -278,7 +280,7 @@ class GlobalMdp:
         levels = np.stack(np.unravel_index(np.asarray(actions), self.act_dims), axis=-1)
         return sample_costs(self, digits[:, :self.n_links], levels, device)
 
-    def transition(self, state, levels, max_support: int = 1_000_000) -> dict:
+    def transition(self, state, levels) -> dict:
         """Explicit next-state distribution {flat index: prob} (small instances)."""
         state, levels = self.decoded(state, levels)
         branches = []
@@ -288,9 +290,8 @@ class GlobalMdp:
         for d in range(self.m):
             row = battery_row(self, d, state.batteries[d], levels[d])
             branches.append([(b, row[b]) for b in np.nonzero(row)[0]])
-        size = math.prod(len(b) for b in branches)
-        if size > max_support:
-            raise BudgetExceeded(f"transition support {count_text(size)} exceeds {max_support}")
+        check_size("transition", math.prod(len(b) for b in branches), TRANSITION_SUPPORT,
+                   "next states (gains x batteries)")
         out = {}
         for combo in itertools.product(*branches):
             coords = [c for c, _ in combo]
@@ -437,13 +438,19 @@ def count_text(n: int) -> str:
     return str(n) if n < 10 ** 100 else f"at least 2^{n.bit_length() - 1}"
 
 
+def check_size(what: str, size: int, limit: int, unit: str) -> None:
+    """The one refusal rule: when size > limit, BudgetExceeded with the message
+    "<what> needs <size> <unit>, over the budget <limit>". Callers count in Python ints,
+    so no size wraps, and both counts print through count_text, so any size prints."""
+    if size > limit:
+        raise BudgetExceeded(f"{what} needs {count_text(size)} {unit}, "
+                             f"over the budget {count_text(limit)}")
+
+
 def check_dp_budget(mdp: GlobalMdp, budget: int) -> None:
     """Raise BudgetExceeded when one slot of the DP, n_states * n_actions, exceeds budget."""
-    size = mdp.n_states * mdp.n_actions
-    if size > budget:
-        raise BudgetExceeded(
-            f"state-action product {count_text(size)} exceeds budget {count_text(budget)}; "
-            "raise the budget explicitly if this size is intended")
+    check_size("backward induction", mdp.n_states * mdp.n_actions, budget,
+               "state-action entries (states x actions)")
 
 
 def bellman_slot(mdp: GlobalMdp, v_next: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
@@ -694,11 +701,8 @@ def _expanded(x: np.ndarray, shape: tuple) -> np.ndarray:
 
 def check_eval_budget(mdp: GlobalMdp, budget: int) -> None:
     """Raise BudgetExceeded when exact evaluation's n_states * m * W row entries exceed budget."""
-    size = mdp.n_states * mdp.m * max(mdp.act_dims)
-    if size > budget:
-        raise BudgetExceeded(
-            f"exact evaluation needs {count_text(size)} level-row entries "
-            f"(states x devices x levels), over the budget {count_text(budget)}")
+    check_size("exact evaluation", mdp.n_states * mdp.m * max(mdp.act_dims), budget,
+               "level-row entries (states x devices x levels)")
 
 
 def evaluate_policy(mdp: GlobalMdp, policy, s1, *, budget: int = DEFAULT_BUDGET) -> float:

@@ -194,17 +194,15 @@ def from_edges(m: int, edges) -> Topology:
     return Topology(m=m, edges=edges, neighbors=tuple(tuple(sorted(ns)) for ns in adj))
 
 
-def build_topology(kind: str, m: int, *, seed: int | None = None,
-                   radius: float | None = None, attempts: int = 100) -> Topology:
+def build_topology(kind: str, m: int, *, seed: int | None = None) -> Topology:
     """Build a named topology.
 
     Args:
         kind: "ring", "complete", "line", or "random_geometric".
         m: device count, >= 2.
-        seed: RNG seed for random_geometric placement.
-        radius: connection radius for random_geometric; default scales as
-            sqrt(2 ln(m) / m), comfortably above the connectivity threshold.
-        attempts: redraw budget for random_geometric before giving up.
+        seed: RNG seed for random_geometric placement, which joins points within
+            sqrt(2 ln(m) / m) of each other (comfortably above the connectivity
+            threshold) and redraws up to 100 times until the graph is connected.
 
     Returns:
         A validated Topology.
@@ -224,9 +222,9 @@ def build_topology(kind: str, m: int, *, seed: int | None = None,
         edges = [(i, i + 1) for i in range(m - 1)]
         return from_edges(m, edges)
     if kind == "random_geometric":
-        r = radius if radius is not None else float(np.sqrt(2.0 * np.log(max(m, 2)) / m))
+        r = float(np.sqrt(2.0 * np.log(m) / m))
         rng = np.random.default_rng(seed)
-        for _ in range(attempts):
+        for _ in range(100):
             pts = rng.random((m, 2))
             edges = []
             for i in range(m - 1):  # row i against the later points only: O(m) memory
@@ -235,5 +233,5 @@ def build_topology(kind: str, m: int, *, seed: int | None = None,
             if is_connected(m, edges):
                 return from_edges(m, edges)
         raise RuntimeError(
-            f"random_geometric: no connected draw in {attempts} attempts (m={m}, radius={r:.3f})")
+            f"random_geometric: no connected draw in 100 attempts (m={m}, radius={r:.3f})")
     raise ValueError(f"unknown topology kind {kind!r}")

@@ -1,11 +1,16 @@
 """Gap curves, geometric rate fits, and the certified contraction ceiling."""
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ehdfl.boundlab import (ContractionReport, InsufficientData,
                             contraction_coefficient, contraction_study,
                             fit_rate, gap_curve, temperature_cap)
-from ehdfl.instances import oracle_instance, tiny_instances
+from ehdfl.instances import fullinfo_instance, oracle_instance, tiny_instances
+
+TINY_ROUNDS = Path(__file__).resolve().parents[1] / "configs" / "tiny_rounds.json"
 
 
 def test_fit_rate_recovers_exact_geometric_series():
@@ -42,6 +47,25 @@ def test_temperature_cap_inverts_the_coefficient():
     cap = temperature_cap(m, lip, g, na)
     assert contraction_coefficient(cap, m, lip, g, na) == pytest.approx(1.0, rel=1e-12)
     assert contraction_coefficient(0.5 * cap, m, lip, g, na) == pytest.approx(0.5, rel=1e-12)
+
+
+def test_temperature_cap_is_the_former_closed_form_bit_for_bit():
+    # The cap is 1 / D at gamma = 1; 32.0 * 1.0 is exact, so the bits match the former
+    # expression, which parse_config's temperature-ceiling warning compared against.
+    def former(m, lip, g, na):
+        return 1.0 / (32.0 * m * (lip + 1.0) * g ** 2 * na ** 2)
+
+    pinned = [(inst.mdp.m, inst.declared_lipschitz, inst.declared_grad_bound,
+               inst.n_joint_actions) for inst in [*tiny_instances().values(), fullinfo_instance()]]
+    raw = json.loads(TINY_ROUNDS.read_text())
+    pinned.append((raw["topology"]["m"], raw["declared"]["lipschitz"],
+                   raw["declared"]["grad_bound"], len(raw["power_levels"]) ** raw["topology"]["m"]))
+    rng = np.random.default_rng(0)
+    drawn = [(int(rng.integers(2, 65)), float(rng.uniform(0.0, 10.0)),
+              float(np.exp(rng.uniform(-12.0, 3.0))), 2 ** int(rng.integers(1, 41)))
+             for _ in range(10_000)]
+    for args in pinned + drawn:
+        assert temperature_cap(*args) == former(*args), args
 
 
 def test_declared_constants_hit_the_tuned_temperature():

@@ -1,6 +1,8 @@
 """Config validation, canonical hashing, and the command-line front end."""
+import ast
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 import time
@@ -11,9 +13,14 @@ import numpy as np
 import pytest
 
 from ehdfl import harness
+from ehdfl import mdp as mdp_module
+from ehdfl.baselines import GreedyPolicy, MyopicCentralPolicy
 from ehdfl.config import _stationary, canonical_hash, load_config, parse_config
 from ehdfl.errors import BudgetExceeded, ConfigError
-from ehdfl.harness import _train_seeds, run_experiment
+from ehdfl.harness import _train_seeds, action_feasibility, exhaustive_minimum, run_experiment
+from ehdfl.instances import oracle_instance
+from ehdfl.localized import build_cover, synthesize
+from ehdfl.mdp import backward_induction, build_mdp, evaluate_policy
 
 DESK8 = Path(__file__).resolve().parents[1] / "configs" / "desk8.json"
 
@@ -768,3 +775,99 @@ def test_build_task_refuses_overflowing_scale_and_keeps_finite_tasks():
     for kind in ("quadratic", "logistic"):
         task = parse_config(base_raw(task={"kind": kind, "heterogeneity": 1e150})).build_task()
         assert np.isfinite(task.f_star)
+
+
+# ---------------------------------------------------------------------------
+# the one refusal rule: every size guard is mdp.check_size
+# ---------------------------------------------------------------------------
+
+REFUSAL = re.compile(r"(?P<what>.+) needs (?P<size>\d+|at least 2\^\d+) [^,]+, "
+                     r"over the budget (?P<limit>\d+|at least 2\^\d+)")
+
+
+def _refusal(call, what):
+    """Run `call`, which must refuse with BudgetExceeded in the one message form."""
+    with pytest.raises(BudgetExceeded) as exc:
+        call()
+    found = REFUSAL.fullmatch(str(exc.value))
+    assert found and found["what"] == what, str(exc.value)
+    return found
+
+
+def _budget_guard(name, tmp_path):
+    """(what, size, call) for a guard that takes a budget; call(budget) runs it."""
+    mdp, s1 = oracle_instance()
+    dp_size = mdp.n_states * mdp.n_actions
+    if name == "topology":  # a line of 2 devices and 1 edge
+        return "topology", 3, lambda b: parse_config(base_raw(budget=b))
+    if name == "dp":
+        return "backward induction", dp_size, lambda b: backward_induction(mdp, budget=b)
+    if name == "myopic":
+        return "backward induction", dp_size, lambda b: MyopicCentralPolicy(mdp, budget=b)
+    if name == "exact evaluation":
+        return (name, mdp.n_states * mdp.m * max(mdp.act_dims),
+                lambda b: evaluate_policy(mdp, GreedyPolicy(mdp), s1, budget=b))
+    if name == "cover":
+        sizes = [c.n_states * c.n_actions for c in (build_cover(mdp, i, 1) for i in range(mdp.m))]
+        return (f"cover of device {int(np.argmax(sizes))}", max(sizes),
+                lambda b: synthesize(mdp, hops=1, gamma=32.0, rounds=1, table_budget=b))
+    assert name == "training"  # 1 seed x 2 slots x 2^2 devices
+    return "training", 8, lambda b: run_experiment(
+        parse_config(base_raw(out_dir=str(tmp_path / str(b)), budget=b)), "train")
+
+
+@pytest.mark.parametrize("name", ["topology", "dp", "myopic", "exact evaluation", "cover",
+                                  "training"])
+def test_each_budget_guard_passes_at_its_budget_and_refuses_one_below(tmp_path, name):
+    what, size, call = _budget_guard(name, tmp_path)
+    call(size)
+    found = _refusal(lambda: call(size - 1), what)
+    assert (found["size"], found["limit"]) == (str(size), str(size - 1))
+
+
+def test_transition_support_guard_passes_at_its_limit_and_refuses_one_below(monkeypatch):
+    mdp, s1 = oracle_instance()
+    size = len(mdp.transition(s1, mdp.n_actions - 1))  # each branch combination is one state
+    monkeypatch.setattr(mdp_module, "TRANSITION_SUPPORT", size)
+    mdp.transition(s1, mdp.n_actions - 1)
+    monkeypatch.setattr(mdp_module, "TRANSITION_SUPPORT", size - 1)
+    found = _refusal(lambda: mdp.transition(s1, mdp.n_actions - 1), "transition")
+    assert (found["size"], found["limit"]) == (str(size), str(size - 1))
+
+
+def test_exhaustive_enumeration_refuses_in_the_one_form():
+    # T = 4 on the oracle pair: 2^26 assignments over reachable slots, past 400,000.
+    small, s1 = oracle_instance()
+    mdp = build_mdp(small.topo, small.radio, small.energy, small.chains, small.harvests,
+                    small.power_levels, horizon=4)
+    found = _refusal(lambda: exhaustive_minimum(mdp, s1), "exhaustive enumeration")
+    assert (found["size"], found["limit"]) == (str(2 ** 26), "400000")
+
+
+def test_oracle_and_feasibility_refuse_a_15000_device_ring_in_a_short_message():
+    # 2^15000 joint actions x 2^15000 battery configurations: printing that count raised
+    # ValueError (past Python's int-to-str digit limit) instead of refusing.
+    raw = json.loads(DESK8.read_text())
+    del raw["s1"]
+    raw["topology"] = {"kind": "ring", "m": 15_000}
+    cfg = parse_config(raw)
+    mdp = cfg.build_model()
+    s1 = cfg.start_state(mdp)
+    for call in (lambda: action_feasibility(mdp), lambda: exhaustive_minimum(mdp, s1)):
+        start = time.perf_counter()
+        found = _refusal(call, "action feasibility")
+        assert time.perf_counter() - start < 1.0
+        assert found["size"].startswith("at least 2^") and len(found.string) < 200, found.string
+
+
+def test_check_size_is_the_only_place_src_raises_budget_exceeded():
+    raisers = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "ehdfl").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}  # node -> innermost enclosing function (ast.walk visits outer ones first)
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, fn.name) for node in ast.walk(fn))
+        raisers += [(path.name, owner.get(node)) for node in ast.walk(tree)
+                    if isinstance(node, ast.Raise) and "BudgetExceeded" in ast.unparse(node)]
+    assert raisers == [("mdp.py", "check_size")]
