@@ -23,8 +23,8 @@ from .config import POLICY_NAMES, ExperimentConfig
 from .dflsim import DflRun, convergence_bound, run_training
 from .errors import ConfigError
 from .localized import save_localized
-from .mdp import (GlobalState, backward_induction, check_eval_budget, check_size,
-                  evaluate_policy, save_solution, simulate_costs)
+from .mdp import (TRANSITION_SUPPORT, GlobalState, backward_induction, check_eval_budget,
+                  check_size, evaluate_policy, save_solution, simulate_costs)
 from .topology import build_topology
 
 # Header line of each metrics_seed<s>.csv, one row per slot of that seed's training record.
@@ -451,19 +451,30 @@ def exhaustive_minimum(mdp, s1) -> float:
     reachable from it; enumerating those assignments is exhaustive for this
     start state. Each (state, action) pair is priced once: the costs of a
     slot's new pairs in one batched query, their transitions one by one; every
-    assignment reuses them.
+    assignment reuses them. Before a slot's pairs are priced, the next-state
+    entries their transitions would build are counted from the row supports of
+    the link chains and battery kernels, and refused past TRANSITION_SUPPORT.
     """
     feas = action_feasibility(mdp)  # (n_actions, n_battery_cfgs)
     nbc = mdp.n_battery_cfgs
     cost: dict[tuple[int, int], float] = {}
     trans: dict[tuple[int, int], dict] = {}
+    link_sup = [np.count_nonzero(chain.psi, axis=1).tolist() for chain in mdp.chains]
+    bat_sup = [np.count_nonzero(kb, axis=-1).tolist() for kb in mdp.battery_kernels]
 
     def acts(s):
         return np.nonzero(feas[:, s % nbc])[0]
 
+    def support(s, a):  # len(mdp.transition(s, a)), in Python ints
+        state, levels = mdp.decoded(s, a)
+        return (math.prod(sup[g] for sup, g in zip(link_sup, state.gains))
+                * math.prod(sup[l][b] for sup, l, b in zip(bat_sup, levels, state.batteries)))
+
     def price(states):
         new = [(s, int(a)) for s in sorted(states) for a in acts(s) if (s, int(a)) not in cost]
         if new:
+            check_size("exhaustive enumeration", sum(support(*sa) for sa in new),
+                       TRANSITION_SUPPORT, "next-state entries (one slot's new transitions)")
             cost.update(zip(new, mdp.one_step_costs(*np.array(new).T).tolist()))
             trans.update((sa, mdp.transition(*sa)) for sa in new)
 

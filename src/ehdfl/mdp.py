@@ -7,12 +7,16 @@ independent link chains (action-free) and per-device battery kernels
 contracted once per layer, battery axes along a tree over devices so partial
 contractions are shared between joint actions. A level is contracted only
 over the battery suffix it can fund (energy causality), so infeasible
-(action, battery) pairs are never formed. Each contraction is one gemm,
-`contract_leading`, that consumes the leading axis and appends the new one
-last, so contracting the link axes and then the battery axes rotates an array
-back to canonical layout with no transpose copy. Exact policy evaluation runs
-backward with the same primitive: V_t = c_t + E[V_{t+1}]. The cost table's loss
-kernel puts each operand on its own axis, so only its output is full size.
+(action, battery) pairs are never formed. The solver runs each continuation
+slot on the canonical layout reversed, batteries first and each axis order
+reversed: one transpose in and one out per slot. Each contraction is one gemm,
+`contract_trailing`, that consumes the last axis and puts the new one first, so
+contracting the link axes and then the battery axes rotates the array back to
+the reversed layout. A battery cut is then a leading slice the next gemm reads
+without a copy, and each joint action's update runs on contiguous rows over all
+the link axes. Exact policy evaluation runs backward with the mirror primitive,
+`contract_leading`: V_t = c_t + E[V_{t+1}]. The cost table's loss kernel puts
+each operand on its own axis, so only its output is full size.
 
 A policy is its per-slot, per-device conditional level rows given the global
 state: `rows(mdp, t, digits)` at an (n, L + m) int array of state digits (gains,
@@ -432,6 +436,19 @@ def contract_leading(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return np.dot(x.reshape(x.shape[0], -1).T, mat.T).reshape(x.shape[1:] + (mat.shape[0],))
 
 
+def contract_trailing(x: np.ndarray, mat: np.ndarray, buf: np.ndarray | None = None) -> np.ndarray:
+    """Apply `mat` along the last axis of `x` and put the new axis first, the mirror of
+    `contract_leading`.
+
+    Bit for bit tensordot(mat, x, ([1], [x.ndim - 1])), as one gemm on a transposed
+    view that never copies a contiguous `x`. Given `buf`, a flat float array at least
+    as long as the output, the output is a view of its head rather than a new array.
+    """
+    xt = x.reshape(-1, x.shape[-1]).T
+    out = None if buf is None else buf[:len(mat) * xt.shape[1]].reshape(len(mat), -1)
+    return np.dot(mat, xt, out=out).reshape((len(mat),) + x.shape[:-1])
+
+
 def count_text(n: int) -> str:
     """A count for a message: its digits up to 100 of them, else the power of two at or
     below it, so a size past Python's int-to-str digit limit still prints."""
@@ -465,6 +482,15 @@ def bellman_slot(mdp: GlobalMdp, v_next: np.ndarray | None) -> tuple[np.ndarray,
     Joint actions are scanned in ascending index order and strict improvement
     is required to replace the incumbent, so ties resolve to the lowest index.
 
+    The continuation runs on the reversed layout (b_{m-1}, ..., b_0, g_{L-1}, ...,
+    g_0): v_next is transposed in, V_t and the table out, as views, so
+    `backward_induction`'s flat copy is the one copy. `contract_trailing` takes
+    the links, then batteries 0..m-1 into one buffer per tree depth; a battery cut
+    is a leading slice the next gemm reads without a copy, and a leaf updates
+    contiguous rows over every link axis. The cut stays on the output: cutting the
+    kernel rows instead sends a one-row kernel down another BLAS path, which flips
+    near-tie table entries.
+
     `v_next=None` (V_{T+1} = 0) gives the myopic argmin as a box prefix-min: the
     levels battery b funds are 0..top_d(b), as draw_quanta never falls along a
     ladder, so V_T(c, b) is the least cost over a <= top(b), a running min along
@@ -487,13 +513,15 @@ def bellman_slot(mdp: GlobalMdp, v_next: np.ndarray | None) -> tuple[np.ndarray,
         return best[(slice(None),) + at].reshape(shape), arg[(slice(None),) + at].reshape(shape)
     kbs, draws = mdp.battery_kernels, [dq.tolist() for dq in mdp.draw_quanta]
     strides = np.cumprod([1] + mdp.act_dims[::-1])[::-1][1:].tolist()  # C-order action strides
-    # per joint action: cost over the link axes, broadcast over the battery axes
-    cost_a = np.ascontiguousarray(mdp.cost_table().T).reshape((n_a,) + tuple(link_dims) + (1,) * m)
-    best = np.full(shape, np.inf)
-    arg = np.zeros(shape, dtype=np.int32)
+    # per joint action: cost over the reversed link axes, broadcast over the battery axes
+    cost_a = np.ascontiguousarray(mdp.cost_table().reshape(link_dims + [n_a]).T)
+    cost_a = cost_a.reshape((n_a,) + (1,) * m + tuple(link_dims[::-1]))
+    best = np.full(shape[::-1], np.inf)
+    arg = np.zeros(shape[::-1], dtype=np.int32)
+    bufs = np.empty((m, best.size))  # depth d's contraction outputs, reused across siblings
 
     def descend(d, x, a, view):
-        if d == m:  # canonical layout; `view` cuts each battery axis as x's were cut
+        if d == m:  # reversed layout; `view` cuts each leading battery axis as x's were cut
             np.add(x, cost_a[a], out=x)
             incumbent = best[view]
             ok = x < incumbent
@@ -502,16 +530,17 @@ def bellman_slot(mdp: GlobalMdp, v_next: np.ndarray | None) -> tuple[np.ndarray,
             return
         for l, q in enumerate(draws[d]):
             if q < nb:  # the level is fundable at batteries q.., so cut the output there
-                descend(d + 1, contract_leading(x, kbs[d][l])[..., q:], a + l * strides[d],
-                        view + (slice(q, None),))
+                descend(d + 1, contract_trailing(x, kbs[d][l], bufs[d])[q:], a + l * strides[d],
+                        (slice(q, None),) + view)
 
-    for chain in mdp.chains:  # link axes rotate to the back: (batteries..., links...)
-        v_next = contract_leading(v_next, chain.psi)
-    descend(0, v_next, 0, (slice(None),) * len(link_dims))
+    v_next = v_next.T
+    for chain in mdp.chains:  # link axes rotate to the front: (links..., batteries...), reversed
+        v_next = contract_trailing(v_next, chain.psi)
+    descend(0, v_next, 0, ())
     del descend  # break the closure's self-reference so it is freed by refcount, not gc
     if not np.isfinite(best).all():
         raise CausalityViolation("no feasible action at some state (should not happen)")
-    return best, arg
+    return best.T, arg.T
 
 
 def backward_induction(mdp: GlobalMdp, *, budget: int = DEFAULT_BUDGET) -> Solution:

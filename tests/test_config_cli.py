@@ -844,6 +844,31 @@ def test_exhaustive_enumeration_refuses_in_the_one_form():
     assert (found["size"], found["limit"]) == (str(2 ** 26), "400000")
 
 
+def test_exhaustive_enumeration_refuses_the_desk_ring_before_building_transitions():
+    # T = 2 on desk: the first slot's 256 transitions would build 1,679,616 next-state
+    # entries, each up to 65,536 states; they are counted from the row supports first.
+    from ehdfl.instances import desk_scenario
+    scenario = desk_scenario(horizon=2)
+    start = time.perf_counter()
+    found = _refusal(lambda: exhaustive_minimum(scenario.mdp, scenario.s1),
+                     "exhaustive enumeration")
+    assert time.perf_counter() - start < 2.0
+    assert (found["size"], found["limit"]) == ("1679616", str(mdp_module.TRANSITION_SUPPORT))
+    assert "next-state entries" in found.string
+
+
+def test_exhaustive_enumeration_counts_the_entries_transition_builds(monkeypatch):
+    # The guard's count is exact: on the oracle pair, a limit of one entry less than
+    # the first slot's transitions build refuses, with the entries they build.
+    mdp, s1 = oracle_instance()
+    s0 = mdp.state_index(s1)
+    feas = action_feasibility(mdp)[:, s0 % mdp.n_battery_cfgs]
+    entries = sum(len(mdp.transition(s0, int(a))) for a in np.nonzero(feas)[0])
+    monkeypatch.setattr(harness, "TRANSITION_SUPPORT", entries - 1)
+    found = _refusal(lambda: exhaustive_minimum(mdp, s1), "exhaustive enumeration")
+    assert found["size"] == str(entries)
+
+
 def test_oracle_and_feasibility_refuse_a_15000_device_ring_in_a_short_message():
     # 2^15000 joint actions x 2^15000 battery configurations: printing that count raised
     # ValueError (past Python's int-to-str digit limit) instead of refusing.

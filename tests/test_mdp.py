@@ -17,8 +17,9 @@ from ehdfl.instances import (DESK_BUDGET, capacity_family, capacity_pair, desk_s
 from ehdfl.localized import LocalizedPolicy, build_cover, synthesize
 from ehdfl import mdp as mdp_module
 from ehdfl.mdp import (GlobalState, backward_expectation, backward_induction, battery_mixes,
-                       build_mdp, contract_leading, evaluate_policy, expected_cost_rows,
-                       load_solution, on_axis, sample_costs, save_solution, simulate_costs)
+                       build_mdp, contract_leading, contract_trailing, evaluate_policy,
+                       expected_cost_rows, load_solution, on_axis, sample_costs, save_solution,
+                       simulate_costs)
 from ehdfl.topology import build_topology
 from test_channel import dense_gains, reference_packet_error_rate
 from test_policy_rows import (FixedLevelsPolicy, check_digit_rows, former_conditionals,
@@ -897,10 +898,12 @@ def test_exact_evaluation_budget_is_checked_before_anything_is_built(pair, monke
         evaluate_policy(mdp, pol, s1, budget=size - 1)
 
 
-@pytest.mark.parametrize("name", PINNED + ["capacity-4", "desk"])
+@pytest.mark.parametrize("name", PINNED + ["capacity-4", "desk", "ring6-3"])
 def test_dp_is_bit_identical_to_the_tensordot_reference(name):
     if name == "desk":
         mdp = desk_scenario(horizon=2).mdp
+    elif name == "ring6-3":  # three chained continuation slots, two cut points per device
+        mdp = with_horizon(ring6(3), 4)
     else:
         mdp = capacity_family(4)[0] if name == "capacity-4" else pinned_instances()[name][0]
     sol = backward_induction(mdp, budget=mdp.n_states * mdp.n_actions)
@@ -1020,6 +1023,26 @@ def test_contract_leading_is_tensordot_bit_for_bit(dims):
         out = contract_leading(x, mat)
         assert out.shape == ref.shape
         assert np.array_equal(out, ref)
+
+
+@pytest.mark.parametrize("dims", [(2,), (3, 2), (2, 3, 2), (3, 3, 2, 3), (2,) * 12, (3,) * 8])
+def test_contract_trailing_is_tensordot_bit_for_bit(dims):
+    rng = np.random.default_rng(sum(dims))
+    x = rng.random(dims)
+    buf = np.full(3 * x.size, np.nan)
+    for n_out in (2, 3):
+        mat = rng.random((n_out, dims[-1]))
+        ref = np.tensordot(mat, x, ([1], [x.ndim - 1]))
+        for out in (contract_trailing(x, mat), contract_trailing(x, mat, buf)):
+            assert out.shape == ref.shape
+            assert np.array_equal(out, ref)
+        # as the DP passes it: a leading slice of a contraction's output, cut at q
+        y = contract_trailing(x, rng.random((dims[-1], dims[-1])))
+        for q in range(1, len(y)):
+            mat = rng.random((n_out, y[q:].shape[-1]))
+            ref = np.tensordot(mat, y[q:], ([1], [y.ndim - 1]))
+            assert np.array_equal(contract_trailing(y[q:], mat), ref)
+            assert np.array_equal(contract_trailing(y[q:], mat, buf), ref)
 
 
 def mc_mean_stderr(mdp, pol, s1, *, n_samples, seed):
