@@ -180,8 +180,15 @@ def inverse_cdf(rows: np.ndarray, u: np.ndarray, widths) -> np.ndarray:
     entries, zero-padded to W. Per row the count of cumsum(row) <= u, clipped to the
     last index, which is searchsorted(cumsum(row), u, side="right"); a padded entry
     can only count when u reaches the row's total, and then the clip discards it.
+    Runs level-major: one running sum over the (k, n) level planes, added in the
+    order cumsum adds, each level's `sum <= u` counted as it is formed.
     """
-    counts = (np.cumsum(rows, axis=2) <= u.T[:, :, None]).sum(axis=2)
+    u = u.T
+    acc = rows[..., 0].copy()
+    counts = (acc <= u).astype(np.intp)
+    for level in range(1, rows.shape[2]):
+        acc += rows[..., level]
+        counts += acc <= u
     return np.minimum(counts.T, np.subtract(widths, 1))
 
 

@@ -62,6 +62,9 @@ DEFAULT_BUDGET = 10_000_000
 COST_TABLE_ENTRIES = 50_000_000
 # GlobalMdp.transition refuses a next-state distribution with a larger support
 TRANSITION_SUPPORT = 1_000_000
+# exact evaluation's fold works on blocks of channel configurations whose widest
+# intermediate holds at most this many floats (1 MiB); its bits do not depend on it
+FOLD_BLOCK = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -583,9 +586,14 @@ def table_rows(mdp, table: np.ndarray, digits) -> np.ndarray:
     return mdp.action_one_hot.take(table[s_idx], axis=1)
 
 
-def table_conditionals(mdp, table: np.ndarray) -> np.ndarray:
-    """(m,) + state_shape + (W,): a per-state joint action table's rows, full scope."""
-    return mdp.action_one_hot.take(table, axis=1).reshape((mdp.m,) + mdp.state_shape + (-1,))
+def table_conditionals(mdp, table: np.ndarray) -> list:
+    """Per device, state_shape + (W,): a per-state joint action table's rows, full scope.
+
+    Each device's rows are their own array, not a view of one stacked take, so
+    exact evaluation can release them one device at a time.
+    """
+    return [hot.take(table, axis=0).reshape(mdp.state_shape + (-1,))
+            for hot in mdp.action_one_hot]
 
 
 class CentralizedPolicy:
@@ -645,25 +653,30 @@ def expected_cost_rows(mdp: GlobalMdp, conds) -> np.ndarray:
     return out.reshape(-1)
 
 
-def battery_mixes(mdp: GlobalMdp, conds) -> list:
-    """Per device: the policy-mixed battery row on the device's own scope.
+def battery_mix(mdp: GlobalMdp, d: int, cond: np.ndarray) -> np.ndarray:
+    """Device d's policy-mixed battery row on its own scope; cond is only read.
 
-    mixes[d][..., b'] = sum_l conds[d][..., l] * kernel_l[b_d, b'] over the
-    n_levels_d columns of conds[d]: conds[d]'s shape with battery axis d at
-    nb (the kernel reads b_d even where the rows do not) and the next battery
-    b' last. One gemm per battery digit b_d.
+    mix[..., b'] = sum_l cond[..., l] * kernel_l[b_d, b'] over the n_levels_d
+    columns of cond: cond's shape with battery axis d at nb (the kernel reads
+    b_d even where the rows do not) and the next battery b' last. One batched
+    `np.matmul` per battery digit b_d, whose BLAS calls fix the bits: OpenBLAS
+    fuses multiply-adds, so a numpy level loop differs in the last bit, and so
+    does one gemm over all rows where matmul takes gemv (rows that read no
+    axis after battery d, at 4 battery levels or 4-level ladders).
     """
-    L, nb = mdp.n_links, mdp.energy.n_levels
-    mixes = []
-    for d, kb in enumerate(mdp.battery_kernels):
-        cond = conds[d][..., :len(kb)]
-        lead, n_own, tail = cond.shape[:L + d], cond.shape[L + d], cond.shape[L + d + 1:-1]
-        cond = cond.reshape(math.prod(lead), n_own, math.prod(tail), len(kb))
-        mix = np.empty(cond.shape[:1] + (nb,) + cond.shape[2:3] + (nb,))
-        for b in range(nb):
-            np.matmul(cond[:, b if n_own > 1 else 0], kb[:, b, :], out=mix[:, b])
-        mixes.append(mix.reshape(lead + (nb,) + tail + (nb,)))
-    return mixes
+    L, nb, kb = mdp.n_links, mdp.energy.n_levels, mdp.battery_kernels[d]
+    cond = cond[..., :len(kb)]
+    lead, n_own, tail = cond.shape[:L + d], cond.shape[L + d], cond.shape[L + d + 1:-1]
+    cond = cond.reshape(math.prod(lead), n_own, math.prod(tail), len(kb))
+    mix = np.empty(cond.shape[:1] + (nb,) + cond.shape[2:3] + (nb,))
+    for b in range(nb):
+        np.matmul(cond[:, b if n_own > 1 else 0], kb[:, b, :], out=mix[:, b])
+    return mix.reshape(lead + (nb,) + tail + (nb,))
+
+
+def battery_mixes(mdp: GlobalMdp, conds) -> list:
+    """Per device, `battery_mix` of conds[d]; conds is left as it was."""
+    return [battery_mix(mdp, d, cond) for d, cond in enumerate(conds)]
 
 
 def backward_expectation(mdp: GlobalMdp, v_next: np.ndarray, mixes) -> np.ndarray:
@@ -677,8 +690,8 @@ def backward_expectation(mdp: GlobalMdp, v_next: np.ndarray, mixes) -> np.ndarra
     union of the scopes folded so far. Device 0's fold is one gemm per channel
     configuration; each later fold broadcasts the intermediate and the mix to
     the union of their scopes and contracts every state's row with einsum.
-    Blocks of channel configurations keep each intermediate at most 2**19
-    floats.
+    Blocks of channel configurations keep each intermediate at most
+    FOLD_BLOCK floats.
     """
     nc, nbc, nb, m = mdp.n_channel_cfgs, mdp.n_battery_cfgs, mdp.energy.n_levels, mdp.m
     mixes = [_flat_links(mdp, mix) for mix in mixes]
@@ -686,12 +699,13 @@ def backward_expectation(mdp: GlobalMdp, v_next: np.ndarray, mixes) -> np.ndarra
     for chain in mdp.chains:
         w = contract_leading(w, chain.psi)
     w = w.reshape(nbc, nc).T  # w[c, b'] = E[v_next(c', b') | c]
-    scope, width = (1,) * m, 1  # battery axes read so far; widest intermediate per c
+    scope, width = (1,) * m, nb ** m  # battery axes read so far; widest intermediate per c
     for d, mix in enumerate(mixes):
         scope = tuple(map(max, scope, mix.shape[1:-1]))  # every axis is 1 or full
-        width = max(width, math.prod(scope) * nb ** (m - d))
+        if d:  # fold d's input; fold 0's output is no wider than fold 1's input (or w's)
+            width = max(width, math.prod(scope) * nb ** (m - d))
     out = np.empty((nc,) + tuple(mdp.bat_dims))
-    cb = max(1, 2 ** 19 // width)  # 4 MB blocks: about 20% faster than 16 MB on desk
+    cb = max(1, FOLD_BLOCK // width)
     for c0 in range(0, nc, cb):
         c1 = min(c0 + cb, nc)
         y = w[c0:c1].reshape(c1 - c0, nb, -1)
@@ -740,12 +754,15 @@ def evaluate_policy(mdp: GlobalMdp, policy, s1, *, budget: int = DEFAULT_BUDGET)
     Runs the policy's value backward, V_t = c_t + E[V_{t+1}], from the
     policy's per-device conditionals given the global state (every policy in
     this package exposes them), each on its own scope of the canonical state
-    layout: `expected_cost_rows` and `battery_mixes` work over those scopes
-    and `backward_expectation` folds only the batteries each device reads, so
-    V_t is the only full-size array. A policy whose class sets
-    `stationary = True` has the same rows at every slot, so its conditionals,
-    expected costs and battery mixes are built once rather than per slot. For
-    a sampled estimate use `simulate_costs`.
+    layout: `expected_cost_rows` and `battery_mix` work over those scopes and
+    `backward_expectation` folds only the batteries each device reads, so
+    V_t is the only full-size array. Each policy is held once: a slot's
+    conditionals live until its expected costs are built, then each device's
+    rows are released as its mix is made (`_slot_terms`), so none are alive
+    during the fold. A policy whose class sets `stationary = True` has the
+    same rows at every slot, so its expected costs and battery mixes are
+    built once rather than per slot. For a sampled estimate use
+    `simulate_costs`.
 
     Raises:
         BudgetExceeded: when n_states * m * W exceeds budget, before anything is built.
@@ -753,15 +770,26 @@ def evaluate_policy(mdp: GlobalMdp, policy, s1, *, budget: int = DEFAULT_BUDGET)
     check_eval_budget(mdp, budget)
     T = mdp.horizon
     stationary = getattr(policy, "stationary", False)
-    conds = policy.conditionals(mdp, T)
-    v = c = expected_cost_rows(mdp, conds)
-    mixes = battery_mixes(mdp, conds) if stationary else None
+    c, mixes = _slot_terms(mdp, policy, T, stationary)
+    v = c
     for t in range(T - 1, 0, -1):
         if not stationary:
-            conds = policy.conditionals(mdp, t)
-            c, mixes = expected_cost_rows(mdp, conds), battery_mixes(mdp, conds)
+            mixes = None  # the last slot's mixes go before this slot's rows are built
+            c, mixes = _slot_terms(mdp, policy, t, True)
         v = c + backward_expectation(mdp, v, mixes)
     return float(v[mdp.state_index(s1) if isinstance(s1, GlobalState) else int(s1)])
+
+
+def _slot_terms(mdp: GlobalMdp, policy, t: int, with_mixes: bool) -> tuple:
+    """Slot t's expected costs and, if with_mixes, its battery mixes (else []). The
+    conditionals are this call's own list: each device's rows are dropped as its mix is
+    made, so none outlive the call."""
+    conds = list(policy.conditionals(mdp, t))
+    c, mixes = expected_cost_rows(mdp, conds), []
+    for d in range(mdp.m if with_mixes else 0):
+        mixes.append(battery_mix(mdp, d, conds[d]))
+        conds[d] = None
+    return c, mixes
 
 
 def sample_costs(mdp: GlobalMdp, gains, levels, device: int | None = None) -> np.ndarray:

@@ -3,8 +3,9 @@
 `reference_packet_error_rate` is the one-link rule in the loss kernel's float
 steps, on the former dense (m, m) gain layout that `dense_gains` builds from
 per-edge gains, `former_step_links` the per-link loop `step_links` replaced, and
-`padded_step_links` the step that zero-padded the psi stack on every call; each
-is kept as the reference its replacement must equal element for element.
+`padded_step_links` the step that zero-padded the psi stack on every call, and
+`former_inverse_cdf` the one-cumsum sampler body; each is kept as the reference
+its replacement must equal element for element.
 """
 
 import copy
@@ -166,6 +167,51 @@ def test_step_links_equals_the_former_per_link_loop_on_generated_chains(case):
     chains, state, u = case
     assert np.array_equal(step(state, chains, u), former_step_links(state, chains, u))
     assert np.array_equal(step(state[0], chains, u[0]), former_step_links(state[0], chains, u[0]))
+
+
+def former_inverse_cdf(rows, u, widths):
+    """The former sampler body: one cumsum along the level axis, then a count per row."""
+    counts = (np.cumsum(rows, axis=2) <= u.T[:, :, None]).sum(axis=2)
+    return np.minimum(counts.T, np.subtract(widths, 1))
+
+
+@st.composite
+def padded_rows(draw):
+    """(rows, u, widths): k rows over n items of 1 to W entries, W from 2 to 4, zero-padded
+    to W, from small integer weights (whose sums may end off 1.0) or random floats; u is
+    random, 0, a row's exact total, one of its partial sums, 1 - 1e-17 (which is 1.0) or
+    the float just below 1."""
+    k, n, big_w = draw(st.integers(1, 5)), draw(st.integers(1, 6)), draw(st.integers(2, 4))
+    widths = [draw(st.integers(1, big_w)) for _ in range(k)]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    rows = np.zeros((k, n, big_w))
+    for j, w in enumerate(widths):
+        x = rng.integers(0, 4, size=(n, w)).astype(float) if draw(st.booleans()) \
+            else rng.random((n, w))
+        x[x.sum(axis=1) == 0, 0] = 1.0
+        rows[j, :, :w] = x / x.sum(axis=1, keepdims=True)
+    u = rng.random((n, k))
+    cdf = np.cumsum(rows, axis=2)
+    for i, j in np.ndindex(n, k):
+        pick = draw(st.integers(0, 5))
+        if pick == 1:
+            u[i, j] = cdf[j, i, -1]
+        elif pick == 2:
+            u[i, j] = cdf[j, i, draw(st.integers(0, big_w - 1))]
+        elif pick >= 3:
+            u[i, j] = [0.0, 1 - 1e-17, np.nextafter(1.0, 0.0)][pick - 3]
+    return rows, u, widths
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(padded_rows())
+def test_inverse_cdf_equals_the_former_cumsum_body(case):
+    rows, u, widths = case
+    before = rows.copy()
+    got = inverse_cdf(rows, u, widths)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, former_inverse_cdf(rows, u, widths))
+    assert np.array_equal(rows, before)
 
 
 def _pair_setup():

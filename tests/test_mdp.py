@@ -661,8 +661,8 @@ def test_backward_evaluation_matches_forward_oracle(name):
 
 
 def test_blocked_backward_evaluation_matches_forward_oracle_on_desk():
-    # The myopic policy's full-scope fold runs in 32 blocks of 8 channel
-    # configurations; greedy's and hops-1's scoped folds run in one.
+    # The myopic policy's full-scope fold runs in 64 blocks of 4 channel
+    # configurations, hops-1's in 4 blocks of 64; greedy's scoped fold runs in one.
     desk = desk_scenario(horizon=2)
     for pol in (GreedyPolicy(desk.mdp), MyopicCentralPolicy(desk.mdp, budget=desk.budget),
                 synthesize(desk.mdp, hops=1, gamma=desk.gamma, rounds=1)):
